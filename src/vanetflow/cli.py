@@ -10,8 +10,10 @@ from pathlib import Path
 from .config import ConfigError, PRESETS, ScenarioPreset, SimConfig, parse_config
 from .dissemination import POLICY_KINDS
 from .engine import run
-from .metrics import (events_to_table, exit_series, lane_changes_to_table,
-                      velocity_grid, write_csv)
+# events_to_table is not called here; the benchmark's traced run wraps it by
+# this name (bench/layers.py) along with the other CSV builders
+from .metrics import (events_to_table, exit_series, lane_changes_to_table,  # noqa: F401
+                      velocity_grid, write_csv, write_events_csv)
 from .sweep import run_sweep
 
 
@@ -83,7 +85,7 @@ def _cmd_run(args) -> int:
     log = run(cfg)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(events_to_table(log, include_samples=True), out / "events.csv")
+    write_events_csv(log, out / "events.csv")
     write_csv(exit_series(log).to_table(log.config_echo), out / "exits.csv")
     write_csv(lane_changes_to_table(log), out / "lane_changes.csv")
     write_csv(velocity_grid(log).to_table(log.config_echo), out / "velocity_grid.csv")

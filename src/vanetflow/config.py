@@ -4,6 +4,7 @@ experiment harness."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .dissemination import DisseminationPolicy, POLICY_KINDS
@@ -123,12 +124,14 @@ def _num(key, text, units):
         value = float(parts[0])
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {text!r}") from None
-    if len(parts) == 1:
-        return value
-    unit = parts[1].strip()
-    if unit not in units:
-        raise ConfigError(f"{key}: unknown unit {unit!r}, expected one of {sorted(units)}")
-    return value * units[unit]
+    if len(parts) > 1:
+        unit = parts[1].strip()
+        if unit not in units:
+            raise ConfigError(f"{key}: unknown unit {unit!r}, expected one of {sorted(units)}")
+        value *= units[unit]
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_float(units=None):

@@ -21,12 +21,6 @@ class MetricTable:
     rows: list
     meta: dict = field(default_factory=dict)
 
-    def __eq__(self, other):
-        if not isinstance(other, MetricTable):
-            return NotImplemented
-        return (self.columns == other.columns and self.rows == other.rows
-                and self.meta == other.meta)
-
 
 def _format_value(value) -> str:
     if isinstance(value, bool):
@@ -100,19 +94,104 @@ EVENT_COLUMNS = ["time_s", "event_kind", "vehicle_id", "lane", "position_m",
                  "velocity_mps", "aux"]
 
 
+# rows per write in write_events_csv; bounds the text held in memory at once
+CHUNK_ROWS = 1 << 16
+
+
+def _stream_runs(log):
+    """The row order of the events + samples stream, as (lo, hi, event_idx) runs.
+
+    Each run is the samples lo:hi of ``log.samples`` followed by the events
+    ``log.events[i]`` for i in ``event_idx``. Rows are in time order; at equal
+    times events come before samples, and each stream keeps its log order,
+    which is what a stable sort of events + samples by time gives. The
+    samples must already be in time order, as the engine appends them.
+    """
+    sample_t = np.frombuffer(log.samples.t, dtype=np.float64)
+    if (sample_t[1:] < sample_t[:-1]).any():
+        raise ValueError("samples are not in time order")
+    event_t = np.fromiter((e[0] for e in log.events), dtype=np.float64,
+                          count=len(log.events))
+    order = np.argsort(event_t, kind="stable")
+    slots = np.searchsorted(sample_t, event_t[order], side="left")
+    # one run per group of events that share a slot between two samples
+    starts = np.flatnonzero(np.diff(slots, prepend=-1))
+    ends = np.append(starts[1:], len(order))
+    lo = 0
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        hi = int(slots[a])
+        yield lo, hi, order[a:b].tolist()
+        lo = hi
+    yield lo, len(sample_t), []
+
+
 def events_to_table(log, include_samples: bool = False) -> MetricTable:
     """The raw log as one record stream; samples become 'sample' rows on request."""
-    rows = list(log.events)
     if include_samples:
-        s = log.samples
-        rows.extend((s.t[i], "sample", s.vehicle_id[i], s.lane[i],
-                     s.position[i], s.velocity[i], "")
-                    for i in range(len(s)))
-        rows.sort(key=lambda r: r[0])
+        events, s = log.events, log.samples
+        rows = []
+        for lo, hi, event_idx in _stream_runs(log):
+            rows.extend(zip(s.t[lo:hi], ["sample"] * (hi - lo), s.vehicle_id[lo:hi],
+                            s.lane[lo:hi], s.position[lo:hi], s.velocity[lo:hi],
+                            [""] * (hi - lo)))
+            rows.extend(events[i] for i in event_idx)
+    else:
+        rows = log.events
     return MetricTable(columns=list(EVENT_COLUMNS),
                        rows=[tuple(str(v) if isinstance(v, str) else v for v in row)
                              for row in rows],
                        meta=dict(log.config_echo))
+
+
+def _check_cells(lines: list, text: str) -> None:
+    """Raise if a cell in these rows would not survive the CSV round trip."""
+    if (text.count(",") == (len(EVENT_COLUMNS) - 1) * len(lines)
+            and text.count("\n") == len(lines) and "#" not in text):
+        return
+    for line in lines:
+        if line.count(",") != len(EVENT_COLUMNS) - 1 or line.count("\n") != 1 or "#" in line:
+            raise ValueError(f"row {line!r} would not survive the CSV round trip")
+
+
+def write_events_csv(log, path) -> None:
+    """Write events.csv: what ``write_csv(events_to_table(log, True), path)`` writes.
+
+    The rows are streamed from the event and sample logs in chunks of about
+    CHUNK_ROWS, in the order ``_stream_runs`` gives, without building a row
+    table. Events are the engine's (float, str, int, int, float, float,
+    str | int) records, formatted as ``_format_value`` formats them. A cell
+    that would break the round trip raises ValueError and leaves a partial
+    file behind.
+    """
+    events, s = log.events, log.samples
+    event_line = "{},{},{},{},{},{},{}\n".format
+    sample_line = "{},sample,{},{},{},{},\n".format
+    header = table_to_text(MetricTable(columns=list(EVENT_COLUMNS), rows=[],
+                                       meta=log.config_echo))
+
+    def flush(fh, lines):
+        text = "".join(lines)
+        _check_cells(lines, text)
+        fh.write(text)
+        lines.clear()
+
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header)
+            lines = []
+            for lo, hi, event_idx in _stream_runs(log):
+                for a in range(lo, hi, CHUNK_ROWS):
+                    b = min(hi, a + CHUNK_ROWS)
+                    lines += map(sample_line, s.t[a:b], s.vehicle_id[a:b], s.lane[a:b],
+                                 s.position[a:b], s.velocity[a:b])
+                    if len(lines) >= CHUNK_ROWS:
+                        flush(fh, lines)
+                lines += [event_line(*events[i]) for i in event_idx]
+                if len(lines) >= CHUNK_ROWS:
+                    flush(fh, lines)
+            flush(fh, lines)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 # --- exit aggregates ----------------------------------------------------------

@@ -75,7 +75,8 @@ class VehicleState:
 class Neighborhood:
     """Leader/follower situation seen from one vehicle in one lane.
 
-    Gaps are center-to-center distances (vehicles are points); NO_VEHICLE
+    Gaps are bumper to bumper: the distance between positions minus the
+    vehicle length (the obstacle counts as a zero-length leader). NO_VEHICLE
     marks an empty slot, in which case the paired velocity is meaningless.
     """
 

@@ -70,6 +70,14 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     assert "traffic_load" in capsys.readouterr().err
 
 
+def test_non_finite_seed_exits_nonzero(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("seed = inf\n")
+    code = main(["run", "--config", str(cfg_file), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_unreadable_config_path(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "missing.cfg"),
                  "--out-dir", str(tmp_path)])

@@ -60,6 +60,16 @@ def test_integer_fields_reject_fractions():
         parse_config("seed = 1.5\n")
 
 
+@pytest.mark.parametrize("line", ["traffic_load = nan", "dt = inf", "seed = nan",
+                                  "seed = inf", "driver.politeness = -inf",
+                                  "field_length = 1e308 km"])
+def test_non_finite_numbers_name_the_key(line):
+    # seed = nan/inf used to escape as a bare ValueError/OverflowError
+    key = line.split(" =", 1)[0]
+    with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+        parse_config(line + "\n")
+
+
 def test_boolean_words():
     assert parse_config("communication_enabled = off\n").communication_enabled is False
     assert parse_config("vsl_enabled = yes\n").vsl_enabled is True

@@ -5,10 +5,12 @@ import pytest
 
 from vanetflow.config import ScenarioPreset, SimConfig, as_echo_dict
 from vanetflow.engine import EventLog, run
-from vanetflow.metrics import (MetricTable, events_to_table, exit_series,
-                               lane_change_positions, lane_changes_to_table,
-                               parse_csv_text, read_csv, slow_cell_area,
-                               table_to_text, velocity_grid, write_csv)
+from vanetflow import metrics
+from vanetflow.metrics import (EVENT_COLUMNS, MetricTable, events_to_table,
+                               exit_series, lane_change_positions,
+                               lane_changes_to_table, parse_csv_text, read_csv,
+                               slow_cell_area, table_to_text, velocity_grid,
+                               write_csv, write_events_csv)
 from vanetflow.sweep import run_sweep
 
 
@@ -186,6 +188,80 @@ def test_events_table_long_form_with_samples():
     times = [row[0] for row in table.rows]
     assert times == sorted(times)
     assert table.meta["seed"] == "31"
+
+
+# events out of time order, some tied with sample times, some before and
+# after every sample
+UNORDERED_EVENTS = [
+    (1.0, "exit", 4, 1, 1500.5, 30.0, ""),
+    (0.5, "injection", 7, 0, 0.0, 29.5, ""),
+    (0.0, "transmission", -1, 0, 500.0, 0.0, 0),
+    (0.5, "reception", 3, 1, 12.5, 10.0, 0),
+    (1.5, "lane_change", 2, 0, 40.0, 9.5, "1|0"),
+    (0.25, "infection", 3, 1, 12.75, 10.0, 1),
+    (0.5, "reception", 1, 0, 130.0, 11.0, 0),
+    (-0.5, "gridlock", -1, 0, 0.0, 0.0, ""),
+]
+ORDERED_SAMPLES = [
+    (0.0, 1, 0, 100.0, 11.0), (0.0, 3, 1, 12.0, 10.0),
+    (0.5, 1, 0, 105.5, 11.0), (0.5, 3, 1, 17.0, 10.0),
+    (1.0, 1, 0, 111.0, 11.1),
+    (1.25, 1, 0, 113.0, 11.1),
+]
+
+
+def sort_oracle(log):
+    """events + samples under Python's stable sort by time: the row order contract."""
+    samples = [(t, "sample", vid, lane, x, v, "") for t, vid, lane, x, v in ORDERED_SAMPLES]
+    return sorted(list(log.events) + samples, key=lambda row: row[0])
+
+
+def test_events_writer_matches_stable_sort_oracle(tmp_path, monkeypatch):
+    log = synthetic_log(events=UNORDERED_EVENTS, samples=ORDERED_SAMPLES)
+    oracle = MetricTable(columns=list(EVENT_COLUMNS), rows=sort_oracle(log),
+                         meta=dict(log.config_echo))
+    assert events_to_table(log, include_samples=True) == oracle
+    for chunk_rows in (metrics.CHUNK_ROWS, 3, 1):
+        monkeypatch.setattr(metrics, "CHUNK_ROWS", chunk_rows)
+        path = tmp_path / f"events_{chunk_rows}.csv"
+        write_events_csv(log, path)
+        assert path.read_text() == table_to_text(oracle)
+
+
+def test_events_writer_empty_log(tmp_path):
+    log = synthetic_log()
+    path = tmp_path / "events.csv"
+    write_events_csv(log, path)
+    lines = path.read_text().splitlines()
+    echo = [f"# {key} = {value}" for key, value in log.config_echo.items()]
+    assert lines == echo + [",".join(EVENT_COLUMNS)]
+
+
+def test_events_writer_unwritable_path():
+    with pytest.raises(OSError, match="no/such/dir"):
+        write_events_csv(synthetic_log(), "no/such/dir/events.csv")
+
+
+def test_events_writer_reads_back_as_the_table(tmp_path):
+    log = real_log(duration=60.0)
+    path = tmp_path / "events.csv"
+    write_events_csv(log, path)
+    assert read_csv(path) == events_to_table(log, include_samples=True)
+
+
+def test_events_writer_rejects_cells_that_break_the_csv(tmp_path):
+    log = synthetic_log(events=[(0.5, "lane_change", 2, 0, 40.0, 9.5, "1,0")],
+                        samples=ORDERED_SAMPLES)
+    with pytest.raises(ValueError, match="round trip"):
+        write_events_csv(log, tmp_path / "events.csv")
+
+
+def test_events_stream_needs_samples_in_time_order(tmp_path):
+    log = synthetic_log(samples=ORDERED_SAMPLES[::-1])
+    with pytest.raises(ValueError, match="samples are not in time order"):
+        write_events_csv(log, tmp_path / "events.csv")
+    with pytest.raises(ValueError, match="samples are not in time order"):
+        events_to_table(log, include_samples=True)
 
 
 def test_velocity_grid_long_form_row_count():
