@@ -17,8 +17,8 @@ from .metrics import (ExitSeries, MetricTable, VelocityGrid, events_to_table,
                       exit_series, lane_change_positions, read_csv,
                       slow_cell_area, velocity_grid, write_csv, write_events_csv)
 from .radio import (MacState, RadioConfig, draw_backoff, friis_received_power,
-                    in_range, mac_tick, medium_busy, range_for_sensitivity,
-                    receive_roll)
+                    in_range, mac_tick, medium_busy, next_attempt,
+                    range_for_sensitivity, receive_roll)
 from .sweep import run_sweep
 from .traffic import (DriverParams, Neighborhood, VehicleState,
                       base_lane_change, brute_force_lane_change, desired_gap,

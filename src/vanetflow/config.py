@@ -5,7 +5,7 @@ experiment harness."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .dissemination import DisseminationPolicy, POLICY_KINDS
 from .radio import RadioConfig
@@ -50,6 +50,13 @@ class SimConfig:
         def bad(key, constraint, value):
             return ConfigError(f"{key}: must be {constraint}, got {value!r}")
 
+        # NaN passes every comparison below, so non-finite values go first
+        for prefix, section in (("", self), ("radio.", self.radio),
+                                ("policy.", self.policy), ("driver.", self.driver)):
+            for f in fields(section):
+                value = getattr(section, f.name)
+                if f.init and isinstance(value, float) and not math.isfinite(value):
+                    raise bad(prefix + f.name, "finite", value)
         if self.field_length <= 0:
             raise bad("field_length", "> 0", self.field_length)
         if not 0 < self.obstacle_position < self.field_length:
@@ -222,9 +229,6 @@ def parse_config(text: str, base: SimConfig | None = None) -> SimConfig:
     speed_limit and is not a key of its own.
     """
     cfg = replace(base) if base is not None else SimConfig()
-    cfg.radio = replace(cfg.radio)
-    cfg.policy = replace(cfg.policy)
-    cfg.driver = replace(cfg.driver)
     seen = set()
     tx_range_set = interference_set = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -242,12 +246,17 @@ def parse_config(text: str, base: SimConfig | None = None) -> SimConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
         section, attr, parser = _SCHEMA[key]
-        target = cfg if section is None else getattr(cfg, section)
-        setattr(target, attr, parser(key, value))
+        value = parser(key, value)
+        if section is None:
+            setattr(cfg, attr, value)
+        else:
+            # sections are replaced, never mutated: base keeps its own and
+            # DriverParams is frozen
+            setattr(cfg, section, replace(getattr(cfg, section), **{attr: value}))
         tx_range_set |= key == "radio.tx_range"
         interference_set |= key == "radio.interference_range"
     if tx_range_set and not interference_set:
-        cfg.radio.interference_range = 2.0 * cfg.radio.tx_range
+        cfg.radio = replace(cfg.radio, interference_range=2.0 * cfg.radio.tx_range)
     cfg.validate()
     return cfg
 

@@ -1,7 +1,8 @@
 """Deterministic time-stepped loop coupling traffic, radio and dissemination.
 
-Each step runs fixed phases from the pre-step snapshot: obstacle beacon, MAC
-ticks and delivery rolls, ledger updates and rebroadcast decisions, behavior
+Each step runs fixed phases from the pre-step snapshot: obstacle beacon, the
+MAC attempts due this tick, delivery rolls batched per lane and transmission
+with their ledger updates, rebroadcast decisions, behavior
 (acceleration + lane-change decisions), simultaneous application of moves,
 exits, injection, then bookkeeping. One seeded generator drives every random
 draw in a fixed order, so identical config and seed reproduce the run exactly.
@@ -12,12 +13,14 @@ from __future__ import annotations
 import bisect
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import compress
+from operator import sub
 
 import numpy as np
 
 from .config import SimConfig, as_echo_dict
 from .dissemination import WarningMessage, should_rebroadcast, ttl_alive
-from .radio import MacState, mac_tick, medium_busy, receive_roll
+from .radio import MacState, mac_tick, medium_busy, next_attempt, receive_roll
 from .traffic import (BASE, BRUTE_FORCE, NO_VEHICLE, PAPER_MULTIPLICATIVE,
                       Neighborhood, VehicleState, base_lane_change,
                       brute_force_lane_change, additive_lane_change,
@@ -91,7 +94,7 @@ class SimState:
     rng: np.random.Generator
     log: EventLog
     lanes: list            # [list[VehicleState], list[VehicleState]]
-    macs: dict             # vehicle id -> MacState
+    macs: dict             # vehicle id -> MacState; a pending one as at its next attempt
     messages: dict         # msg id -> WarningMessage
     driver_p: object
     driver_vsl_p: object
@@ -106,6 +109,7 @@ class SimState:
     entered: int = 0
     exited: int = 0
     prev_tx_positions: list = field(default_factory=list)
+    attempts: dict = field(default_factory=dict)  # tick -> [(vehicle, MacState)] due then
     last_change: dict = field(default_factory=dict)
     first_gridlock_time: float | None = None
     first_origin_slow_time: float | None = None
@@ -254,6 +258,13 @@ def _diagnostic(state, message):
     return SimulationError(f"{message} at t={state.now}\n" + "\n".join(rows))
 
 
+def _file_attempt(state: SimState, veh: VehicleState, mac: MacState) -> None:
+    """Make ``mac`` the vehicle's pending MAC and file it under its attempt tick."""
+    tick, ready = next_attempt(mac, state.tick)
+    state.macs[veh.id] = ready
+    state.attempts.setdefault(tick, []).append((veh, ready))
+
+
 def step(state: SimState, cfg: SimConfig) -> SimState:
     """Advance the world by one dt. Mutates and returns ``state``."""
     t = state.now
@@ -271,62 +282,73 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
             state.messages[msg.msg_id] = msg
             state.next_msg_id += 1
             state.next_beacon += cfg.beacon_interval
-            transmissions.append((OBSTACLE_ID, cfg.obstacle_position, msg.msg_id))
+            transmissions.append((cfg.obstacle_position, msg))
             events.append((t, "transmission", OBSTACLE_ID, cfg.obstacle_lane,
                            cfg.obstacle_position, 0.0, msg.msg_id))
         prev_tx = state.prev_tx_positions
         macs = state.macs
-        for lane_list in lanes:
-            for veh in lane_list:
-                mac = macs[veh.id]
-                if mac.pending_message is None:
-                    continue
-                busy = medium_busy(veh.position, prev_tx, radio_cfg)
-                mac_next, tx_now = mac_tick(mac, busy, radio_cfg, state.rng)
+        rng = state.rng
+        # only the MACs whose countdown ends this tick act; the rest would just
+        # count down. Entries of superseded frames and exited vehicles are stale.
+        due = [(veh, mac) for veh, mac in state.attempts.pop(state.tick, ())
+               if macs.get(veh.id) is mac]
+        due.sort(key=lambda entry: (entry[0].lane, entry[0].position))
+        for veh, mac in due:
+            busy = medium_busy(veh.position, prev_tx, radio_cfg)
+            mac_next, tx_now = mac_tick(mac, busy, radio_cfg, rng)
+            if tx_now:
                 macs[veh.id] = mac_next
-                if tx_now:
-                    msg = state.messages[mac.pending_message]
-                    # messages that died while queued are dropped, not sent
-                    if ttl_alive(msg, t, veh.position):
-                        transmissions.append((veh.id, veh.position, msg.msg_id))
-                        events.append((t, "transmission", veh.id, veh.lane,
-                                       veh.position, veh.velocity, msg.msg_id))
+                msg = state.messages[mac.pending_message]
+                # messages that died while queued are dropped, not sent
+                if ttl_alive(msg, t, veh.position):
+                    transmissions.append((veh.position, msg))
+                    events.append((t, "transmission", veh.id, veh.lane,
+                                   veh.position, veh.velocity, msg.msg_id))
+            else:
+                _file_attempt(state, veh, mac_next)
         receptions = []
         if transmissions:
             rc = radio_cfg.tx_range
             for lane_list in lanes:
                 positions = [v.position for v in lane_list]
-                for sender_id, sender_pos, msg_id in transmissions:
-                    msg = state.messages[msg_id]
+                for sender_pos, msg in transmissions:
                     lo = bisect.bisect_left(positions, sender_pos - rc)
                     hi = bisect.bisect_right(positions, sender_pos + rc)
-                    for i in range(lo, hi):
-                        veh = lane_list[i]
-                        if veh.id == sender_id or veh.position == sender_pos:
-                            continue  # self-reception / unattributable tie
-                        if receive_roll(abs(veh.position - sender_pos), radio_cfg, state.rng):
+                    # the sender itself sits at sender_pos, and so does an exact
+                    # tie, whose direction cannot be attributed: neither draws
+                    heard = [v for v in lane_list[lo:hi] if v.position != sender_pos]
+                    if not heard:
+                        continue
+                    hits = receive_roll([abs(v.position - sender_pos) for v in heard],
+                                        radio_cfg, rng)
+                    msg_id = msg.msg_id
+                    for veh in compress(heard, hits):
+                        events.append((t, "reception", veh.id, veh.lane, veh.position,
+                                       veh.velocity, msg_id))
+                        veh.ledger.record_reception(msg, sender_pos, veh.position, t)
+                        if not veh.infected:
+                            veh.infected = True
+                            events.append((t, "infection", veh.id, veh.lane, veh.position,
+                                           veh.velocity, msg_id))
+                        # a MAC that holds this or a newer generation will not
+                        # take it in the relay pass either, which only raises
+                        # generations
+                        pending = macs[veh.id].pending_message
+                        if pending is None or pending < msg_id:
                             receptions.append((veh, msg, sender_pos))
         # all receptions land before any relay decision is made
         for veh, msg, sender_pos in receptions:
-            events.append((t, "reception", veh.id, veh.lane, veh.position,
-                           veh.velocity, msg.msg_id))
-            veh.ledger.record_reception(msg, sender_pos, veh.position, now=t)
-            if not veh.infected:
-                veh.infected = True
-                events.append((t, "infection", veh.id, veh.lane, veh.position,
-                               veh.velocity, msg.msg_id))
-        for veh, msg, sender_pos in receptions:
-            mac = state.macs[veh.id]
+            mac = macs[veh.id]
             if mac.pending_message is not None and mac.pending_message >= msg.msg_id:
                 continue  # that or a newer warning generation is already queued
             entry = veh.ledger.entries[msg.msg_id]
             if should_rebroadcast(cfg.policy, msg, entry, now=t, my_pos=veh.position,
                                   d_from_sender=abs(veh.position - sender_pos),
-                                  tx_range=radio_cfg.tx_range, rng=state.rng):
+                                  tx_range=radio_cfg.tx_range, rng=rng):
                 # a newer generation supersedes any older pending frame and,
                 # as for any fresh frame, contention starts from stage 0
-                state.macs[veh.id] = MacState(0, 0, msg.msg_id)
-        state.prev_tx_positions = [pos for _, pos, _ in transmissions]
+                _file_attempt(state, veh, MacState(0, 0, msg.msg_id))
+        state.prev_tx_positions = [pos for pos, _ in transmissions]
 
     # --- behavior from the pre-move snapshot
     normal_p = state.driver_p
@@ -472,22 +494,21 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
 
     # --- samples, detectors, invariants
     samples = state.log.samples
-    s_t, s_id, s_lane = samples.t, samples.vehicle_id, samples.lane
-    s_x, s_v = samples.position, samples.velocity
     on_road = 0
     min_spacing = cfg.vehicle_length
     for li in (0, 1):
-        prev_front = -1e18
-        for veh in lanes[li]:
-            if veh.position - prev_front <= min_spacing:
-                raise _diagnostic(state, f"overlap in lane {li} at vehicle {veh.id}")
-            prev_front = veh.position
-            s_t.append(now)
-            s_id.append(veh.id)
-            s_lane.append(li)
-            s_x.append(veh.position)
-            s_v.append(veh.velocity)
-            on_road += 1
+        lane_list = lanes[li]
+        xs = [veh.position for veh in lane_list]
+        n = len(xs)
+        if n > 1 and min(map(sub, xs[1:], xs)) <= min_spacing:
+            i = next(i for i in range(1, n) if xs[i] - xs[i - 1] <= min_spacing)
+            raise _diagnostic(state, f"overlap in lane {li} at vehicle {lane_list[i].id}")
+        samples.t.extend(array("d", (now,)) * n)
+        samples.vehicle_id.fromlist([veh.id for veh in lane_list])
+        samples.lane.extend(array("b", (li,)) * n)
+        samples.position.fromlist(xs)
+        samples.velocity.fromlist([veh.velocity for veh in lane_list])
+        on_road += n
     if state.scheduled != state.exited + on_road + state.entry_queue:
         raise _diagnostic(state, "vehicle conservation violated")
     if state.first_gridlock_time is None and detect_gridlock(state, cfg):

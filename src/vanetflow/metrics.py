@@ -25,8 +25,8 @@ class MetricTable:
 def _format_value(value) -> str:
     if isinstance(value, bool):
         raise TypeError("booleans are not a CSV cell type; use 0/1")
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # numpy 2 reprs its scalars as np.float64(...)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     text = str(value)

@@ -114,14 +114,29 @@ def mac_tick(state: MacState, busy: bool, cfg: RadioConfig, rng) -> tuple[MacSta
     return MacState(0, 0, None), True
 
 
-def receive_roll(d: float, cfg: RadioConfig, rng) -> bool:
-    """Bernoulli reception: possible only within tx_range, then with reception_prob.
+def next_attempt(state: MacState, tick: int) -> tuple[int, MacState]:
+    """Tick of the next transmit attempt of a MAC set at ``tick``, and its state then.
 
-    No randomness is consumed for out-of-range receivers, keeping draw
-    sequences stable.
+    The countdown drops by one per tick whatever the medium (no suspension)
+    and the state is set after that tick's MAC pass, so the attempt comes
+    ``backoff_remaining + 1`` ticks later with the countdown at 0. The
+    ``mac_tick`` calls in between would only count down and draw nothing.
     """
-    if d < 0:
+    return (tick + state.backoff_remaining + 1,
+            MacState(state.backoff_stage, 0, state.pending_message))
+
+
+def receive_roll(distances: list[float], cfg: RadioConfig, rng) -> list[bool]:
+    """Bernoulli reception per receiver: possible only within tx_range, then with reception_prob.
+
+    One ``rng.random(m)`` call draws for the m in-range distances, in order,
+    which is the same stream as m scalar draws. No randomness is consumed for
+    out-of-range receivers, keeping draw sequences stable.
+    """
+    if min(distances, default=0.0) < 0:
         raise ValueError("distance must be >= 0")
-    if d > cfg.tx_range:
-        return False
-    return rng.random() < cfg.reception_prob
+    limit = cfg.tx_range
+    p = cfg.reception_prob
+    reachable = [d <= limit for d in distances]
+    draws = iter(rng.random(reachable.count(True)).tolist())
+    return [r and next(draws) < p for r in reachable]

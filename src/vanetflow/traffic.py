@@ -22,9 +22,13 @@ MOBIL_ADDITIVE = "mobil_additive"
 LANE_CHANGE_RULES = (PAPER_MULTIPLICATIVE, MOBIL_ADDITIVE)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class DriverParams:
-    """Car-following and lane-changing constants for one driver."""
+    """Car-following and lane-changing constants for one driver.
+
+    Frozen, so the IDM's braking scale 2*sqrt(a*b) is computed once per
+    parameter set; change a field with ``dataclasses.replace``.
+    """
 
     max_accel: float = 1.0             # m/s^2, open-road acceleration
     comfortable_brake: float = 1.67    # m/s^2
@@ -37,6 +41,12 @@ class DriverParams:
     lane_bias: float = 0.1             # m/s^2 added for changes into the slow lane
     diff_cap: float = 20.0             # cap on the proportional incentive
     vsl_reduction: float = 2.7         # m/s knocked off v0 while warned
+    two_sqrt_ab: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ab = self.max_accel * self.comfortable_brake
+        # NaN for the negative products validate() rejects, instead of a crash here
+        object.__setattr__(self, "two_sqrt_ab", 2.0 * math.sqrt(ab) if ab >= 0 else math.nan)
 
     def validate(self):
         if self.max_accel <= 0:
@@ -88,7 +98,7 @@ class Neighborhood:
 
 def desired_gap(v: float, delta_v: float, p: DriverParams) -> float:
     """Dynamic desired distance to the vehicle ahead, never below the standstill gap."""
-    dynamic = v * p.time_headway + v * delta_v / (2.0 * math.sqrt(p.max_accel * p.comfortable_brake))
+    dynamic = v * p.time_headway + v * delta_v / p.two_sqrt_ab
     if dynamic < 0.0:
         dynamic = 0.0
     return p.min_gap + dynamic

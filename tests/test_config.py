@@ -1,5 +1,8 @@
 """Config document parsing, echoing and preset coverage."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from vanetflow.config import (ConfigError, PRESETS, SimConfig, as_echo_dict,
@@ -68,6 +71,23 @@ def test_non_finite_numbers_name_the_key(line):
     key = line.split(" =", 1)[0]
     with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
         parse_config(line + "\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("traffic_load", math.nan), ("dt", math.inf), ("seed", math.nan),
+    ("radio.tx_range", math.nan), ("radio.reception_prob", -math.inf),
+    ("policy.alpha", math.inf), ("driver.max_accel", math.nan),
+    ("driver.desired_velocity", math.inf),  # set in code only, not a document key
+])
+def test_validate_rejects_non_finite_fields(key, value):
+    cfg = SimConfig()
+    section, _, attr = key.rpartition(".")
+    if section:
+        setattr(cfg, section, replace(getattr(cfg, section), **{attr: value}))
+    else:
+        setattr(cfg, attr, value)
+    with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
+        cfg.validate()
 
 
 def test_boolean_words():

@@ -1,8 +1,9 @@
 """Golden digests: `vanetflow run` writes byte-identical events.csv across changes.
 
-Each case runs the CLI on a preset shortened to 300 s and hashes the
-events.csv bytes (config echo, header, events and samples). A digest that
-moves means the event log, the sample stream or their serialisation changed.
+Each case runs the CLI on a preset shortened to 300 s, at seed 1 unless
+``SEEDS`` says otherwise, and hashes the events.csv bytes (config echo,
+header, events and samples). A digest that moves means the event log, the
+sample stream or their serialisation changed.
 lane_change_position and velocity_grid differ from velocity_motorway only in
 duration, so at 300 s they share its digests; they stay in the matrix so that
 a preset that drifts away from it is caught.
@@ -40,7 +41,16 @@ CASES = {
                              "lane_change_rule = paper_multiplicative\n", []),
     "brute_force": ("velocity_motorway", "lane_change_variant = brute_force\n", []),
     "vsl": ("velocity_motorway", "vsl_enabled = true\n", []),
+    # a wider, lossier radio with shorter backoff windows, for the MAC
+    # schedule and the reception draws
+    "radio_variant": ("velocity_motorway",
+                      "radio.tx_range = 250 m\nradio.reception_prob = 0.5\n"
+                      "radio.backoff_max = 7\nradio.max_backoff_stage = 3\n", []),
+    "velocity_motorway-seed2": ("velocity_motorway", "", []),
 }
+
+# cases run at another seed than 1
+SEEDS = {"velocity_motorway-seed2": 2}
 
 GOLDEN = {
     "velocity_motorway-on":
@@ -75,6 +85,10 @@ GOLDEN = {
         "d7a9b1dbf2c23fcbc72612f425eccb5d84c5ca19fc28f6fbe23f55e37cf7f58b",
     "vsl":
         "04461d20b2f6a3d9e1f8e8f8d39179a86e7ba56e21c7176875c7c961be377679",
+    "radio_variant":
+        "600777c749e98a1ee5414aaf5439aefa9e3db8c20d5f514365794e590dcea3f0",
+    "velocity_motorway-seed2":
+        "091a67659286aed97fd65d4a210cd0f2e6e6a8b5b7ad45ee3734dc829e352b10",
 }
 
 
@@ -83,7 +97,8 @@ def events_csv_digest(case_id, work_dir) -> str:
     cfg_file = work_dir / "golden.cfg"
     cfg_file.write_text(SHORT + extra)
     out = work_dir / "out"
-    argv = ["run", "--preset", preset, "--config", str(cfg_file), "--seed", "1",
+    seed = str(SEEDS.get(case_id, 1))
+    argv = ["run", "--preset", preset, "--config", str(cfg_file), "--seed", seed,
             "--out-dir", str(out), *flags]
     with redirect_stdout(io.StringIO()):
         code = main(argv)

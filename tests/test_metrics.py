@@ -174,6 +174,17 @@ def test_csv_full_precision_floats():
     assert back.rows[0][0] == value
 
 
+def test_csv_roundtrip_numpy_scalars(tmp_path):
+    table = MetricTable(columns=["x", "n"],
+                        rows=[(np.float64(1.5), np.int64(7)), (np.float64(0.1 + 0.2), np.int64(-3))],
+                        meta={})
+    path = tmp_path / "numpy.csv"
+    write_csv(table, path)
+    back = read_csv(path)
+    assert back.rows == [(1.5, 7), (0.1 + 0.2, -3)]
+    assert all(type(x) is float and type(n) is int for x, n in back.rows)
+
+
 def test_write_csv_unwritable_path():
     table = MetricTable(columns=["x"], rows=[], meta={})
     with pytest.raises(OSError, match="no/such/dir"):

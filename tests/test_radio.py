@@ -200,20 +200,27 @@ def test_mac_no_suspension_state_sequence():
 def test_receive_roll_out_of_range_never():
     c = cfg(tx_range=100.0, reception_prob=1.0)
     rng = np.random.default_rng(11)
-    assert all(receive_roll(100.1, c, rng) is False for _ in range(100))
+    before = rng.bit_generator.state
+    assert receive_roll([100.1] * 100, c, rng) == [False] * 100
+    assert rng.bit_generator.state == before  # nothing drawn
 
 
 def test_receive_roll_certain_within_range():
     c = cfg(reception_prob=1.0)
     rng = np.random.default_rng(12)
-    assert all(receive_roll(d, c, rng) for d in (0.0, 50.0, 100.0))
+    assert receive_roll([0.0, 50.0, 100.0], c, rng) == [True, True, True]
 
 
 def test_receive_roll_empirical_rate():
     c = cfg(reception_prob=0.8)
     rng = np.random.default_rng(13)
-    hits = sum(receive_roll(30.0, c, rng) for _ in range(10000))
+    hits = sum(receive_roll([30.0] * 10000, c, rng))
     assert abs(hits / 10000.0 - 0.8) < 0.02
+
+
+def test_receive_roll_rejects_negative_distance():
+    with pytest.raises(ValueError, match="distance"):
+        receive_roll([10.0, -1.0], cfg(), np.random.default_rng(0))
 
 
 def test_seeded_sequences_are_reproducible():

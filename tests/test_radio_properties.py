@@ -1,0 +1,94 @@
+"""Property tests: the engine's shortcuts through the radio draw exactly what the plain loops draw.
+
+The engine only calls ``mac_tick`` on the tick a MAC's countdown ends
+(``next_attempt``) and rolls all receivers of one transmission in one lane
+with one ``receive_roll`` call. Both must leave the outcomes and the random
+stream as ticking every MAC every tick and rolling receivers one by one do.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vanetflow.radio import MacState, RadioConfig, mac_tick, next_attempt, receive_roll
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def mac_cases(draw):
+    backoff_min = draw(st.integers(0, 3))
+    cfg = RadioConfig(backoff_min=backoff_min,
+                      backoff_max=draw(st.integers(backoff_min, 8)),
+                      max_backoff_stage=draw(st.integers(0, 4)))
+    pending = draw(st.one_of(st.none(), st.integers(0, 5)))
+    start = MacState(draw(st.integers(0, cfg.max_backoff_stage)), draw(st.integers(0, 20)), pending)
+    busy = draw(st.lists(st.booleans(), min_size=1, max_size=120))
+    # ticks after whose MAC pass a fresh frame is queued (a relay decision)
+    enqueue = draw(st.sets(st.integers(1, len(busy)), max_size=4))
+    return cfg, start, busy, enqueue, draw(st.integers(0, 2**32 - 1))
+
+
+def stepped(cfg, start, busy, enqueue, rng):
+    """Tick the MAC on every tick, as the per-vehicle loop did."""
+    state, attempts = start, []
+    for tick, is_busy in enumerate(busy, start=1):
+        attempting = state.pending_message is not None and state.backoff_remaining == 0
+        state, tx = mac_tick(state, is_busy, cfg, rng)
+        if attempting:
+            attempts.append((tick, state, tx))
+        if tick in enqueue:
+            state = MacState(0, 0, tick)
+    return attempts, state
+
+
+def scheduled(cfg, start, busy, enqueue, rng):
+    """Call the MAC only on its attempt ticks, as the engine does."""
+    due, state = next_attempt(start, 0) if start.pending_message is not None else (None, start)
+    attempts = []
+    for tick, is_busy in enumerate(busy, start=1):
+        if tick == due:
+            state, tx = mac_tick(state, is_busy, cfg, rng)
+            attempts.append((tick, state, tx))
+            due = None
+            if not tx:
+                due, state = next_attempt(state, tick)
+        if tick in enqueue:
+            due, state = next_attempt(MacState(0, 0, tick), tick)
+    if due is not None:  # the countdown a per-tick MAC would show now
+        state = MacState(state.backoff_stage, due - len(busy) - 1, state.pending_message)
+    return attempts, state
+
+
+@SETTINGS
+@given(mac_cases())
+def test_scheduled_attempts_match_ticking_every_tick(case):
+    cfg, start, busy, enqueue, seed = case
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert scheduled(cfg, start, busy, enqueue, rng_a) == stepped(cfg, start, busy, enqueue, rng_b)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@st.composite
+def roll_cases(draw):
+    tx_range = draw(st.floats(1.0, 300.0))
+    cfg = RadioConfig(tx_range=tx_range, interference_range=2 * tx_range,
+                      reception_prob=draw(st.floats(0.0, 1.0)))
+    distance = st.one_of(st.floats(0.0, 2 * tx_range), st.just(tx_range), st.just(0.0))
+    calls = draw(st.lists(st.lists(distance, max_size=30), min_size=1, max_size=8))
+    between = draw(st.lists(st.integers(0, 1000), min_size=len(calls), max_size=len(calls)))
+    return cfg, calls, between, draw(st.integers(0, 2**32 - 1))
+
+
+@SETTINGS
+@given(roll_cases())
+def test_batched_rolls_match_one_scalar_draw_per_receiver(case):
+    cfg, calls, between, seed = case
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for distances, high in zip(calls, between):
+        got = receive_roll(distances, cfg, rng_a)
+        want = [d <= cfg.tx_range and rng_b.random() < cfg.reception_prob for d in distances]
+        assert got == want
+        # scalar draws of other layers interleave with the batched ones
+        assert rng_a.integers(0, high + 1) == rng_b.integers(0, high + 1)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state

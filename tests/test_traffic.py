@@ -1,6 +1,8 @@
 """Car-following and lane-change decision tests against direct-evaluation oracles."""
 
 import math
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -24,6 +26,17 @@ def vehicle(v=20.0, p=None, infected=False, passed=False):
 
 
 # --- desired gap -----------------------------------------------------------
+
+def test_driver_params_braking_scale_cannot_go_stale():
+    p = params()
+    with pytest.raises(FrozenInstanceError):
+        p.max_accel = 2.0
+    q = replace(p, max_accel=4.0)
+    assert q.two_sqrt_ab == 2.0 * math.sqrt(4.0 * p.comfortable_brake)
+    back = pickle.loads(pickle.dumps(q))  # sweep workers receive configs pickled
+    assert back == q and back.two_sqrt_ab == q.two_sqrt_ab
+    assert math.isnan(params(max_accel=-1.0).two_sqrt_ab)  # validate() rejects it later
+
 
 def test_desired_gap_stationary_keeps_minimum():
     assert desired_gap(0.0, 0.0, params(min_gap=2.0)) == 2.0
