@@ -13,8 +13,8 @@ from .dissemination import (DisseminationPolicy, LedgerEntry, MessageLedger,
                             rebroadcast_prob_mixed, should_rebroadcast, ttl_alive)
 from .engine import (EventLog, SimState, SimulationError, add_vehicle,
                      detect_gridlock, inject_vehicles, new_state, run, step)
-from .metrics import (ExitSeries, MetricTable, VelocityGrid, events_to_table,
-                      exit_series, lane_change_positions, read_csv,
+from .metrics import (EventsCsvWriter, ExitSeries, MetricTable, VelocityGrid,
+                      events_to_table, exit_series, lane_change_positions, read_csv,
                       slow_cell_area, velocity_grid, write_csv, write_events_csv)
 from .radio import (MacState, RadioConfig, draw_backoff, friis_received_power,
                     in_range, mac_tick, medium_busy, next_attempt,

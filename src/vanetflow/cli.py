@@ -12,8 +12,8 @@ from .dissemination import POLICY_KINDS
 from .engine import run
 # events_to_table is not called here; the benchmark's traced run wraps it by
 # this name (bench/layers.py) along with the other CSV builders
-from .metrics import (events_to_table, exit_series, lane_changes_to_table,  # noqa: F401
-                      velocity_grid, write_csv, write_events_csv)
+from .metrics import (EventsCsvWriter, events_to_table, exit_series,  # noqa: F401
+                      lane_changes_to_table, velocity_grid, write_csv)
 from .sweep import run_sweep
 
 
@@ -82,10 +82,12 @@ def _build_config(args) -> SimConfig:
 
 def _cmd_run(args) -> int:
     cfg = _build_config(args)
-    log = run(cfg)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    write_events_csv(log, out / "events.csv")
+    # events.csv is formatted in finished time segments while the run goes on
+    with EventsCsvWriter(out / "events.csv") as events_csv:
+        log = run(cfg, on_step=events_csv.after_step)
+        events_csv.finish(log)
     write_csv(exit_series(log).to_table(log.config_echo), out / "exits.csv")
     write_csv(lane_changes_to_table(log), out / "lane_changes.csv")
     write_csv(velocity_grid(log).to_table(log.config_echo), out / "velocity_grid.csv")

@@ -103,6 +103,10 @@ class SimConfig:
             self.driver.validate()
         except ValueError as exc:
             raise ConfigError(f"driver.{exc}") from exc
+        # warned drivers aim at speed_limit - vsl_reduction, which must stay positive
+        if self.vsl_enabled and self.driver.vsl_reduction >= self.speed_limit:
+            raise bad("driver.vsl_reduction", f"< speed_limit ({self.speed_limit!r}) "
+                      "when vsl_enabled", self.driver.vsl_reduction)
 
     def driver_params(self) -> DriverParams:
         """Driver parameters with the desired velocity pinned to the speed limit."""

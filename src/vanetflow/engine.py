@@ -520,13 +520,19 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     return state
 
 
-def run(cfg: SimConfig) -> EventLog:
-    """Run a full scenario; identical config and seed give an identical log."""
+def run(cfg: SimConfig, on_step=None) -> EventLog:
+    """Run a full scenario; identical config and seed give an identical log.
+
+    ``on_step(state)``, when given, is called after every step. It may read
+    the state and its log but must not change them.
+    """
     cfg.validate()
     state = new_state(cfg)
     n_steps = round(cfg.duration / cfg.dt)
     for _ in range(n_steps):
         step(state, cfg)
+        if on_step is not None:
+            on_step(state)
         if cfg.stop_at_origin and state.first_origin_slow_time is not None:
             break
     log = state.log

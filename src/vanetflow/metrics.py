@@ -94,11 +94,12 @@ EVENT_COLUMNS = ["time_s", "event_kind", "vehicle_id", "lane", "position_m",
                  "velocity_mps", "aux"]
 
 
-# rows per write in write_events_csv; bounds the text held in memory at once
+# rows per write of the events.csv writer, and the fewest finished rows that
+# EventsCsvWriter hands to a writer process; bounds the text held at once
 CHUNK_ROWS = 1 << 16
 
 
-def _stream_runs(log):
+def _stream_runs(log, segment=None):
     """The row order of the events + samples stream, as (lo, hi, event_idx) runs.
 
     Each run is the samples lo:hi of ``log.samples`` followed by the events
@@ -106,23 +107,35 @@ def _stream_runs(log):
     times events come before samples, and each stream keeps its log order,
     which is what a stable sort of events + samples by time gives. The
     samples must already be in time order, as the engine appends them.
+
+    ``segment`` = (s0, s1, e0, e1, t_lo, t_hi) limits the stream to the
+    samples s0:s1 and the events e0:e1, whose times must all lie in
+    [t_lo, t_hi); by default it is the whole log. Segments that split the
+    time axis give, one after the other, the runs of the whole log.
     """
-    sample_t = np.frombuffer(log.samples.t, dtype=np.float64)
-    if (sample_t[1:] < sample_t[:-1]).any():
+    if segment is None:
+        segment = (0, len(log.samples), 0, len(log.events), -math.inf, math.inf)
+    s0, s1, e0, e1, t_lo, t_hi = segment
+    sample_t = np.frombuffer(log.samples.t, dtype=np.float64)[s0:s1]
+    if (sample_t[1:] < sample_t[:-1]).any() or (
+            s1 > s0 and not t_lo <= sample_t[0] <= sample_t[-1] < t_hi):
         raise ValueError("samples are not in time order")
-    event_t = np.fromiter((e[0] for e in log.events), dtype=np.float64,
-                          count=len(log.events))
+    event_t = np.fromiter((e[0] for e in log.events[e0:e1]), dtype=np.float64,
+                          count=e1 - e0)
+    if ((event_t < t_lo) | (event_t >= t_hi)).any():
+        raise ValueError(f"events {e0}:{e1} are not all within [{t_lo}, {t_hi}) s")
     order = np.argsort(event_t, kind="stable")
-    slots = np.searchsorted(sample_t, event_t[order], side="left")
+    slots = np.searchsorted(sample_t, event_t[order], side="left") + s0
+    order += e0
     # one run per group of events that share a slot between two samples
     starts = np.flatnonzero(np.diff(slots, prepend=-1))
     ends = np.append(starts[1:], len(order))
-    lo = 0
+    lo = s0
     for a, b in zip(starts.tolist(), ends.tolist()):
         hi = int(slots[a])
         yield lo, hi, order[a:b].tolist()
         lo = hi
-    yield lo, len(sample_t), []
+    yield lo, s1, []
 
 
 def events_to_table(log, include_samples: bool = False) -> MetricTable:
@@ -153,45 +166,226 @@ def _check_cells(lines: list, text: str) -> None:
             raise ValueError(f"row {line!r} would not survive the CSV round trip")
 
 
-def write_events_csv(log, path) -> None:
-    """Write events.csv: what ``write_csv(events_to_table(log, True), path)`` writes.
+def _write_segment(fh, log, segment=None) -> None:
+    """Format one segment of the events + samples stream into the binary file ``fh``.
 
-    The rows are streamed from the event and sample logs in chunks of about
-    CHUNK_ROWS, in the order ``_stream_runs`` gives, without building a row
-    table. Events are the engine's (float, str, int, int, float, float,
-    str | int) records, formatted as ``_format_value`` formats them. A cell
-    that would break the round trip raises ValueError and leaves a partial
-    file behind.
+    The rows (by default those of the whole log) are streamed from the event
+    and sample logs in chunks of about CHUNK_ROWS, in the order
+    ``_stream_runs`` gives, without building a row table. Events are the
+    engine's (float, str, int, int, float, float, str | int) records,
+    formatted as ``_format_value`` formats them. A cell that would break the
+    round trip raises ValueError.
     """
     events, s = log.events, log.samples
     event_line = "{},{},{},{},{},{},{}\n".format
     sample_line = "{},sample,{},{},{},{},\n".format
-    header = table_to_text(MetricTable(columns=list(EVENT_COLUMNS), rows=[],
-                                       meta=log.config_echo))
+    lines = []
 
-    def flush(fh, lines):
+    def flush():
         text = "".join(lines)
         _check_cells(lines, text)
-        fh.write(text)
+        fh.write(text.encode())
         lines.clear()
 
+    for lo, hi, event_idx in _stream_runs(log, segment):
+        for a in range(lo, hi, CHUNK_ROWS):
+            b = min(hi, a + CHUNK_ROWS)
+            lines += map(sample_line, s.t[a:b], s.vehicle_id[a:b], s.lane[a:b],
+                         s.position[a:b], s.velocity[a:b])
+            if len(lines) >= CHUNK_ROWS:
+                flush()
+        lines += [event_line(*events[i]) for i in event_idx]
+        if len(lines) >= CHUNK_ROWS:
+            flush()
+    flush()
+
+
+def _remove(path) -> None:
+    import os
+
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header)
-            lines = []
-            for lo, hi, event_idx in _stream_runs(log):
-                for a in range(lo, hi, CHUNK_ROWS):
-                    b = min(hi, a + CHUNK_ROWS)
-                    lines += map(sample_line, s.t[a:b], s.vehicle_id[a:b], s.lane[a:b],
-                                 s.position[a:b], s.velocity[a:b])
-                    if len(lines) >= CHUNK_ROWS:
-                        flush(fh, lines)
-                lines += [event_line(*events[i]) for i in event_idx]
-                if len(lines) >= CHUNK_ROWS:
-                    flush(fh, lines)
-            flush(fh, lines)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+class _Part:
+    """A segment whose rows wait in a part file until they are appended."""
+
+    __slots__ = ("segment", "path", "pid", "status")
+
+    def __init__(self, segment, path, pid, status=None):
+        self.segment = segment
+        self.path = path
+        self.pid = pid        # the writer process; None when the parent wrote the part
+        self.status = status  # wait status once done
+
+
+class EventsCsvWriter:
+    """Writes events.csv for a run while the run goes on.
+
+    ``after_step(state)`` is the engine's ``on_step`` hook. After a step,
+    every row with time < ``state.now`` is final, because later steps only
+    log at ``now`` or later. Once at least CHUNK_ROWS final rows are waiting
+    and fewer than (CPUs - 1) writer processes are alive, those rows become a
+    segment: a forked child formats it into ``<path>.part<k>`` and always
+    leaves through ``os._exit``, while the parent keeps stepping. A part is
+    appended to the file once it and every earlier part are done.
+    ``finish(log)`` formats the last segment in the parent, waits for the
+    writers and appends the remaining parts in order. With one CPU or
+    without ``os.fork`` no segment is cut, and ``finish`` writes the whole
+    file, as ``write_events_csv`` does. Either way the bytes are those of
+    ``write_csv(events_to_table(log, True), path)``.
+
+    When a writer fails, the parent formats its segment again, which raises
+    the error the writer met (or recovers the rows of a writer that was
+    killed). Used as a context manager, a failure or interruption before
+    ``finish`` returns kills and reaps the writers and removes the part
+    files and the partly written file.
+    """
+
+    def __init__(self, path):
+        import os
+
+        self.path = os.fspath(path)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        self.slots = cpus - 1 if hasattr(os, "fork") else 0
+        self.next = (0, 0, -math.inf)  # sample index, event index, time where the next segment starts
+        self.parts = []                # not yet appended, in segment order
+        self.n_parts = 0
+        self.fh = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            self._abort()
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {self.path}: {exc}") from exc
+
+    def after_step(self, state) -> None:
+        if not self.slots:
+            return
+        log = state.log
+        s0, e0, t_lo = self.next
+        if len(log.samples) - s0 + len(log.events) - e0 < CHUNK_ROWS:
+            return
+        self._collect(log, wait=False)
+        if sum(part.status is None for part in self.parts) >= self.slots:
+            return
+        from bisect import bisect_left
+
+        # the rows the last step logged at now are not final yet
+        now, events = state.now, log.events
+        s1 = bisect_left(log.samples.t, now, s0)
+        e1 = len(events)
+        while e1 > e0 and events[e1 - 1][0] >= now:
+            e1 -= 1
+        if s1 - s0 + e1 - e0 >= CHUNK_ROWS and self._fork(log, (s0, s1, e0, e1, t_lo, now)):
+            self.next = (s1, e1, now)
+
+    def _fork(self, log, segment) -> bool:
+        import gc
+        import os
+
+        path = f"{self.path}.part{self.n_parts}"
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the parent formats the rest
+            self.slots = 0
+            return False
+        if pid == 0:
+            # the child has only this thread, so it formats and runs no
+            # BLAS-backed numpy, whose threads stayed in the parent
+            code = 1
+            try:
+                gc.freeze()  # so that a collection does not walk, and copy, the inherited heap
+                with open(path, "wb") as fh:
+                    _write_segment(fh, log, segment)
+                code = 0
+            finally:
+                os._exit(code)
+        self.n_parts += 1
+        self.parts.append(_Part(segment, path, pid))
+        return True
+
+    def _collect(self, log, wait: bool) -> None:
+        """Reap the writers that are done, then append the parts next in order."""
+        import os
+
+        for part in self.parts:
+            if part.status is None:
+                pid, status = os.waitpid(part.pid, 0 if wait else os.WNOHANG)
+                if pid:
+                    part.status = status
+        while self.parts and self.parts[0].status is not None:
+            self._append(log, self.parts.pop(0))
+
+    def _append(self, log, part) -> None:
+        import shutil
+
+        out = self._out(log)
+        try:
+            if part.status == 0:
+                with open(part.path, "rb") as src:
+                    shutil.copyfileobj(src, out)
+            else:
+                _write_segment(out, log, part.segment)
+        finally:
+            _remove(part.path)
+
+    def _out(self, log):
+        if self.fh is None:
+            self.fh = open(self.path, "wb")
+            self.fh.write(table_to_text(MetricTable(columns=list(EVENT_COLUMNS), rows=[],
+                                                    meta=log.config_echo)).encode())
+        return self.fh
+
+    def finish(self, log) -> None:
+        """Write the rows no writer took, append every part in order and close."""
+        s0, e0, t_lo = self.next
+        last = (s0, len(log.samples), e0, len(log.events), t_lo, math.inf)
+        self._collect(log, wait=False)
+        if self.parts:
+            # writers are still at work: format the last segment beside them
+            part = _Part(last, f"{self.path}.part{self.n_parts}", None, 0)
+            self.parts.append(part)
+            with open(part.path, "wb") as fh:
+                _write_segment(fh, log, last)
+            self._collect(log, wait=True)
+        else:
+            _write_segment(self._out(log), log, last)
+        self.fh.close()
+        self.fh = None
+
+    def _abort(self) -> None:
+        import os
+        import signal
+
+        for part in self.parts:
+            if part.status is None:
+                os.kill(part.pid, signal.SIGKILL)
+                os.waitpid(part.pid, 0)
+            _remove(part.path)
+        self.parts.clear()
+        if self.fh is not None:
+            self.fh.close()
+            self.fh = None
+            _remove(self.path)
+
+
+def write_events_csv(log, path) -> None:
+    """Write events.csv: what ``write_csv(events_to_table(log, True), path)`` writes.
+
+    This is ``EventsCsvWriter`` with no segment cut: the rows are streamed
+    from the event and sample logs in chunks of about CHUNK_ROWS, without
+    building a row table. A cell that would break the round trip raises
+    ValueError, and no partial file is left behind.
+    """
+    with EventsCsvWriter(path) as writer:
+        writer.finish(log)
 
 
 # --- exit aggregates ----------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 
@@ -18,7 +19,11 @@ NOT_REACHED = -1.0  # sentinel for detectors that never fired
 
 
 def _run_case(case):
-    """One (config, label) simulation; never raises, reports errors per row."""
+    """One (config, label) simulation; never raises, reports errors per row.
+
+    A failed case prints its full traceback to stderr; its status cell keeps
+    only the last line.
+    """
     cfg, seed, arm = case
     try:
         log = run(cfg)
@@ -26,7 +31,10 @@ def _run_case(case):
         origin = log.first_origin_slow_time if log.first_origin_slow_time is not None else NOT_REACHED
         return (seed, arm, cfg.policy.kind, gridlock, origin, log.exited, "ok")
     except Exception:
-        reason = traceback.format_exc(limit=1).splitlines()[-1].strip()
+        text = traceback.format_exc()
+        print(f"sweep case seed={seed} communication={arm} failed:\n{text}",
+              end="", file=sys.stderr)
+        reason = text.splitlines()[-1].strip()
         return (seed, arm, cfg.policy.kind, NOT_REACHED, NOT_REACHED, 0,
                 f"error: {reason}")
 

@@ -122,6 +122,20 @@ def test_validation_reports_nested_keys():
         parse_config("radio.reception_prob = 1.4\n")
 
 
+def test_vsl_reduction_must_stay_below_the_speed_limit():
+    doc = "vsl_enabled = true\nspeed_limit = 2 m/s\n"
+    with pytest.raises(ConfigError, match=r"driver\.vsl_reduction"):
+        parse_config(doc)
+    with pytest.raises(ConfigError, match=r"driver\.vsl_reduction"):
+        parse_config(doc + "driver.vsl_reduction = 2 m/s\n")
+    assert parse_config(doc + "driver.vsl_reduction = 1.5 m/s\n").driver.vsl_reduction == 1.5
+    # without VSL the reduction is never applied, so it is not checked
+    parse_config("speed_limit = 2 m/s\n")
+    cfg = replace(SimConfig(), vsl_enabled=True, speed_limit=2.7)
+    with pytest.raises(ConfigError, match=r"driver\.vsl_reduction"):
+        cfg.validate()
+
+
 def test_obstacle_must_be_inside_field():
     with pytest.raises(ConfigError, match="obstacle_position"):
         parse_config("obstacle_position = 2 km\n")

@@ -1,13 +1,16 @@
 """Metric extraction with recount oracles and CSV round-trips."""
 
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from vanetflow.config import ScenarioPreset, SimConfig, as_echo_dict
-from vanetflow.engine import EventLog, run
+from vanetflow.engine import EventLog, SimulationError, run
 from vanetflow import metrics
-from vanetflow.metrics import (EVENT_COLUMNS, MetricTable, events_to_table,
-                               exit_series, lane_change_positions,
+from vanetflow.metrics import (EVENT_COLUMNS, EventsCsvWriter, MetricTable,
+                               events_to_table, exit_series, lane_change_positions,
                                lane_changes_to_table, parse_csv_text, read_csv,
                                slow_cell_area, table_to_text, velocity_grid,
                                write_csv, write_events_csv)
@@ -265,6 +268,7 @@ def test_events_writer_rejects_cells_that_break_the_csv(tmp_path):
                         samples=ORDERED_SAMPLES)
     with pytest.raises(ValueError, match="round trip"):
         write_events_csv(log, tmp_path / "events.csv")
+    assert not (tmp_path / "events.csv").exists()
 
 
 def test_events_stream_needs_samples_in_time_order(tmp_path):
@@ -273,6 +277,195 @@ def test_events_stream_needs_samples_in_time_order(tmp_path):
         write_events_csv(log, tmp_path / "events.csv")
     with pytest.raises(ValueError, match="samples are not in time order"):
         events_to_table(log, include_samples=True)
+
+
+# --- events.csv written while the run goes on ---------------------------------------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the writer processes forked during the test."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_nothing_left(directory):
+    """No writer process is alive or unreaped, and no part file remains."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(directory.glob("*.part*"))
+
+
+def streamed_run(cfg, path):
+    with EventsCsvWriter(path) as writer:
+        log = run(cfg, on_step=writer.after_step)
+        writer.finish(log)
+    return log
+
+
+def synthetic_steps(log, n_steps, bad_step=None, dt=0.5):
+    """Log rows as engine steps do; yield the state after each step.
+
+    Each step logs events at its start time t, then samples and an exit at
+    now = t + dt, so every cut falls on a time that has events on both sides
+    of it: the exit the step logged at now and the next step's events.
+    """
+    state = SimpleNamespace(log=log, now=0.0)
+    for k in range(n_steps):
+        t = state.now
+        log.events.append((t, "transmission", -1, 0, 500.0, 0.0, k))
+        log.events.append((t, "lane_change", k, 0, 40.0, 9.5,
+                           "1,0" if k == bad_step else "1|0"))
+        state.now = now = (k + 1) * dt
+        for vid in range(3):
+            log.samples.t.append(now)
+            log.samples.vehicle_id.append(vid)
+            log.samples.lane.append(vid % 2)
+            log.samples.position.append(10.0 * vid + now)
+            log.samples.velocity.append(1.0 + 0.1 * vid)
+        log.events.append((now, "exit", k, 1, 1500.0, 30.0, ""))
+        yield state
+
+
+def streamed_steps(log, steps, path):
+    with EventsCsvWriter(path) as writer:
+        for state in steps:
+            writer.after_step(state)
+        writer.finish(log)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_streamed_events_csv_matches_write_events_csv(tmp_path, monkeypatch, forks, cpus):
+    set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", 1500)
+    log = streamed_run(SimConfig(duration=120.0, seed=31, warm_up=10.0),
+                       tmp_path / "events.csv")
+    assert len(forks) >= 3
+    write_events_csv(log, tmp_path / "serial.csv")
+    assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert_nothing_left(tmp_path)
+
+
+def test_streamed_events_csv_cuts_at_times_with_events(tmp_path, monkeypatch, forks):
+    # three writer slots: the first three cuts each get a writer at once
+    set_cpus(monkeypatch, 4)
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", 7)
+    log = synthetic_log()
+    streamed_steps(log, synthetic_steps(log, 60), tmp_path / "events.csv")
+    assert len(forks) >= 3
+    write_events_csv(log, tmp_path / "serial.csv")
+    assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert read_csv(tmp_path / "events.csv") == events_to_table(log, include_samples=True)
+    assert_nothing_left(tmp_path)
+
+
+def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, forks):
+    """With one writer slot, no second writer starts while the first is busy."""
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", 1500)
+    parent = os.getpid()
+    gate_r, gate_w = os.pipe()
+    real_write = metrics._write_segment
+
+    def gated(fh, log, segment=None):
+        if os.getpid() != parent:  # a writer: wait until the parent closes the gate
+            os.close(gate_w)
+            os.read(gate_r, 1)
+        real_write(fh, log, segment)
+
+    monkeypatch.setattr(metrics, "_write_segment", gated)
+    path = tmp_path / "events.csv"
+    try:
+        with EventsCsvWriter(path) as writer:
+            log = run(SimConfig(duration=120.0, seed=31, warm_up=10.0),
+                      on_step=writer.after_step)
+            assert len(forks) == 1
+            os.close(gate_w)
+            gate_w = None
+            writer.finish(log)
+    finally:
+        os.close(gate_r)
+        if gate_w is not None:
+            os.close(gate_w)
+    write_events_csv(log, tmp_path / "serial.csv")
+    assert path.read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert_nothing_left(tmp_path)
+
+
+def test_streamed_events_csv_on_one_cpu_forks_nothing(tmp_path, monkeypatch, forks):
+    set_cpus(monkeypatch, 1)
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", 1500)
+    log = streamed_run(SimConfig(duration=60.0, seed=31, warm_up=10.0),
+                       tmp_path / "events.csv")
+    assert forks == []
+    write_events_csv(log, tmp_path / "serial.csv")
+    assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def test_streamed_events_csv_writer_failure_raises_in_the_parent(tmp_path, monkeypatch, forks):
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", 7)
+    log = synthetic_log()
+    with pytest.raises(ValueError, match="round trip"):
+        streamed_steps(log, synthetic_steps(log, 60, bad_step=0), tmp_path / "events.csv")
+    # the bad row is in the first segment, which a writer process took
+    assert len(forks) >= 1
+    assert not (tmp_path / "events.csv").exists()
+    assert_nothing_left(tmp_path)
+
+
+def test_streamed_events_csv_rejects_events_before_a_cut(tmp_path, monkeypatch, forks):
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", 7)
+    log = synthetic_log()
+
+    def late_event():
+        yield from synthetic_steps(log, 30)
+        # an event older than the last cut breaks the order of the stream
+        log.events.append((0.5, "exit", 99, 1, 1500.0, 30.0, ""))
+
+    with pytest.raises(ValueError, match="not all within"):
+        streamed_steps(log, late_event(), tmp_path / "events.csv")
+    assert len(forks) >= 1
+    assert not (tmp_path / "events.csv").exists()
+    assert_nothing_left(tmp_path)
+
+
+@pytest.mark.parametrize("failure", [SimulationError, KeyboardInterrupt])
+def test_streamed_events_csv_cleans_up_when_the_run_stops(tmp_path, monkeypatch, forks,
+                                                           failure):
+    from vanetflow import cli, engine
+
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", 1500)
+    real_step = engine.step
+
+    def failing_step(state, cfg):
+        if state.now >= 90.0:
+            raise failure("stopped mid-run")
+        return real_step(state, cfg)
+
+    monkeypatch.setattr(engine, "step", failing_step)
+    (tmp_path / "run.cfg").write_text("duration = 120 s\nwarm_up = 10 s\n")
+    out = tmp_path / "out"
+    with pytest.raises(failure, match="stopped mid-run"):
+        cli.main(["run", "--config", str(tmp_path / "run.cfg"), "--seed", "31",
+                  "--out-dir", str(out)])
+    assert len(forks) >= 3
+    assert list(out.iterdir()) == []
+    assert_nothing_left(out)
 
 
 def test_velocity_grid_long_form_row_count():
@@ -307,7 +500,7 @@ def test_sweep_medians_match_independent_sort():
         assert medians[arm][5] == pytest.approx(mid)
 
 
-def test_sweep_reports_failures_per_seed(monkeypatch):
+def test_sweep_reports_failures_per_seed(monkeypatch, capfd):
     import vanetflow.sweep as sweep_mod
 
     real_run = sweep_mod.run
@@ -321,8 +514,14 @@ def test_sweep_reports_failures_per_seed(monkeypatch):
     table = sweep_mod.run_sweep(tiny_preset(), [0, 1], jobs=1)
     status = {(r[0], r[1]): r[6] for r in table.rows if r[0] >= 0}
     assert status[(0, "on")] == "ok"
-    assert "error" in status[(1, "on")]
+    assert status[(1, "on")] == "error: RuntimeError: synthetic failure"
     assert any(r[6] == "median" for r in table.rows)
+    # the full traceback goes to stderr, down to the frame that raised
+    err = capfd.readouterr().err
+    assert "sweep case seed=1 communication=on failed:" in err
+    assert "Traceback (most recent call last):" in err
+    assert 'raise RuntimeError("synthetic failure")' in err
+    assert err.count("RuntimeError: synthetic failure") == 2  # both arms of seed 1
 
 
 def test_sweep_rejects_empty_seed_list():
