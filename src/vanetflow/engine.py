@@ -1,16 +1,18 @@
 """Deterministic time-stepped loop coupling traffic, radio and dissemination.
 
 Each step runs fixed phases from the pre-step snapshot: obstacle beacon, the
-MAC attempts due this tick, delivery rolls batched per lane and transmission
-with their ledger updates, rebroadcast decisions, behavior
-(acceleration + lane-change decisions), simultaneous application of moves,
-exits, injection, then bookkeeping. One seeded generator drives every random
-draw in a fixed order, so identical config and seed reproduce the run exactly.
+MAC attempts due this tick (one backoff draw for all busy ones), delivery
+rolls (one draw for the step) with their ledger updates, rebroadcast
+decisions, behavior (acceleration + lane-change decisions), simultaneous
+application of moves, exits, injection, then bookkeeping. One seeded
+generator drives every random draw in a fixed order, so identical config and
+seed reproduce the run exactly.
 """
 
 from __future__ import annotations
 
 import bisect
+import gc
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import compress
@@ -20,7 +22,8 @@ import numpy as np
 
 from .config import SimConfig, as_echo_dict
 from .dissemination import WarningMessage, should_rebroadcast, ttl_alive
-from .radio import MacState, mac_tick, medium_busy, next_attempt, receive_roll
+from .radio import (MacState, defer, draw_backoffs, mac_tick, medium_busy, next_attempt,
+                    receive_roll)
 from .traffic import (BASE, BRUTE_FORCE, NO_VEHICLE, PAPER_MULTIPLICATIVE,
                       Neighborhood, VehicleState, base_lane_change,
                       brute_force_lane_change, additive_lane_change,
@@ -293,22 +296,30 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
         due = [(veh, mac) for veh, mac in state.attempts.pop(state.tick, ())
                if macs.get(veh.id) is mac]
         due.sort(key=lambda entry: (entry[0].lane, entry[0].position))
-        for veh, mac in due:
-            busy = medium_busy(veh.position, prev_tx, radio_cfg)
-            mac_next, tx_now = mac_tick(mac, busy, radio_cfg, rng)
-            if tx_now:
-                macs[veh.id] = mac_next
-                msg = state.messages[mac.pending_message]
-                # messages that died while queued are dropped, not sent
-                if ttl_alive(msg, t, veh.position):
-                    transmissions.append((veh.position, msg))
-                    events.append((t, "transmission", veh.id, veh.lane,
-                                   veh.position, veh.velocity, msg.msg_id))
-            else:
-                _file_attempt(state, veh, mac_next)
+        # the medium is busy by the previous tick's transmitters only, so every
+        # busy attempt of the pass is known up front and draws in one call
+        busy = [medium_busy(veh.position, prev_tx, radio_cfg) for veh, _ in due]
+        waits = iter(draw_backoffs([mac.backoff_stage for (_, mac), b in zip(due, busy) if b],
+                                   radio_cfg, rng))
+        for (veh, mac), is_busy in zip(due, busy):
+            if is_busy:
+                _file_attempt(state, veh, defer(mac, next(waits), radio_cfg))
+                continue
+            # an attempt on an idle medium sends
+            macs[veh.id], _ = mac_tick(mac, False, radio_cfg, rng)
+            msg = state.messages[mac.pending_message]
+            # messages that died while queued are dropped, not sent
+            if ttl_alive(msg, t, veh.position):
+                transmissions.append((veh.position, msg))
+                events.append((t, "transmission", veh.id, veh.lane,
+                               veh.position, veh.velocity, msg.msg_id))
         receptions = []
         if transmissions:
+            # gather every (lane, transmission) batch of possible receivers, then
+            # roll them all in one call, in lane, transmission, receiver order
             rc = radio_cfg.tx_range
+            batches = []
+            distances = []
             for lane_list in lanes:
                 positions = [v.position for v in lane_list]
                 for sender_pos, msg in transmissions:
@@ -317,25 +328,29 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
                     # the sender itself sits at sender_pos, and so does an exact
                     # tie, whose direction cannot be attributed: neither draws
                     heard = [v for v in lane_list[lo:hi] if v.position != sender_pos]
-                    if not heard:
-                        continue
-                    hits = receive_roll([abs(v.position - sender_pos) for v in heard],
-                                        radio_cfg, rng)
-                    msg_id = msg.msg_id
-                    for veh in compress(heard, hits):
-                        events.append((t, "reception", veh.id, veh.lane, veh.position,
+                    if heard:
+                        batches.append((heard, sender_pos, msg))
+                        distances += [abs(v.position - sender_pos) for v in heard]
+            hits = receive_roll(distances, radio_cfg, rng) if batches else []
+            start = 0
+            for heard, sender_pos, msg in batches:
+                end = start + len(heard)
+                msg_id = msg.msg_id
+                for veh in compress(heard, hits[start:end]):
+                    events.append((t, "reception", veh.id, veh.lane, veh.position,
+                                   veh.velocity, msg_id))
+                    veh.ledger.record_reception(msg, sender_pos, veh.position, t)
+                    if not veh.infected:
+                        veh.infected = True
+                        events.append((t, "infection", veh.id, veh.lane, veh.position,
                                        veh.velocity, msg_id))
-                        veh.ledger.record_reception(msg, sender_pos, veh.position, t)
-                        if not veh.infected:
-                            veh.infected = True
-                            events.append((t, "infection", veh.id, veh.lane, veh.position,
-                                           veh.velocity, msg_id))
-                        # a MAC that holds this or a newer generation will not
-                        # take it in the relay pass either, which only raises
-                        # generations
-                        pending = macs[veh.id].pending_message
-                        if pending is None or pending < msg_id:
-                            receptions.append((veh, msg, sender_pos))
+                    # a MAC that holds this or a newer generation will not
+                    # take it in the relay pass either, which only raises
+                    # generations
+                    pending = macs[veh.id].pending_message
+                    if pending is None or pending < msg_id:
+                        receptions.append((veh, msg, sender_pos))
+                start = end
         # all receptions land before any relay decision is made
         for veh, msg, sender_pos in receptions:
             mac = macs[veh.id]
@@ -525,16 +540,26 @@ def run(cfg: SimConfig, on_step=None) -> EventLog:
 
     ``on_step(state)``, when given, is called after every step. It may read
     the state and its log but must not change them.
+
+    The cyclic garbage collector is off during the step loop: a step makes no
+    reference cycles, and each full collection would walk the whole event log
+    again. It is switched back on afterwards if it was on before.
     """
     cfg.validate()
     state = new_state(cfg)
     n_steps = round(cfg.duration / cfg.dt)
-    for _ in range(n_steps):
-        step(state, cfg)
-        if on_step is not None:
-            on_step(state)
-        if cfg.stop_at_origin and state.first_origin_slow_time is not None:
-            break
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(n_steps):
+            step(state, cfg)
+            if on_step is not None:
+                on_step(state)
+            if cfg.stop_at_origin and state.first_origin_slow_time is not None:
+                break
+    finally:
+        if collecting:
+            gc.enable()
     log = state.log
     log.end_time = state.now
     log.scheduled_arrivals = state.scheduled

@@ -94,9 +94,10 @@ EVENT_COLUMNS = ["time_s", "event_kind", "vehicle_id", "lane", "position_m",
                  "velocity_mps", "aux"]
 
 
-# rows per write of the events.csv writer, and the fewest finished rows that
-# EventsCsvWriter hands to a writer process; bounds the text held at once
+# the fewest finished rows that EventsCsvWriter hands to a writer process
 CHUNK_ROWS = 1 << 16
+# rows per write of the events.csv writer; bounds the text held at once
+FLUSH_ROWS = 1 << 13
 
 
 def _stream_runs(log, segment=None):
@@ -170,7 +171,7 @@ def _write_segment(fh, log, segment=None) -> None:
     """Format one segment of the events + samples stream into the binary file ``fh``.
 
     The rows (by default those of the whole log) are streamed from the event
-    and sample logs in chunks of about CHUNK_ROWS, in the order
+    and sample logs in chunks of about FLUSH_ROWS, in the order
     ``_stream_runs`` gives, without building a row table. Events are the
     engine's (float, str, int, int, float, float, str | int) records,
     formatted as ``_format_value`` formats them. A cell that would break the
@@ -188,14 +189,14 @@ def _write_segment(fh, log, segment=None) -> None:
         lines.clear()
 
     for lo, hi, event_idx in _stream_runs(log, segment):
-        for a in range(lo, hi, CHUNK_ROWS):
-            b = min(hi, a + CHUNK_ROWS)
+        for a in range(lo, hi, FLUSH_ROWS):
+            b = min(hi, a + FLUSH_ROWS)
             lines += map(sample_line, s.t[a:b], s.vehicle_id[a:b], s.lane[a:b],
                          s.position[a:b], s.velocity[a:b])
-            if len(lines) >= CHUNK_ROWS:
+            if len(lines) >= FLUSH_ROWS:
                 flush()
         lines += [event_line(*events[i]) for i in event_idx]
-        if len(lines) >= CHUNK_ROWS:
+        if len(lines) >= FLUSH_ROWS:
             flush()
     flush()
 
@@ -380,7 +381,7 @@ def write_events_csv(log, path) -> None:
     """Write events.csv: what ``write_csv(events_to_table(log, True), path)`` writes.
 
     This is ``EventsCsvWriter`` with no segment cut: the rows are streamed
-    from the event and sample logs in chunks of about CHUNK_ROWS, without
+    from the event and sample logs in chunks of about FLUSH_ROWS, without
     building a row table. A cell that would break the round trip raises
     ValueError, and no partial file is left behind.
     """

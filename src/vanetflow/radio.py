@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 FOUR_PI_SQ = (4.0 * math.pi) ** 2
 
 
@@ -42,6 +44,11 @@ class RadioConfig:
             raise ValueError("need 0 <= backoff_min <= backoff_max")
         if self.max_backoff_stage < 0:
             raise ValueError("max_backoff_stage must be >= 0")
+        # draw_backoffs draws from int64 bounds; the bit length tells whether
+        # backoff_max << max_backoff_stage fits without making the shift
+        if self.backoff_max and int(self.backoff_max).bit_length() + self.max_backoff_stage > 63:
+            raise ValueError(f"backoff_max << max_backoff_stage must fit in int64, "
+                             f"got {self.backoff_max} << {self.max_backoff_stage}")
 
 
 @dataclass(slots=True)
@@ -86,12 +93,34 @@ def medium_busy(me: float, transmitting_positions, cfg: RadioConfig) -> bool:
     return False
 
 
+def draw_backoffs(stages, cfg: RadioConfig, rng) -> list[int]:
+    """One uniform draw per stage n from its doubling window [2^n*Bmin, 2^n*Bmax].
+
+    The window stops doubling at ``max_backoff_stage`` (Bianchi 2000). One
+    ``rng.integers`` call with array bounds draws all of them, which gives the
+    same numbers and leaves the same generator state as one scalar call per
+    stage, in order.
+    """
+    if not stages:
+        return []
+    if min(stages) < 0:
+        raise ValueError("backoff stage must be >= 0")
+    top = cfg.max_backoff_stage
+    scales = [1 << min(n, top) for n in stages]
+    lows = np.array([k * cfg.backoff_min for k in scales], dtype=np.int64)
+    highs = np.array([k * cfg.backoff_max for k in scales], dtype=np.int64)
+    return rng.integers(lows, highs, endpoint=True).tolist()
+
+
 def draw_backoff(stage_n: int, cfg: RadioConfig, rng) -> int:
     """Uniform draw from the stage's doubling window [2^n*Bmin, 2^n*Bmax]."""
-    if stage_n < 0:
-        raise ValueError("backoff stage must be >= 0")
-    scale = 1 << min(stage_n, cfg.max_backoff_stage)
-    return int(rng.integers(scale * cfg.backoff_min, scale * cfg.backoff_max + 1))
+    return draw_backoffs([stage_n], cfg, rng)[0]
+
+
+def defer(state: MacState, wait: int, cfg: RadioConfig) -> MacState:
+    """The state after a busy attempt that drew ``wait``: the stage escalates."""
+    return MacState(min(state.backoff_stage + 1, cfg.max_backoff_stage), wait,
+                    state.pending_message)
 
 
 def mac_tick(state: MacState, busy: bool, cfg: RadioConfig, rng) -> tuple[MacState, bool]:
@@ -108,9 +137,7 @@ def mac_tick(state: MacState, busy: bool, cfg: RadioConfig, rng) -> tuple[MacSta
         return MacState(state.backoff_stage, state.backoff_remaining - 1,
                         state.pending_message), False
     if busy:
-        wait = draw_backoff(state.backoff_stage, cfg, rng)
-        stage = min(state.backoff_stage + 1, cfg.max_backoff_stage)
-        return MacState(stage, wait, state.pending_message), False
+        return defer(state, draw_backoff(state.backoff_stage, cfg, rng), cfg), False
     return MacState(0, 0, None), True
 
 

@@ -136,6 +136,24 @@ def test_vsl_reduction_must_stay_below_the_speed_limit():
         cfg.validate()
 
 
+def test_backoff_windows_must_fit_in_int64():
+    # the widest window is backoff_max << max_backoff_stage, drawn as int64
+    with pytest.raises(ConfigError, match=r"radio\.backoff_max"):
+        parse_config("radio.backoff_max = 9223372036854775808\n")
+    with pytest.raises(ConfigError, match=r"radio\.backoff_max"):
+        parse_config("radio.backoff_max = 1024\nradio.max_backoff_stage = 53\n")  # 2^63
+    assert parse_config("radio.backoff_max = 1024\nradio.max_backoff_stage = 52\n")
+    cfg = SimConfig()
+    cfg.radio = replace(cfg.radio, backoff_max=(1 << 58) - 1)  # << 5 is 2^63 - 32
+    cfg.validate()
+    cfg.radio = replace(cfg.radio, backoff_max=1 << 58)
+    with pytest.raises(ConfigError, match=r"radio\.backoff_max"):
+        cfg.validate()
+    # with zero-width windows at 0 the stage may go as high as it likes
+    cfg.radio = replace(cfg.radio, backoff_max=0, max_backoff_stage=200)
+    cfg.validate()
+
+
 def test_obstacle_must_be_inside_field():
     with pytest.raises(ConfigError, match="obstacle_position"):
         parse_config("obstacle_position = 2 km\n")

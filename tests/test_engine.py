@@ -1,12 +1,14 @@
 """Coupled-loop behavior: free flow, lane changes, injection, determinism,
 conservation and the detectors."""
 
+import gc
 from dataclasses import replace
 
 import pytest
 
+from vanetflow import engine
 from vanetflow.config import SimConfig
-from vanetflow.engine import (GRIDLOCK_MIN_VEHICLES, add_vehicle,
+from vanetflow.engine import (GRIDLOCK_MIN_VEHICLES, SimulationError, add_vehicle,
                               detect_gridlock, inject_vehicles, new_state,
                               origin_congested, run, step)
 
@@ -288,3 +290,70 @@ def test_warned_vehicles_stay_out_of_the_blocked_lane():
         target = int(aux.split("|")[0])
         if target == cfg.obstacle_lane and pos < cfg.obstacle_position:
             assert not (vid in infected_at and infected_at[vid] <= t)
+
+
+# --- the cyclic garbage collector ----------------------------------------------
+
+def set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def collector():
+    """Puts the collector back in the state the test found it in."""
+    enabled = gc.isenabled()
+    yield
+    set_collector(enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_suspends_the_collector_and_restores_it(collector, enabled):
+    set_collector(enabled)
+    during = []
+    run(SimConfig(duration=30.0, warm_up=10.0, seed=5),
+        on_step=lambda state: during.append(gc.isenabled()))
+    assert during and not any(during)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("where, failure", [("step", SimulationError),
+                                            ("on_step", KeyboardInterrupt)])
+def test_run_restores_the_collector_when_the_loop_raises(collector, monkeypatch, enabled,
+                                                         where, failure):
+    def stop(state):
+        if state.tick >= 5:
+            raise failure("stopped mid-run")
+
+    on_step = None
+    if where == "step":
+        real_step = engine.step
+
+        def failing_step(state, cfg):
+            stop(state)
+            return real_step(state, cfg)
+
+        monkeypatch.setattr(engine, "step", failing_step)
+    else:
+        on_step = stop
+    set_collector(enabled)
+    with pytest.raises(failure, match="stopped mid-run"):
+        run(SimConfig(duration=30.0, warm_up=10.0, seed=5), on_step=on_step)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("communication", [True, False])
+def test_a_run_leaves_no_reference_cycles(collector, communication):
+    """What makes suspending the collector safe: a run frees all it made by refcount."""
+    cfg = SimConfig(duration=120.0, warm_up=10.0, seed=7, communication_enabled=communication)
+    gc.collect()
+    gc.disable()
+    log = run(cfg)
+    assert len(log.events) > 0
+    if communication:
+        assert any(e[1] == "reception" for e in log.events)
+    del log
+    assert gc.collect() == 0

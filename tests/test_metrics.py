@@ -235,9 +235,9 @@ def test_events_writer_matches_stable_sort_oracle(tmp_path, monkeypatch):
     oracle = MetricTable(columns=list(EVENT_COLUMNS), rows=sort_oracle(log),
                          meta=dict(log.config_echo))
     assert events_to_table(log, include_samples=True) == oracle
-    for chunk_rows in (metrics.CHUNK_ROWS, 3, 1):
-        monkeypatch.setattr(metrics, "CHUNK_ROWS", chunk_rows)
-        path = tmp_path / f"events_{chunk_rows}.csv"
+    for flush_rows in (metrics.FLUSH_ROWS, 3, 1):
+        monkeypatch.setattr(metrics, "FLUSH_ROWS", flush_rows)
+        path = tmp_path / f"events_{flush_rows}.csv"
         write_events_csv(log, path)
         assert path.read_text() == table_to_text(oracle)
 
@@ -301,6 +301,12 @@ def set_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+def set_chunk_rows(monkeypatch, rows):
+    """Cut segments of ``rows`` rows and flush within them as often."""
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", rows)
+    monkeypatch.setattr(metrics, "FLUSH_ROWS", rows)
+
+
 def assert_nothing_left(directory):
     """No writer process is alive or unreaped, and no part file remains."""
     with pytest.raises(ChildProcessError):
@@ -349,7 +355,7 @@ def streamed_steps(log, steps, path):
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_streamed_events_csv_matches_write_events_csv(tmp_path, monkeypatch, forks, cpus):
     set_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(metrics, "CHUNK_ROWS", 1500)
+    set_chunk_rows(monkeypatch, 1500)
     log = streamed_run(SimConfig(duration=120.0, seed=31, warm_up=10.0),
                        tmp_path / "events.csv")
     assert len(forks) >= 3
@@ -361,7 +367,7 @@ def test_streamed_events_csv_matches_write_events_csv(tmp_path, monkeypatch, for
 def test_streamed_events_csv_cuts_at_times_with_events(tmp_path, monkeypatch, forks):
     # three writer slots: the first three cuts each get a writer at once
     set_cpus(monkeypatch, 4)
-    monkeypatch.setattr(metrics, "CHUNK_ROWS", 7)
+    set_chunk_rows(monkeypatch, 7)
     log = synthetic_log()
     streamed_steps(log, synthetic_steps(log, 60), tmp_path / "events.csv")
     assert len(forks) >= 3
@@ -374,7 +380,7 @@ def test_streamed_events_csv_cuts_at_times_with_events(tmp_path, monkeypatch, fo
 def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, forks):
     """With one writer slot, no second writer starts while the first is busy."""
     set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(metrics, "CHUNK_ROWS", 1500)
+    set_chunk_rows(monkeypatch, 1500)
     parent = os.getpid()
     gate_r, gate_w = os.pipe()
     real_write = metrics._write_segment
@@ -406,7 +412,7 @@ def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, fork
 
 def test_streamed_events_csv_on_one_cpu_forks_nothing(tmp_path, monkeypatch, forks):
     set_cpus(monkeypatch, 1)
-    monkeypatch.setattr(metrics, "CHUNK_ROWS", 1500)
+    set_chunk_rows(monkeypatch, 1500)
     log = streamed_run(SimConfig(duration=60.0, seed=31, warm_up=10.0),
                        tmp_path / "events.csv")
     assert forks == []
@@ -416,7 +422,7 @@ def test_streamed_events_csv_on_one_cpu_forks_nothing(tmp_path, monkeypatch, for
 
 def test_streamed_events_csv_writer_failure_raises_in_the_parent(tmp_path, monkeypatch, forks):
     set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(metrics, "CHUNK_ROWS", 7)
+    set_chunk_rows(monkeypatch, 7)
     log = synthetic_log()
     with pytest.raises(ValueError, match="round trip"):
         streamed_steps(log, synthetic_steps(log, 60, bad_step=0), tmp_path / "events.csv")
@@ -428,7 +434,7 @@ def test_streamed_events_csv_writer_failure_raises_in_the_parent(tmp_path, monke
 
 def test_streamed_events_csv_rejects_events_before_a_cut(tmp_path, monkeypatch, forks):
     set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(metrics, "CHUNK_ROWS", 7)
+    set_chunk_rows(monkeypatch, 7)
     log = synthetic_log()
 
     def late_event():
@@ -449,7 +455,7 @@ def test_streamed_events_csv_cleans_up_when_the_run_stops(tmp_path, monkeypatch,
     from vanetflow import cli, engine
 
     set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(metrics, "CHUNK_ROWS", 1500)
+    set_chunk_rows(monkeypatch, 1500)
     real_step = engine.step
 
     def failing_step(state, cfg):

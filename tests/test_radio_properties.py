@@ -1,16 +1,19 @@
 """Property tests: the engine's shortcuts through the radio draw exactly what the plain loops draw.
 
 The engine only calls ``mac_tick`` on the tick a MAC's countdown ends
-(``next_attempt``) and rolls all receivers of one transmission in one lane
-with one ``receive_roll`` call. Both must leave the outcomes and the random
-stream as ticking every MAC every tick and rolling receivers one by one do.
+(``next_attempt``), draws the backoffs of all busy attempts of a MAC pass
+with one ``draw_backoffs`` call, and rolls all receivers of a step with one
+``receive_roll`` call. Each must leave the outcomes and the random stream as
+ticking every MAC every tick, deferring attempts one by one and rolling
+receivers one by one do.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanetflow.radio import MacState, RadioConfig, mac_tick, next_attempt, receive_roll
+from vanetflow.radio import (MacState, RadioConfig, defer, draw_backoffs, mac_tick, next_attempt,
+                             receive_roll)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -92,3 +95,39 @@ def test_batched_rolls_match_one_scalar_draw_per_receiver(case):
         # scalar draws of other layers interleave with the batched ones
         assert rng_a.integers(0, high + 1) == rng_b.integers(0, high + 1)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@st.composite
+def backoff_cases(draw):
+    top = draw(st.integers(0, 6))
+    # small windows, windows of 2^32 and more, and the widest that fits in int64
+    backoff_max = draw(st.one_of(st.integers(0, 8), st.integers(2**30, 2**40),
+                                 st.just(((1 << 63) - 1) >> top)))
+    backoff_min = draw(st.one_of(st.just(backoff_max), st.integers(0, backoff_max)))
+    cfg = RadioConfig(backoff_min=backoff_min, backoff_max=backoff_max, max_backoff_stage=top)
+    # busy attempts of one MAC pass each, stages above the cap included
+    attempt = st.builds(MacState, st.integers(0, top + 3), st.just(0), st.integers(0, 9))
+    passes = draw(st.lists(st.lists(attempt, max_size=12), min_size=1, max_size=6))
+    between = draw(st.lists(st.integers(0, 4), min_size=len(passes), max_size=len(passes)))
+    return cfg, passes, between, draw(st.integers(0, 2**32 - 1))
+
+
+@SETTINGS
+@given(backoff_cases())
+def test_batched_backoffs_match_one_mac_tick_per_busy_attempt(case):
+    cfg, passes, between, seed = case
+    rng_a, rng_b, rng_c = (np.random.default_rng(seed) for _ in range(3))
+    for macs, k in zip(passes, between):
+        waits = draw_backoffs([mac.backoff_stage for mac in macs], cfg, rng_a)
+        got = [defer(mac, wait, cfg) for mac, wait in zip(macs, waits)]
+        ticked = [mac_tick(mac, True, cfg, rng_b) for mac in macs]
+        assert [tx for _, tx in ticked] == [False] * len(macs)
+        assert got == [state for state, _ in ticked]
+        # the stage-doubling window, drawn one scalar call at a time
+        for mac, wait in zip(macs, waits):
+            scale = 1 << min(mac.backoff_stage, cfg.max_backoff_stage)
+            assert wait == rng_c.integers(scale * cfg.backoff_min, scale * cfg.backoff_max + 1)
+        # other layers' draws interleave between MAC passes
+        after = [rng.random(k).tolist() for rng in (rng_a, rng_b, rng_c)]
+        assert after[0] == after[1] == after[2]
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state == rng_c.bit_generator.state
