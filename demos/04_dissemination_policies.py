@@ -44,7 +44,7 @@ def infection_wave(policy_kind):
     chain = [add_vehicle(state, 0, 950.0 - 50.0 * i, 0.0) for i in range(20)]
     coverage = []
     for _ in range(960):
-        step(state, cfg)
+        step(state)
         coverage.append(sum(v.infected for v in chain))
     full = next((i * 0.25 for i, n in enumerate(coverage) if n == 20), None)
     return coverage[-1], full

@@ -17,13 +17,12 @@ from .metrics import (EventsCsvWriter, ExitSeries, MetricTable, VelocityGrid,
                       events_to_table, exit_series, lane_change_positions, read_csv,
                       slow_cell_area, velocity_grid, write_csv, write_events_csv)
 from .radio import (MacState, RadioConfig, draw_backoff, friis_received_power,
-                    in_range, mac_tick, medium_busy, next_attempt,
-                    range_for_sensitivity, receive_roll)
+                    mac_tick, medium_busy, next_attempt, range_for_sensitivity,
+                    receive_roll)
 from .sweep import run_sweep
 from .traffic import (DriverParams, Neighborhood, VehicleState,
                       base_lane_change, brute_force_lane_change, desired_gap,
-                      diff_incentive, effective_desired_velocity,
-                      idm_acceleration, integrate_kinematics, my_advantage,
+                      diff_incentive, idm_acceleration, kinematic_update,
                       others_disadvantage, proportional_lane_change)
 
 __version__ = "0.1.0"

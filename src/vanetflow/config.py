@@ -71,6 +71,8 @@ class SimConfig:
             raise bad("speed_limit", "> 0", self.speed_limit)
         if self.dt <= 0:
             raise bad("dt", "> 0", self.dt)
+        if self.seed < 0:  # numpy's generator takes no negative seed
+            raise bad("seed", ">= 0", self.seed)
         if self.warm_up < 0:
             raise bad("warm_up", ">= 0", self.warm_up)
         if self.duration < 0:
@@ -314,30 +316,28 @@ class ScenarioPreset:
 # Scenario B (4400 veh/h, 120 km/h, 100 m transmission range) is the only
 # fully stated setup; the urban load below is this artifact's own choice,
 # picked under the two-lane capacity so the warning can still matter.
+_MOTORWAY = {"speed_limit": 120.0 / 3.6, "traffic_load": 4400.0, "duration": 900.0,
+             "policy_kind": "mixed"}
+
 PRESETS: dict[str, ScenarioPreset] = {
     "velocity_motorway": ScenarioPreset(
         "velocity_motorway",
         "15 min at motorway speed (120 km/h), 4400 veh/h, mixed policy",
-        {"speed_limit": 120.0 / 3.6, "traffic_load": 4400.0, "duration": 900.0,
-         "policy_kind": "mixed"}),
+        dict(_MOTORWAY)),
     "velocity_urban": ScenarioPreset(
         "velocity_urban",
         "15 min at urban speed (40 km/h), same 4400 veh/h load, mixed policy",
-        {"speed_limit": 40.0 / 3.6, "traffic_load": 4400.0, "duration": 900.0,
-         "policy_kind": "mixed"}),
+        {**_MOTORWAY, "speed_limit": 40.0 / 3.6}),
     "lane_change_position": ScenarioPreset(
         "lane_change_position",
-        "Scenario B settings, focused on where lane changes happen",
-        {"speed_limit": 120.0 / 3.6, "traffic_load": 4400.0, "duration": 900.0,
-         "policy_kind": "mixed"}),
+        "velocity_motorway's run, named for the lane-change-position figure",
+        dict(_MOTORWAY)),
     "protocol_comparison": ScenarioPreset(
         "protocol_comparison",
         "Scenario B settings, run until congestion reaches the origin",
-        {"speed_limit": 120.0 / 3.6, "traffic_load": 4400.0, "duration": 1200.0,
-         "stop_at_origin": True, "policy_kind": "mixed"}),
+        {**_MOTORWAY, "duration": 1200.0, "stop_at_origin": True}),
     "velocity_grid": ScenarioPreset(
         "velocity_grid",
         "10 min at Scenario B settings for space-time velocity maps",
-        {"speed_limit": 120.0 / 3.6, "traffic_load": 4400.0, "duration": 600.0,
-         "policy_kind": "mixed"}),
+        {**_MOTORWAY, "duration": 600.0}),
 }

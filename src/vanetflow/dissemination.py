@@ -34,7 +34,6 @@ class LedgerEntry:
 
     n_front: int = 0   # receptions from senders ahead (higher position)
     n_back: int = 0    # receptions from senders behind
-    first_received_at: float = 0.0
     has_rebroadcast: bool = False
 
 
@@ -63,14 +62,8 @@ class MessageLedger:
     def __init__(self):
         self.entries: dict[int, LedgerEntry] = {}
 
-    def __bool__(self):
-        return bool(self.entries)
-
-    def entry(self, msg_id: int) -> LedgerEntry | None:
-        return self.entries.get(msg_id)
-
-    def record_reception(self, msg: WarningMessage, sender_pos: float, my_pos: float,
-                         now: float = 0.0) -> LedgerEntry:
+    def record_reception(self, msg: WarningMessage, sender_pos: float,
+                         my_pos: float) -> LedgerEntry:
         """Count one reception of ``msg`` and return the (updated) ledger entry.
 
         Senders strictly ahead bump ``n_front``, senders behind bump ``n_back``.
@@ -81,7 +74,7 @@ class MessageLedger:
             raise ValueError("sender and receiver at identical positions; cannot attribute direction")
         entry = self.entries.get(msg.msg_id)
         if entry is None:
-            entry = LedgerEntry(first_received_at=now)
+            entry = LedgerEntry()
             self.entries[msg.msg_id] = entry
         if sender_pos > my_pos:
             entry.n_front += 1

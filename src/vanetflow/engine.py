@@ -1,10 +1,10 @@
 """Deterministic time-stepped loop coupling traffic, radio and dissemination.
 
-Each step runs fixed phases from the pre-step snapshot: obstacle beacon, the
-MAC attempts due this tick (one backoff draw for all busy ones), delivery
-rolls (one draw for the step) with their ledger updates, rebroadcast
-decisions, behavior (acceleration + lane-change decisions), simultaneous
-application of moves, exits, injection, then bookkeeping. One seeded
+``step`` runs its phases in a fixed order: ``_communicate`` (beacon, MAC
+pass, one reception draw for the step, relay decisions), ``_decide``
+(accelerations and lane-change proposals from the pre-move snapshot),
+``_apply_changes``, ``_integrate`` (moves, exits, obstacle-passed flags), the
+arrivals, and ``_account`` (samples, invariants, detectors). One seeded
 generator drives every random draw in a fixed order, so identical config and
 seed reproduce the run exactly.
 """
@@ -99,8 +99,8 @@ class SimState:
     lanes: list            # [list[VehicleState], list[VehicleState]]
     macs: dict             # vehicle id -> MacState; a pending one as at its next attempt
     messages: dict         # msg id -> WarningMessage
-    driver_p: object
-    driver_vsl_p: object
+    driver_p: object       # every vehicle's DriverParams
+    driver_vsl_p: object   # the same, slowed for warned vehicles under VSL
     now: float = 0.0
     tick: int = 0
     next_id: int = 0
@@ -121,7 +121,7 @@ class SimState:
 def new_state(cfg: SimConfig) -> SimState:
     cfg.validate()
     driver_p = cfg.driver_params()
-    vsl_v0 = max(1e-9, driver_p.desired_velocity - driver_p.vsl_reduction)
+    vsl_v0 = driver_p.desired_velocity - driver_p.vsl_reduction
     log = EventLog(config_echo=as_echo_dict(cfg), cfg=cfg)
     return SimState(cfg=cfg, rng=np.random.default_rng(cfg.seed), log=log,
                     lanes=[[], []], macs={}, messages={},
@@ -131,7 +131,7 @@ def new_state(cfg: SimConfig) -> SimState:
 
 def add_vehicle(state: SimState, lane: int, position: float, velocity: float) -> VehicleState:
     """Place a vehicle directly (tests and demos); keeps per-lane ordering."""
-    veh = VehicleState(state.next_id, lane, position, velocity, state.driver_p)
+    veh = VehicleState(state.next_id, lane, position, velocity)
     state.next_id += 1
     bisect.insort(state.lanes[lane], veh, key=lambda v: v.position)
     state.macs[veh.id] = MacState()
@@ -141,30 +141,31 @@ def add_vehicle(state: SimState, lane: int, position: float, velocity: float) ->
     return veh
 
 
-def _leader(state, lane_idx, index, veh):
-    """Net gap and velocity of the effective leader, obstacle included.
+def _leader(cfg: SimConfig, lane_list: list, lane_idx: int, k: int, x: float):
+    """Net gap and velocity of the leader of a vehicle at ``x`` in lane ``lane_idx``.
 
-    Vehicle gaps are bumper to bumper (positions minus the vehicle length);
-    the obstacle is a zero-length stationary leader.
+    ``k`` indexes the first vehicle of ``lane_list`` ahead of ``x``: ``i + 1``
+    for the vehicle at ``i`` in its own lane, the ``bisect`` index in the
+    other lane. Vehicle gaps are bumper to bumper (positions minus the vehicle
+    length); the obstacle is a zero-length stationary leader while upstream.
     """
-    cfg = state.cfg
-    lane_list = state.lanes[lane_idx]
-    if index + 1 < len(lane_list):
-        nxt = lane_list[index + 1]
-        gap = nxt.position - veh.position - cfg.vehicle_length
+    if k < len(lane_list):
+        nxt = lane_list[k]
+        gap = nxt.position - x - cfg.vehicle_length
         lv = nxt.velocity
     else:
         gap = NO_VEHICLE
         lv = 0.0
-    if lane_idx == cfg.obstacle_lane and veh.position < cfg.obstacle_position:
-        obs_gap = cfg.obstacle_position - veh.position
+    if lane_idx == cfg.obstacle_lane and x < cfg.obstacle_position:
+        obs_gap = cfg.obstacle_position - x
         if obs_gap < gap:
             return obs_gap, 0.0
     return gap, lv
 
 
-def detect_gridlock(state: SimState, cfg: SimConfig) -> bool:
+def detect_gridlock(state: SimState) -> bool:
     """All vehicles upstream of the obstacle crawling, with enough of them present."""
+    cfg = state.cfg
     count = 0
     for lane_list in state.lanes:
         for veh in lane_list:
@@ -176,7 +177,7 @@ def detect_gridlock(state: SimState, cfg: SimConfig) -> bool:
     return count >= GRIDLOCK_MIN_VEHICLES
 
 
-def origin_congested(state: SimState, cfg: SimConfig) -> bool:
+def origin_congested(state: SimState) -> bool:
     """Mean velocity over the first 100 m below 5 m/s (needs a few vehicles there)."""
     total = 0.0
     n = 0
@@ -219,7 +220,7 @@ def _try_insert(state: SimState, lane_idx: int) -> bool:
         if gap < p.min_gap + velocity * p.time_headway:
             return False
     position = ENTRY_JITTER * float(state.rng.random())
-    veh = VehicleState(state.next_id, lane_idx, position, velocity, p)
+    veh = VehicleState(state.next_id, lane_idx, position, velocity)
     state.next_id += 1
     lane_list.insert(0, veh)
     state.macs[veh.id] = MacState()
@@ -228,16 +229,17 @@ def _try_insert(state: SimState, lane_idx: int) -> bool:
     return True
 
 
-def inject_vehicles(state: SimState, cfg: SimConfig, rng) -> SimState:
+def inject_vehicles(state: SimState) -> SimState:
     """Poisson arrivals at the configured load; blocked arrivals wait in a queue.
 
     The load is reduced during the warm-up period. Lane preference alternates
     per inserted vehicle; an arrival blocked in both lanes stays queued.
     """
+    cfg = state.cfg
     lam_per_s = cfg.traffic_load / 3600.0
     if state.now <= cfg.warm_up:
         lam_per_s *= WARMUP_LOAD_FACTOR
-    fresh = int(rng.poisson(lam_per_s * cfg.dt))
+    fresh = int(state.rng.poisson(lam_per_s * cfg.dt))
     state.scheduled += fresh
     state.entry_queue += fresh
     while state.entry_queue > 0:
@@ -268,104 +270,108 @@ def _file_attempt(state: SimState, veh: VehicleState, mac: MacState) -> None:
     state.attempts.setdefault(tick, []).append((veh, ready))
 
 
-def step(state: SimState, cfg: SimConfig) -> SimState:
-    """Advance the world by one dt. Mutates and returns ``state``."""
+def _communicate(state: SimState) -> None:
+    """Beacon, MAC pass, deliveries with their ledger updates, then relay decisions."""
+    cfg = state.cfg
     t = state.now
-    dt = cfg.dt
     radio_cfg = cfg.radio
     events = state.log.events
-    lanes = state.lanes
-
-    # --- communication: beacon, MAC, deliveries, ledgers, relay decisions
-    if cfg.communication_enabled:
-        transmissions = []
-        if t >= state.next_beacon - 1e-9:
-            msg = WarningMessage(state.next_msg_id, cfg.obstacle_position, t,
-                                 cfg.ttl_time, cfg.ttl_distance)
-            state.messages[msg.msg_id] = msg
-            state.next_msg_id += 1
-            state.next_beacon += cfg.beacon_interval
-            transmissions.append((cfg.obstacle_position, msg))
-            events.append((t, "transmission", OBSTACLE_ID, cfg.obstacle_lane,
-                           cfg.obstacle_position, 0.0, msg.msg_id))
-        prev_tx = state.prev_tx_positions
-        macs = state.macs
-        rng = state.rng
-        # only the MACs whose countdown ends this tick act; the rest would just
-        # count down. Entries of superseded frames and exited vehicles are stale.
-        due = [(veh, mac) for veh, mac in state.attempts.pop(state.tick, ())
-               if macs.get(veh.id) is mac]
-        due.sort(key=lambda entry: (entry[0].lane, entry[0].position))
-        # the medium is busy by the previous tick's transmitters only, so every
-        # busy attempt of the pass is known up front and draws in one call
-        busy = [medium_busy(veh.position, prev_tx, radio_cfg) for veh, _ in due]
-        waits = iter(draw_backoffs([mac.backoff_stage for (_, mac), b in zip(due, busy) if b],
-                                   radio_cfg, rng))
-        for (veh, mac), is_busy in zip(due, busy):
-            if is_busy:
-                _file_attempt(state, veh, defer(mac, next(waits), radio_cfg))
-                continue
-            # an attempt on an idle medium sends
-            macs[veh.id], _ = mac_tick(mac, False, radio_cfg, rng)
-            msg = state.messages[mac.pending_message]
-            # messages that died while queued are dropped, not sent
-            if ttl_alive(msg, t, veh.position):
-                transmissions.append((veh.position, msg))
-                events.append((t, "transmission", veh.id, veh.lane,
-                               veh.position, veh.velocity, msg.msg_id))
-        receptions = []
-        if transmissions:
-            # gather every (lane, transmission) batch of possible receivers, then
-            # roll them all in one call, in lane, transmission, receiver order
-            rc = radio_cfg.tx_range
-            batches = []
-            distances = []
-            for lane_list in lanes:
-                positions = [v.position for v in lane_list]
-                for sender_pos, msg in transmissions:
-                    lo = bisect.bisect_left(positions, sender_pos - rc)
-                    hi = bisect.bisect_right(positions, sender_pos + rc)
-                    # the sender itself sits at sender_pos, and so does an exact
-                    # tie, whose direction cannot be attributed: neither draws
-                    heard = [v for v in lane_list[lo:hi] if v.position != sender_pos]
-                    if heard:
-                        batches.append((heard, sender_pos, msg))
-                        distances += [abs(v.position - sender_pos) for v in heard]
-            hits = receive_roll(distances, radio_cfg, rng) if batches else []
-            start = 0
-            for heard, sender_pos, msg in batches:
-                end = start + len(heard)
-                msg_id = msg.msg_id
-                for veh in compress(heard, hits[start:end]):
-                    events.append((t, "reception", veh.id, veh.lane, veh.position,
+    macs = state.macs
+    rng = state.rng
+    transmissions = []
+    if t >= state.next_beacon - 1e-9:
+        msg = WarningMessage(state.next_msg_id, cfg.obstacle_position, t,
+                             cfg.ttl_time, cfg.ttl_distance)
+        state.messages[msg.msg_id] = msg
+        state.next_msg_id += 1
+        state.next_beacon += cfg.beacon_interval
+        transmissions.append((cfg.obstacle_position, msg))
+        events.append((t, "transmission", OBSTACLE_ID, cfg.obstacle_lane,
+                       cfg.obstacle_position, 0.0, msg.msg_id))
+    prev_tx = state.prev_tx_positions
+    # only the MACs whose countdown ends this tick act; the rest would just
+    # count down. Entries of superseded frames and exited vehicles are stale.
+    due = [(veh, mac) for veh, mac in state.attempts.pop(state.tick, ())
+           if macs.get(veh.id) is mac]
+    due.sort(key=lambda entry: (entry[0].lane, entry[0].position))
+    # the medium is busy by the previous tick's transmitters only, so every
+    # busy attempt of the pass is known up front and draws in one call
+    busy = [medium_busy(veh.position, prev_tx, radio_cfg) for veh, _ in due]
+    waits = iter(draw_backoffs([mac.backoff_stage for (_, mac), b in zip(due, busy) if b],
+                               radio_cfg, rng))
+    for (veh, mac), is_busy in zip(due, busy):
+        if is_busy:
+            _file_attempt(state, veh, defer(mac, next(waits), radio_cfg))
+            continue
+        # an attempt on an idle medium sends
+        macs[veh.id], _ = mac_tick(mac, False, radio_cfg, rng)
+        msg = state.messages[mac.pending_message]
+        # messages that died while queued are dropped, not sent
+        if ttl_alive(msg, t, veh.position):
+            transmissions.append((veh.position, msg))
+            events.append((t, "transmission", veh.id, veh.lane,
+                           veh.position, veh.velocity, msg.msg_id))
+    receptions = []
+    if transmissions:
+        # gather every (lane, transmission) batch of possible receivers, then
+        # roll them all in one call, in lane, transmission, receiver order
+        rc = radio_cfg.tx_range
+        batches = []
+        distances = []
+        for lane_list in state.lanes:
+            positions = [v.position for v in lane_list]
+            for sender_pos, msg in transmissions:
+                lo = bisect.bisect_left(positions, sender_pos - rc)
+                hi = bisect.bisect_right(positions, sender_pos + rc)
+                # the sender itself sits at sender_pos, and so does an exact
+                # tie, whose direction cannot be attributed: neither draws
+                heard = [v for v in lane_list[lo:hi] if v.position != sender_pos]
+                if heard:
+                    batches.append((heard, sender_pos, msg))
+                    distances += [abs(v.position - sender_pos) for v in heard]
+        hits = receive_roll(distances, radio_cfg, rng) if batches else []
+        start = 0
+        for heard, sender_pos, msg in batches:
+            end = start + len(heard)
+            msg_id = msg.msg_id
+            for veh in compress(heard, hits[start:end]):
+                events.append((t, "reception", veh.id, veh.lane, veh.position,
+                               veh.velocity, msg_id))
+                veh.ledger.record_reception(msg, sender_pos, veh.position)
+                if not veh.infected:
+                    veh.infected = True
+                    events.append((t, "infection", veh.id, veh.lane, veh.position,
                                    veh.velocity, msg_id))
-                    veh.ledger.record_reception(msg, sender_pos, veh.position, t)
-                    if not veh.infected:
-                        veh.infected = True
-                        events.append((t, "infection", veh.id, veh.lane, veh.position,
-                                       veh.velocity, msg_id))
-                    # a MAC that holds this or a newer generation will not
-                    # take it in the relay pass either, which only raises
-                    # generations
-                    pending = macs[veh.id].pending_message
-                    if pending is None or pending < msg_id:
-                        receptions.append((veh, msg, sender_pos))
-                start = end
-        # all receptions land before any relay decision is made
-        for veh, msg, sender_pos in receptions:
-            mac = macs[veh.id]
-            if mac.pending_message is not None and mac.pending_message >= msg.msg_id:
-                continue  # that or a newer warning generation is already queued
-            entry = veh.ledger.entries[msg.msg_id]
-            if should_rebroadcast(cfg.policy, msg, entry, now=t, my_pos=veh.position,
-                                  d_from_sender=abs(veh.position - sender_pos),
-                                  tx_range=radio_cfg.tx_range, rng=rng):
-                # a newer generation supersedes any older pending frame and,
-                # as for any fresh frame, contention starts from stage 0
-                _file_attempt(state, veh, MacState(0, 0, msg.msg_id))
-        state.prev_tx_positions = [pos for pos, _ in transmissions]
+                # a MAC that holds this or a newer generation will not take it
+                # in the relay pass either, which only raises generations
+                pending = macs[veh.id].pending_message
+                if pending is None or pending < msg_id:
+                    receptions.append((veh, msg, sender_pos))
+            start = end
+    # all receptions land before any relay decision is made
+    for veh, msg, sender_pos in receptions:
+        mac = macs[veh.id]
+        if mac.pending_message is not None and mac.pending_message >= msg.msg_id:
+            continue  # that or a newer warning generation is already queued
+        entry = veh.ledger.entries[msg.msg_id]
+        if should_rebroadcast(cfg.policy, msg, entry, now=t, my_pos=veh.position,
+                              d_from_sender=abs(veh.position - sender_pos),
+                              tx_range=radio_cfg.tx_range, rng=rng):
+            # a newer generation supersedes any older pending frame and, as
+            # for any fresh frame, contention starts from stage 0
+            _file_attempt(state, veh, MacState(0, 0, msg.msg_id))
+    state.prev_tx_positions = [pos for pos, _ in transmissions]
 
-    # --- behavior from the pre-move snapshot
+
+def _decide(state: SimState) -> tuple[dict, list]:
+    """Every vehicle's acceleration and lane-change proposal, from the pre-move snapshot.
+
+    Returns the accelerations by vehicle id and the proposals as
+    (vehicle, lane, target lane, insertion index in the target lane).
+    """
+    cfg = state.cfg
+    t = state.now
+    lanes = state.lanes
     normal_p = state.driver_p
     vsl_p = state.driver_vsl_p
     vsl_on = cfg.vsl_enabled
@@ -379,39 +385,29 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     length = cfg.vehicle_length
     accels = {}
     proposals = []
-    target_positions = [[v.position for v in lane_list] for lane_list in lanes]
+    lane_positions = [[v.position for v in lane_list] for lane_list in lanes]
 
     for li in (0, 1):
         lane_list = lanes[li]
         tl = 1 - li
         tlist = lanes[tl]
-        tpos = target_positions[tl]
         for i, veh in enumerate(lane_list):
-            p_eff = vsl_p if (vsl_on and veh.infected and not veh.passed_obstacle) else normal_p
-            gap, lead_v = _leader(state, li, i, veh)
+            x = veh.position
             v = veh.velocity
+            warned_upstream = veh.infected and not veh.passed_obstacle
+            p_eff = vsl_p if (vsl_on and warned_upstream) else normal_p
+            gap, lead_v = _leader(cfg, lane_list, li, i + 1, x)
             a_self = idm_acceleration(v, gap, v - lead_v, p_eff)
             accels[veh.id] = a_self
 
             if t - last_change.get(veh.id, -1e18) < cooldown:
                 continue
-            if (veh.infected and not veh.passed_obstacle and tl == obstacle_lane
-                    and veh.position < obstacle_pos):
+            if warned_upstream and tl == obstacle_lane and x < obstacle_pos:
                 continue  # warned drivers do not merge into the blocked lane
-            idx = bisect.bisect_left(tpos, veh.position)
-            if idx < len(tlist):
-                t_leader_gap = tlist[idx].position - veh.position - length
-                t_leader_v = tlist[idx].velocity
-            else:
-                t_leader_gap = NO_VEHICLE
-                t_leader_v = 0.0
-            if tl == obstacle_lane and veh.position < obstacle_pos:
-                obs_gap = obstacle_pos - veh.position
-                if obs_gap < t_leader_gap:
-                    t_leader_gap = obs_gap
-                    t_leader_v = 0.0
+            idx = bisect.bisect_left(lane_positions[tl], x)
+            t_leader_gap, t_leader_v = _leader(cfg, tlist, tl, idx, x)
             if idx > 0:
-                t_follow_gap = veh.position - tlist[idx - 1].position - length
+                t_follow_gap = x - tlist[idx - 1].position - length
                 t_follow_v = tlist[idx - 1].velocity
             else:
                 t_follow_gap = NO_VEHICLE
@@ -427,23 +423,23 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
                 if idm_acceleration(t_follow_v, t_follow_gap, t_follow_v - v, normal_p) < -b_safe:
                     continue
             if i > 0:
-                follow_gap = veh.position - lane_list[i - 1].position - length
+                follow_gap = x - lane_list[i - 1].position - length
                 follow_v = lane_list[i - 1].velocity
             else:
                 follow_gap = NO_VEHICLE
                 follow_v = 0.0
             bias = p_eff.lane_bias if tl == SLOW_LANE else 0.0
-            my_adv = a_new - a_self + bias  # same as traffic.my_advantage, a_old reused
+            my_adv = a_new - a_self + bias
             cur_nb = Neighborhood(gap, lead_v, follow_gap, follow_v)
             tgt_nb = Neighborhood(t_leader_gap, t_leader_v, t_follow_gap, t_follow_v)
-            oth_dis = others_disadvantage(cur_nb, tgt_nb, veh)
+            oth_dis = others_disadvantage(cur_nb, tgt_nb, v, normal_p)
             use_variant = (variant != BASE and veh.infected and li == obstacle_lane
-                           and veh.position < obstacle_pos)
+                           and x < obstacle_pos)
             if multiplicative:
                 if use_variant and variant == BRUTE_FORCE:
                     change = brute_force_lane_change(my_adv, cfg.brute_force_boost, oth_dis, p_eff)
                 elif use_variant:
-                    diff = diff_incentive(veh.position, obstacle_pos, p_eff)
+                    diff = diff_incentive(x, obstacle_pos, p_eff)
                     change = proportional_lane_change(my_adv, diff, oth_dis, p_eff)
                 else:
                     change = base_lane_change(my_adv, oth_dis, p_eff)
@@ -451,46 +447,58 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
                 if use_variant and variant == BRUTE_FORCE:
                     incentive = cfg.brute_force_boost
                 elif use_variant:
-                    incentive = diff_incentive(veh.position, obstacle_pos, p_eff)
+                    incentive = diff_incentive(x, obstacle_pos, p_eff)
                 else:
                     incentive = 0.0
                 change = additive_lane_change(my_adv, incentive, oth_dis, p_eff)
             if change:
                 proposals.append((veh, li, tl, idx))
+    return accels, proposals
 
-    # --- apply lane changes simultaneously; same target gap goes to the
-    # downstream contender, upstream ones defer a tick
-    if proposals:
-        chosen = {}
-        for prop in proposals:
-            key = (prop[2], prop[3])
-            held = chosen.get(key)
-            if held is None or prop[0].position > held[0].position:
-                chosen[key] = prop
-        moved = [prop for prop in proposals if chosen[(prop[2], prop[3])] is prop]
-        moved_ids = {prop[0].id for prop in moved}
-        for li in (0, 1):
-            if any(prop[1] == li for prop in moved):
-                lanes[li] = [v for v in lanes[li] if v.id not in moved_ids]
-        for veh, li, tl, _ in moved:
-            events.append((t, "lane_change", veh.id, li, veh.position, veh.velocity,
-                           f"{tl}|{int(veh.infected)}"))
-            veh.lane = tl
-            last_change[veh.id] = t
-            bisect.insort(lanes[tl], veh, key=lambda v: v.position)
 
-    # --- integrate everyone from pre-step velocities and phase-4 accelerations
-    for lane_list in lanes:
+def _apply_changes(state: SimState, proposals: list) -> None:
+    """Apply the lane changes simultaneously.
+
+    Of several proposals into the same target gap the downstream one moves;
+    the upstream ones defer a tick.
+    """
+    t = state.now
+    lanes = state.lanes
+    chosen = {}
+    for prop in proposals:
+        key = (prop[2], prop[3])
+        held = chosen.get(key)
+        if held is None or prop[0].position > held[0].position:
+            chosen[key] = prop
+    moved = [prop for prop in proposals if chosen[(prop[2], prop[3])] is prop]
+    moved_ids = {prop[0].id for prop in moved}
+    for li in (0, 1):
+        if any(prop[1] == li for prop in moved):
+            lanes[li] = [v for v in lanes[li] if v.id not in moved_ids]
+    for veh, li, tl, _ in moved:
+        state.log.events.append((t, "lane_change", veh.id, li, veh.position, veh.velocity,
+                                 f"{tl}|{int(veh.infected)}"))
+        veh.lane = tl
+        state.last_change[veh.id] = t
+        bisect.insort(lanes[tl], veh, key=lambda v: v.position)
+
+
+def _integrate(state: SimState, accels: dict) -> None:
+    """Move everyone by one dt, then take the exits and flag who passed the obstacle.
+
+    Moves use the pre-step velocities and the accelerations ``_decide`` found.
+    """
+    cfg = state.cfg
+    dt = cfg.dt
+    events = state.log.events
+    for lane_list in state.lanes:
         for veh in lane_list:
             v_new, dx = kinematic_update(veh.velocity, accels[veh.id], dt)
             veh.velocity = v_new
             veh.position += dx
     state.tick += 1
     state.now = now = state.tick * dt
-
-    # --- exits and obstacle-passed flags
-    for li in (0, 1):
-        lane_list = lanes[li]
+    for li, lane_list in enumerate(state.lanes):
         while lane_list and lane_list[-1].position > cfg.field_length:
             veh = lane_list.pop()
             state.exited += 1
@@ -500,19 +508,18 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
         for veh in reversed(lane_list):
             if veh.position <= cfg.obstacle_position:
                 break
-            if veh.passed_obstacle:
-                continue
             veh.passed_obstacle = True
 
-    # --- arrivals
-    inject_vehicles(state, cfg, state.rng)
 
-    # --- samples, detectors, invariants
+def _account(state: SimState) -> None:
+    """Log the samples, check the invariants and run the detectors."""
+    cfg = state.cfg
+    now = state.now
+    events = state.log.events
     samples = state.log.samples
     on_road = 0
     min_spacing = cfg.vehicle_length
-    for li in (0, 1):
-        lane_list = lanes[li]
+    for li, lane_list in enumerate(state.lanes):
         xs = [veh.position for veh in lane_list]
         n = len(xs)
         if n > 1 and min(map(sub, xs[1:], xs)) <= min_spacing:
@@ -526,12 +533,24 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
         on_road += n
     if state.scheduled != state.exited + on_road + state.entry_queue:
         raise _diagnostic(state, "vehicle conservation violated")
-    if state.first_gridlock_time is None and detect_gridlock(state, cfg):
+    if state.first_gridlock_time is None and detect_gridlock(state):
         state.first_gridlock_time = now
         events.append((now, "gridlock", OBSTACLE_ID, cfg.obstacle_lane, 0.0, 0.0, ""))
-    if state.first_origin_slow_time is None and origin_congested(state, cfg):
+    if state.first_origin_slow_time is None and origin_congested(state):
         state.first_origin_slow_time = now
         events.append((now, "origin_congested", OBSTACLE_ID, cfg.obstacle_lane, 0.0, 0.0, ""))
+
+
+def step(state: SimState) -> SimState:
+    """Advance the world by one dt. Mutates and returns ``state``."""
+    if state.cfg.communication_enabled:
+        _communicate(state)
+    accels, proposals = _decide(state)
+    if proposals:
+        _apply_changes(state, proposals)
+    _integrate(state, accels)
+    inject_vehicles(state)
+    _account(state)
     return state
 
 
@@ -552,7 +571,7 @@ def run(cfg: SimConfig, on_step=None) -> EventLog:
     gc.disable()
     try:
         for _ in range(n_steps):
-            step(state, cfg)
+            step(state)
             if on_step is not None:
                 on_step(state)
             if cfg.stop_at_origin and state.first_origin_slow_time is not None:

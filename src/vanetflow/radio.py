@@ -79,11 +79,6 @@ def range_for_sensitivity(cfg: RadioConfig, sensitivity_dbm: float = -85.0) -> f
                      / (FOUR_PI_SQ * cfg.system_loss * p_min))
 
 
-def in_range(d: float, limit: float) -> bool:
-    """Boundary-inclusive range test."""
-    return d <= limit
-
-
 def medium_busy(me: float, transmitting_positions, cfg: RadioConfig) -> bool:
     """Busy iff any current transmitter sits within the interference range."""
     ri = cfg.interference_range

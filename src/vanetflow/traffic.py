@@ -6,7 +6,7 @@ All functions here are pure; the engine owns iteration order and state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .dissemination import MessageLedger
 
@@ -65,17 +65,24 @@ class DriverParams:
             raise ValueError("diff_cap must be > 0")
         if self.politeness < 0:
             raise ValueError("politeness must be >= 0")
+        if self.accel_exponent <= 0:
+            raise ValueError("accel_exponent must be > 0")
+        if self.vsl_reduction < 0:
+            raise ValueError("vsl_reduction must be >= 0")
 
 
 @dataclass(slots=True)
 class VehicleState:
-    """Position/velocity/lane plus driver parameters and warning bookkeeping."""
+    """Position, velocity and lane plus warning bookkeeping.
+
+    Driver parameters are not per vehicle: the engine holds one set for the
+    whole fleet (``SimState.driver_p``).
+    """
 
     id: int
     lane: int            # 0 = obstacle lane, 1 = opposite lane
     position: float      # m along the road
     velocity: float      # m/s, never negative
-    params: DriverParams
     infected: bool = False
     passed_obstacle: bool = False
     ledger: MessageLedger = field(default_factory=MessageLedger)
@@ -119,36 +126,20 @@ def idm_acceleration(v: float, gap: float, delta_v: float, p: DriverParams) -> f
     return p.max_accel * (free - ratio * ratio)
 
 
-def my_advantage(current: Neighborhood, target: Neighborhood, v: float,
-                 p: DriverParams, bias: float | None = None) -> float:
-    """Acceleration gained by moving to the target lane, plus the lane bias.
-
-    ``bias`` defaults to ``p.lane_bias``; the engine passes 0 for changes away
-    from the designated slow lane so the bias only pulls vehicles back into it.
-    """
-    if bias is None:
-        bias = p.lane_bias
-    a_old = idm_acceleration(v, current.leader_gap, v - current.leader_velocity, p)
-    a_new = idm_acceleration(v, target.leader_gap, v - target.leader_velocity, p)
-    return a_new - a_old + bias
-
-
 def others_disadvantage(current: Neighborhood, target: Neighborhood,
-                        mover: VehicleState) -> float:
-    """Net acceleration change the move imposes on the two affected followers.
+                        v: float, p: DriverParams) -> float:
+    """Net acceleration change a move at velocity ``v`` imposes on the two affected followers.
 
     The old-lane follower inherits the mover's leader; the new-lane follower
     gets the mover instead of its old leader. Positive means the followers
     come out ahead overall, negative that the move costs them. An absent
     follower is unaffected (it keeps its free-road acceleration) and
-    contributes zero. Followers are evaluated with the mover's parameters
-    (homogeneous fleet).
+    contributes zero. ``p`` is the followers' driver parameters.
     """
-    p = mover.params
     total = 0.0
     if current.follower_gap != NO_VEHICLE:
         vf = current.follower_velocity
-        before = idm_acceleration(vf, current.follower_gap, vf - mover.velocity, p)
+        before = idm_acceleration(vf, current.follower_gap, vf - v, p)
         after = idm_acceleration(vf, current.follower_gap + current.leader_gap,
                                  vf - current.leader_velocity, p)
         total += after - before
@@ -156,7 +147,7 @@ def others_disadvantage(current: Neighborhood, target: Neighborhood,
         vf = target.follower_velocity
         before = idm_acceleration(vf, target.follower_gap + target.leader_gap,
                                   vf - target.leader_velocity, p)
-        after = idm_acceleration(vf, target.follower_gap, vf - mover.velocity, p)
+        after = idm_acceleration(vf, target.follower_gap, vf - v, p)
         total += after - before
     return total
 
@@ -199,18 +190,6 @@ def additive_lane_change(my_adv: float, incentive: float, oth_dis: float,
     return my_adv + incentive + p.politeness * oth_dis > p.change_threshold
 
 
-def effective_desired_velocity(vehicle: VehicleState, vsl_enabled: bool) -> float:
-    """Desired velocity after the variable-speed-limit adjustment.
-
-    Warned vehicles that have not yet passed the obstacle aim lower; everyone
-    else (including warned vehicles past the obstacle) keeps the normal value.
-    """
-    p = vehicle.params
-    if vsl_enabled and vehicle.infected and not vehicle.passed_obstacle:
-        return max(0.0, p.desired_velocity - p.vsl_reduction)
-    return p.desired_velocity
-
-
 def kinematic_update(v: float, accel: float, dt: float) -> tuple[float, float]:
     """One Euler step; returns (new velocity, position increment).
 
@@ -224,11 +203,3 @@ def kinematic_update(v: float, accel: float, dt: float) -> tuple[float, float]:
     if dx < 0.0:
         dx = 0.0
     return v_new, dx
-
-
-def integrate_kinematics(vehicle: VehicleState, accel: float, dt: float) -> VehicleState:
-    """Advance one vehicle by dt under constant acceleration; other fields unchanged."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    v_new, dx = kinematic_update(vehicle.velocity, accel, dt)
-    return replace(vehicle, velocity=v_new, position=vehicle.position + dx)

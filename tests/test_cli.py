@@ -78,6 +78,13 @@ def test_non_finite_seed_exits_nonzero(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_nonzero(tmp_path, capsys):
+    code = main(["run", "--seed", "-1", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unreadable_config_path(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "missing.cfg"),
                  "--out-dir", str(tmp_path)])

@@ -136,6 +136,38 @@ def test_vsl_reduction_must_stay_below_the_speed_limit():
         cfg.validate()
 
 
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_idm_exponent_must_be_positive(value):
+    # a negative exponent divides by zero once a vehicle stops; zero leaves
+    # no free-road acceleration at all
+    with pytest.raises(ConfigError, match=r"driver\.accel_exponent"):
+        parse_config(f"driver.accel_exponent = {value}\n")
+    cfg = SimConfig()
+    cfg.driver = replace(cfg.driver, accel_exponent=float(value))
+    with pytest.raises(ConfigError, match=r"driver\.accel_exponent"):
+        cfg.validate()
+    assert parse_config("driver.accel_exponent = 0.5\n").driver.accel_exponent == 0.5
+
+
+def test_vsl_reduction_must_not_be_negative():
+    # a negative reduction would raise warned vehicles above the speed limit
+    with pytest.raises(ConfigError, match=r"driver\.vsl_reduction"):
+        parse_config("vsl_enabled = true\ndriver.vsl_reduction = -10 m/s\n")
+    cfg = replace(SimConfig(), vsl_enabled=True)
+    cfg.driver = replace(cfg.driver, vsl_reduction=-10.0)
+    with pytest.raises(ConfigError, match=r"driver\.vsl_reduction"):
+        cfg.validate()
+    assert parse_config("driver.vsl_reduction = 0 m/s\n").driver.vsl_reduction == 0.0
+
+
+def test_seed_must_not_be_negative():
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config("seed = -1\n")
+    with pytest.raises(ConfigError, match="seed"):
+        replace(SimConfig(), seed=-1).validate()
+    assert parse_config("seed = 0\n").seed == 0
+
+
 def test_backoff_windows_must_fit_in_int64():
     # the widest window is backoff_max << max_backoff_stage, drawn as int64
     with pytest.raises(ConfigError, match=r"radio\.backoff_max"):

@@ -8,9 +8,10 @@ import pytest
 
 from vanetflow import engine
 from vanetflow.config import SimConfig
-from vanetflow.engine import (GRIDLOCK_MIN_VEHICLES, SimulationError, add_vehicle,
-                              detect_gridlock, inject_vehicles, new_state,
-                              origin_congested, run, step)
+from vanetflow.engine import (GRIDLOCK_MIN_VEHICLES, SimulationError, _leader,
+                              add_vehicle, detect_gridlock, inject_vehicles,
+                              new_state, origin_congested, run, step)
+from vanetflow.traffic import NO_VEHICLE
 
 
 def quiet_cfg(**kw):
@@ -29,7 +30,7 @@ def test_free_flow_transit_time():
     add_vehicle(state, 1, 0.0, cfg.speed_limit)
     exited_at = None
     for _ in range(320):
-        step(state, cfg)
+        step(state)
         if state.exited:
             exited_at = state.now
             break
@@ -53,7 +54,7 @@ def test_single_vehicle_changes_lane_before_stopping():
     veh = add_vehicle(state, 0, 0.0, cfg.speed_limit)
     min_v = veh.velocity
     for _ in range(300):
-        step(state, cfg)
+        step(state)
         min_v = min(min_v, veh.velocity)
         if veh.lane == 1:
             break
@@ -70,11 +71,40 @@ def test_blocked_vehicle_stops_behind_obstacle():
     state = new_state(cfg)
     veh = add_vehicle(state, 0, 800.0, 20.0)
     for _ in range(int(240.0 / cfg.dt)):
-        step(state, cfg)
+        step(state)
     assert veh.lane == 0
     assert veh.velocity < 0.05
     gap = cfg.obstacle_position - veh.position
-    assert gap == pytest.approx(veh.params.min_gap, abs=0.5)
+    assert gap == pytest.approx(cfg.driver_params().min_gap, abs=0.5)
+
+
+def test_leader_on_both_lanes():
+    # obstacle at 1000 m in lane 0; vehicles are 5 m long
+    cfg = quiet_cfg()
+    state = new_state(cfg)
+    for x, v in ((800.0, 18.0), (900.0, 20.0), (1020.0, 25.0)):
+        add_vehicle(state, 0, x, v)
+    add_vehicle(state, 1, 950.0, 22.0)
+    lane0, lane1 = state.lanes
+    # own lane (k = i + 1): the next vehicle nearer than the obstacle ...
+    assert _leader(cfg, lane0, 0, 1, 800.0) == (95.0, 20.0)
+    # ... and the obstacle nearer than the next vehicle
+    assert _leader(cfg, lane0, 0, 2, 900.0) == (100.0, 0.0)
+    # other lane (k = the bisect index), both ways round
+    assert _leader(cfg, lane0, 0, 1, 850.0) == (45.0, 20.0)
+    assert _leader(cfg, lane0, 0, 2, 960.0) == (40.0, 0.0)
+    # an empty obstacle lane still has the obstacle ahead
+    assert _leader(cfg, [], 0, 0, 300.0) == (700.0, 0.0)
+    # a vehicle already past the obstacle sees only the next vehicle
+    assert _leader(cfg, lane0, 0, 2, 1005.0) == (10.0, 25.0)
+    assert _leader(cfg, lane0, 0, 3, 1020.0) == (NO_VEHICLE, 0.0)
+    # the lane without the obstacle ignores it
+    assert _leader(cfg, lane1, 1, 0, 900.0) == (45.0, 22.0)
+    assert _leader(cfg, lane1, 1, 1, 960.0) == (NO_VEHICLE, 0.0)
+    assert _leader(cfg, [], 1, 0, 300.0) == (NO_VEHICLE, 0.0)
+    # k past the lane end: no vehicle, though the obstacle still counts upstream
+    assert _leader(cfg, lane0, 0, 3, 1030.0) == (NO_VEHICLE, 0.0)
+    assert _leader(cfg, lane0, 0, 3, 960.0) == (40.0, 0.0)
 
 
 def test_obstacle_beacons_on_schedule():
@@ -95,14 +125,14 @@ def test_vsl_slows_warned_vehicles_until_passing():
     upstream_v = []
     downstream_v = []
     for _ in range(int(90.0 / cfg.dt)):
-        step(state, cfg)
+        step(state)
         if state.exited:
             break
         if 700.0 < veh.position < 1000.0:
             upstream_v.append(veh.velocity)
         if veh.position > 1400.0:
             downstream_v.append(veh.velocity)
-    reduced = cfg.speed_limit - veh.params.vsl_reduction
+    reduced = cfg.speed_limit - cfg.driver_params().vsl_reduction
     assert min(upstream_v) == pytest.approx(reduced, abs=0.3)
     assert max(downstream_v) > reduced + 0.5  # speeds back up past the obstacle
 
@@ -115,7 +145,7 @@ def test_poisson_arrival_rate():
     state.now = 1.0  # past warm-up scaling
     ticks = 40000
     for _ in range(ticks):
-        inject_vehicles(state, cfg, state.rng)
+        inject_vehicles(state)
         state.lanes = [[], []]  # keep the entry clear
         state.entry_queue = 0
         state.exited = state.scheduled  # keep conservation meaningless here
@@ -129,7 +159,7 @@ def test_warmup_quarters_the_load():
     cfg = SimConfig(duration=600.0, warm_up=500.0, traffic_load=3600.0, seed=12)
     state = new_state(cfg)
     for _ in range(2000):  # stays inside warm-up
-        inject_vehicles(state, cfg, state.rng)
+        inject_vehicles(state)
         state.lanes = [[], []]
         state.entry_queue = 0
     rate = state.scheduled / (2000 * cfg.dt)
@@ -142,7 +172,7 @@ def test_blocked_entry_queues():
     add_vehicle(state, 0, 1.0, 0.0)
     add_vehicle(state, 1, 1.0, 0.0)
     state.entry_queue = 5
-    inject_vehicles(state, cfg, state.rng)
+    inject_vehicles(state)
     assert state.entry_queue == 5
     assert state.entered == 2  # only the two placed directly
 
@@ -151,7 +181,7 @@ def test_alternating_lane_preference():
     cfg = quiet_cfg()
     state = new_state(cfg)
     state.entry_queue = 2
-    inject_vehicles(state, cfg, state.rng)
+    inject_vehicles(state)
     assert len(state.lanes[0]) == 1 and len(state.lanes[1]) == 1
 
 
@@ -162,9 +192,9 @@ def test_gridlock_detector():
     state = new_state(cfg)
     for i in range(15):
         add_vehicle(state, 0, 900.0 - 10.0 * i, 0.0)
-    assert detect_gridlock(state, cfg) is True
+    assert detect_gridlock(state) is True
     state.lanes[0][0].velocity = 5.0
-    assert detect_gridlock(state, cfg) is False
+    assert detect_gridlock(state) is False
 
 
 def test_gridlock_needs_a_minimum_population():
@@ -172,7 +202,7 @@ def test_gridlock_needs_a_minimum_population():
     state = new_state(cfg)
     for i in range(GRIDLOCK_MIN_VEHICLES - 1):
         add_vehicle(state, 0, 900.0 - 10.0 * i, 0.0)
-    assert detect_gridlock(state, cfg) is False
+    assert detect_gridlock(state) is False
 
 
 def test_gridlock_ignores_vehicles_past_obstacle():
@@ -180,7 +210,7 @@ def test_gridlock_ignores_vehicles_past_obstacle():
     state = new_state(cfg)
     for i in range(12):
         add_vehicle(state, 1, 1100.0 + 10.0 * i, 0.0)
-    assert detect_gridlock(state, cfg) is False
+    assert detect_gridlock(state) is False
 
 
 def test_origin_congestion_detector():
@@ -188,9 +218,9 @@ def test_origin_congestion_detector():
     state = new_state(cfg)
     for i in range(4):
         add_vehicle(state, 0, 10.0 + 20.0 * i, 1.0)
-    assert origin_congested(state, cfg) is True
+    assert origin_congested(state) is True
     state.lanes[0][0].velocity = 30.0
-    assert origin_congested(state, cfg) is False
+    assert origin_congested(state) is False
 
 
 # --- run-level contracts -------------------------------------------------------------
@@ -332,9 +362,9 @@ def test_run_restores_the_collector_when_the_loop_raises(collector, monkeypatch,
     if where == "step":
         real_step = engine.step
 
-        def failing_step(state, cfg):
+        def failing_step(state):
             stop(state)
-            return real_step(state, cfg)
+            return real_step(state)
 
         monkeypatch.setattr(engine, "step", failing_step)
     else:

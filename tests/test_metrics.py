@@ -458,10 +458,10 @@ def test_streamed_events_csv_cleans_up_when_the_run_stops(tmp_path, monkeypatch,
     set_chunk_rows(monkeypatch, 1500)
     real_step = engine.step
 
-    def failing_step(state, cfg):
+    def failing_step(state):
         if state.now >= 90.0:
             raise failure("stopped mid-run")
-        return real_step(state, cfg)
+        return real_step(state)
 
     monkeypatch.setattr(engine, "step", failing_step)
     (tmp_path / "run.cfg").write_text("duration = 120 s\nwarm_up = 10 s\n")

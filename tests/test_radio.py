@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from vanetflow.radio import (MacState, RadioConfig, draw_backoff,
-                             friis_received_power, in_range, mac_tick,
-                             medium_busy, range_for_sensitivity, receive_roll)
+                             friis_received_power, mac_tick, medium_busy,
+                             range_for_sensitivity, receive_roll)
 
 
 def cfg(**kw):
@@ -70,12 +70,6 @@ def test_range_for_sensitivity_inverts_friis():
 
 
 # --- range and busy-medium tests ------------------------------------------------
-
-def test_in_range_boundaries():
-    assert in_range(99.9, 100.0)
-    assert in_range(100.0, 100.0)
-    assert not in_range(250.0, 200.0)
-
 
 def test_medium_busy():
     c = cfg(tx_range=100.0, interference_range=200.0)

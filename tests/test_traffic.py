@@ -7,22 +7,16 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from vanetflow.traffic import (DriverParams, Neighborhood, VehicleState,
-                               NO_VEHICLE, additive_lane_change,
-                               base_lane_change, brute_force_lane_change,
-                               desired_gap, diff_incentive,
-                               effective_desired_velocity, idm_acceleration,
-                               integrate_kinematics, my_advantage,
-                               others_disadvantage, proportional_lane_change)
+from vanetflow.traffic import (DriverParams, Neighborhood, NO_VEHICLE,
+                               additive_lane_change, base_lane_change,
+                               brute_force_lane_change, desired_gap,
+                               diff_incentive, idm_acceleration,
+                               kinematic_update, others_disadvantage,
+                               proportional_lane_change)
 
 
 def params(**kw):
     return DriverParams(**kw)
-
-
-def vehicle(v=20.0, p=None, infected=False, passed=False):
-    return VehicleState(0, 0, 0.0, v, p or params(), infected=infected,
-                        passed_obstacle=passed)
 
 
 # --- desired gap -----------------------------------------------------------
@@ -124,31 +118,8 @@ def test_equilibrium_gap_matches_bisection():
 
 # --- lane-change building blocks ---------------------------------------------
 
-def test_my_advantage_symmetric_is_zero():
-    p = params(lane_bias=0.0)
-    nb = Neighborhood(40.0, 25.0, 30.0, 22.0)
-    assert my_advantage(nb, Neighborhood(40.0, 25.0, 30.0, 22.0), 20.0, p) == 0.0
-
-
-def test_my_advantage_matches_oracle_arithmetic():
-    p = params()
-    cur = Neighborhood(18.0, 12.0, NO_VEHICLE, 0.0)
-    tgt = Neighborhood(120.0, 30.0, NO_VEHICLE, 0.0)
-    a_old = idm_acceleration(20.0, 18.0, 8.0, p)
-    a_new = idm_acceleration(20.0, 120.0, -10.0, p)
-    got = my_advantage(cur, tgt, 20.0, p, bias=-0.1)
-    assert got == pytest.approx(a_new - a_old - 0.1)
-
-
-def test_my_advantage_positive_when_escaping_block():
-    p = params(lane_bias=0.0)
-    cur = Neighborhood(10.0, 0.0, NO_VEHICLE, 0.0)   # blocked close ahead
-    tgt = Neighborhood()                             # empty lane
-    assert my_advantage(cur, tgt, 15.0, p) > 0.0
-
-
 def test_others_disadvantage_no_followers():
-    assert others_disadvantage(Neighborhood(), Neighborhood(), vehicle()) == 0.0
+    assert others_disadvantage(Neighborhood(), Neighborhood(), 20.0, params()) == 0.0
 
 
 def test_others_disadvantage_sign_when_new_follower_brakes_hard():
@@ -156,13 +127,13 @@ def test_others_disadvantage_sign_when_new_follower_brakes_hard():
     # constrained one costs the pair overall
     cur = Neighborhood(60.0, 20.0, 25.0, 20.0)
     tgt = Neighborhood(80.0, 25.0, 8.0, 30.0)
-    assert others_disadvantage(cur, tgt, vehicle(v=20.0)) < 0.0
+    assert others_disadvantage(cur, tgt, 20.0, params()) < 0.0
 
 
 def test_others_disadvantage_symmetric_situation_is_zero():
     nb1 = Neighborhood(35.0, 21.0, 28.0, 19.0)
     nb2 = Neighborhood(35.0, 21.0, 28.0, 19.0)
-    assert others_disadvantage(nb1, nb2, vehicle(v=20.0)) == pytest.approx(0.0)
+    assert others_disadvantage(nb1, nb2, 20.0, params()) == pytest.approx(0.0)
 
 
 # --- decision rules ------------------------------------------------------------
@@ -235,72 +206,39 @@ def test_diff_incentive_rejects_positions_past_obstacle():
         diff_incentive(1500.0, 1000.0, p)
 
 
-# --- variable speed limit --------------------------------------------------------
-
-def test_vsl_reduces_desired_velocity_when_warned():
-    p = params(desired_velocity=100.0 / 3.0, vsl_reduction=2.7)
-    veh = vehicle(p=p, infected=True)
-    assert effective_desired_velocity(veh, True) == pytest.approx(100.0 / 3.0 - 2.7)
-
-
-def test_vsl_ignorant_vehicle_unchanged():
-    veh = vehicle()
-    assert effective_desired_velocity(veh, True) == veh.params.desired_velocity
-
-
-def test_vsl_restores_after_passing_obstacle():
-    veh = vehicle(infected=True, passed=True)
-    assert effective_desired_velocity(veh, True) == veh.params.desired_velocity
-
-
-def test_vsl_disabled_is_identity():
-    veh = vehicle(infected=True)
-    assert effective_desired_velocity(veh, False) == veh.params.desired_velocity
-
-
 # --- kinematics -------------------------------------------------------------------
 
 def test_integrate_uniform_motion():
-    veh = vehicle(v=10.0)
-    out = integrate_kinematics(veh, 0.0, 0.25)
-    assert out.velocity == 10.0
-    assert out.position == pytest.approx(veh.position + 2.5)
+    v_new, dx = kinematic_update(10.0, 0.0, 0.25)
+    assert v_new == 10.0
+    assert dx == pytest.approx(2.5)
 
 
 def test_integrate_clamps_velocity():
-    veh = vehicle(v=1.0)
-    out = integrate_kinematics(veh, -8.0, 0.25)
-    assert out.velocity == 0.0
+    v_new, _ = kinematic_update(1.0, -8.0, 0.25)
+    assert v_new == 0.0
 
 
 def test_integrate_acceleration():
-    veh = vehicle(v=10.0)
-    out = integrate_kinematics(veh, 2.0, 0.25)
-    assert out.velocity == pytest.approx(10.5)
-    assert out.position == pytest.approx(veh.position + 2.5625)
+    v_new, dx = kinematic_update(10.0, 2.0, 0.25)
+    assert v_new == pytest.approx(10.5)
+    assert dx == pytest.approx(2.5625)
 
 
 def test_integrate_never_reverses():
     rng = np.random.default_rng(3)
     for _ in range(5000):
-        veh = vehicle(v=rng.uniform(0, 35))
-        out = integrate_kinematics(veh, rng.uniform(-50, 5), 0.25)
-        assert out.velocity >= 0.0
-        assert out.position >= veh.position
-
-
-def test_integrate_requires_positive_dt():
-    with pytest.raises(ValueError):
-        integrate_kinematics(vehicle(), 0.0, 0.0)
+        v_new, dx = kinematic_update(rng.uniform(0, 35), rng.uniform(-50, 5), 0.25)
+        assert v_new >= 0.0
+        assert dx >= 0.0
 
 
 def test_decision_functions_are_pure():
     p = params()
     cur = Neighborhood(30.0, 20.0, 25.0, 18.0)
     tgt = Neighborhood(50.0, 22.0, 40.0, 21.0)
-    veh = vehicle(v=19.0, p=p)
-    first = (my_advantage(cur, tgt, 19.0, p), others_disadvantage(cur, tgt, veh),
-             desired_gap(19.0, 1.0, p), idm_acceleration(19.0, 30.0, 1.0, p))
-    second = (my_advantage(cur, tgt, 19.0, p), others_disadvantage(cur, tgt, veh),
-              desired_gap(19.0, 1.0, p), idm_acceleration(19.0, 30.0, 1.0, p))
+    first = (others_disadvantage(cur, tgt, 19.0, p), desired_gap(19.0, 1.0, p),
+             idm_acceleration(19.0, 30.0, 1.0, p), kinematic_update(19.0, -1.0, 0.25))
+    second = (others_disadvantage(cur, tgt, 19.0, p), desired_gap(19.0, 1.0, p),
+              idm_acceleration(19.0, 30.0, 1.0, p), kinematic_update(19.0, -1.0, 0.25))
     assert first == second
