@@ -91,13 +91,17 @@ class EventLog:
 
 @dataclass
 class SimState:
-    """Mutable world state; vehicles are kept per lane, sorted by position."""
+    """Mutable world state; vehicles are kept per lane, sorted by position.
+
+    Each vehicle carries its own MAC and last lane-change time. The run
+    totals and detector times live on ``log`` only, current after every
+    ``step``.
+    """
 
     cfg: SimConfig
     rng: np.random.Generator
     log: EventLog
     lanes: list            # [list[VehicleState], list[VehicleState]]
-    macs: dict             # vehicle id -> MacState; a pending one as at its next attempt
     messages: dict         # msg id -> WarningMessage
     driver_p: object       # every vehicle's DriverParams
     driver_vsl_p: object   # the same, slowed for warned vehicles under VSL
@@ -108,14 +112,8 @@ class SimState:
     next_beacon: float = 0.0
     next_entry_lane: int = 0
     entry_queue: int = 0
-    scheduled: int = 0
-    entered: int = 0
-    exited: int = 0
     prev_tx_positions: list = field(default_factory=list)
     attempts: dict = field(default_factory=dict)  # tick -> [(vehicle, MacState)] due then
-    last_change: dict = field(default_factory=dict)
-    first_gridlock_time: float | None = None
-    first_origin_slow_time: float | None = None
 
 
 def new_state(cfg: SimConfig) -> SimState:
@@ -124,21 +122,27 @@ def new_state(cfg: SimConfig) -> SimState:
     vsl_v0 = driver_p.desired_velocity - driver_p.vsl_reduction
     log = EventLog(config_echo=as_echo_dict(cfg), cfg=cfg)
     return SimState(cfg=cfg, rng=np.random.default_rng(cfg.seed), log=log,
-                    lanes=[[], []], macs={}, messages={},
+                    lanes=[[], []], messages={},
                     driver_p=driver_p,
                     driver_vsl_p=replace(driver_p, desired_velocity=vsl_v0))
 
 
-def add_vehicle(state: SimState, lane: int, position: float, velocity: float) -> VehicleState:
-    """Place a vehicle directly (tests and demos); keeps per-lane ordering."""
+def _enter(state: SimState, lane: int, index: int, position: float,
+           velocity: float) -> VehicleState:
+    """Put a new vehicle at ``index`` of its lane, count it and log its injection."""
     veh = VehicleState(state.next_id, lane, position, velocity)
     state.next_id += 1
-    bisect.insort(state.lanes[lane], veh, key=lambda v: v.position)
-    state.macs[veh.id] = MacState()
-    state.scheduled += 1
-    state.entered += 1
+    state.lanes[lane].insert(index, veh)
+    state.log.entered += 1
     state.log.events.append((state.now, "injection", veh.id, lane, position, velocity, ""))
     return veh
+
+
+def add_vehicle(state: SimState, lane: int, position: float, velocity: float) -> VehicleState:
+    """Place a vehicle directly (tests and demos); keeps per-lane ordering."""
+    state.log.scheduled_arrivals += 1
+    index = bisect.bisect_right(state.lanes[lane], position, key=lambda v: v.position)
+    return _enter(state, lane, index, position, velocity)
 
 
 def _leader(cfg: SimConfig, lane_list: list, lane_idx: int, k: int, x: float):
@@ -146,7 +150,7 @@ def _leader(cfg: SimConfig, lane_list: list, lane_idx: int, k: int, x: float):
 
     ``k`` indexes the first vehicle of ``lane_list`` ahead of ``x``: ``i + 1``
     for the vehicle at ``i`` in its own lane, the ``bisect`` index in the
-    other lane. Vehicle gaps are bumper to bumper (positions minus the vehicle
+    other lane, 0 for an arrival at the road start. Vehicle gaps are bumper to bumper (positions minus the vehicle
     length); the obstacle is a zero-length stationary leader while upstream.
     """
     if k < len(lane_list):
@@ -194,16 +198,7 @@ def _try_insert(state: SimState, lane_idx: int) -> bool:
     """Insert one queued arrival at the road start if the entry gap allows it."""
     cfg = state.cfg
     p = state.driver_p
-    lane_list = state.lanes[lane_idx]
-    if lane_list:
-        gap = lane_list[0].position - cfg.vehicle_length
-        leader_velocity = lane_list[0].velocity
-    elif lane_idx == cfg.obstacle_lane:
-        gap = cfg.obstacle_position
-        leader_velocity = 0.0
-    else:
-        gap = NO_VEHICLE
-        leader_velocity = 0.0
+    gap, leader_velocity = _leader(cfg, state.lanes[lane_idx], lane_idx, 0, 0.0)
     if gap == NO_VEHICLE:
         velocity = cfg.speed_limit
     else:
@@ -219,13 +214,7 @@ def _try_insert(state: SimState, lane_idx: int) -> bool:
             velocity = 0.0
         if gap < p.min_gap + velocity * p.time_headway:
             return False
-    position = ENTRY_JITTER * float(state.rng.random())
-    veh = VehicleState(state.next_id, lane_idx, position, velocity)
-    state.next_id += 1
-    lane_list.insert(0, veh)
-    state.macs[veh.id] = MacState()
-    state.entered += 1
-    state.log.events.append((state.now, "injection", veh.id, lane_idx, position, velocity, ""))
+    _enter(state, lane_idx, 0, ENTRY_JITTER * float(state.rng.random()), velocity)
     return True
 
 
@@ -240,7 +229,7 @@ def inject_vehicles(state: SimState) -> SimState:
     if state.now <= cfg.warm_up:
         lam_per_s *= WARMUP_LOAD_FACTOR
     fresh = int(state.rng.poisson(lam_per_s * cfg.dt))
-    state.scheduled += fresh
+    state.log.scheduled_arrivals += fresh
     state.entry_queue += fresh
     while state.entry_queue > 0:
         inserted = False
@@ -266,7 +255,7 @@ def _diagnostic(state, message):
 def _file_attempt(state: SimState, veh: VehicleState, mac: MacState) -> None:
     """Make ``mac`` the vehicle's pending MAC and file it under its attempt tick."""
     tick, ready = next_attempt(mac, state.tick)
-    state.macs[veh.id] = ready
+    veh.mac = ready
     state.attempts.setdefault(tick, []).append((veh, ready))
 
 
@@ -276,7 +265,6 @@ def _communicate(state: SimState) -> None:
     t = state.now
     radio_cfg = cfg.radio
     events = state.log.events
-    macs = state.macs
     rng = state.rng
     transmissions = []
     if t >= state.next_beacon - 1e-9:
@@ -291,8 +279,7 @@ def _communicate(state: SimState) -> None:
     prev_tx = state.prev_tx_positions
     # only the MACs whose countdown ends this tick act; the rest would just
     # count down. Entries of superseded frames and exited vehicles are stale.
-    due = [(veh, mac) for veh, mac in state.attempts.pop(state.tick, ())
-           if macs.get(veh.id) is mac]
+    due = [(veh, mac) for veh, mac in state.attempts.pop(state.tick, ()) if veh.mac is mac]
     due.sort(key=lambda entry: (entry[0].lane, entry[0].position))
     # the medium is busy by the previous tick's transmitters only, so every
     # busy attempt of the pass is known up front and draws in one call
@@ -304,7 +291,7 @@ def _communicate(state: SimState) -> None:
             _file_attempt(state, veh, defer(mac, next(waits), radio_cfg))
             continue
         # an attempt on an idle medium sends
-        macs[veh.id], _ = mac_tick(mac, False, radio_cfg, rng)
+        veh.mac, _ = mac_tick(mac, False, radio_cfg, rng)
         msg = state.messages[mac.pending_message]
         # messages that died while queued are dropped, not sent
         if ttl_alive(msg, t, veh.position):
@@ -344,13 +331,13 @@ def _communicate(state: SimState) -> None:
                                    veh.velocity, msg_id))
                 # a MAC that holds this or a newer generation will not take it
                 # in the relay pass either, which only raises generations
-                pending = macs[veh.id].pending_message
+                pending = veh.mac.pending_message
                 if pending is None or pending < msg_id:
                     receptions.append((veh, msg, sender_pos))
             start = end
     # all receptions land before any relay decision is made
     for veh, msg, sender_pos in receptions:
-        mac = macs[veh.id]
+        mac = veh.mac
         if mac.pending_message is not None and mac.pending_message >= msg.msg_id:
             continue  # that or a newer warning generation is already queued
         entry = veh.ledger.entries[msg.msg_id]
@@ -381,7 +368,6 @@ def _decide(state: SimState) -> tuple[dict, list]:
     b_safe = cfg.safe_braking_limit
     obstacle_lane = cfg.obstacle_lane
     obstacle_pos = cfg.obstacle_position
-    last_change = state.last_change
     length = cfg.vehicle_length
     accels = {}
     proposals = []
@@ -400,7 +386,7 @@ def _decide(state: SimState) -> tuple[dict, list]:
             a_self = idm_acceleration(v, gap, v - lead_v, p_eff)
             accels[veh.id] = a_self
 
-            if t - last_change.get(veh.id, -1e18) < cooldown:
+            if t - veh.last_change < cooldown:
                 continue
             if warned_upstream and tl == obstacle_lane and x < obstacle_pos:
                 continue  # warned drivers do not merge into the blocked lane
@@ -479,7 +465,7 @@ def _apply_changes(state: SimState, proposals: list) -> None:
         state.log.events.append((t, "lane_change", veh.id, li, veh.position, veh.velocity,
                                  f"{tl}|{int(veh.infected)}"))
         veh.lane = tl
-        state.last_change[veh.id] = t
+        veh.last_change = t
         bisect.insort(lanes[tl], veh, key=lambda v: v.position)
 
 
@@ -490,7 +476,7 @@ def _integrate(state: SimState, accels: dict) -> None:
     """
     cfg = state.cfg
     dt = cfg.dt
-    events = state.log.events
+    log = state.log
     for lane_list in state.lanes:
         for veh in lane_list:
             v_new, dx = kinematic_update(veh.velocity, accels[veh.id], dt)
@@ -501,10 +487,9 @@ def _integrate(state: SimState, accels: dict) -> None:
     for li, lane_list in enumerate(state.lanes):
         while lane_list and lane_list[-1].position > cfg.field_length:
             veh = lane_list.pop()
-            state.exited += 1
-            events.append((now, "exit", veh.id, li, veh.position, veh.velocity, ""))
-            state.macs.pop(veh.id, None)
-            state.last_change.pop(veh.id, None)
+            veh.mac = None
+            log.exited += 1
+            log.events.append((now, "exit", veh.id, li, veh.position, veh.velocity, ""))
         for veh in reversed(lane_list):
             if veh.position <= cfg.obstacle_position:
                 break
@@ -515,8 +500,8 @@ def _account(state: SimState) -> None:
     """Log the samples, check the invariants and run the detectors."""
     cfg = state.cfg
     now = state.now
-    events = state.log.events
-    samples = state.log.samples
+    log = state.log
+    samples = log.samples
     on_road = 0
     min_spacing = cfg.vehicle_length
     for li, lane_list in enumerate(state.lanes):
@@ -531,14 +516,14 @@ def _account(state: SimState) -> None:
         samples.position.fromlist(xs)
         samples.velocity.fromlist([veh.velocity for veh in lane_list])
         on_road += n
-    if state.scheduled != state.exited + on_road + state.entry_queue:
+    if log.scheduled_arrivals != log.exited + on_road + state.entry_queue:
         raise _diagnostic(state, "vehicle conservation violated")
-    if state.first_gridlock_time is None and detect_gridlock(state):
-        state.first_gridlock_time = now
-        events.append((now, "gridlock", OBSTACLE_ID, cfg.obstacle_lane, 0.0, 0.0, ""))
-    if state.first_origin_slow_time is None and origin_congested(state):
-        state.first_origin_slow_time = now
-        events.append((now, "origin_congested", OBSTACLE_ID, cfg.obstacle_lane, 0.0, 0.0, ""))
+    if log.first_gridlock_time is None and detect_gridlock(state):
+        log.first_gridlock_time = now
+        log.events.append((now, "gridlock", OBSTACLE_ID, cfg.obstacle_lane, 0.0, 0.0, ""))
+    if log.first_origin_slow_time is None and origin_congested(state):
+        log.first_origin_slow_time = now
+        log.events.append((now, "origin_congested", OBSTACLE_ID, cfg.obstacle_lane, 0.0, 0.0, ""))
 
 
 def step(state: SimState) -> SimState:
@@ -564,7 +549,6 @@ def run(cfg: SimConfig, on_step=None) -> EventLog:
     reference cycles, and each full collection would walk the whole event log
     again. It is switched back on afterwards if it was on before.
     """
-    cfg.validate()
     state = new_state(cfg)
     n_steps = round(cfg.duration / cfg.dt)
     collecting = gc.isenabled()
@@ -574,16 +558,10 @@ def run(cfg: SimConfig, on_step=None) -> EventLog:
             step(state)
             if on_step is not None:
                 on_step(state)
-            if cfg.stop_at_origin and state.first_origin_slow_time is not None:
+            if cfg.stop_at_origin and state.log.first_origin_slow_time is not None:
                 break
     finally:
         if collecting:
             gc.enable()
-    log = state.log
-    log.end_time = state.now
-    log.scheduled_arrivals = state.scheduled
-    log.entered = state.entered
-    log.exited = state.exited
-    log.first_gridlock_time = state.first_gridlock_time
-    log.first_origin_slow_time = state.first_origin_slow_time
-    return log
+    state.log.end_time = state.now
+    return state.log

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dissemination import MessageLedger
+from .radio import MacState
 
 NO_VEHICLE = math.inf  # gap sentinel: nothing in that slot
 
@@ -73,10 +74,13 @@ class DriverParams:
 
 @dataclass(slots=True)
 class VehicleState:
-    """Position, velocity and lane plus warning bookkeeping.
+    """Position, velocity and lane plus warning, radio and lane-change bookkeeping.
 
-    Driver parameters are not per vehicle: the engine holds one set for the
-    whole fleet (``SimState.driver_p``).
+    Each vehicle carries its own reception ledger, its MAC (a pending one as
+    at its next attempt; ``None`` once the vehicle has exited, so a frame it
+    had filed is never sent) and the time of its last lane change. Driver
+    parameters are not per vehicle: the engine holds one set for the whole
+    fleet (``SimState.driver_p``).
     """
 
     id: int
@@ -86,6 +90,8 @@ class VehicleState:
     infected: bool = False
     passed_obstacle: bool = False
     ledger: MessageLedger = field(default_factory=MessageLedger)
+    mac: MacState | None = field(default_factory=MacState)
+    last_change: float = -math.inf  # s; -inf: never changed lane
 
 
 @dataclass(slots=True)

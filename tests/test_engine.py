@@ -31,7 +31,7 @@ def test_free_flow_transit_time():
     exited_at = None
     for _ in range(320):
         step(state)
-        if state.exited:
+        if state.log.exited:
             exited_at = state.now
             break
     expected = cfg.field_length / cfg.speed_limit
@@ -126,7 +126,7 @@ def test_vsl_slows_warned_vehicles_until_passing():
     downstream_v = []
     for _ in range(int(90.0 / cfg.dt)):
         step(state)
-        if state.exited:
+        if state.log.exited:
             break
         if 700.0 < veh.position < 1000.0:
             upstream_v.append(veh.velocity)
@@ -148,11 +148,11 @@ def test_poisson_arrival_rate():
         inject_vehicles(state)
         state.lanes = [[], []]  # keep the entry clear
         state.entry_queue = 0
-        state.exited = state.scheduled  # keep conservation meaningless here
+        state.log.exited = state.log.scheduled_arrivals  # keep conservation meaningless here
     total_time = ticks * cfg.dt
-    mean_interarrival = total_time / state.scheduled
+    mean_interarrival = total_time / state.log.scheduled_arrivals
     assert abs(mean_interarrival - 1.0) < 0.03
-    assert state.scheduled > 9000
+    assert state.log.scheduled_arrivals > 9000
 
 
 def test_warmup_quarters_the_load():
@@ -162,7 +162,7 @@ def test_warmup_quarters_the_load():
         inject_vehicles(state)
         state.lanes = [[], []]
         state.entry_queue = 0
-    rate = state.scheduled / (2000 * cfg.dt)
+    rate = state.log.scheduled_arrivals / (2000 * cfg.dt)
     assert rate == pytest.approx(0.25, abs=0.05)
 
 
@@ -174,7 +174,23 @@ def test_blocked_entry_queues():
     state.entry_queue = 5
     inject_vehicles(state)
     assert state.entry_queue == 5
-    assert state.entered == 2  # only the two placed directly
+    assert state.log.entered == 2  # only the two placed directly
+
+
+def test_entry_sees_the_obstacle_past_a_vehicle_beyond_it():
+    # the obstacle lane's first vehicle is already past the obstacle, so the
+    # arrival's leader is the obstacle 30 m ahead, not the vehicle at 45 m
+    cfg = quiet_cfg(obstacle_position=30.0)
+    state = new_state(cfg)
+    add_vehicle(state, 0, 45.0, 30.0)
+    add_vehicle(state, 1, 1.0, 0.0)  # blocks lane 1
+    state.entry_queue = 1
+    inject_vehicles(state)
+    assert state.entry_queue == 0
+    arrival = state.lanes[0][0]
+    assert arrival.id == 2
+    # the gap to the obstacle (30 m) minus the standstill gap (2 m), over 1 s of headway
+    assert arrival.velocity == pytest.approx(28.0)
 
 
 def test_alternating_lane_preference():
@@ -224,6 +240,35 @@ def test_origin_congestion_detector():
 
 
 # --- run-level contracts -------------------------------------------------------------
+
+def test_step_keeps_the_log_totals_current():
+    # driving the engine with step() alone, not run(), still fills the log
+    cfg = SimConfig(seed=1, traffic_load=6000.0, warm_up=10.0, duration=400.0,
+                    communication_enabled=False)
+    state = new_state(cfg)
+    for _ in range(900):
+        step(state)
+    log = state.log
+    kinds = [e[1] for e in log.events]
+    assert kinds.count("exit") > 0
+    assert log.exited == kinds.count("exit")
+    assert log.entered == kinds.count("injection")
+    assert log.scheduled_arrivals == log.entered + state.entry_queue
+    onsets = [e[0] for e in log.events if e[1] == "origin_congested"]
+    assert onsets and log.first_origin_slow_time == onsets[0]
+
+
+def test_an_exited_vehicle_never_transmits():
+    cfg = SimConfig(duration=300.0, seed=1)
+    log = run(cfg)
+    exit_index = {e[2]: i for i, e in enumerate(log.events) if e[1] == "exit"}
+    assert exit_index
+    sends = [(i, e) for i, e in enumerate(log.events) if e[1] == "transmission" and e[2] >= 0]
+    assert sends
+    for i, e in sends:
+        assert i < exit_index.get(e[2], len(log.events))
+        assert e[4] <= cfg.field_length
+
 
 def test_zero_duration_run_is_empty():
     cfg = SimConfig(duration=0.0, warm_up=0.0)
