@@ -135,7 +135,7 @@ def _num(key, text, units):
     parts = text.split(None, 1)
     try:
         value = float(parts[0])
-    except ValueError:
+    except (IndexError, ValueError):  # IndexError: no value at all
         raise ConfigError(f"{key}: expected a number, got {text!r}") from None
     if len(parts) > 1:
         unit = parts[1].strip()
@@ -156,6 +156,10 @@ def _parse_float(units=None):
 
 
 def _parse_int(key, text):
+    try:
+        return int(text)  # exact, where a float would round beyond 2**53
+    except ValueError:
+        pass
     value = _num(key, text, {})
     if value != int(value):
         raise ConfigError(f"{key}: expected an integer, got {text!r}")

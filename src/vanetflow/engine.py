@@ -27,8 +27,12 @@ from .radio import (MacState, defer, draw_backoffs, mac_tick, medium_busy, next_
 from .traffic import (BASE, BRUTE_FORCE, NO_VEHICLE, PAPER_MULTIPLICATIVE,
                       Neighborhood, VehicleState, base_lane_change,
                       brute_force_lane_change, additive_lane_change,
-                      diff_incentive, idm_acceleration, kinematic_update,
-                      others_disadvantage, proportional_lane_change)
+                      diff_incentive, free_road_terms, idm_acceleration,
+                      idm_accelerations, kinematic_updates, others_disadvantage,
+                      proportional_lane_change)
+# kinematic_update is not called here (kinematic_updates moves everyone at
+# once); the benchmark's traced run wraps it by this name (bench/layers.py)
+from .traffic import kinematic_update  # noqa: F401
 
 OBSTACLE_ID = -1
 SLOW_LANE = 0               # lane the bias pulls back into
@@ -350,10 +354,53 @@ def _communicate(state: SimState) -> None:
     state.prev_tx_positions = [pos for pos, _ in transmissions]
 
 
-def _decide(state: SimState) -> tuple[dict, list]:
+def _pad(x, v, n0: int) -> tuple:
+    """Both lanes' positions ``x`` and velocities ``v`` in one array each, for gathers.
+
+    ``x`` and ``v`` list lane 0, then lane 1, each in lane order, with
+    ``n0`` vehicles in lane 0. The layout is
+    ``[-inf, lane 0 ..., +inf, -inf, lane 1 ..., +inf]``, with velocity 0.0
+    at the sentinels; ``slot`` gives each vehicle's place in it. Slot
+    ``s + 1`` holds the leader and ``s - 1`` the follower of the vehicle at
+    ``s``, and a missing neighbour is a sentinel, whose gap comes out as
+    exactly NO_VEHICLE with velocity 0.0, as ``_leader`` gives them.
+    Returns (positions, velocities, slot).
+    """
+    n = len(x)
+    slot = np.arange(1, n + 1)
+    slot[n0:] += 2
+    pos = np.empty(n + 4)
+    pos[slot] = x
+    pos[0] = pos[n0 + 2] = -np.inf
+    pos[n0 + 1] = pos[n + 3] = np.inf
+    vel = np.zeros(n + 4)
+    vel[slot] = v
+    return pos, vel, slot
+
+
+def _leaders(cfg: SimConfig, pos, vel, k, x, in_obstacle_lane) -> tuple:
+    """``_leader`` for many positions at once: net gaps and velocities of their leaders.
+
+    ``k`` holds the slots, in ``_pad``'s layout, of the first vehicles ahead
+    of the positions ``x``; ``in_obstacle_lane`` marks the lookups made in
+    the obstacle's lane, where the obstacle leads while it is nearer.
+    """
+    gap = pos[k] - x - cfg.vehicle_length
+    lead_v = vel[k]
+    obs_gap = cfg.obstacle_position - x
+    obstacle = in_obstacle_lane & (x < cfg.obstacle_position) & (obs_gap < gap)
+    gap[obstacle] = obs_gap[obstacle]
+    lead_v[obstacle] = 0.0
+    return gap, lead_v
+
+
+def _decide(state: SimState) -> tuple[tuple, list]:
     """Every vehicle's acceleration and lane-change proposal, from the pre-move snapshot.
 
-    Returns the accelerations by vehicle id and the proposals as
+    Both lanes go through the IDM and the vetoes as one numpy batch. Only
+    the vehicles that pass every veto reach ``others_disadvantage`` and the
+    decision rules, one by one in lane order. Returns the snapshot to move,
+    (vehicles, positions, velocities, accelerations), and the proposals as
     (vehicle, lane, target lane, insertion index in the target lane).
     """
     cfg = state.cfg
@@ -364,82 +411,115 @@ def _decide(state: SimState) -> tuple[dict, list]:
     vsl_on = cfg.vsl_enabled
     variant = cfg.lane_change_variant
     multiplicative = cfg.lane_change_rule == PAPER_MULTIPLICATIVE
-    cooldown = cfg.lane_change_cooldown
     b_safe = cfg.safe_braking_limit
     obstacle_lane = cfg.obstacle_lane
     obstacle_pos = cfg.obstacle_position
     length = cfg.vehicle_length
-    accels = {}
+    vehicles = lanes[0] + lanes[1]
+    n0 = len(lanes[0])
+    n = len(vehicles)
+
+    velocities = [veh.velocity for veh in vehicles]
+    x = np.fromiter([veh.position for veh in vehicles], float, n)
+    v = np.fromiter(velocities, float, n)
+    pos, vel, slot = _pad(x, v, n0)
+    # two leader lookups per vehicle: the next slot in its own lane, and the
+    # first vehicle at or ahead of it in the other lane, as bisect_left finds it
+    x0, x1 = x[:n0], x[n0:]
+    lead = np.concatenate((slot + 1, x1.searchsorted(x0) + (n0 + 3), x0.searchsorted(x1) + 1))
+    t_lead = lead[n:]
+    # lane 0's block ends at slot n0 + 1
+    in_obstacle_lane = lead <= n0 + 1 if obstacle_lane == 0 else lead > n0 + 1
+    t_follow = t_lead - 1
+    t_follow_gap = x - pos[t_follow] - length
+    t_follow_v = vel[t_follow]
+    warned_upstream = np.fromiter([veh.infected and not veh.passed_obstacle for veh in vehicles],
+                                  bool, n)
+    free = np.fromiter(free_road_terms(velocities, normal_p), float, n)
+    # the target followers are judged with the normal parameters
+    free_pad = np.zeros(n + 4)
+    free_pad[slot] = free
+    # VSL drivers differ only in v0 (driver_vsl_p is driver_p with another
+    # desired velocity), so one parameter set serves with per-vehicle free terms
+    if vsl_on:
+        free[warned_upstream] = free_road_terms(v[warned_upstream].tolist(), vsl_p)
+    # a zero gap divides by zero; whether it reached the IDM is checked below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gaps, lead_vs = _leaders(cfg, pos, vel, lead, np.concatenate((x, x)), in_obstacle_lane)
+        # three IDM evaluations per vehicle: behind its own leader, behind
+        # the target leader, and the target follower's behind the vehicle
+        v3 = np.concatenate((v, v, t_follow_v))
+        accels = idm_accelerations(v3, np.concatenate((gaps, t_follow_gap)),
+                                   v3 - np.concatenate((lead_vs, v)),
+                                   np.concatenate((free, free, free_pad[t_follow])), normal_p)
+    gap, t_gap = gaps[:n], gaps[n:]
+    lead_v, t_lead_v = lead_vs[:n], lead_vs[n:]
+    a_self, a_new, a_follower = accels[:n], accels[n:2 * n], accels[2 * n:]
+    last_change = np.fromiter([veh.last_change for veh in vehicles], float, n)
+    reach_new = t - last_change >= cfg.lane_change_cooldown
+    # warned drivers do not merge into the blocked lane
+    reach_new &= ~(warned_upstream & in_obstacle_lane[n:] & (x < obstacle_pos))
+    # hard safety vetoes: keep at least the standstill gap both ways,
+    # do not force emergency braking on myself or on the new follower
+    reach_new &= np.minimum(t_gap, t_follow_gap) >= normal_p.min_gap
+    reach_follower = reach_new & (a_new >= -b_safe)
+    collided = gap <= 0.0
+    if normal_p.min_gap <= 0.0:
+        # a target gap that passed the gap veto is at least min_gap, so only
+        # a zero min_gap lets a non-positive one reach the IDM
+        collided |= (reach_new & (t_gap <= 0.0)) | (reach_follower & (t_follow_gap <= 0.0))
+    if np.count_nonzero(collided):
+        # raise the scalar IDM's error for the first such gap in the scalar order
+        k = int(collided.argmax())
+        for g in (gap[k], t_gap[k], t_follow_gap[k]):
+            if g <= 0.0:
+                idm_acceleration(velocities[k], float(g), 0.0, normal_p)
+    # an absent follower (a NO_VEHICLE gap) is not asked
+    candidates = (reach_follower & ((t_follow_gap == NO_VEHICLE)
+                                    | (a_follower >= -b_safe))).nonzero()[0]
     proposals = []
-    lane_positions = [[v.position for v in lane_list] for lane_list in lanes]
+    if not len(candidates):
+        return (vehicles, x, v, a_self), proposals
 
-    for li in (0, 1):
-        lane_list = lanes[li]
+    behind = slot[candidates] - 1
+    columns = np.concatenate((np.array((x, t_follow_gap, t_follow_v)), gaps.reshape(2, n),
+                              lead_vs.reshape(2, n), accels[:2 * n].reshape(2, n)))
+    rows = zip(candidates.tolist(), t_lead[candidates].tolist(),
+               (x[candidates] - pos[behind] - length).tolist(), vel[behind].tolist(),
+               *columns[:, candidates].tolist())
+    for (k, t_slot, follow_gap, follow_v, xk, t_follow_gap_k, t_follow_v_k, gap_k, t_gap_k,
+         lead_v_k, t_lead_v_k, a_self_k, a_new_k) in rows:
+        veh = vehicles[k]
+        li = 0 if k < n0 else 1
         tl = 1 - li
-        tlist = lanes[tl]
-        for i, veh in enumerate(lane_list):
-            x = veh.position
-            v = veh.velocity
-            warned_upstream = veh.infected and not veh.passed_obstacle
-            p_eff = vsl_p if (vsl_on and warned_upstream) else normal_p
-            gap, lead_v = _leader(cfg, lane_list, li, i + 1, x)
-            a_self = idm_acceleration(v, gap, v - lead_v, p_eff)
-            accels[veh.id] = a_self
-
-            if t - veh.last_change < cooldown:
-                continue
-            if warned_upstream and tl == obstacle_lane and x < obstacle_pos:
-                continue  # warned drivers do not merge into the blocked lane
-            idx = bisect.bisect_left(lane_positions[tl], x)
-            t_leader_gap, t_leader_v = _leader(cfg, tlist, tl, idx, x)
-            if idx > 0:
-                t_follow_gap = x - tlist[idx - 1].position - length
-                t_follow_v = tlist[idx - 1].velocity
+        p_eff = vsl_p if vsl_on and warned_upstream[k] else normal_p
+        bias = p_eff.lane_bias if tl == SLOW_LANE else 0.0
+        my_adv = a_new_k - a_self_k + bias
+        cur_nb = Neighborhood(gap_k, lead_v_k, follow_gap, follow_v)
+        tgt_nb = Neighborhood(t_gap_k, t_lead_v_k, t_follow_gap_k, t_follow_v_k)
+        oth_dis = others_disadvantage(cur_nb, tgt_nb, velocities[k], normal_p)
+        use_variant = (variant != BASE and veh.infected and li == obstacle_lane
+                       and xk < obstacle_pos)
+        if multiplicative:
+            if use_variant and variant == BRUTE_FORCE:
+                change = brute_force_lane_change(my_adv, cfg.brute_force_boost, oth_dis, p_eff)
+            elif use_variant:
+                diff = diff_incentive(xk, obstacle_pos, p_eff)
+                change = proportional_lane_change(my_adv, diff, oth_dis, p_eff)
             else:
-                t_follow_gap = NO_VEHICLE
-                t_follow_v = 0.0
-            # hard safety vetoes: keep at least the standstill gap both ways,
-            # do not force emergency braking on the new follower or on myself
-            if t_leader_gap < p_eff.min_gap or t_follow_gap < p_eff.min_gap:
-                continue
-            a_new = idm_acceleration(v, t_leader_gap, v - t_leader_v, p_eff)
-            if a_new < -b_safe:
-                continue
-            if t_follow_gap != NO_VEHICLE:
-                if idm_acceleration(t_follow_v, t_follow_gap, t_follow_v - v, normal_p) < -b_safe:
-                    continue
-            if i > 0:
-                follow_gap = x - lane_list[i - 1].position - length
-                follow_v = lane_list[i - 1].velocity
+                change = base_lane_change(my_adv, oth_dis, p_eff)
+        else:
+            if use_variant and variant == BRUTE_FORCE:
+                incentive = cfg.brute_force_boost
+            elif use_variant:
+                incentive = diff_incentive(xk, obstacle_pos, p_eff)
             else:
-                follow_gap = NO_VEHICLE
-                follow_v = 0.0
-            bias = p_eff.lane_bias if tl == SLOW_LANE else 0.0
-            my_adv = a_new - a_self + bias
-            cur_nb = Neighborhood(gap, lead_v, follow_gap, follow_v)
-            tgt_nb = Neighborhood(t_leader_gap, t_leader_v, t_follow_gap, t_follow_v)
-            oth_dis = others_disadvantage(cur_nb, tgt_nb, v, normal_p)
-            use_variant = (variant != BASE and veh.infected and li == obstacle_lane
-                           and x < obstacle_pos)
-            if multiplicative:
-                if use_variant and variant == BRUTE_FORCE:
-                    change = brute_force_lane_change(my_adv, cfg.brute_force_boost, oth_dis, p_eff)
-                elif use_variant:
-                    diff = diff_incentive(x, obstacle_pos, p_eff)
-                    change = proportional_lane_change(my_adv, diff, oth_dis, p_eff)
-                else:
-                    change = base_lane_change(my_adv, oth_dis, p_eff)
-            else:
-                if use_variant and variant == BRUTE_FORCE:
-                    incentive = cfg.brute_force_boost
-                elif use_variant:
-                    incentive = diff_incentive(x, obstacle_pos, p_eff)
-                else:
-                    incentive = 0.0
-                change = additive_lane_change(my_adv, incentive, oth_dis, p_eff)
-            if change:
-                proposals.append((veh, li, tl, idx))
-    return accels, proposals
+                incentive = 0.0
+            change = additive_lane_change(my_adv, incentive, oth_dis, p_eff)
+        if change:
+            # the index in the target lane: lane 0 starts at slot 1, lane 1 at n0 + 3
+            proposals.append((veh, li, tl, t_slot - 1 if li else t_slot - n0 - 3))
+    return (vehicles, x, v, a_self), proposals
 
 
 def _apply_changes(state: SimState, proposals: list) -> None:
@@ -469,21 +549,27 @@ def _apply_changes(state: SimState, proposals: list) -> None:
         bisect.insort(lanes[tl], veh, key=lambda v: v.position)
 
 
-def _integrate(state: SimState, accels: dict) -> None:
+def _integrate(state: SimState, snapshot: tuple) -> None:
     """Move everyone by one dt, then take the exits and flag who passed the obstacle.
 
-    Moves use the pre-step velocities and the accelerations ``_decide`` found.
+    ``snapshot`` is ``_decide``'s (vehicles, positions, velocities,
+    accelerations): moves use the pre-step velocities.
     """
     cfg = state.cfg
-    dt = cfg.dt
     log = state.log
-    for lane_list in state.lanes:
-        for veh in lane_list:
-            v_new, dx = kinematic_update(veh.velocity, accels[veh.id], dt)
-            veh.velocity = v_new
-            veh.position += dx
+    vehicles, x, v, accel = snapshot
+    v_new, dx = kinematic_updates(v, accel, cfg.dt)
+    velocities = v_new.tolist()
+    # stopped vehicles get the one shared 0.0 that kinematic_update's clamp
+    # assigns (+0.0 is the all-zero bit pattern): logged events keep
+    # velocities alive, and a fresh 0.0 per stopped vehicle adds up
+    for k in (v_new.view(np.int64) == 0).nonzero()[0].tolist():
+        velocities[k] = 0.0
+    for veh, velocity, position in zip(vehicles, velocities, (x + dx).tolist()):
+        veh.velocity = velocity
+        veh.position = position
     state.tick += 1
-    state.now = now = state.tick * dt
+    state.now = now = state.tick * cfg.dt
     for li, lane_list in enumerate(state.lanes):
         while lane_list and lane_list[-1].position > cfg.field_length:
             veh = lane_list.pop()
@@ -530,10 +616,10 @@ def step(state: SimState) -> SimState:
     """Advance the world by one dt. Mutates and returns ``state``."""
     if state.cfg.communication_enabled:
         _communicate(state)
-    accels, proposals = _decide(state)
+    snapshot, proposals = _decide(state)
     if proposals:
         _apply_changes(state, proposals)
-    _integrate(state, accels)
+    _integrate(state, snapshot)
     inject_vehicles(state)
     _account(state)
     return state

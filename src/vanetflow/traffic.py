@@ -132,6 +132,36 @@ def idm_acceleration(v: float, gap: float, delta_v: float, p: DriverParams) -> f
     return p.max_accel * (free - ratio * ratio)
 
 
+def free_road_terms(velocities, p: DriverParams) -> list:
+    """The IDM free-road term ``1.0 - (v / v0) ** δ`` of each velocity, for ``idm_accelerations``.
+
+    It uses Python's scalar ``**``, as ``idm_acceleration`` does: numpy's
+    vectorised power may round differently in the last bit.
+    """
+    v0 = p.desired_velocity
+    delta = p.accel_exponent
+    return [1.0 - (v / v0) ** delta for v in velocities]
+
+
+def idm_accelerations(v, gap, delta_v, free, p: DriverParams):
+    """``idm_acceleration`` over numpy arrays, equal to it bit for bit element by element.
+
+    ``free`` is each element's free-road term from ``free_road_terms``.
+    Only ``+ − × ÷`` and comparisons touch the arrays; they are correctly
+    rounded and run in the scalar order, so the results agree. Only ``v0``
+    may differ between elements (through ``free``); every other parameter
+    is ``p``'s.
+
+    A NO_VEHICLE gap comes out as ``max_accel * free``, the open-road value.
+    A non-positive gap gives a meaningless element, not the ValueError: the
+    caller checks the gaps that reach the IDM.
+    """
+    dynamic = v * p.time_headway + v * delta_v / p.two_sqrt_ab
+    dynamic[dynamic < 0.0] = 0.0
+    ratio = (p.min_gap + dynamic) / gap
+    return p.max_accel * (free - ratio * ratio)
+
+
 def others_disadvantage(current: Neighborhood, target: Neighborhood,
                         v: float, p: DriverParams) -> float:
     """Net acceleration change a move at velocity ``v`` imposes on the two affected followers.
@@ -208,4 +238,13 @@ def kinematic_update(v: float, accel: float, dt: float) -> tuple[float, float]:
     dx = v * dt + 0.5 * accel * dt * dt
     if dx < 0.0:
         dx = 0.0
+    return v_new, dx
+
+
+def kinematic_updates(v, accel, dt: float):
+    """``kinematic_update`` over numpy arrays, equal to it bit for bit element by element."""
+    v_new = v + accel * dt
+    v_new[v_new < 0.0] = 0.0
+    dx = v * dt + 0.5 * accel * dt * dt
+    dx[dx < 0.0] = 0.0
     return v_new, dx

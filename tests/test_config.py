@@ -63,6 +63,22 @@ def test_integer_fields_reject_fractions():
         parse_config("seed = 1.5\n")
 
 
+def test_integer_fields_keep_every_digit():
+    # read through a float, these came back as 2**53 and 2**62
+    assert parse_config(f"seed = {2**53 + 1}\n").seed == 2**53 + 1
+    cfg = parse_config(f"radio.backoff_max = {2**62 - 1}\nradio.max_backoff_stage = 1\n")
+    assert cfg.radio.backoff_max == 2**62 - 1
+    assert parse_config("seed = 1e3\n").seed == 1000
+
+
+@pytest.mark.parametrize("line", ["dt =", "seed = ", "driver.min_gap =   "])
+def test_a_missing_value_names_the_key(line):
+    # used to escape as an IndexError
+    key = line.split(" =", 1)[0]
+    with pytest.raises(ConfigError, match=f"{key}: expected a number"):
+        parse_config(line + "\n")
+
+
 @pytest.mark.parametrize("line", ["traffic_load = nan", "dt = inf", "seed = nan",
                                   "seed = inf", "driver.politeness = -inf",
                                   "field_length = 1e308 km"])

@@ -2,14 +2,17 @@
 conservation and the detectors."""
 
 import gc
+import re
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from vanetflow import engine
 from vanetflow.config import SimConfig
-from vanetflow.engine import (GRIDLOCK_MIN_VEHICLES, SimulationError, _leader,
-                              add_vehicle, detect_gridlock, inject_vehicles,
+from vanetflow.engine import (GRIDLOCK_MIN_VEHICLES, SimulationError, _leader, _leaders,
+                              _pad, add_vehicle, detect_gridlock, inject_vehicles,
                               new_state, origin_congested, run, step)
 from vanetflow.traffic import NO_VEHICLE
 
@@ -78,6 +81,20 @@ def test_blocked_vehicle_stops_behind_obstacle():
     assert gap == pytest.approx(cfg.driver_params().min_gap, abs=0.5)
 
 
+def batched_leader(cfg, lane_list, lane_idx, k, x):
+    """``_leader``'s lookup made as ``_decide`` makes it: ``_pad``'s layout and ``_leaders``."""
+    lanes = [[], []]
+    lanes[lane_idx] = lane_list
+    vehicles = lanes[0] + lanes[1]
+    pos, vel, _ = _pad(np.array([veh.position for veh in vehicles], dtype=float),
+                       np.array([veh.velocity for veh in vehicles], dtype=float), len(lanes[0]))
+    # lane 0's vehicles start at slot 1, lane 1's after lane 0 and three sentinels
+    first = 1 if lane_idx == 0 else len(lanes[0]) + 3
+    gap, lead_v = _leaders(cfg, pos, vel, np.array([first + k]), np.array([x]),
+                           np.array([lane_idx == cfg.obstacle_lane]))
+    return float(gap[0]), float(lead_v[0])
+
+
 def test_leader_on_both_lanes():
     # obstacle at 1000 m in lane 0; vehicles are 5 m long
     cfg = quiet_cfg()
@@ -86,25 +103,61 @@ def test_leader_on_both_lanes():
         add_vehicle(state, 0, x, v)
     add_vehicle(state, 1, 950.0, 22.0)
     lane0, lane1 = state.lanes
-    # own lane (k = i + 1): the next vehicle nearer than the obstacle ...
-    assert _leader(cfg, lane0, 0, 1, 800.0) == (95.0, 20.0)
-    # ... and the obstacle nearer than the next vehicle
-    assert _leader(cfg, lane0, 0, 2, 900.0) == (100.0, 0.0)
-    # other lane (k = the bisect index), both ways round
-    assert _leader(cfg, lane0, 0, 1, 850.0) == (45.0, 20.0)
-    assert _leader(cfg, lane0, 0, 2, 960.0) == (40.0, 0.0)
-    # an empty obstacle lane still has the obstacle ahead
-    assert _leader(cfg, [], 0, 0, 300.0) == (700.0, 0.0)
-    # a vehicle already past the obstacle sees only the next vehicle
-    assert _leader(cfg, lane0, 0, 2, 1005.0) == (10.0, 25.0)
-    assert _leader(cfg, lane0, 0, 3, 1020.0) == (NO_VEHICLE, 0.0)
-    # the lane without the obstacle ignores it
-    assert _leader(cfg, lane1, 1, 0, 900.0) == (45.0, 22.0)
-    assert _leader(cfg, lane1, 1, 1, 960.0) == (NO_VEHICLE, 0.0)
-    assert _leader(cfg, [], 1, 0, 300.0) == (NO_VEHICLE, 0.0)
-    # k past the lane end: no vehicle, though the obstacle still counts upstream
-    assert _leader(cfg, lane0, 0, 3, 1030.0) == (NO_VEHICLE, 0.0)
-    assert _leader(cfg, lane0, 0, 3, 960.0) == (40.0, 0.0)
+    cases = [
+        # own lane (k = i + 1): the next vehicle nearer than the obstacle ...
+        ((lane0, 0, 1, 800.0), (95.0, 20.0)),
+        # ... and the obstacle nearer than the next vehicle
+        ((lane0, 0, 2, 900.0), (100.0, 0.0)),
+        # other lane (k = the bisect index), both ways round
+        ((lane0, 0, 1, 850.0), (45.0, 20.0)),
+        ((lane0, 0, 2, 960.0), (40.0, 0.0)),
+        # an empty obstacle lane still has the obstacle ahead
+        (([], 0, 0, 300.0), (700.0, 0.0)),
+        # a vehicle already past the obstacle sees only the next vehicle
+        ((lane0, 0, 2, 1005.0), (10.0, 25.0)),
+        ((lane0, 0, 3, 1020.0), (NO_VEHICLE, 0.0)),
+        # the lane without the obstacle ignores it
+        ((lane1, 1, 0, 900.0), (45.0, 22.0)),
+        ((lane1, 1, 1, 960.0), (NO_VEHICLE, 0.0)),
+        (([], 1, 0, 300.0), (NO_VEHICLE, 0.0)),
+        # k past the lane end: no vehicle, though the obstacle still counts upstream
+        ((lane0, 0, 3, 1030.0), (NO_VEHICLE, 0.0)),
+        ((lane0, 0, 3, 960.0), (40.0, 0.0)),
+    ]
+    for args, expected in cases:
+        assert _leader(cfg, *args) == expected, args
+        assert batched_leader(cfg, *args) == expected, args
+
+
+ZERO_MIN_GAP = replace(SimConfig().driver, min_gap=0.0)
+
+
+@pytest.mark.parametrize("driver, placed, gap", [
+    # own leader overlapping: the first vehicle in lane order raises
+    (SimConfig().driver, [(1, 100.0), (1, 104.0), (0, 300.0), (0, 302.0)], -3.0),
+    # with no standstill gap, a zero gap to the target leader or from the
+    # target follower passes the gap veto and reaches the IDM
+    (ZERO_MIN_GAP, [(0, 100.0), (1, 105.0)], 0.0),
+    (ZERO_MIN_GAP, [(0, 105.0), (1, 100.0)], 0.0),
+])
+def test_a_non_positive_gap_that_reaches_the_idm_raises(driver, placed, gap):
+    state = new_state(quiet_cfg(driver=driver))
+    for lane, x in placed:
+        add_vehicle(state, lane, x, 20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"non-positive gap {gap} with a leader")):
+            step(state)
+
+
+def test_a_vetoed_zero_gap_neither_raises_nor_warns():
+    state = new_state(quiet_cfg())
+    add_vehicle(state, 0, 100.0, 20.0)
+    add_vehicle(state, 1, 105.0, 20.0)  # bumper to bumper with the lane-0 vehicle
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step(state)
+    assert [veh.lane for veh in state.lanes[0] + state.lanes[1]] == [0, 1]
 
 
 def test_obstacle_beacons_on_schedule():

@@ -307,6 +307,21 @@ def set_chunk_rows(monkeypatch, rows):
     monkeypatch.setattr(metrics, "FLUSH_ROWS", rows)
 
 
+def wait_for_writers(monkeypatch):
+    """Make the writer reap its live writers before it decides whether to cut.
+
+    With one writer slot a cut forks only once the last writer has finished,
+    so without this the number of forks depends on how fast the host formats
+    a segment compared with how fast the engine steps.
+    """
+    real_collect = EventsCsvWriter._collect
+
+    def collect(self, log, wait):
+        real_collect(self, log, wait=True)
+
+    monkeypatch.setattr(EventsCsvWriter, "_collect", collect)
+
+
 def assert_nothing_left(directory):
     """No writer process is alive or unreaped, and no part file remains."""
     with pytest.raises(ChildProcessError):
@@ -355,6 +370,8 @@ def streamed_steps(log, steps, path):
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_streamed_events_csv_matches_write_events_csv(tmp_path, monkeypatch, forks, cpus):
     set_cpus(monkeypatch, cpus)
+    if cpus == 2:
+        wait_for_writers(monkeypatch)
     set_chunk_rows(monkeypatch, 1500)
     log = streamed_run(SimConfig(duration=120.0, seed=31, warm_up=10.0),
                        tmp_path / "events.csv")
@@ -456,6 +473,7 @@ def test_streamed_events_csv_cleans_up_when_the_run_stops(tmp_path, monkeypatch,
 
     set_cpus(monkeypatch, 2)
     set_chunk_rows(monkeypatch, 1500)
+    wait_for_writers(monkeypatch)
     real_step = engine.step
 
     def failing_step(state):
