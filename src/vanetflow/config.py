@@ -160,8 +160,13 @@ def _parse_int(key, text):
         return int(text)  # exact, where a float would round beyond 2**53
     except ValueError:
         pass
-    value = _num(key, text, {})
-    if value != int(value):
+    _num(key, text, {})  # a finite number without a unit, or ConfigError
+    # a decimal point or an exponent: read exactly too; imported here, since
+    # most documents never need it
+    from decimal import Decimal
+
+    value = Decimal(text.strip())
+    if value != value.to_integral_value():
         raise ConfigError(f"{key}: expected an integer, got {text!r}")
     return int(value)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import add
 
 import numpy as np
 
@@ -96,23 +98,25 @@ EVENT_COLUMNS = ["time_s", "event_kind", "vehicle_id", "lane", "position_m",
 
 # the fewest finished rows that EventsCsvWriter hands to a writer process
 CHUNK_ROWS = 1 << 16
-# rows per write of the events.csv writer; bounds the text held at once
+# rows held before a write of the events.csv writer, which writes after
+# whole time steps; bounds the text held at once
 FLUSH_ROWS = 1 << 13
 
 
-def _stream_runs(log, segment=None):
-    """The row order of the events + samples stream, as (lo, hi, event_idx) runs.
+def _stream_steps(log, segment=None):
+    """The row order of the events + samples stream, one time step at a time.
 
-    Each run is the samples lo:hi of ``log.samples`` followed by the events
-    ``log.events[i]`` for i in ``event_idx``. Rows are in time order; at equal
-    times events come before samples, and each stream keeps its log order,
-    which is what a stable sort of events + samples by time gives. The
-    samples must already be in time order, as the engine appends them.
+    Yields (event_idx, lo, hi) per distinct time, in time order: the events
+    ``log.events[i]`` for i in ``event_idx``, then the samples lo:hi of
+    ``log.samples``, all at that time; either part may be empty. Each stream
+    keeps its log order, which is what a stable sort of events + samples by
+    time gives. The samples must already be in time order, as the engine
+    appends them.
 
     ``segment`` = (s0, s1, e0, e1, t_lo, t_hi) limits the stream to the
     samples s0:s1 and the events e0:e1, whose times must all lie in
     [t_lo, t_hi); by default it is the whole log. Segments that split the
-    time axis give, one after the other, the runs of the whole log.
+    time axis give, one after the other, the steps of the whole log.
     """
     if segment is None:
         segment = (0, len(log.samples), 0, len(log.events), -math.inf, math.inf)
@@ -126,17 +130,16 @@ def _stream_runs(log, segment=None):
     if ((event_t < t_lo) | (event_t >= t_hi)).any():
         raise ValueError(f"events {e0}:{e1} are not all within [{t_lo}, {t_hi}) s")
     order = np.argsort(event_t, kind="stable")
-    slots = np.searchsorted(sample_t, event_t[order], side="left") + s0
+    event_t = event_t[order]
     order += e0
-    # one run per group of events that share a slot between two samples
-    starts = np.flatnonzero(np.diff(slots, prepend=-1))
-    ends = np.append(starts[1:], len(order))
-    lo = s0
-    for a, b in zip(starts.tolist(), ends.tolist()):
-        hi = int(slots[a])
-        yield lo, hi, order[a:b].tolist()
-        lo = hi
-    yield lo, s1, []
+    # the end of each distinct time's events and samples
+    times = np.unique(np.concatenate((event_t, sample_t)))
+    event_ends = np.searchsorted(event_t, times, side="right").tolist()
+    sample_ends = (np.searchsorted(sample_t, times, side="right") + s0).tolist()
+    a, lo = 0, s0
+    for b, hi in zip(event_ends, sample_ends):
+        yield order[a:b].tolist(), lo, hi
+        a, lo = b, hi
 
 
 def events_to_table(log, include_samples: bool = False) -> MetricTable:
@@ -144,11 +147,11 @@ def events_to_table(log, include_samples: bool = False) -> MetricTable:
     if include_samples:
         events, s = log.events, log.samples
         rows = []
-        for lo, hi, event_idx in _stream_runs(log):
+        for event_idx, lo, hi in _stream_steps(log):
+            rows.extend(events[i] for i in event_idx)
             rows.extend(zip(s.t[lo:hi], ["sample"] * (hi - lo), s.vehicle_id[lo:hi],
                             s.lane[lo:hi], s.position[lo:hi], s.velocity[lo:hi],
                             [""] * (hi - lo)))
-            rows.extend(events[i] for i in event_idx)
     else:
         rows = log.events
     return MetricTable(columns=list(EVENT_COLUMNS),
@@ -167,35 +170,87 @@ def _check_cells(lines: list, text: str) -> None:
             raise ValueError(f"row {line!r} would not survive the CSV round trip")
 
 
+class _Reprs(dict):
+    """The repr of each distinct non-zero float of one time step.
+
+    A value that is not a key, zero included, is formatted on each lookup.
+    """
+
+    __missing__ = repr
+
+
+class _IntTexts(dict):
+    """The text of each int met since the last write, made on first use."""
+
+    def __missing__(self, value):
+        text = self[value] = str(value)
+        return text
+
+
+_FLOAT, _INT, _STR = {float}, {int}, {str}
+
+
 def _write_segment(fh, log, segment=None) -> None:
     """Format one segment of the events + samples stream into the binary file ``fh``.
 
     The rows (by default those of the whole log) are streamed from the event
-    and sample logs in chunks of about FLUSH_ROWS, in the order
-    ``_stream_runs`` gives, without building a row table. Events are the
-    engine's (float, str, int, int, float, float, str | int) records,
-    formatted as ``_format_value`` formats them. A cell that would break the
-    round trip raises ValueError.
+    and sample logs one time step at a time, in the order ``_stream_steps``
+    gives, without building a row table, and written after the step that
+    brings the rows held to FLUSH_ROWS. Events are the engine's (float, str,
+    int, int, float, float, str | int) records.
+
+    Each distinct float of a step is formatted once, and its string serves
+    every row of the step that repeats it: the step's time, and a vehicle's
+    position and velocity in its reception rows and in its sample row. Ints
+    are formatted once per write. The bytes are unchanged, those of
+    ``table_to_text(events_to_table(log, True))``, because only values whose
+    type is exactly float are keys (500 == 500.0, and an np.float64 has its
+    own repr) and zero never is (0.0 == -0.0, but their reprs differ): an
+    event column that holds other types is formatted cell by cell, and each
+    zero on its own. A cell that would break the round trip raises ValueError.
     """
     events, s = log.events, log.samples
-    event_line = "{},{},{},{},{},{},{}\n".format
-    sample_line = "{},sample,{},{},{},{},\n".format
     lines = []
+    reprs = _Reprs()
+    ints = _IntTexts()
 
     def flush():
         text = "".join(lines)
         _check_cells(lines, text)
         fh.write(text.encode())
         lines.clear()
+        ints.clear()
 
-    for lo, hi, event_idx in _stream_runs(log, segment):
-        for a in range(lo, hi, FLUSH_ROWS):
-            b = min(hi, a + FLUSH_ROWS)
-            lines += map(sample_line, s.t[a:b], s.vehicle_id[a:b], s.lane[a:b],
-                         s.position[a:b], s.velocity[a:b])
-            if len(lines) >= FLUSH_ROWS:
-                flush()
-        lines += [event_line(*events[i]) for i in event_idx]
+    for event_idx, lo, hi in _stream_steps(log, segment):
+        columns = list(zip(*map(events.__getitem__, event_idx)))
+        types = [set(map(type, column)) for column in columns]
+        floats = list(chain.from_iterable(
+            column for column, kinds in zip(columns, types) if kinds == _FLOAT))
+        if hi > lo:
+            t = s.t[lo]
+            positions, velocities = s.position[lo:hi].tolist(), s.velocity[lo:hi].tolist()
+            floats.append(t)
+            floats += positions
+            floats += velocities
+        # one repr per distinct float, taken from the last step's strings where
+        # it repeats one (a stopped vehicle keeps its position)
+        keys = dict.fromkeys(floats)
+        keys.pop(0.0, None)
+        reprs = _Reprs(zip(keys, map(reprs.__getitem__, keys)))
+        if columns:
+            cells = [map(reprs.__getitem__, column) if kinds == _FLOAT
+                     else map(ints.__getitem__, column) if kinds == _INT
+                     else column if kinds == _STR
+                     else map(format, column)  # as "{}".format formats a cell
+                     for column, kinds in zip(columns, types)]
+            cells[-1] = map(add, cells[-1], repeat("\n"))  # the row's end
+            lines += map(",".join, zip(*cells))
+        if hi > lo:
+            lines += map(",".join, zip(repeat(reprs[t] + ",sample", hi - lo),
+                                       map(ints.__getitem__, s.vehicle_id[lo:hi]),
+                                       map(ints.__getitem__, s.lane[lo:hi]),
+                                       map(reprs.__getitem__, positions),
+                                       map(reprs.__getitem__, velocities), repeat("\n")))
         if len(lines) >= FLUSH_ROWS:
             flush()
     flush()
@@ -381,8 +436,10 @@ def write_events_csv(log, path) -> None:
     """Write events.csv: what ``write_csv(events_to_table(log, True), path)`` writes.
 
     This is ``EventsCsvWriter`` with no segment cut: the rows are streamed
-    from the event and sample logs in chunks of about FLUSH_ROWS, without
-    building a row table. A cell that would break the round trip raises
+    from the event and sample logs one time step at a time, without building
+    a row table, and written in chunks of about FLUSH_ROWS. Each distinct
+    float of a step is formatted once (see ``_write_segment``); the bytes are
+    unchanged by it. A cell that would break the round trip raises
     ValueError, and no partial file is left behind.
     """
     with EventsCsvWriter(path) as writer:

@@ -59,8 +59,10 @@ def test_bad_unit_and_bad_number():
 
 
 def test_integer_fields_reject_fractions():
-    with pytest.raises(ConfigError, match="seed"):
-        parse_config("seed = 1.5\n")
+    # read through a float, 1e-400 came back as 0 and 2**53 + 0.5 as 2**53
+    for value in ("1.5", "1e-400", "9007199254740992.5"):
+        with pytest.raises(ConfigError, match="seed: expected an integer"):
+            parse_config(f"seed = {value}\n")
 
 
 def test_integer_fields_keep_every_digit():
@@ -69,6 +71,9 @@ def test_integer_fields_keep_every_digit():
     cfg = parse_config(f"radio.backoff_max = {2**62 - 1}\nradio.max_backoff_stage = 1\n")
     assert cfg.radio.backoff_max == 2**62 - 1
     assert parse_config("seed = 1e3\n").seed == 1000
+    # with a decimal point or an exponent too; through a float: 2**53
+    assert parse_config("seed = 9007199254740993.0\n").seed == 2**53 + 1
+    assert parse_config("seed = 9.007199254740993e15\n").seed == 2**53 + 1
 
 
 @pytest.mark.parametrize("line", ["dt =", "seed = ", "driver.min_gap =   "])

@@ -394,6 +394,58 @@ def test_streamed_events_csv_cuts_at_times_with_events(tmp_path, monkeypatch, fo
     assert_nothing_left(tmp_path)
 
 
+def pitfall_steps(log, n_steps, dt=0.5):
+    """Log steps whose rows at each time hold what a cache of float strings could mix up.
+
+    Each time has 0.0 and -0.0 and an int 500 and a float 500.0 (each pair
+    equal as keys, with two texts), an np.float64 cell (a float subclass
+    whose repr is not its text), a NaN (not equal to itself) and a reception
+    that repeats a sample. At whole seconds one event's time is an int.
+    """
+    nan = float("nan")
+    state = SimpleNamespace(log=log, now=0.0)
+    for k in range(n_steps):
+        state.now = now = (k + 1) * dt
+        x = 12.5 + k / 3
+        for vid, lane, position, velocity in ((1, 0, 0.0, -0.0), (2, 1, -0.0, 0.0),
+                                              (3, 0, 500.0, nan), (4, 1, x, 3.25)):
+            log.samples.t.append(now)
+            log.samples.vehicle_id.append(vid)
+            log.samples.lane.append(lane)
+            log.samples.position.append(position)
+            log.samples.velocity.append(velocity)
+        log.events += [(now, "reception", 4, 1, x, 3.25, k),  # vehicle 4's sample
+                       (now, "transmission", -1, 0, 500, 0.0, k),
+                       (now, "lane_change", 2, 1, np.float64(x), -0.0, "1|0"),
+                       (now, "exit", 5, 0, nan, 0.0, "")]
+        if now.is_integer():
+            log.events.append((int(now), "gridlock", -1, 0, -0.0, 0.0, ""))
+        yield state
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_events_csv_formats_each_cell_as_the_table_does(tmp_path, monkeypatch, forks, cpus):
+    set_cpus(monkeypatch, cpus)
+    wait_for_writers(monkeypatch)
+    set_chunk_rows(monkeypatch, 7)
+    log = synthetic_log()
+    streamed_steps(log, pitfall_steps(log, 20), tmp_path / "events.csv")
+    # with a writer slot, every step after the first cuts the rows of the one before
+    assert len(forks) == (0 if cpus == 1 else 19)
+    expected = table_to_text(events_to_table(log, include_samples=True))
+    for row in ("1,gridlock,-1,0,-0.0,0.0,\n", "1.0,transmission,-1,0,500,0.0,1\n",
+                "1.0,sample,1,0,0.0,-0.0,\n", "1.0,sample,2,1,-0.0,0.0,\n",
+                "1.0,sample,3,0,500.0,nan,\n", "1.0,exit,5,0,nan,0.0,\n",
+                "1.0,lane_change,2,1,12.833333333333334,-0.0,1|0\n",
+                "1.0,reception,4,1,12.833333333333334,3.25,1\n",
+                "1.0,sample,4,1,12.833333333333334,3.25,\n"):
+        assert row in expected
+    assert (tmp_path / "events.csv").read_text() == expected
+    write_events_csv(log, tmp_path / "serial.csv")
+    assert (tmp_path / "serial.csv").read_text() == expected
+    assert_nothing_left(tmp_path)
+
+
 def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, forks):
     """With one writer slot, no second writer starts while the first is busy."""
     set_cpus(monkeypatch, 2)
