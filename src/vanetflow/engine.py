@@ -3,10 +3,10 @@
 ``step`` runs its phases in a fixed order: ``_communicate`` (beacon, MAC
 pass, one reception draw for the step, relay decisions), ``_decide``
 (accelerations and lane-change proposals from the pre-move snapshot),
-``_apply_changes``, ``_integrate`` (moves, exits, obstacle-passed flags), the
-arrivals, and ``_account`` (samples, invariants, detectors). One seeded
-generator drives every random draw in a fixed order, so identical config and
-seed reproduce the run exactly.
+``_apply_changes``, ``_integrate`` (moves and exits), the arrivals, and
+``_account`` (samples, invariants, detectors). One seeded generator drives
+every random draw in a fixed order, so identical config and seed reproduce
+the run exactly.
 """
 
 from __future__ import annotations
@@ -433,8 +433,8 @@ def _decide(state: SimState) -> tuple[tuple, list]:
     t_follow = t_lead - 1
     t_follow_gap = x - pos[t_follow] - length
     t_follow_v = vel[t_follow]
-    warned_upstream = np.fromiter([veh.infected and not veh.passed_obstacle for veh in vehicles],
-                                  bool, n)
+    # positions never decrease, so a vehicle upstream now has not passed the obstacle
+    warned_upstream = np.fromiter([veh.infected for veh in vehicles], bool, n) & (x <= obstacle_pos)
     free = np.fromiter(free_road_terms(velocities, normal_p), float, n)
     # the target followers are judged with the normal parameters
     free_pad = np.zeros(n + 4)
@@ -500,22 +500,20 @@ def _decide(state: SimState) -> tuple[tuple, list]:
         oth_dis = others_disadvantage(cur_nb, tgt_nb, velocities[k], normal_p)
         use_variant = (variant != BASE and veh.infected and li == obstacle_lane
                        and xk < obstacle_pos)
-        if multiplicative:
-            if use_variant and variant == BRUTE_FORCE:
-                change = brute_force_lane_change(my_adv, cfg.brute_force_boost, oth_dis, p_eff)
-            elif use_variant:
-                diff = diff_incentive(xk, obstacle_pos, p_eff)
-                change = proportional_lane_change(my_adv, diff, oth_dis, p_eff)
-            else:
-                change = base_lane_change(my_adv, oth_dis, p_eff)
+        if not use_variant:
+            incentive = 0.0
+        elif variant == BRUTE_FORCE:
+            incentive = cfg.brute_force_boost
         else:
-            if use_variant and variant == BRUTE_FORCE:
-                incentive = cfg.brute_force_boost
-            elif use_variant:
-                incentive = diff_incentive(xk, obstacle_pos, p_eff)
-            else:
-                incentive = 0.0
+            incentive = diff_incentive(xk, obstacle_pos, p_eff)
+        if not multiplicative:
             change = additive_lane_change(my_adv, incentive, oth_dis, p_eff)
+        elif not use_variant:
+            change = base_lane_change(my_adv, oth_dis, p_eff)
+        elif variant == BRUTE_FORCE:
+            change = brute_force_lane_change(my_adv, incentive, oth_dis, p_eff)
+        else:
+            change = proportional_lane_change(my_adv, incentive, oth_dis, p_eff)
         if change:
             # the index in the target lane: lane 0 starts at slot 1, lane 1 at n0 + 3
             proposals.append((veh, li, tl, t_slot - 1 if li else t_slot - n0 - 3))
@@ -550,7 +548,7 @@ def _apply_changes(state: SimState, proposals: list) -> None:
 
 
 def _integrate(state: SimState, snapshot: tuple) -> None:
-    """Move everyone by one dt, then take the exits and flag who passed the obstacle.
+    """Move everyone by one dt, then take the exits.
 
     ``snapshot`` is ``_decide``'s (vehicles, positions, velocities,
     accelerations): moves use the pre-step velocities.
@@ -576,10 +574,6 @@ def _integrate(state: SimState, snapshot: tuple) -> None:
             veh.mac = None
             log.exited += 1
             log.events.append((now, "exit", veh.id, li, veh.position, veh.velocity, ""))
-        for veh in reversed(lane_list):
-            if veh.position <= cfg.obstacle_position:
-                break
-            veh.passed_obstacle = True
 
 
 def _account(state: SimState) -> None:

@@ -7,8 +7,12 @@ serialized with full round-trip precision.
 
 from __future__ import annotations
 
+import gc
 import math
+import os
 import re
+import signal
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import add
@@ -256,60 +260,37 @@ def _write_segment(fh, log, segment=None) -> None:
     flush()
 
 
-def _remove(path) -> None:
-    import os
-
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-
-
-class _Part:
-    """A segment whose rows wait in a part file until they are appended."""
-
-    __slots__ = ("segment", "path", "pid", "status")
-
-    def __init__(self, segment, path, pid, status=None):
-        self.segment = segment
-        self.path = path
-        self.pid = pid        # the writer process; None when the parent wrote the part
-        self.status = status  # wait status once done
-
-
 class EventsCsvWriter:
     """Writes events.csv for a run while the run goes on.
 
     ``after_step(state)`` is the engine's ``on_step`` hook. After a step,
     every row with time < ``state.now`` is final, because later steps only
     log at ``now`` or later. Once at least CHUNK_ROWS final rows are waiting
-    and fewer than (CPUs - 1) writer processes are alive, those rows become a
-    segment: a forked child formats it into ``<path>.part<k>`` and always
-    leaves through ``os._exit``, while the parent keeps stepping. A part is
-    appended to the file once it and every earlier part are done.
-    ``finish(log)`` formats the last segment in the parent, waits for the
-    writers and appends the remaining parts in order. With one CPU or
-    without ``os.fork`` no segment is cut, and ``finish`` writes the whole
-    file, as ``write_events_csv`` does. Either way the bytes are those of
+    and no writer process is alive, those rows become a segment. The parent
+    flushes the file and notes its end; a forked child opens the file
+    again, formats the segment in place from that offset and always leaves
+    through ``os._exit``, while the parent keeps stepping. Once the writer
+    is reaped, the parent's file moves on past its rows. ``finish(log)``
+    waits for the writer and formats the last segment in place. With one
+    CPU or without ``os.fork`` no segment is cut, and ``finish`` writes the
+    whole file, as ``write_events_csv`` does. Either way the file is the
+    only one written, and its bytes are those of
     ``write_csv(events_to_table(log, True), path)``.
 
-    When a writer fails, the parent formats its segment again, which raises
-    the error the writer met (or recovers the rows of a writer that was
-    killed). Used as a context manager, a failure or interruption before
-    ``finish`` returns kills and reaps the writers and removes the part
-    files and the partly written file.
+    When a writer fails, the parent truncates the file back to the
+    writer's offset and formats its segment again, which raises the error
+    the writer met (or recovers the rows of a writer that was killed). Used
+    as a context manager, a failure or interruption before ``finish``
+    returns kills and reaps the writer and removes the partly written file.
     """
 
     def __init__(self, path):
-        import os
-
         self.path = os.fspath(path)
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-        self.slots = cpus - 1 if hasattr(os, "fork") else 0
+        self.forking = cpus > 1 and hasattr(os, "fork")
         self.next = (0, 0, -math.inf)  # sample index, event index, time where the next segment starts
-        self.parts = []                # not yet appended, in segment order
-        self.n_parts = 0
+        self.writer = None             # (pid, segment, offset) of the live writer process
         self.fh = None
 
     def __enter__(self):
@@ -322,17 +303,15 @@ class EventsCsvWriter:
             raise OSError(f"cannot write {self.path}: {exc}") from exc
 
     def after_step(self, state) -> None:
-        if not self.slots:
+        if not self.forking:
             return
         log = state.log
         s0, e0, t_lo = self.next
         if len(log.samples) - s0 + len(log.events) - e0 < CHUNK_ROWS:
             return
-        self._collect(log, wait=False)
-        if sum(part.status is None for part in self.parts) >= self.slots:
+        self._reap(log, wait=False)
+        if self.writer is not None:
             return
-        from bisect import bisect_left
-
         # the rows the last step logged at now are not final yet
         now, events = state.now, log.events
         s1 = bisect_left(log.samples.t, now, s0)
@@ -343,14 +322,13 @@ class EventsCsvWriter:
             self.next = (s1, e1, now)
 
     def _fork(self, log, segment) -> bool:
-        import gc
-        import os
-
-        path = f"{self.path}.part{self.n_parts}"
+        out = self._out(log)
+        out.flush()
+        offset = out.tell()
         try:
             pid = os.fork()
         except OSError:  # no process to spare: the parent formats the rest
-            self.slots = 0
+            self.forking = False
             return False
         if pid == 0:
             # the child has only this thread, so it formats and runs no
@@ -358,39 +336,30 @@ class EventsCsvWriter:
             code = 1
             try:
                 gc.freeze()  # so that a collection does not walk, and copy, the inherited heap
-                with open(path, "wb") as fh:
+                with open(self.path, "r+b") as fh:
+                    fh.seek(offset)
                     _write_segment(fh, log, segment)
                 code = 0
             finally:
                 os._exit(code)
-        self.n_parts += 1
-        self.parts.append(_Part(segment, path, pid))
+        self.writer = (pid, segment, offset)
         return True
 
-    def _collect(self, log, wait: bool) -> None:
-        """Reap the writers that are done, then append the parts next in order."""
-        import os
-
-        for part in self.parts:
-            if part.status is None:
-                pid, status = os.waitpid(part.pid, 0 if wait else os.WNOHANG)
-                if pid:
-                    part.status = status
-        while self.parts and self.parts[0].status is not None:
-            self._append(log, self.parts.pop(0))
-
-    def _append(self, log, part) -> None:
-        import shutil
-
-        out = self._out(log)
-        try:
-            if part.status == 0:
-                with open(part.path, "rb") as src:
-                    shutil.copyfileobj(src, out)
-            else:
-                _write_segment(out, log, part.segment)
-        finally:
-            _remove(part.path)
+    def _reap(self, log, wait: bool) -> None:
+        """Reap the writer if it is done; format its segment again if it failed."""
+        if self.writer is None:
+            return
+        pid, segment, offset = self.writer
+        done, status = os.waitpid(pid, 0 if wait else os.WNOHANG)
+        if not done:
+            return
+        self.writer = None
+        if status == 0:
+            self.fh.seek(0, os.SEEK_END)
+        else:
+            self.fh.seek(offset)
+            self.fh.truncate()
+            _write_segment(self.fh, log, segment)
 
     def _out(self, log):
         if self.fh is None:
@@ -400,47 +369,38 @@ class EventsCsvWriter:
         return self.fh
 
     def finish(self, log) -> None:
-        """Write the rows no writer took, append every part in order and close."""
+        """Wait for the writer, format the rows no writer took and close."""
         s0, e0, t_lo = self.next
-        last = (s0, len(log.samples), e0, len(log.events), t_lo, math.inf)
-        self._collect(log, wait=False)
-        if self.parts:
-            # writers are still at work: format the last segment beside them
-            part = _Part(last, f"{self.path}.part{self.n_parts}", None, 0)
-            self.parts.append(part)
-            with open(part.path, "wb") as fh:
-                _write_segment(fh, log, last)
-            self._collect(log, wait=True)
-        else:
-            _write_segment(self._out(log), log, last)
+        self._reap(log, wait=True)
+        _write_segment(self._out(log), log,
+                       (s0, len(log.samples), e0, len(log.events), t_lo, math.inf))
         self.fh.close()
         self.fh = None
 
     def _abort(self) -> None:
-        import os
-        import signal
-
-        for part in self.parts:
-            if part.status is None:
-                os.kill(part.pid, signal.SIGKILL)
-                os.waitpid(part.pid, 0)
-            _remove(part.path)
-        self.parts.clear()
+        if self.writer is not None:
+            os.kill(self.writer[0], signal.SIGKILL)
+            os.waitpid(self.writer[0], 0)
+            self.writer = None
         if self.fh is not None:
             self.fh.close()
             self.fh = None
-            _remove(self.path)
+            try:
+                os.unlink(self.path)
+            except FileNotFoundError:
+                pass
 
 
 def write_events_csv(log, path) -> None:
     """Write events.csv: what ``write_csv(events_to_table(log, True), path)`` writes.
 
-    This is ``EventsCsvWriter`` with no segment cut: the rows are streamed
-    from the event and sample logs one time step at a time, without building
-    a row table, and written in chunks of about FLUSH_ROWS. Each distinct
-    float of a step is formatted once (see ``_write_segment``); the bytes are
-    unchanged by it. A cell that would break the round trip raises
-    ValueError, and no partial file is left behind.
+    This is ``EventsCsvWriter`` with no segment cut and no writer process:
+    the calling process streams the rows from the event and sample logs one
+    time step at a time, without building a row table, and writes them in
+    chunks of about FLUSH_ROWS. Each distinct float of a step is formatted
+    once (see ``_write_segment``); the bytes are unchanged by it. A cell
+    that would break the round trip raises ValueError, and no partial file
+    is left behind.
     """
     with EventsCsvWriter(path) as writer:
         writer.finish(log)
@@ -466,10 +426,14 @@ class ExitSeries:
                            rows=rows, meta=dict(meta or {}))
 
 
+def _check_bin_size(name: str, size: float) -> None:
+    if not (math.isfinite(size) and size > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {size!r}")
+
+
 def exit_series(log, bin_s: float = 30.0) -> ExitSeries:
     """Cumulative entered/exited counts sampled at bin boundaries."""
-    if bin_s <= 0:
-        raise ValueError("bin_s must be > 0")
+    _check_bin_size("bin_s", bin_s)
     n_bins = max(0, math.ceil(log.end_time / bin_s - 1e-9))
     arrival_times = sorted(e[0] for e in log.events if e[1] == "injection")
     exit_times = sorted(e[0] for e in log.events if e[1] == "exit")
@@ -543,8 +507,8 @@ class VelocityGrid:
 
 def velocity_grid(log, x_bin_size: float = 10.0, t_bin_size: float = 30.0) -> VelocityGrid:
     """Mean velocity per (time bin, position bin) over all per-tick samples."""
-    if x_bin_size <= 0 or t_bin_size <= 0:
-        raise ValueError("bin sizes must be > 0")
+    _check_bin_size("x_bin_size", x_bin_size)
+    _check_bin_size("t_bin_size", t_bin_size)
     cfg = log.cfg
     nt = max(1, math.ceil(log.end_time / t_bin_size - 1e-9))
     nx = max(1, math.ceil(cfg.field_length / x_bin_size - 1e-9))
@@ -572,6 +536,9 @@ def slow_cell_area(grid: VelocityGrid, threshold: float = 5.0,
     restricted to positions under x_limit (e.g. upstream of the obstacle)."""
     mask = (grid.counts > 0) & (grid.means < threshold)
     if x_limit is not None:
-        nx_keep = int(x_limit / grid.x_bin_size)
-        mask = mask[:, :nx_keep]
+        if math.isnan(x_limit):
+            raise ValueError("x_limit must not be NaN")
+        # a negative limit covers no cell, an infinite one every cell
+        nx_keep = min(max(x_limit / grid.x_bin_size, 0.0), mask.shape[1])
+        mask = mask[:, :int(nx_keep)]
     return int(mask.sum())

@@ -88,7 +88,6 @@ class VehicleState:
     position: float      # m along the road
     velocity: float      # m/s, never negative
     infected: bool = False
-    passed_obstacle: bool = False
     ledger: MessageLedger = field(default_factory=MessageLedger)
     mac: MacState | None = field(default_factory=MacState)
     last_change: float = -math.inf  # s; -inf: never changed lane

@@ -1,6 +1,8 @@
 """Metric extraction with recount oracles and CSV round-trips."""
 
+import io
 import os
+import signal
 from types import SimpleNamespace
 
 import numpy as np
@@ -131,6 +133,31 @@ def test_slow_cell_area_counts_upstream_cells():
     grid = velocity_grid(log)
     assert slow_cell_area(grid, threshold=5.0) == 2
     assert slow_cell_area(grid, threshold=5.0, x_limit=1000.0) == 1
+
+
+def test_slow_cell_area_negative_limit_covers_no_cell():
+    samples = [(1.0, vid, 0, 5.0 + 10.0 * vid, 1.0) for vid in range(4)]
+    cfg = SimConfig(field_length=40.0, obstacle_position=20.0)
+    grid = velocity_grid(synthetic_log(samples=samples, end_time=30.0, cfg=cfg))
+    assert grid.counts.shape == (1, 4)
+    assert slow_cell_area(grid) == 4
+    assert slow_cell_area(grid, x_limit=-10.0) == 0
+    assert slow_cell_area(grid, x_limit=-0.5) == 0
+    assert slow_cell_area(grid, x_limit=25.0) == 2
+    assert slow_cell_area(grid, x_limit=float("inf")) == 4
+    with pytest.raises(ValueError, match="x_limit"):
+        slow_cell_area(grid, x_limit=float("nan"))
+
+
+@pytest.mark.parametrize("size", [float("nan"), float("inf"), 0.0, -30.0])
+def test_bin_sizes_must_be_finite_and_positive(size):
+    log = synthetic_log(samples=[(1.0, 1, 0, 5.0, 1.0)], end_time=30.0)
+    with pytest.raises(ValueError, match="bin_s"):
+        exit_series(log, bin_s=size)
+    with pytest.raises(ValueError, match="x_bin_size"):
+        velocity_grid(log, x_bin_size=size)
+    with pytest.raises(ValueError, match="t_bin_size"):
+        velocity_grid(log, t_bin_size=size)
 
 
 # --- CSV round-trips ----------------------------------------------------------------
@@ -308,25 +335,25 @@ def set_chunk_rows(monkeypatch, rows):
 
 
 def wait_for_writers(monkeypatch):
-    """Make the writer reap its live writers before it decides whether to cut.
+    """Make the writer wait for its live writer process before it decides whether to cut.
 
-    With one writer slot a cut forks only once the last writer has finished,
-    so without this the number of forks depends on how fast the host formats
-    a segment compared with how fast the engine steps.
+    A cut forks only once the last writer has finished, so without this the
+    number of forks depends on how fast the host formats a segment compared
+    with how fast the engine steps.
     """
-    real_collect = EventsCsvWriter._collect
+    real_reap = EventsCsvWriter._reap
 
-    def collect(self, log, wait):
-        real_collect(self, log, wait=True)
+    def reap(self, log, wait):
+        real_reap(self, log, wait=True)
 
-    monkeypatch.setattr(EventsCsvWriter, "_collect", collect)
+    monkeypatch.setattr(EventsCsvWriter, "_reap", reap)
 
 
 def assert_nothing_left(directory):
-    """No writer process is alive or unreaped, and no part file remains."""
+    """No writer process is alive or unreaped, and no file but the tests' CSVs remains."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert not list(directory.glob("*.part*"))
+    assert {p.name for p in directory.iterdir()} <= {"events.csv", "serial.csv"}
 
 
 def streamed_run(cfg, path):
@@ -370,8 +397,7 @@ def streamed_steps(log, steps, path):
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_streamed_events_csv_matches_write_events_csv(tmp_path, monkeypatch, forks, cpus):
     set_cpus(monkeypatch, cpus)
-    if cpus == 2:
-        wait_for_writers(monkeypatch)
+    wait_for_writers(monkeypatch)
     set_chunk_rows(monkeypatch, 1500)
     log = streamed_run(SimConfig(duration=120.0, seed=31, warm_up=10.0),
                        tmp_path / "events.csv")
@@ -382,8 +408,8 @@ def test_streamed_events_csv_matches_write_events_csv(tmp_path, monkeypatch, for
 
 
 def test_streamed_events_csv_cuts_at_times_with_events(tmp_path, monkeypatch, forks):
-    # three writer slots: the first three cuts each get a writer at once
     set_cpus(monkeypatch, 4)
+    wait_for_writers(monkeypatch)
     set_chunk_rows(monkeypatch, 7)
     log = synthetic_log()
     streamed_steps(log, synthetic_steps(log, 60), tmp_path / "events.csv")
@@ -447,8 +473,8 @@ def test_events_csv_formats_each_cell_as_the_table_does(tmp_path, monkeypatch, f
 
 
 def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, forks):
-    """With one writer slot, no second writer starts while the first is busy."""
-    set_cpus(monkeypatch, 2)
+    """No second writer starts while the first is busy, though more CPUs are free."""
+    set_cpus(monkeypatch, 4)
     set_chunk_rows(monkeypatch, 1500)
     parent = os.getpid()
     gate_r, gate_w = os.pipe()
@@ -476,6 +502,75 @@ def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, fork
             os.close(gate_w)
     write_events_csv(log, tmp_path / "serial.csv")
     assert path.read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert_nothing_left(tmp_path)
+
+
+def test_streamed_events_csv_forks_after_the_last_writer_is_reaped(tmp_path, monkeypatch):
+    """One writer process at a time, and no file in the output directory but events.csv."""
+    set_cpus(monkeypatch, 4)
+    set_chunk_rows(monkeypatch, 7)
+    out = tmp_path / "out"
+    out.mkdir()
+    pids, reaped, alive_at_fork, listings = [], set(), [], []
+    real_fork, real_waitpid = os.fork, os.waitpid
+
+    def fork():
+        alive_at_fork.append(len(set(pids) - reaped))
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def waitpid(pid, options):
+        done, status = real_waitpid(pid, options)
+        if done:
+            reaped.add(done)
+        return done, status
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    log = synthetic_log()
+
+    def steps():
+        for state in synthetic_steps(log, 60):
+            yield state
+            listings.append(os.listdir(out))
+
+    streamed_steps(log, steps(), out / "events.csv")
+    listings.append(os.listdir(out))
+    assert pids and alive_at_fork == [0] * len(pids)
+    assert set(pids) == reaped
+    assert all(listing in ([], ["events.csv"]) for listing in listings)
+    assert listings[-1] == ["events.csv"]
+    write_events_csv(log, tmp_path / "serial.csv")
+    assert (out / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert_nothing_left(out)
+
+
+def test_streamed_events_csv_recovers_the_rows_of_a_killed_writer(tmp_path, monkeypatch, forks):
+    """A writer killed halfway through its segment leaves no mark on events.csv."""
+    set_cpus(monkeypatch, 2)
+    wait_for_writers(monkeypatch)
+    set_chunk_rows(monkeypatch, 7)
+    parent = os.getpid()
+    real_write = metrics._write_segment
+
+    def killed_halfway(fh, log, segment=None):
+        if os.getpid() != parent:  # a writer: write half its text, then die
+            text = io.BytesIO()
+            real_write(text, log, segment)
+            fh.write(text.getvalue()[:len(text.getvalue()) // 2])
+            fh.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_write(fh, log, segment)
+
+    monkeypatch.setattr(metrics, "_write_segment", killed_halfway)
+    log = synthetic_log()
+    streamed_steps(log, synthetic_steps(log, 60), tmp_path / "events.csv")
+    assert len(forks) >= 3
+    monkeypatch.setattr(metrics, "_write_segment", real_write)
+    write_events_csv(log, tmp_path / "serial.csv")
+    assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert_nothing_left(tmp_path)
 
 
