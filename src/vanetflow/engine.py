@@ -14,9 +14,10 @@ from __future__ import annotations
 import bisect
 import gc
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import compress
-from operator import sub
+from itertools import chain, compress, islice, repeat
+from operator import eq, sub
 
 import numpy as np
 
@@ -72,18 +73,138 @@ class SampleLog:
                 and self.velocity == other.velocity)
 
 
+class Events(Sequence):
+    """The event records of a run, in log order: receptions as columns, the rest as tuples.
+
+    Reads as the list of (time_s, event_kind, vehicle_id, lane, position_m,
+    velocity_mps, aux) records: ``len``, indexing, slices, iteration and
+    ``==`` against a list or another ``Events`` behave as on that list. A
+    reception the engine logs through ``log_receptions`` is one row of the
+    typed columns ``t``, ``vehicle_id``, ``lane``, ``position``, ``velocity``
+    and ``msg_id``, and reads back as (float, "reception", int, int, float,
+    float, int). Any record given to ``append``, ``extend`` or ``+=`` is kept
+    as the tuple it is, in ``records``, with its index in the sequence in
+    ``where``. A slice with step 1 is an ``Events`` that holds copies of its
+    rows' cells; its tuples are made as it is iterated.
+    """
+
+    __slots__ = ("t", "vehicle_id", "lane", "position", "velocity", "msg_id",
+                 "records", "where")
+
+    def __init__(self):
+        self.t = array("d")
+        self.vehicle_id = array("q")
+        self.lane = array("b")
+        self.position = array("d")
+        self.velocity = array("d")
+        self.msg_id = array("q")
+        self.records = []
+        self.where = array("q")
+
+    def __len__(self):
+        return len(self.t) + len(self.records)
+
+    def append(self, record) -> None:
+        self.where.append(len(self))
+        self.records.append(record)
+
+    def extend(self, records) -> None:
+        for record in records:
+            self.append(record)
+
+    def __iadd__(self, records):
+        self.extend(records)
+        return self
+
+    def log_receptions(self, t: float, vehicles: list, msg_ids: list) -> None:
+        """One reception row at time ``t`` per vehicle, as it stands now, with its message id."""
+        n = len(vehicles)
+        self.t.extend(array("d", (t,)) * n)
+        self.vehicle_id.fromlist([veh.id for veh in vehicles])
+        self.lane.fromlist([veh.lane for veh in vehicles])
+        self.position.fromlist([veh.position for veh in vehicles])
+        self.velocity.fromlist([veh.velocity for veh in vehicles])
+        self.msg_id.fromlist(msg_ids)
+
+    def _parts(self):
+        """The sequence in runs: reception rows as iterators, each record alone."""
+        rows = zip(self.t, repeat("reception"), self.vehicle_id, self.lane, self.position,
+                   self.velocity, self.msg_id)
+        done = 0
+        for k, (index, record) in enumerate(zip(self.where, self.records)):
+            # index - k rows come before the k-th record
+            if index - k > done:
+                yield islice(rows, index - k - done)
+                done = index - k
+            yield (record,)
+        yield rows
+
+    def __iter__(self):
+        return chain.from_iterable(self._parts())
+
+    def __getitem__(self, index):
+        n = len(self)
+        if isinstance(index, slice):
+            start, stop, stride = index.indices(n)
+            if stride != 1:
+                return [self[i] for i in range(start, stop, stride)]
+            return self._slice(start, max(start, stop))
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("event index out of range")
+        k = bisect.bisect_left(self.where, index)
+        if k < len(self.where) and self.where[k] == index:
+            return self.records[k]
+        i = index - k
+        return (self.t[i], "reception", self.vehicle_id[i], self.lane[i], self.position[i],
+                self.velocity[i], self.msg_id[i])
+
+    def _slice(self, start: int, stop: int) -> "Events":
+        part = Events()
+        k0 = bisect.bisect_left(self.where, start)
+        k1 = bisect.bisect_left(self.where, stop, k0)
+        rows = slice(start - k0, stop - k1)
+        for name in ("t", "vehicle_id", "lane", "position", "velocity", "msg_id"):
+            setattr(part, name, getattr(self, name)[rows])
+        part.records = self.records[k0:k1]
+        part.where = array("q", [index - start for index in self.where[k0:k1]])
+        return part
+
+    def times(self) -> np.ndarray:
+        """The time of every record, in order, as float64."""
+        out = np.empty(len(self))
+        at = np.frombuffer(self.where, dtype=np.int64)
+        rows = np.ones(len(self), dtype=bool)
+        rows[at] = False
+        out[rows] = np.frombuffer(self.t, dtype=np.float64)
+        out[at] = np.fromiter((record[0] for record in self.records), dtype=np.float64,
+                              count=len(self.records))
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, (Events, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self):
+        return f"Events({list(self)!r})"
+
+
 @dataclass
 class EventLog:
     """Everything a run produced: discrete events, dense samples and totals.
 
     Event records are (time_s, event_kind, vehicle_id, lane, position_m,
     velocity_mps, aux); aux carries the message id for communication events
-    and "target_lane|infected" for lane changes.
+    and "target_lane|infected" for lane changes. ``events`` is an ``Events``
+    sequence: the receptions, most of a run's records, are kept as typed
+    columns and read back as these tuples.
     """
 
     config_echo: dict
     cfg: SimConfig
-    events: list = field(default_factory=list)
+    events: Events = field(default_factory=Events)
     samples: SampleLog = field(default_factory=SampleLog)
     end_time: float = 0.0
     scheduled_arrivals: int = 0
@@ -263,6 +384,37 @@ def _file_attempt(state: SimState, veh: VehicleState, mac: MacState) -> None:
     state.attempts.setdefault(tick, []).append((veh, ready))
 
 
+class _Uniforms:
+    """Stands in for the generator in the relay pass: ``random()`` as ``rng.random()`` gives it.
+
+    The first call draws as many uniforms as the pass may use in one
+    ``rng.random(n)`` call. ``settle()`` then puts the generator back and
+    draws only the ones used, so it ends as after one scalar call per
+    decision: ``random`` takes whole 64-bit outputs, and the saved state
+    keeps the 32-bit half that an ``integers`` call may have buffered.
+    """
+
+    __slots__ = ("rng", "n", "saved", "values", "used")
+
+    def __init__(self, rng, n: int):
+        self.rng, self.n = rng, n
+        self.values = None
+        self.used = 0
+
+    def random(self) -> float:
+        if self.values is None:
+            self.saved = self.rng.bit_generator.state
+            self.values = self.rng.random(self.n).tolist()
+        value = self.values[self.used]
+        self.used += 1
+        return value
+
+    def settle(self) -> None:
+        if self.values is not None:
+            self.rng.bit_generator.state = self.saved
+            self.rng.random(self.used)
+
+
 def _communicate(state: SimState) -> None:
     """Beacon, MAC pass, deliveries with their ledger updates, then relay decisions."""
     cfg = state.cfg
@@ -321,16 +473,21 @@ def _communicate(state: SimState) -> None:
                     batches.append((heard, sender_pos, msg))
                     distances += [abs(v.position - sender_pos) for v in heard]
         hits = receive_roll(distances, radio_cfg, rng) if batches else []
+        # the step's receptions go into the log's columns together, and
+        # before each infection, which follows the reception that caused it
+        got, got_msg = [], []
         start = 0
         for heard, sender_pos, msg in batches:
             end = start + len(heard)
             msg_id = msg.msg_id
             for veh in compress(heard, hits[start:end]):
-                events.append((t, "reception", veh.id, veh.lane, veh.position,
-                               veh.velocity, msg_id))
+                got.append(veh)
+                got_msg.append(msg_id)
                 veh.ledger.record_reception(msg, sender_pos, veh.position)
                 if not veh.infected:
                     veh.infected = True
+                    events.log_receptions(t, got, got_msg)
+                    got, got_msg = [], []
                     events.append((t, "infection", veh.id, veh.lane, veh.position,
                                    veh.velocity, msg_id))
                 # a MAC that holds this or a newer generation will not take it
@@ -339,7 +496,10 @@ def _communicate(state: SimState) -> None:
                 if pending is None or pending < msg_id:
                     receptions.append((veh, msg, sender_pos))
             start = end
+        if got:
+            events.log_receptions(t, got, got_msg)
     # all receptions land before any relay decision is made
+    uniforms = _Uniforms(rng, len(receptions))
     for veh, msg, sender_pos in receptions:
         mac = veh.mac
         if mac.pending_message is not None and mac.pending_message >= msg.msg_id:
@@ -347,10 +507,11 @@ def _communicate(state: SimState) -> None:
         entry = veh.ledger.entries[msg.msg_id]
         if should_rebroadcast(cfg.policy, msg, entry, now=t, my_pos=veh.position,
                               d_from_sender=abs(veh.position - sender_pos),
-                              tx_range=radio_cfg.tx_range, rng=rng):
+                              tx_range=radio_cfg.tx_range, rng=uniforms):
             # a newer generation supersedes any older pending frame and, as
             # for any fresh frame, contention starts from stage 0
             _file_attempt(state, veh, MacState(0, 0, msg.msg_id))
+    uniforms.settle()
     state.prev_tx_positions = [pos for pos, _ in transmissions]
 
 

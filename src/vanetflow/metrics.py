@@ -14,7 +14,7 @@ import re
 import signal
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add
 
 import numpy as np
@@ -110,17 +110,19 @@ FLUSH_ROWS = 1 << 13
 def _stream_steps(log, segment=None):
     """The row order of the events + samples stream, one time step at a time.
 
-    Yields (event_idx, lo, hi) per distinct time, in time order: the events
-    ``log.events[i]`` for i in ``event_idx``, then the samples lo:hi of
-    ``log.samples``, all at that time; either part may be empty. Each stream
-    keeps its log order, which is what a stable sort of events + samples by
-    time gives. The samples must already be in time order, as the engine
-    appends them.
+    Yields (events, lo, hi) per distinct time, in time order: the list of
+    event records at that time, then the samples lo:hi of ``log.samples``;
+    either part may be empty. Each stream keeps its log order, which is what
+    a stable sort of events + samples by time gives. The samples must
+    already be in time order, as the engine appends them.
 
     ``segment`` = (s0, s1, e0, e1, t_lo, t_hi) limits the stream to the
     samples s0:s1 and the events e0:e1, whose times must all lie in
     [t_lo, t_hi); by default it is the whole log. Segments that split the
-    time axis give, one after the other, the steps of the whole log.
+    time axis give, one after the other, the steps of the whole log. The
+    events are read as one slice of ``log.events``; when they are in time
+    order, as the engine logs them, each step's records come from one pass
+    over it.
     """
     if segment is None:
         segment = (0, len(log.samples), 0, len(log.events), -math.inf, math.inf)
@@ -129,30 +131,32 @@ def _stream_steps(log, segment=None):
     if (sample_t[1:] < sample_t[:-1]).any() or (
             s1 > s0 and not t_lo <= sample_t[0] <= sample_t[-1] < t_hi):
         raise ValueError("samples are not in time order")
-    event_t = np.fromiter((e[0] for e in log.events[e0:e1]), dtype=np.float64,
-                          count=e1 - e0)
+    events = log.events[e0:e1]
+    event_t = events.times()
     if ((event_t < t_lo) | (event_t >= t_hi)).any():
         raise ValueError(f"events {e0}:{e1} are not all within [{t_lo}, {t_hi}) s")
     order = np.argsort(event_t, kind="stable")
     event_t = event_t[order]
-    order += e0
+    in_order = bool((order == np.arange(len(order))).all())
+    records, order = iter(events), None if in_order else order.tolist()
     # the end of each distinct time's events and samples
     times = np.unique(np.concatenate((event_t, sample_t)))
     event_ends = np.searchsorted(event_t, times, side="right").tolist()
     sample_ends = (np.searchsorted(sample_t, times, side="right") + s0).tolist()
     a, lo = 0, s0
     for b, hi in zip(event_ends, sample_ends):
-        yield order[a:b].tolist(), lo, hi
+        yield (list(islice(records, b - a)) if in_order
+               else [events[i] for i in order[a:b]]), lo, hi
         a, lo = b, hi
 
 
 def events_to_table(log, include_samples: bool = False) -> MetricTable:
     """The raw log as one record stream; samples become 'sample' rows on request."""
     if include_samples:
-        events, s = log.events, log.samples
+        s = log.samples
         rows = []
-        for event_idx, lo, hi in _stream_steps(log):
-            rows.extend(events[i] for i in event_idx)
+        for events, lo, hi in _stream_steps(log):
+            rows += events
             rows.extend(zip(s.t[lo:hi], ["sample"] * (hi - lo), s.vehicle_id[lo:hi],
                             s.lane[lo:hi], s.position[lo:hi], s.velocity[lo:hi],
                             [""] * (hi - lo)))
@@ -200,8 +204,11 @@ def _write_segment(fh, log, segment=None) -> None:
     The rows (by default those of the whole log) are streamed from the event
     and sample logs one time step at a time, in the order ``_stream_steps``
     gives, without building a row table, and written after the step that
-    brings the rows held to FLUSH_ROWS. Events are the engine's (float, str,
-    int, int, float, float, str | int) records.
+    brings the rows held to FLUSH_ROWS. The segment's events are read as one
+    slice of ``log.events``, in one pass when they are in time order, as the
+    engine logs them; its receptions come from the columns as (float,
+    "reception", int, int, float, float, int) and its other records are the
+    engine's (float, str, int, int, float, float, str | int) tuples.
 
     Each distinct float of a step is formatted once, and its string serves
     every row of the step that repeats it: the step's time, and a vehicle's
@@ -210,10 +217,11 @@ def _write_segment(fh, log, segment=None) -> None:
     ``table_to_text(events_to_table(log, True))``, because only values whose
     type is exactly float are keys (500 == 500.0, and an np.float64 has its
     own repr) and zero never is (0.0 == -0.0, but their reprs differ): an
-    event column that holds other types is formatted cell by cell, and each
-    zero on its own. A cell that would break the round trip raises ValueError.
+    event column that holds other types (only records given to
+    ``Events.append`` can) is formatted cell by cell, and each zero on its
+    own. A cell that would break the round trip raises ValueError.
     """
-    events, s = log.events, log.samples
+    s = log.samples
     lines = []
     reprs = _Reprs()
     ints = _IntTexts()
@@ -225,8 +233,8 @@ def _write_segment(fh, log, segment=None) -> None:
         lines.clear()
         ints.clear()
 
-    for event_idx, lo, hi in _stream_steps(log, segment):
-        columns = list(zip(*map(events.__getitem__, event_idx)))
+    for events, lo, hi in _stream_steps(log, segment):
+        columns = list(zip(*events))
         types = [set(map(type, column)) for column in columns]
         floats = list(chain.from_iterable(
             column for column, kinds in zip(columns, types) if kinds == _FLOAT))
@@ -271,7 +279,8 @@ class EventsCsvWriter:
     again, formats the segment in place from that offset and always leaves
     through ``os._exit``, while the parent keeps stepping. Once the writer
     is reaped, the parent's file moves on past its rows. ``finish(log)``
-    waits for the writer and formats the last segment in place. With one
+    formats the last segment, in memory while the writer still runs, and
+    into the file after the writer's rows once it is reaped. With one
     CPU or without ``os.fork`` no segment is cut, and ``finish`` writes the
     whole file, as ``write_events_csv`` does. Either way the file is the
     only one written, and its bytes are those of
@@ -369,11 +378,18 @@ class EventsCsvWriter:
         return self.fh
 
     def finish(self, log) -> None:
-        """Wait for the writer, format the rows no writer took and close."""
+        """Format the rows no writer took, wait for the writer and close.
+
+        While the writer is still alive, the text of the last segment is
+        held in memory; once it is reaped, the held text and the rest go
+        straight to the file, after the writer's rows (or after its segment,
+        formatted again, if it failed).
+        """
         s0, e0, t_lo = self.next
+        out = _HeldWhileWriting(self, log)
+        _write_segment(out, log, (s0, len(log.samples), e0, len(log.events), t_lo, math.inf))
         self._reap(log, wait=True)
-        _write_segment(self._out(log), log,
-                       (s0, len(log.samples), e0, len(log.events), t_lo, math.inf))
+        out.write(b"")  # the writer is reaped: any held text goes to the file
         self.fh.close()
         self.fh = None
 
@@ -389,6 +405,30 @@ class EventsCsvWriter:
                 os.unlink(self.path)
             except FileNotFoundError:
                 pass
+
+
+class _HeldWhileWriting:
+    """The file that ``finish`` formats the last segment into.
+
+    Each write first reaps the writer if it is done. While it runs, the
+    text is held; after it, the held text and then each write go to the file.
+    """
+
+    def __init__(self, writer: EventsCsvWriter, log):
+        self.writer, self.log = writer, log
+        self.held = []
+        writer._out(log)
+
+    def write(self, data: bytes) -> None:
+        writer = self.writer
+        if self.held is not None:
+            writer._reap(self.log, wait=False)
+            if writer.writer is not None:
+                self.held.append(data)
+                return
+            writer.fh.write(b"".join(self.held))
+            self.held = None
+        writer.fh.write(data)
 
 
 def write_events_csv(log, path) -> None:
@@ -435,8 +475,10 @@ def exit_series(log, bin_s: float = 30.0) -> ExitSeries:
     """Cumulative entered/exited counts sampled at bin boundaries."""
     _check_bin_size("bin_s", bin_s)
     n_bins = max(0, math.ceil(log.end_time / bin_s - 1e-9))
-    arrival_times = sorted(e[0] for e in log.events if e[1] == "injection")
-    exit_times = sorted(e[0] for e in log.events if e[1] == "exit")
+    # receptions, the column rows of log.events, are neither
+    records = log.events.records
+    arrival_times = sorted(e[0] for e in records if e[1] == "injection")
+    exit_times = sorted(e[0] for e in records if e[1] == "exit")
     t, arrivals, exits, ratio = [], [], [], []
     ai = xi = 0
     for k in range(n_bins):
@@ -460,7 +502,7 @@ def lane_change_positions(log, out_of_obstacle_lane: bool = False,
     """(time, position, infected) per lane-change event, with optional filters."""
     cfg = log.cfg
     rows = []
-    for event in log.events:
+    for event in log.events.records:  # receptions, the column rows, are no lane changes
         if event[1] != "lane_change":
             continue
         time_s, _, _, from_lane, position, _, aux = event

@@ -148,17 +148,19 @@ def next_attempt(state: MacState, tick: int) -> tuple[int, MacState]:
             MacState(state.backoff_stage, 0, state.pending_message))
 
 
-def receive_roll(distances: list[float], cfg: RadioConfig, rng) -> list[bool]:
+def receive_roll(distances, cfg: RadioConfig, rng) -> list[bool]:
     """Bernoulli reception per receiver: possible only within tx_range, then with reception_prob.
 
-    One ``rng.random(m)`` call draws for the m in-range distances, in order,
-    which is the same stream as m scalar draws. No randomness is consumed for
-    out-of-range receivers, keeping draw sequences stable.
+    ``distances`` is a sequence or a numpy array; the result is its hit mask
+    as a list. One ``rng.random(m)`` call draws for the m in-range
+    distances, in order, which is the same stream as m scalar draws. No
+    randomness is consumed for out-of-range receivers, keeping draw
+    sequences stable.
     """
-    if min(distances, default=0.0) < 0:
+    d = np.asarray(distances, dtype=np.float64)
+    if d.size and d.min() < 0:
         raise ValueError("distance must be >= 0")
-    limit = cfg.tx_range
-    p = cfg.reception_prob
-    reachable = [d <= limit for d in distances]
-    draws = iter(rng.random(reachable.count(True)).tolist())
-    return [r and next(draws) < p for r in reachable]
+    reachable = d <= cfg.tx_range
+    hits = np.zeros(d.shape, dtype=bool)
+    hits[reachable] = rng.random(np.count_nonzero(reachable)) < cfg.reception_prob
+    return hits.tolist()

@@ -22,7 +22,7 @@ from vanetflow.sweep import run_sweep
 def synthetic_log(events=(), samples=(), end_time=90.0, cfg=None):
     cfg = cfg or SimConfig()
     log = EventLog(config_echo=as_echo_dict(cfg), cfg=cfg, end_time=end_time)
-    log.events = list(events)
+    log.events.extend(events)
     for t, vid, lane, x, v in samples:
         log.samples.t.append(t)
         log.samples.vehicle_id.append(vid)
@@ -500,6 +500,69 @@ def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, fork
         os.close(gate_r)
         if gate_w is not None:
             os.close(gate_w)
+    write_events_csv(log, tmp_path / "serial.csv")
+    assert path.read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert_nothing_left(tmp_path)
+
+
+@pytest.mark.parametrize("writer_fails", [False, True])
+@pytest.mark.parametrize("release", ["first_held_write", "final_wait"])
+def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeypatch, forks,
+                                                               writer_fails, release):
+    """The last segment is held in memory while the writer is busy, then follows its rows.
+
+    The writer is let go once the main process holds some text, or only when
+    ``finish`` waits for it, after the whole last segment is held.
+    """
+    set_cpus(monkeypatch, 4)
+    set_chunk_rows(monkeypatch, 1500)
+    parent = os.getpid()
+    gate_r, gate_w = os.pipe()
+    real_write_segment = metrics._write_segment
+    real_write = metrics._HeldWhileWriting.write
+    real_reap = EventsCsvWriter._reap
+    held = []
+
+    def open_gate():
+        nonlocal gate_w
+        if gate_w is not None:
+            os.close(gate_w)
+            gate_w = None
+
+    def gated(fh, log, segment=None):
+        if os.getpid() != parent:  # a writer: wait until the parent closes the gate
+            os.close(gate_w)
+            os.read(gate_r, 1)
+            if writer_fails:
+                raise RuntimeError("writer failed")
+        real_write_segment(fh, log, segment)
+
+    def write(self, data):
+        real_write(self, data)
+        if self.held:
+            held.append(len(data))
+            if release == "first_held_write":
+                open_gate()
+
+    def reap(self, log, wait):
+        if wait:
+            open_gate()
+        real_reap(self, log, wait)
+
+    monkeypatch.setattr(metrics, "_write_segment", gated)
+    monkeypatch.setattr(metrics._HeldWhileWriting, "write", write)
+    monkeypatch.setattr(EventsCsvWriter, "_reap", reap)
+    path = tmp_path / "events.csv"
+    try:
+        with EventsCsvWriter(path) as writer:
+            log = run(SimConfig(duration=120.0, seed=31, warm_up=10.0),
+                      on_step=writer.after_step)
+            assert len(forks) == 1
+            writer.finish(log)
+    finally:
+        os.close(gate_r)
+        open_gate()
+    assert len(held) >= (2 if release == "final_wait" else 1)
     write_events_csv(log, tmp_path / "serial.csv")
     assert path.read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert_nothing_left(tmp_path)
