@@ -44,6 +44,7 @@ GRIDLOCK_MIN_VEHICLES = 10  # ignore near-empty roads
 ORIGIN_WINDOW = 100.0       # m, stretch of road watched for congestion at entry
 ORIGIN_SLOW_SPEED = 5.0     # m/s
 ORIGIN_MIN_VEHICLES = 3
+EXPAND_ROWS = 1 << 16       # reception rows whose runs an iteration expands at a time
 
 
 class SimulationError(RuntimeError):
@@ -74,35 +75,40 @@ class SampleLog:
 
 
 class Events(Sequence):
-    """The event records of a run, in log order: receptions as columns, the rest as tuples.
+    """The event records of a run, in log order: receptions as runs of columns, the rest as tuples.
 
     Reads as the list of (time_s, event_kind, vehicle_id, lane, position_m,
     velocity_mps, aux) records: ``len``, indexing, slices, iteration and
     ``==`` against a list or another ``Events`` behave as on that list. A
     reception the engine logs through ``log_receptions`` is one row of the
-    typed columns ``t``, ``vehicle_id``, ``lane``, ``position``, ``velocity``
-    and ``msg_id``, and reads back as (float, "reception", int, int, float,
-    float, int). Any record given to ``append``, ``extend`` or ``+=`` is kept
-    as the tuple it is, in ``records``, with its index in the sequence in
-    ``where``. A slice with step 1 is an ``Events`` that holds copies of its
-    rows' cells; its tuples are made as it is iterated.
+    typed columns ``vehicle_id``, ``position`` and ``velocity`` (24 B a row).
+    Its time, lane and message id are those of its run: consecutive rows
+    that share all three, run k starting at row ``run_start[k]`` with
+    ``run_t[k]``, ``run_lane[k]`` and ``run_msg[k]``. A reception reads back
+    as (float, "reception", int, int, float, float, int); reads expand the
+    runs with one ``np.repeat`` per column, EXPAND_ROWS rows at a time. Any
+    record given to ``append``, ``extend`` or ``+=`` is kept as the tuple it
+    is, in ``records``, with its index in the sequence in ``where``. A slice
+    with step 1 is an ``Events`` that holds copies of its rows' cells and
+    runs; its tuples are made as it is iterated.
     """
 
-    __slots__ = ("t", "vehicle_id", "lane", "position", "velocity", "msg_id",
-                 "records", "where")
+    __slots__ = ("vehicle_id", "position", "velocity", "run_start", "run_t", "run_lane",
+                 "run_msg", "records", "where")
 
     def __init__(self):
-        self.t = array("d")
         self.vehicle_id = array("q")
-        self.lane = array("b")
         self.position = array("d")
         self.velocity = array("d")
-        self.msg_id = array("q")
+        self.run_start = array("q")
+        self.run_t = array("d")
+        self.run_lane = array("b")
+        self.run_msg = array("q")
         self.records = []
         self.where = array("q")
 
     def __len__(self):
-        return len(self.t) + len(self.records)
+        return len(self.vehicle_id) + len(self.records)
 
     def append(self, record) -> None:
         self.where.append(len(self))
@@ -116,28 +122,67 @@ class Events(Sequence):
         self.extend(records)
         return self
 
-    def log_receptions(self, t: float, vehicles: list, msg_ids: list) -> None:
-        """One reception row at time ``t`` per vehicle, as it stands now, with its message id."""
-        n = len(vehicles)
-        self.t.extend(array("d", (t,)) * n)
+    def log_receptions(self, t: float, vehicles: list, runs: list) -> None:
+        """One reception row at time ``t`` per vehicle, as it stands now.
+
+        ``runs`` holds one (index in ``vehicles``, lane, message id) per run,
+        in order, the first at index 0: a run's rows go up to the next run's
+        index. A run with no rows is dropped.
+        """
+        if vehicles and (not runs or runs[0][0] != 0):
+            raise ValueError("the first reception row starts no run")
+        base = len(self.vehicle_id)
+        stops = [start for start, _, _ in islice(runs, 1, None)]
+        stops.append(len(vehicles))
+        for (start, lane, msg_id), stop in zip(runs, stops):
+            if start < stop:
+                self.run_start.append(base + start)
+                self.run_t.append(t)
+                self.run_lane.append(lane)
+                self.run_msg.append(msg_id)
         self.vehicle_id.fromlist([veh.id for veh in vehicles])
-        self.lane.fromlist([veh.lane for veh in vehicles])
         self.position.fromlist([veh.position for veh in vehicles])
         self.velocity.fromlist([veh.velocity for veh in vehicles])
-        self.msg_id.fromlist(msg_ids)
+
+    def _run_columns(self, lo: int, hi: int, columns: tuple) -> list:
+        """The per-run ``columns`` expanded to reception rows lo:hi (lo < hi), as numpy arrays."""
+        starts = np.frombuffer(self.run_start, dtype=np.int64)
+        k0 = int(starts.searchsorted(lo, "right")) - 1
+        k1 = int(starts.searchsorted(hi))
+        lengths = np.diff(starts[k0:k1].clip(lo), append=hi)
+        return [np.repeat(np.frombuffer(column, dtype=column.typecode)[k0:k1], lengths)
+                for column in columns]
+
+    def _row_chunks(self):
+        """The reception rows as tuples, EXPAND_ROWS at a time: (end row, ``zip`` of the rows)."""
+        runs = (self.run_t, self.run_lane, self.run_msg)
+        ids, xs, vs = iter(self.vehicle_id), iter(self.position), iter(self.velocity)
+        lo = 0
+        while lo < len(self.vehicle_id):
+            hi = min(lo + EXPAND_ROWS, len(self.vehicle_id))
+            # a memoryview of a numpy column yields Python floats and ints
+            t, lane, msg_id = map(memoryview, self._run_columns(lo, hi, runs))
+            # t runs out first, so the shared column iterators lose no row
+            yield hi, zip(t, repeat("reception"), ids, lane, xs, vs, msg_id)
+            lo = hi
 
     def _parts(self):
-        """The sequence in runs: reception rows as iterators, each record alone."""
-        rows = zip(self.t, repeat("reception"), self.vehicle_id, self.lane, self.position,
-                   self.velocity, self.msg_id)
-        done = 0
+        """The sequence in parts: reception rows as iterators, each record alone."""
+        chunks = self._row_chunks()
+        done = hi = 0  # rows taken, and the end of the chunk being taken
         for k, (index, record) in enumerate(zip(self.where, self.records)):
             # index - k rows come before the k-th record
-            if index - k > done:
-                yield islice(rows, index - k - done)
-                done = index - k
+            while done < index - k:
+                if done == hi:
+                    hi, rows = next(chunks)
+                take = min(index - k, hi) - done
+                yield islice(rows, take)
+                done += take
             yield (record,)
-        yield rows
+        if done < hi:
+            yield rows
+        for _, rows in chunks:
+            yield rows
 
     def __iter__(self):
         return chain.from_iterable(self._parts())
@@ -157,16 +202,23 @@ class Events(Sequence):
         if k < len(self.where) and self.where[k] == index:
             return self.records[k]
         i = index - k
-        return (self.t[i], "reception", self.vehicle_id[i], self.lane[i], self.position[i],
-                self.velocity[i], self.msg_id[i])
+        j = bisect.bisect_right(self.run_start, i) - 1
+        return (self.run_t[j], "reception", self.vehicle_id[i], self.run_lane[j],
+                self.position[i], self.velocity[i], self.run_msg[j])
 
     def _slice(self, start: int, stop: int) -> "Events":
         part = Events()
         k0 = bisect.bisect_left(self.where, start)
         k1 = bisect.bisect_left(self.where, stop, k0)
-        rows = slice(start - k0, stop - k1)
-        for name in ("t", "vehicle_id", "lane", "position", "velocity", "msg_id"):
-            setattr(part, name, getattr(self, name)[rows])
+        lo, hi = start - k0, stop - k1
+        for name in ("vehicle_id", "position", "velocity"):
+            setattr(part, name, getattr(self, name)[lo:hi])
+        if lo < hi:
+            j0 = bisect.bisect_right(self.run_start, lo) - 1
+            j1 = bisect.bisect_left(self.run_start, hi, j0)
+            part.run_start = array("q", [max(row - lo, 0) for row in self.run_start[j0:j1]])
+            for name in ("run_t", "run_lane", "run_msg"):
+                setattr(part, name, getattr(self, name)[j0:j1])
         part.records = self.records[k0:k1]
         part.where = array("q", [index - start for index in self.where[k0:k1]])
         return part
@@ -177,7 +229,8 @@ class Events(Sequence):
         at = np.frombuffer(self.where, dtype=np.int64)
         rows = np.ones(len(self), dtype=bool)
         rows[at] = False
-        out[rows] = np.frombuffer(self.t, dtype=np.float64)
+        if len(self.vehicle_id):
+            out[rows] = self._run_columns(0, len(self.vehicle_id), (self.run_t,))[0]
         out[at] = np.fromiter((record[0] for record in self.records), dtype=np.float64,
                               count=len(self.records))
         return out
@@ -199,7 +252,8 @@ class EventLog:
     velocity_mps, aux); aux carries the message id for communication events
     and "target_lane|infected" for lane changes. ``events`` is an ``Events``
     sequence: the receptions, most of a run's records, are kept as typed
-    columns and read back as these tuples.
+    columns, with the time, lane and message id once per run of rows, and
+    read back as these tuples.
     """
 
     config_echo: dict
@@ -384,37 +438,6 @@ def _file_attempt(state: SimState, veh: VehicleState, mac: MacState) -> None:
     state.attempts.setdefault(tick, []).append((veh, ready))
 
 
-class _Uniforms:
-    """Stands in for the generator in the relay pass: ``random()`` as ``rng.random()`` gives it.
-
-    The first call draws as many uniforms as the pass may use in one
-    ``rng.random(n)`` call. ``settle()`` then puts the generator back and
-    draws only the ones used, so it ends as after one scalar call per
-    decision: ``random`` takes whole 64-bit outputs, and the saved state
-    keeps the 32-bit half that an ``integers`` call may have buffered.
-    """
-
-    __slots__ = ("rng", "n", "saved", "values", "used")
-
-    def __init__(self, rng, n: int):
-        self.rng, self.n = rng, n
-        self.values = None
-        self.used = 0
-
-    def random(self) -> float:
-        if self.values is None:
-            self.saved = self.rng.bit_generator.state
-            self.values = self.rng.random(self.n).tolist()
-        value = self.values[self.used]
-        self.used += 1
-        return value
-
-    def settle(self) -> None:
-        if self.values is not None:
-            self.rng.bit_generator.state = self.saved
-            self.rng.random(self.used)
-
-
 def _communicate(state: SimState) -> None:
     """Beacon, MAC pass, deliveries with their ledger updates, then relay decisions."""
     cfg = state.cfg
@@ -422,11 +445,28 @@ def _communicate(state: SimState) -> None:
     radio_cfg = cfg.radio
     events = state.log.events
     rng = state.rng
+    messages = state.messages
+    # generations past their time to live can be neither sent nor relayed
+    # again (ttl_alive's time test fails); ids grow with time, so they are
+    # the oldest entries. Their ledger entries go with them.
+    expired = []
+    for msg in messages.values():
+        if not (t - msg.created_at) > msg.ttl_time:
+            break
+        expired.append(msg.msg_id)
+    if expired:
+        for msg_id in expired:
+            del messages[msg_id]
+        for lane_list in state.lanes:
+            for veh in lane_list:
+                entries = veh.ledger.entries
+                for msg_id in expired:
+                    entries.pop(msg_id, None)
     transmissions = []
     if t >= state.next_beacon - 1e-9:
         msg = WarningMessage(state.next_msg_id, cfg.obstacle_position, t,
                              cfg.ttl_time, cfg.ttl_distance)
-        state.messages[msg.msg_id] = msg
+        messages[msg.msg_id] = msg
         state.next_msg_id += 1
         state.next_beacon += cfg.beacon_interval
         transmissions.append((cfg.obstacle_position, msg))
@@ -448,9 +488,10 @@ def _communicate(state: SimState) -> None:
             continue
         # an attempt on an idle medium sends
         veh.mac, _ = mac_tick(mac, False, radio_cfg, rng)
-        msg = state.messages[mac.pending_message]
-        # messages that died while queued are dropped, not sent
-        if ttl_alive(msg, t, veh.position):
+        msg = messages.get(mac.pending_message)
+        # messages that died while queued are dropped, not sent; a generation
+        # that is no longer held expired in time
+        if msg is not None and ttl_alive(msg, t, veh.position):
             transmissions.append((veh.position, msg))
             events.append((t, "transmission", veh.id, veh.lane,
                            veh.position, veh.velocity, msg.msg_id))
@@ -461,7 +502,7 @@ def _communicate(state: SimState) -> None:
         rc = radio_cfg.tx_range
         batches = []
         distances = []
-        for lane_list in state.lanes:
+        for lane, lane_list in enumerate(state.lanes):
             positions = [v.position for v in lane_list]
             for sender_pos, msg in transmissions:
                 lo = bisect.bisect_left(positions, sender_pos - rc)
@@ -470,24 +511,25 @@ def _communicate(state: SimState) -> None:
                 # tie, whose direction cannot be attributed: neither draws
                 heard = [v for v in lane_list[lo:hi] if v.position != sender_pos]
                 if heard:
-                    batches.append((heard, sender_pos, msg))
+                    batches.append((heard, sender_pos, msg, lane))
                     distances += [abs(v.position - sender_pos) for v in heard]
         hits = receive_roll(distances, radio_cfg, rng) if batches else []
         # the step's receptions go into the log's columns together, and
-        # before each infection, which follows the reception that caused it
-        got, got_msg = [], []
+        # before each infection, which follows the reception that caused it;
+        # each batch is one run of rows, split by such an infection
+        got, runs = [], []
         start = 0
-        for heard, sender_pos, msg in batches:
+        for heard, sender_pos, msg, lane in batches:
             end = start + len(heard)
             msg_id = msg.msg_id
+            runs.append((len(got), lane, msg_id))
             for veh in compress(heard, hits[start:end]):
                 got.append(veh)
-                got_msg.append(msg_id)
                 veh.ledger.record_reception(msg, sender_pos, veh.position)
                 if not veh.infected:
                     veh.infected = True
-                    events.log_receptions(t, got, got_msg)
-                    got, got_msg = [], []
+                    events.log_receptions(t, got, runs)
+                    got, runs = [], [(0, lane, msg_id)]
                     events.append((t, "infection", veh.id, veh.lane, veh.position,
                                    veh.velocity, msg_id))
                 # a MAC that holds this or a newer generation will not take it
@@ -497,9 +539,8 @@ def _communicate(state: SimState) -> None:
                     receptions.append((veh, msg, sender_pos))
             start = end
         if got:
-            events.log_receptions(t, got, got_msg)
+            events.log_receptions(t, got, runs)
     # all receptions land before any relay decision is made
-    uniforms = _Uniforms(rng, len(receptions))
     for veh, msg, sender_pos in receptions:
         mac = veh.mac
         if mac.pending_message is not None and mac.pending_message >= msg.msg_id:
@@ -507,11 +548,10 @@ def _communicate(state: SimState) -> None:
         entry = veh.ledger.entries[msg.msg_id]
         if should_rebroadcast(cfg.policy, msg, entry, now=t, my_pos=veh.position,
                               d_from_sender=abs(veh.position - sender_pos),
-                              tx_range=radio_cfg.tx_range, rng=uniforms):
+                              tx_range=radio_cfg.tx_range, rng=rng):
             # a newer generation supersedes any older pending frame and, as
             # for any fresh frame, contention starts from stage 0
             _file_attempt(state, veh, MacState(0, 0, msg.msg_id))
-    uniforms.settle()
     state.prev_tx_positions = [pos for pos, _ in transmissions]
 
 

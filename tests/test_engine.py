@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vanetflow import engine
-from vanetflow.config import SimConfig
+from vanetflow.config import PRESETS, SimConfig
 from vanetflow.engine import (GRIDLOCK_MIN_VEHICLES, SimulationError, _leader, _leaders,
                               _pad, add_vehicle, detect_gridlock, inject_vehicles,
                               new_state, origin_congested, run, step)
@@ -387,6 +387,25 @@ def test_no_teleportation():
             assert x - last[vid] <= limit
             assert x >= last[vid]
         last[vid] = x
+
+
+def test_held_warnings_stay_bounded_by_their_time_to_live():
+    cfg = PRESETS["velocity_motorway"].config(seed=1, communication=True)
+    # the generations a message's time to live can span
+    live = round(cfg.ttl_time / cfg.beacon_interval) + 1
+    held = {}
+
+    def watch(state):
+        if state.now in (300.0, 900.0):
+            vehicles = state.lanes[0] + state.lanes[1]
+            held[state.now] = (len(state.messages),
+                               max(len(veh.ledger.entries) for veh in vehicles))
+
+    run(cfg, on_step=watch)
+    assert live == 121
+    assert list(held) == [300.0, 900.0]
+    for messages, entries in held.values():
+        assert messages <= live and entries <= live
 
 
 def test_infection_count_monotone_and_single():

@@ -2,11 +2,13 @@
 
 import pickle
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vanetflow import engine
 from vanetflow.config import PRESETS
 from vanetflow.engine import Events, run
 
@@ -14,7 +16,14 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 finite = st.floats(allow_nan=False)
 int64 = st.integers(-2**63, 2**63 - 1)
-reception = st.tuples(int64, st.integers(0, 1), finite, finite, int64)
+# times and message ids often repeat, so runs of equal (t, lane, msg_id) meet
+step_time = st.one_of(st.sampled_from([0.0, -0.0, 2.5]), finite)
+msg_id = st.one_of(st.integers(0, 2), int64)
+# a (lane, transmission) batch: its lane, message id, the (vehicle id,
+# position, velocity) of each receiver and the row after which an infection
+# splits it (none when past its end)
+batch = st.tuples(st.integers(0, 1), msg_id, st.lists(st.tuples(int64, finite, finite),
+                                                      max_size=6), st.integers(0, 7))
 # what tests and callers append: any record, engine-shaped or not
 record = st.one_of(
     st.tuples(st.one_of(finite, st.integers(-10, 10)),
@@ -22,21 +31,34 @@ record = st.one_of(
               st.integers(-1, 50), st.integers(0, 1), st.floats(), st.floats(),
               st.one_of(st.just(""), st.integers(0, 9), st.just("1|0"))),
     st.tuples(st.floats(allow_nan=False), st.text(max_size=3)))
-op = st.one_of(st.tuples(st.just("rx"), finite, st.lists(reception, max_size=6)),
+op = st.one_of(st.tuples(st.just("rx"), step_time, st.lists(batch, max_size=4)),
                st.tuples(st.just("append"), record),
                st.tuples(st.just("extend"), st.lists(record, max_size=3)))
 
 
 def build(ops):
-    """The Events and the plain list that the same operations give."""
+    """The Events and the plain list that the same operations give.
+
+    An "rx" logs one step's batches as the engine does: one run per batch,
+    handed over at the end and before each infection, which follows the
+    reception that caused it.
+    """
     events, expected = Events(), []
     for kind, *args in ops:
         if kind == "rx":
-            t, rows = args
-            vehicles = [SimpleNamespace(id=i, lane=lane, position=x, velocity=v)
-                        for i, lane, x, v, _ in rows]
-            events.log_receptions(t, vehicles, [m for *_, m in rows])
-            expected += [(t, "reception", i, lane, x, v, m) for i, lane, x, v, m in rows]
+            t, batches = args
+            got, runs = [], []
+            for lane, msg, rows, infect_after in batches:
+                runs.append((len(got), lane, msg))
+                for k, (i, x, v) in enumerate(rows):
+                    got.append(SimpleNamespace(id=i, lane=lane, position=x, velocity=v))
+                    expected.append((t, "reception", i, lane, x, v, msg))
+                    if k == infect_after:
+                        events.log_receptions(t, got, runs)
+                        got, runs = [], [(0, lane, msg)]
+                        expected.append((t, "infection", i, lane, x, v, msg))
+                        events.append(expected[-1])
+            events.log_receptions(t, got, runs)
         elif kind == "append":
             events.append(args[0])
             expected.append(args[0])
@@ -44,6 +66,15 @@ def build(ops):
             events += args[0]
             expected.extend(args[0])
     return events, expected
+
+
+def runs_are_whole(events):
+    """Every run starts at a row of its own, the first at row 0: none is empty."""
+    starts = list(events.run_start)
+    assert starts == sorted(set(starts))
+    assert starts[:1] == ([0] if len(events.vehicle_id) else [])
+    assert not starts or starts[-1] < len(events.vehicle_id)
+    assert len(events.run_t) == len(events.run_lane) == len(events.run_msg) == len(starts)
 
 
 def same_rows(got, want):
@@ -54,11 +85,18 @@ def same_rows(got, want):
 
 
 @SETTINGS
-@given(st.lists(op, max_size=12), st.data())
-def test_events_read_as_the_list_of_their_records(ops, data):
+@given(st.lists(op, max_size=12), st.sampled_from([1, 2, 5, engine.EXPAND_ROWS]), st.data())
+def test_events_read_as_the_list_of_their_records(ops, expand_rows, data):
+    # small expansion chunks put chunk ends inside runs and next to records
+    with mock.patch.object(engine, "EXPAND_ROWS", expand_rows):
+        check_reads(ops, data)
+
+
+def check_reads(ops, data):
     events, expected = build(ops)
     n = len(expected)
     assert len(events) == n
+    runs_are_whole(events)
     assert events == expected and expected == events and not events != expected
     copy = Events()
     copy += expected
@@ -80,29 +118,39 @@ def test_events_read_as_the_list_of_their_records(ops, data):
         if cut.step in (None, 1):
             # a slice is itself an Events: index it and slice it again
             assert isinstance(part, Events)
+            runs_are_whole(part)
             same_rows(part[1:-1], expected[cut][1:-1])
             same_rows(part[::-1], expected[cut][::-1])
+    # a window at every start, so that slice bounds fall inside every run
+    for i in range(n + 1):
+        runs_are_whole(events[i:i + 3])
+        same_rows(events[i:i + 3], expected[i:i + 3])
+        same_rows(events[i:][1:3], expected[i:][1:3])
     same_rows(pickle.loads(pickle.dumps(events)), expected)
     if all(isinstance(row[0], (int, float)) for row in expected):
         assert events.times().tolist() == [float(row[0]) for row in expected]
 
 
 def test_events_compare_unequal_to_other_lists():
-    events, expected = build([("rx", 1.0, [(3, 1, 5.0, -0.0, 7)]),
-                              ("append", (1.0, "infection", 3, 1, 5.0, -0.0, 7))])
+    events, expected = build([("rx", 1.0, [(1, 7, [(3, 5.0, -0.0)], 0)])])
     assert events != expected[:1]
     assert events != expected[::-1]
     assert events != [(1.0, "reception", 3, 1, 5.0, 0.5, 7), expected[1]]
     assert events != tuple(expected)
 
 
-def test_each_reception_reads_back_typed_and_each_infection_follows_its_reception():
+@pytest.fixture(scope="module")
+def minute_log():
     cfg = PRESETS["velocity_motorway"].config(seed=1, communication=True)
     cfg.duration, cfg.warm_up = 60.0, 10.0
-    log = run(cfg)
+    return run(cfg)
+
+
+def test_each_reception_reads_back_typed_and_each_infection_follows_its_reception(minute_log):
+    log = minute_log
     rows = list(log.events)
     receptions = [row for row in rows if row[1] == "reception"]
-    assert len(receptions) == len(log.events.t) > 100
+    assert len(receptions) == len(log.events.vehicle_id) > 100
     assert not any(row[1] == "reception" for row in log.events.records)
     types = (float, str, int, int, float, float, int)
     assert all(tuple(map(type, row)) == types for row in receptions)
@@ -114,3 +162,32 @@ def test_each_reception_reads_back_typed_and_each_infection_follows_its_receptio
         assert (before[0], before[2], before[6]) == (rows[k][0], rows[k][2], rows[k][6])
     assert rows == log.events and [rows[k] for k in infections] == [
         log.events[k] for k in infections]
+
+
+def test_receptions_take_24_bytes_a_row_and_one_run_per_batch(minute_log):
+    log = minute_log
+    events = log.events
+    rows = list(events)
+    n = len(events.vehicle_id)
+    columns = (events.vehicle_id, events.position, events.velocity)
+    assert [len(column) for column in columns] == [n] * 3
+    assert sum(column.itemsize for column in columns) == 24
+    runs = (events.run_start, events.run_t, events.run_lane, events.run_msg)
+    assert len({len(column) for column in runs}) == 1
+    # a (lane, transmission) batch has a hit when a reception row at its time,
+    # lane and message lies within range of its sender; two transmissions of
+    # one message in one step can both claim a row, so this count is an upper
+    # bound on the batches with a hit
+    tx_range = log.cfg.radio.tx_range
+    heard = {}
+    for t, kind, _, lane, x, _, msg in rows:
+        if kind == "reception":
+            heard.setdefault((t, lane, msg), []).append(x)
+    hit_batches = sum(
+        any(abs(x - sender) <= tx_range for x in heard.get((t, lane, msg), ()))
+        for t, kind, _, _, sender, _, msg in rows if kind == "transmission" for lane in (0, 1))
+    infections = sum(row[1] == "infection" for row in rows)
+    # and runs never merge rows of different time, lane or message
+    keys = [(row[0], row[3], row[6]) for row in rows if row[1] == "reception"]
+    changes = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+    assert changes <= len(events.run_start) <= hit_batches + infections

@@ -3,17 +3,15 @@
 The engine only calls ``mac_tick`` on the tick a MAC's countdown ends
 (``next_attempt``), draws the backoffs of all busy attempts of a MAC pass
 with one ``draw_backoffs`` call, and rolls all receivers of a step with one
-``receive_roll`` call, and its relay decisions take uniforms drawn ahead in
-one call (``engine._Uniforms``). Each must leave the outcomes and the random
-stream as ticking every MAC every tick, deferring attempts one by one,
-rolling receivers one by one and one scalar draw per decision do.
+``receive_roll`` call. Each must leave the outcomes and the random stream as
+ticking every MAC every tick, deferring attempts one by one and rolling
+receivers one by one do.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanetflow.engine import _Uniforms
 from vanetflow.radio import (MacState, RadioConfig, defer, draw_backoffs, mac_tick, next_attempt,
                              receive_roll)
 
@@ -134,27 +132,3 @@ def test_batched_backoffs_match_one_mac_tick_per_busy_attempt(case):
         assert after[0] == after[1] == after[2]
     assert rng_a.bit_generator.state == rng_b.bit_generator.state == rng_c.bit_generator.state
 
-
-@st.composite
-def relay_cases(draw):
-    # per relay pass: which of its decisions draw (a flooding or expired one does not)
-    passes = draw(st.lists(st.lists(st.booleans(), max_size=20), min_size=1, max_size=6))
-    # small windows draw 32-bit halves, and the generator buffers the other half
-    between = draw(st.lists(st.lists(st.integers(0, 2**40), max_size=3),
-                            min_size=len(passes), max_size=len(passes)))
-    return passes, between, draw(st.integers(0, 2**32 - 1))
-
-
-@SETTINGS
-@given(relay_cases())
-def test_relay_uniforms_match_one_scalar_draw_per_decision(case):
-    passes, between, seed = case
-    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    for draws, highs in zip(passes, between):
-        for high in highs:
-            assert rng_a.integers(0, high + 1) == rng_b.integers(0, high + 1)
-        uniforms = _Uniforms(rng_a, len(draws))
-        got = [uniforms.random() for drawn in draws if drawn]
-        uniforms.settle()
-        assert got == [rng_b.random() for drawn in draws if drawn]
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
