@@ -28,13 +28,14 @@ def _build_parser():
         p.add_argument("--preset", choices=sorted(PRESETS), help="scenario preset to start from")
         p.add_argument("--out-dir", type=Path, default=Path("."), help="where CSV output goes")
         p.add_argument("--policy", choices=POLICY_KINDS, help="override the dissemination policy")
-        p.add_argument("--no-comms", action="store_true", help="disable communication")
         p.add_argument("--stop-at-origin", action="store_true",
                        help="stop once congestion reaches position 0")
 
     run_p = sub.add_parser("run", help="run one simulation and write its metrics")
     common(run_p)
     run_p.add_argument("--seed", type=int, help="random seed")
+    # a sweep runs both arms, with and without communication
+    run_p.add_argument("--no-comms", action="store_true", help="disable communication")
 
     sweep_p = sub.add_parser("sweep", help="paired with/without-communication multi-seed sweep")
     common(sweep_p)
@@ -72,7 +73,7 @@ def _build_config(args) -> SimConfig:
         cfg.seed = args.seed
     if args.policy:
         cfg.policy.kind = args.policy
-    if args.no_comms:
+    if getattr(args, "no_comms", False):
         cfg.communication_enabled = False
     if args.stop_at_origin:
         cfg.stop_at_origin = True

@@ -79,6 +79,9 @@ class SimConfig:
             raise bad("duration", ">= 0", self.duration)
         if self.duration > 0 and self.duration <= self.warm_up:
             raise bad("duration", "> warm_up", self.duration)
+        steps = self.duration / self.dt
+        if not (math.isfinite(steps) and math.isclose(steps, round(steps), rel_tol=1e-9)):
+            raise bad("duration", f"a whole number of dt = {self.dt!r} s steps", self.duration)
         if self.beacon_interval <= 0:
             raise bad("beacon_interval", "> 0", self.beacon_interval)
         if self.lane_change_variant not in LANE_CHANGE_VARIANTS:

@@ -16,7 +16,7 @@ import gc
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from operator import eq, sub
 
 import numpy as np
@@ -44,7 +44,7 @@ GRIDLOCK_MIN_VEHICLES = 10  # ignore near-empty roads
 ORIGIN_WINDOW = 100.0       # m, stretch of road watched for congestion at entry
 ORIGIN_SLOW_SPEED = 5.0     # m/s
 ORIGIN_MIN_VEHICLES = 3
-EXPAND_ROWS = 1 << 16       # reception rows whose runs an iteration expands at a time
+EXPAND_ROWS = 1 << 16       # rows whose runs an iteration expands at a time
 
 
 class SimulationError(RuntimeError):
@@ -75,26 +75,26 @@ class SampleLog:
 
 
 class Events(Sequence):
-    """The event records of a run, in log order: receptions as runs of columns, the rest as tuples.
+    """The event records of a run, in log order, as runs of typed columns.
 
     Reads as the list of (time_s, event_kind, vehicle_id, lane, position_m,
     velocity_mps, aux) records: ``len``, indexing, slices, iteration and
     ``==`` against a list or another ``Events`` behave as on that list. A
-    reception the engine logs through ``log_receptions`` is one row of the
-    typed columns ``vehicle_id``, ``position`` and ``velocity`` (24 B a row).
-    Its time, lane and message id are those of its run: consecutive rows
-    that share all three, run k starting at row ``run_start[k]`` with
-    ``run_t[k]``, ``run_lane[k]`` and ``run_msg[k]``. A reception reads back
-    as (float, "reception", int, int, float, float, int); reads expand the
-    runs with one ``np.repeat`` per column, EXPAND_ROWS rows at a time. Any
-    record given to ``append``, ``extend`` or ``+=`` is kept as the tuple it
-    is, in ``records``, with its index in the sequence in ``where``. A slice
-    with step 1 is an ``Events`` that holds copies of its rows' cells and
-    runs; its tuples are made as it is iterated.
+    record is one row of the columns ``vehicle_id``, ``position`` and
+    ``velocity`` (24 B a row). Its time, kind, lane and aux are those of its
+    run of consecutive rows: run k starts at row ``run_start[k]`` with
+    ``run_t[k]``, ``run_kind[k]``, ``run_lane[k]`` and ``run_aux[k]``. A
+    (lane, transmission) batch of receptions given to ``log_receptions`` is
+    one run; a record given to ``append``, ``extend`` or ``+=`` is a run of
+    one row. Every record reads back as (float, str, int, int, float, float,
+    aux), aux an int or a str; reads expand the runs with one ``np.repeat``
+    per column, EXPAND_ROWS rows at a time. A slice with step 1 is an
+    ``Events`` that holds copies of its rows and runs; its tuples are made
+    as it is iterated.
     """
 
-    __slots__ = ("vehicle_id", "position", "velocity", "run_start", "run_t", "run_lane",
-                 "run_msg", "records", "where")
+    __slots__ = ("vehicle_id", "position", "velocity", "run_start", "run_t", "run_kind",
+                 "run_lane", "run_aux")
 
     def __init__(self):
         self.vehicle_id = array("q")
@@ -102,17 +102,38 @@ class Events(Sequence):
         self.velocity = array("d")
         self.run_start = array("q")
         self.run_t = array("d")
+        self.run_kind = []
         self.run_lane = array("b")
-        self.run_msg = array("q")
-        self.records = []
-        self.where = array("q")
+        self.run_aux = []
 
     def __len__(self):
-        return len(self.vehicle_id) + len(self.records)
+        return len(self.vehicle_id)
 
     def append(self, record) -> None:
-        self.where.append(len(self))
-        self.records.append(record)
+        """Log ``record`` as a run of one row.
+
+        A record that does not fit the columns (not seven cells, a kind that
+        is not a str, an aux that is neither an int nor a str, a number that
+        its typed column cannot hold) raises and leaves the log unchanged.
+        """
+        t, kind, vehicle_id, lane, position, velocity, aux = record
+        if type(kind) is not str or type(aux) not in (int, str):
+            raise TypeError(f"record {record!r} does not fit the event columns")
+        n, k = len(self.vehicle_id), len(self.run_start)
+        try:
+            self.run_t.append(t)
+            self.run_lane.append(lane)
+            self.vehicle_id.append(vehicle_id)
+            self.position.append(position)
+            self.velocity.append(velocity)
+        except (TypeError, OverflowError):
+            # take back the cells appended before the one that did not fit
+            del self.run_t[k:], self.run_lane[k:]
+            del self.vehicle_id[n:], self.position[n:], self.velocity[n:]
+            raise
+        self.run_start.append(n)
+        self.run_kind.append(kind)
+        self.run_aux.append(aux)
 
     def extend(self, records) -> None:
         for record in records:
@@ -138,54 +159,38 @@ class Events(Sequence):
             if start < stop:
                 self.run_start.append(base + start)
                 self.run_t.append(t)
+                self.run_kind.append("reception")
                 self.run_lane.append(lane)
-                self.run_msg.append(msg_id)
+                self.run_aux.append(msg_id)
         self.vehicle_id.fromlist([veh.id for veh in vehicles])
         self.position.fromlist([veh.position for veh in vehicles])
         self.velocity.fromlist([veh.velocity for veh in vehicles])
 
-    def _run_columns(self, lo: int, hi: int, columns: tuple) -> list:
-        """The per-run ``columns`` expanded to reception rows lo:hi (lo < hi), as numpy arrays."""
+    def _run_cells(self, lo: int, hi: int, columns: tuple) -> list:
+        """The per-run ``columns`` expanded to rows lo:hi (lo < hi), as numpy arrays.
+
+        A run column that is a list (kinds, aux) expands to an object array.
+        """
         starts = np.frombuffer(self.run_start, dtype=np.int64)
         k0 = int(starts.searchsorted(lo, "right")) - 1
         k1 = int(starts.searchsorted(hi))
         lengths = np.diff(starts[k0:k1].clip(lo), append=hi)
-        return [np.repeat(np.frombuffer(column, dtype=column.typecode)[k0:k1], lengths)
-                for column in columns]
+        return [np.array(column[k0:k1], dtype=object if type(column) is list else None)
+                .repeat(lengths) for column in columns]
 
     def _row_chunks(self):
-        """The reception rows as tuples, EXPAND_ROWS at a time: (end row, ``zip`` of the rows)."""
-        runs = (self.run_t, self.run_lane, self.run_msg)
+        """The rows as tuples, EXPAND_ROWS at a time: one ``zip`` of the rows per chunk."""
+        runs = (self.run_t, self.run_kind, self.run_lane, self.run_aux)
         ids, xs, vs = iter(self.vehicle_id), iter(self.position), iter(self.velocity)
-        lo = 0
-        while lo < len(self.vehicle_id):
-            hi = min(lo + EXPAND_ROWS, len(self.vehicle_id))
-            # a memoryview of a numpy column yields Python floats and ints
-            t, lane, msg_id = map(memoryview, self._run_columns(lo, hi, runs))
-            # t runs out first, so the shared column iterators lose no row
-            yield hi, zip(t, repeat("reception"), ids, lane, xs, vs, msg_id)
-            lo = hi
-
-    def _parts(self):
-        """The sequence in parts: reception rows as iterators, each record alone."""
-        chunks = self._row_chunks()
-        done = hi = 0  # rows taken, and the end of the chunk being taken
-        for k, (index, record) in enumerate(zip(self.where, self.records)):
-            # index - k rows come before the k-th record
-            while done < index - k:
-                if done == hi:
-                    hi, rows = next(chunks)
-                take = min(index - k, hi) - done
-                yield islice(rows, take)
-                done += take
-            yield (record,)
-        if done < hi:
-            yield rows
-        for _, rows in chunks:
-            yield rows
+        n = len(self)
+        for lo in range(0, n, EXPAND_ROWS):
+            t, kind, lane, aux = self._run_cells(lo, min(lo + EXPAND_ROWS, n), runs)
+            # a memoryview of a numeric numpy column yields Python floats and
+            # ints; t runs out first, so the shared column iterators lose no row
+            yield zip(memoryview(t), kind.tolist(), ids, memoryview(lane), xs, vs, aux.tolist())
 
     def __iter__(self):
-        return chain.from_iterable(self._parts())
+        return chain.from_iterable(self._row_chunks())
 
     def __getitem__(self, index):
         n = len(self)
@@ -198,42 +203,31 @@ class Events(Sequence):
             index += n
         if not 0 <= index < n:
             raise IndexError("event index out of range")
-        k = bisect.bisect_left(self.where, index)
-        if k < len(self.where) and self.where[k] == index:
-            return self.records[k]
-        i = index - k
-        j = bisect.bisect_right(self.run_start, i) - 1
-        return (self.run_t[j], "reception", self.vehicle_id[i], self.run_lane[j],
-                self.position[i], self.velocity[i], self.run_msg[j])
+        j = bisect.bisect_right(self.run_start, index) - 1
+        return (self.run_t[j], self.run_kind[j], self.vehicle_id[index], self.run_lane[j],
+                self.position[index], self.velocity[index], self.run_aux[j])
 
     def _slice(self, start: int, stop: int) -> "Events":
         part = Events()
-        k0 = bisect.bisect_left(self.where, start)
-        k1 = bisect.bisect_left(self.where, stop, k0)
-        lo, hi = start - k0, stop - k1
-        for name in ("vehicle_id", "position", "velocity"):
-            setattr(part, name, getattr(self, name)[lo:hi])
-        if lo < hi:
-            j0 = bisect.bisect_right(self.run_start, lo) - 1
-            j1 = bisect.bisect_left(self.run_start, hi, j0)
-            part.run_start = array("q", [max(row - lo, 0) for row in self.run_start[j0:j1]])
-            for name in ("run_t", "run_lane", "run_msg"):
+        if start < stop:
+            for name in ("vehicle_id", "position", "velocity"):
+                setattr(part, name, getattr(self, name)[start:stop])
+            j0 = bisect.bisect_right(self.run_start, start) - 1
+            j1 = bisect.bisect_left(self.run_start, stop, j0)
+            part.run_start = array("q", [max(row - start, 0) for row in self.run_start[j0:j1]])
+            for name in ("run_t", "run_kind", "run_lane", "run_aux"):
                 setattr(part, name, getattr(self, name)[j0:j1])
-        part.records = self.records[k0:k1]
-        part.where = array("q", [index - start for index in self.where[k0:k1]])
         return part
 
     def times(self) -> np.ndarray:
         """The time of every record, in order, as float64."""
-        out = np.empty(len(self))
-        at = np.frombuffer(self.where, dtype=np.int64)
-        rows = np.ones(len(self), dtype=bool)
-        rows[at] = False
-        if len(self.vehicle_id):
-            out[rows] = self._run_columns(0, len(self.vehicle_id), (self.run_t,))[0]
-        out[at] = np.fromiter((record[0] for record in self.records), dtype=np.float64,
-                              count=len(self.records))
-        return out
+        return self._run_cells(0, len(self), (self.run_t,))[0] if len(self) else np.empty(0)
+
+    def of_kind(self, kind: str) -> list:
+        """The records of one kind, in log order."""
+        stops = chain(islice(self.run_start, 1, None), (len(self),))
+        return [self[i] for start, stop, run_kind in zip(self.run_start, stops, self.run_kind)
+                if run_kind == kind for i in range(start, stop)]
 
     def __eq__(self, other):
         if not isinstance(other, (Events, list)):
@@ -251,9 +245,9 @@ class EventLog:
     Event records are (time_s, event_kind, vehicle_id, lane, position_m,
     velocity_mps, aux); aux carries the message id for communication events
     and "target_lane|infected" for lane changes. ``events`` is an ``Events``
-    sequence: the receptions, most of a run's records, are kept as typed
-    columns, with the time, lane and message id once per run of rows, and
-    read back as these tuples.
+    sequence, in time order: every record is a row of typed columns, with
+    the time, kind, lane and aux once per run of rows (a reception batch, or
+    one other record), and reads back as these tuples.
     """
 
     config_echo: dict

@@ -14,7 +14,7 @@ import re
 import signal
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import add
 
 import numpy as np
@@ -113,16 +113,14 @@ def _stream_steps(log, segment=None):
     Yields (events, lo, hi) per distinct time, in time order: the list of
     event records at that time, then the samples lo:hi of ``log.samples``;
     either part may be empty. Each stream keeps its log order, which is what
-    a stable sort of events + samples by time gives. The samples must
-    already be in time order, as the engine appends them.
+    a stable sort of events + samples by time gives. Both must already be in
+    time order, as the engine logs them; otherwise ValueError is raised.
 
     ``segment`` = (s0, s1, e0, e1, t_lo, t_hi) limits the stream to the
     samples s0:s1 and the events e0:e1, whose times must all lie in
     [t_lo, t_hi); by default it is the whole log. Segments that split the
     time axis give, one after the other, the steps of the whole log. The
-    events are read as one slice of ``log.events``; when they are in time
-    order, as the engine logs them, each step's records come from one pass
-    over it.
+    events are read in one pass over one slice of ``log.events``.
     """
     if segment is None:
         segment = (0, len(log.samples), 0, len(log.events), -math.inf, math.inf)
@@ -133,20 +131,18 @@ def _stream_steps(log, segment=None):
         raise ValueError("samples are not in time order")
     events = log.events[e0:e1]
     event_t = events.times()
-    if ((event_t < t_lo) | (event_t >= t_hi)).any():
+    if not ((event_t >= t_lo) & (event_t < t_hi)).all():
         raise ValueError(f"events {e0}:{e1} are not all within [{t_lo}, {t_hi}) s")
-    order = np.argsort(event_t, kind="stable")
-    event_t = event_t[order]
-    in_order = bool((order == np.arange(len(order))).all())
-    records, order = iter(events), None if in_order else order.tolist()
+    if (event_t[1:] < event_t[:-1]).any():
+        raise ValueError("events are not in time order")
+    records = iter(events)
     # the end of each distinct time's events and samples
     times = np.unique(np.concatenate((event_t, sample_t)))
     event_ends = np.searchsorted(event_t, times, side="right").tolist()
     sample_ends = (np.searchsorted(sample_t, times, side="right") + s0).tolist()
     a, lo = 0, s0
     for b, hi in zip(event_ends, sample_ends):
-        yield (list(islice(records, b - a)) if in_order
-               else [events[i] for i in order[a:b]]), lo, hi
+        yield list(islice(records, b - a)), lo, hi
         a, lo = b, hi
 
 
@@ -161,11 +157,8 @@ def events_to_table(log, include_samples: bool = False) -> MetricTable:
                             s.lane[lo:hi], s.position[lo:hi], s.velocity[lo:hi],
                             [""] * (hi - lo)))
     else:
-        rows = log.events
-    return MetricTable(columns=list(EVENT_COLUMNS),
-                       rows=[tuple(str(v) if isinstance(v, str) else v for v in row)
-                             for row in rows],
-                       meta=dict(log.config_echo))
+        rows = list(log.events)
+    return MetricTable(columns=list(EVENT_COLUMNS), rows=rows, meta=dict(log.config_echo))
 
 
 def _check_cells(lines: list, text: str) -> None:
@@ -187,15 +180,12 @@ class _Reprs(dict):
     __missing__ = repr
 
 
-class _IntTexts(dict):
-    """The text of each int met since the last write, made on first use."""
+class _Texts(dict):
+    """The text of each int or str cell met since the last write, made on first use."""
 
     def __missing__(self, value):
         text = self[value] = str(value)
         return text
-
-
-_FLOAT, _INT, _STR = {float}, {int}, {str}
 
 
 def _write_segment(fh, log, segment=None) -> None:
@@ -204,40 +194,39 @@ def _write_segment(fh, log, segment=None) -> None:
     The rows (by default those of the whole log) are streamed from the event
     and sample logs one time step at a time, in the order ``_stream_steps``
     gives, without building a row table, and written after the step that
-    brings the rows held to FLUSH_ROWS. The segment's events are read as one
-    slice of ``log.events``, in one pass when they are in time order, as the
-    engine logs them; its receptions come from the columns as (float,
-    "reception", int, int, float, float, int) and its other records are the
-    engine's (float, str, int, int, float, float, str | int) tuples.
+    brings the rows held to FLUSH_ROWS. The segment's events are read in one
+    pass over one slice of ``log.events``, whose columns fix each cell's
+    type: (float, str, int, int, float, float, int | str).
 
     Each distinct float of a step is formatted once, and its string serves
     every row of the step that repeats it: the step's time, and a vehicle's
     position and velocity in its reception rows and in its sample row. Ints
-    are formatted once per write. The bytes are unchanged, those of
-    ``table_to_text(events_to_table(log, True))``, because only values whose
-    type is exactly float are keys (500 == 500.0, and an np.float64 has its
-    own repr) and zero never is (0.0 == -0.0, but their reprs differ): an
-    event column that holds other types (only records given to
-    ``Events.append`` can) is formatted cell by cell, and each zero on its
-    own. A cell that would break the round trip raises ValueError.
+    and the aux strings are formatted once per write. The bytes are
+    unchanged, those of ``table_to_text(events_to_table(log, True))``,
+    because every float cell is exactly a float, read from a column, and
+    zero is never a key (0.0 == -0.0, but their reprs differ), so each zero
+    is formatted on its own. A cell that would break the round trip raises
+    ValueError.
     """
     s = log.samples
     lines = []
     reprs = _Reprs()
-    ints = _IntTexts()
+    texts = _Texts()
 
     def flush():
         text = "".join(lines)
         _check_cells(lines, text)
         fh.write(text.encode())
         lines.clear()
-        ints.clear()
+        texts.clear()
 
     for events, lo, hi in _stream_steps(log, segment):
-        columns = list(zip(*events))
-        types = [set(map(type, column)) for column in columns]
-        floats = list(chain.from_iterable(
-            column for column, kinds in zip(columns, types) if kinds == _FLOAT))
+        floats = []
+        if events:
+            t_cells, kinds, ids, lanes, xs, vs, auxes = zip(*events)
+            floats += t_cells
+            floats += xs
+            floats += vs
         if hi > lo:
             t = s.t[lo]
             positions, velocities = s.position[lo:hi].tolist(), s.velocity[lo:hi].tolist()
@@ -249,18 +238,16 @@ def _write_segment(fh, log, segment=None) -> None:
         keys = dict.fromkeys(floats)
         keys.pop(0.0, None)
         reprs = _Reprs(zip(keys, map(reprs.__getitem__, keys)))
-        if columns:
-            cells = [map(reprs.__getitem__, column) if kinds == _FLOAT
-                     else map(ints.__getitem__, column) if kinds == _INT
-                     else column if kinds == _STR
-                     else map(format, column)  # as "{}".format formats a cell
-                     for column, kinds in zip(columns, types)]
-            cells[-1] = map(add, cells[-1], repeat("\n"))  # the row's end
-            lines += map(",".join, zip(*cells))
+        if events:
+            lines += map(",".join, zip(map(reprs.__getitem__, t_cells), kinds,
+                                       map(texts.__getitem__, ids),
+                                       map(texts.__getitem__, lanes),
+                                       map(reprs.__getitem__, xs), map(reprs.__getitem__, vs),
+                                       map(add, map(texts.__getitem__, auxes), repeat("\n"))))
         if hi > lo:
             lines += map(",".join, zip(repeat(reprs[t] + ",sample", hi - lo),
-                                       map(ints.__getitem__, s.vehicle_id[lo:hi]),
-                                       map(ints.__getitem__, s.lane[lo:hi]),
+                                       map(texts.__getitem__, s.vehicle_id[lo:hi]),
+                                       map(texts.__getitem__, s.lane[lo:hi]),
                                        map(reprs.__getitem__, positions),
                                        map(reprs.__getitem__, velocities), repeat("\n")))
         if len(lines) >= FLUSH_ROWS:
@@ -324,9 +311,8 @@ class EventsCsvWriter:
         # the rows the last step logged at now are not final yet
         now, events = state.now, log.events
         s1 = bisect_left(log.samples.t, now, s0)
-        e1 = len(events)
-        while e1 > e0 and events[e1 - 1][0] >= now:
-            e1 -= 1
+        k = bisect_left(events.run_t, now)
+        e1 = events.run_start[k] if k < len(events.run_start) else len(events)
         if s1 - s0 + e1 - e0 >= CHUNK_ROWS and self._fork(log, (s0, s1, e0, e1, t_lo, now)):
             self.next = (s1, e1, now)
 
@@ -475,10 +461,8 @@ def exit_series(log, bin_s: float = 30.0) -> ExitSeries:
     """Cumulative entered/exited counts sampled at bin boundaries."""
     _check_bin_size("bin_s", bin_s)
     n_bins = max(0, math.ceil(log.end_time / bin_s - 1e-9))
-    # receptions, the column rows of log.events, are neither
-    records = log.events.records
-    arrival_times = sorted(e[0] for e in records if e[1] == "injection")
-    exit_times = sorted(e[0] for e in records if e[1] == "exit")
+    arrival_times = sorted(e[0] for e in log.events.of_kind("injection"))
+    exit_times = sorted(e[0] for e in log.events.of_kind("exit"))
     t, arrivals, exits, ratio = [], [], [], []
     ai = xi = 0
     for k in range(n_bins):
@@ -502,10 +486,7 @@ def lane_change_positions(log, out_of_obstacle_lane: bool = False,
     """(time, position, infected) per lane-change event, with optional filters."""
     cfg = log.cfg
     rows = []
-    for event in log.events.records:  # receptions, the column rows, are no lane changes
-        if event[1] != "lane_change":
-            continue
-        time_s, _, _, from_lane, position, _, aux = event
+    for time_s, _, _, from_lane, position, _, aux in log.events.of_kind("lane_change"):
         target_lane, _, infected = aux.partition("|")
         if out_of_obstacle_lane and from_lane != cfg.obstacle_lane:
             continue

@@ -106,5 +106,15 @@ def test_sweep_command(tmp_path, capsys):
     assert "median[on]" in capsys.readouterr().out
 
 
+def test_sweep_rejects_no_comms(tmp_path, capsys):
+    # a sweep runs both arms; argparse rejects the flag rather than ignore it
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", "--preset", "velocity_urban", "--seeds", "1", "--no-comms",
+              "--out-dir", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "--no-comms" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_requires_preset(tmp_path, capsys):
     assert main(["sweep", "--seeds", "0..1", "--out-dir", str(tmp_path)]) == 2

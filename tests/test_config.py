@@ -207,6 +207,21 @@ def test_backoff_windows_must_fit_in_int64():
     cfg.validate()
 
 
+@pytest.mark.parametrize("duration, dt", [(61.0, 2.0), (0.1, 0.25), (900.1, 0.25), (1e308, 1e-3)])
+def test_duration_must_be_a_whole_number_of_steps(duration, dt):
+    with pytest.raises(ConfigError, match="duration"):
+        replace(SimConfig(), duration=duration, dt=dt, warm_up=0.0).validate()
+    with pytest.raises(ConfigError, match="duration"):
+        parse_config(f"warm_up = 0 s\ndt = {dt!r} s\nduration = {duration!r} s\n")
+
+
+def test_durations_within_rounding_of_whole_steps_pass():
+    # 0.3 / 0.1 is 2.9999999999999996 in floats
+    assert parse_config("warm_up = 0 s\ndt = 0.1 s\nduration = 0.3 s\n").duration == 0.3
+    replace(SimConfig(), duration=62.0, dt=2.0).validate()
+    replace(SimConfig(), duration=0.0).validate()
+
+
 def test_obstacle_must_be_inside_field():
     with pytest.raises(ConfigError, match="obstacle_position"):
         parse_config("obstacle_position = 2 km\n")

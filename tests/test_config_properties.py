@@ -28,6 +28,7 @@ def valid_configs(draw):
     tx_range = draw(between(1e-3, 1e4))
     backoff_max = draw(st.one_of(st.integers(0, 64), st.integers(0, 2**62)))
     speed_limit = draw(between(0.1, 100.0))
+    dt = draw(between(1e-3, 2.0))
     cfg = SimConfig(
         field_length=field_length,
         obstacle_position=field_length * draw(between(0.01, 0.99)),
@@ -35,8 +36,10 @@ def valid_configs(draw):
         vehicle_length=draw(between(0.0, 20.0)),
         traffic_load=draw(between(1e-9, 1e5)),
         speed_limit=speed_limit,
-        dt=draw(between(1e-3, 2.0)),
-        duration=draw(st.one_of(st.just(0.0), st.just(warm_up + 1.0))),
+        dt=dt,
+        # a whole number of steps, the first past the warm-up or a few more
+        duration=draw(st.one_of(st.just(0.0), st.integers(1, 4).map(
+            lambda extra: (math.floor(warm_up / dt) + extra) * dt))),
         warm_up=warm_up,
         seed=draw(st.one_of(st.integers(0, 2**32), st.integers(0, 2**64))),
         beacon_interval=draw(between(1e-3, 60.0)),

@@ -231,17 +231,17 @@ def test_events_table_long_form_with_samples():
     assert table.meta["seed"] == "31"
 
 
-# events out of time order, some tied with sample times, some before and
-# after every sample
-UNORDERED_EVENTS = [
-    (1.0, "exit", 4, 1, 1500.5, 30.0, ""),
-    (0.5, "injection", 7, 0, 0.0, 29.5, ""),
-    (0.0, "transmission", -1, 0, 500.0, 0.0, 0),
-    (0.5, "reception", 3, 1, 12.5, 10.0, 0),
-    (1.5, "lane_change", 2, 0, 40.0, 9.5, "1|0"),
-    (0.25, "infection", 3, 1, 12.75, 10.0, 1),
-    (0.5, "reception", 1, 0, 130.0, 11.0, 0),
+# events in time order, some tied with sample times, some before and after
+# every sample
+EVENTS = [
     (-0.5, "gridlock", -1, 0, 0.0, 0.0, ""),
+    (0.0, "transmission", -1, 0, 500.0, 0.0, 0),
+    (0.25, "infection", 3, 1, 12.75, 10.0, 1),
+    (0.5, "injection", 7, 0, 0.0, 29.5, ""),
+    (0.5, "reception", 3, 1, 12.5, 10.0, 0),
+    (0.5, "reception", 1, 0, 130.0, 11.0, 0),
+    (1.0, "exit", 4, 1, 1500.5, 30.0, ""),
+    (1.5, "lane_change", 2, 0, 40.0, 9.5, "1|0"),
 ]
 ORDERED_SAMPLES = [
     (0.0, 1, 0, 100.0, 11.0), (0.0, 3, 1, 12.0, 10.0),
@@ -258,7 +258,7 @@ def sort_oracle(log):
 
 
 def test_events_writer_matches_stable_sort_oracle(tmp_path, monkeypatch):
-    log = synthetic_log(events=UNORDERED_EVENTS, samples=ORDERED_SAMPLES)
+    log = synthetic_log(events=EVENTS, samples=ORDERED_SAMPLES)
     oracle = MetricTable(columns=list(EVENT_COLUMNS), rows=sort_oracle(log),
                          meta=dict(log.config_echo))
     assert events_to_table(log, include_samples=True) == oracle
@@ -296,6 +296,15 @@ def test_events_writer_rejects_cells_that_break_the_csv(tmp_path):
     with pytest.raises(ValueError, match="round trip"):
         write_events_csv(log, tmp_path / "events.csv")
     assert not (tmp_path / "events.csv").exists()
+
+
+def test_events_stream_needs_events_in_time_order(tmp_path):
+    log = synthetic_log(events=[EVENTS[1], EVENTS[0]], samples=ORDERED_SAMPLES)
+    with pytest.raises(ValueError, match="events are not in time order"):
+        write_events_csv(log, tmp_path / "events.csv")
+    assert not (tmp_path / "events.csv").exists()
+    with pytest.raises(ValueError, match="events are not in time order"):
+        events_to_table(log, include_samples=True)
 
 
 def test_events_stream_needs_samples_in_time_order(tmp_path):
@@ -423,10 +432,11 @@ def test_streamed_events_csv_cuts_at_times_with_events(tmp_path, monkeypatch, fo
 def pitfall_steps(log, n_steps, dt=0.5):
     """Log steps whose rows at each time hold what a cache of float strings could mix up.
 
-    Each time has 0.0 and -0.0 and an int 500 and a float 500.0 (each pair
-    equal as keys, with two texts), an np.float64 cell (a float subclass
-    whose repr is not its text), a NaN (not equal to itself) and a reception
-    that repeats a sample. At whole seconds one event's time is an int.
+    Each time has 0.0 and -0.0 (equal as keys, with two texts), repeated
+    values, a NaN (not equal to itself) and a reception that repeats a
+    sample. An int 500 and an np.float64 position go into the event log,
+    which stores them as floats, as it does the int time of one event at
+    whole seconds.
     """
     nan = float("nan")
     state = SimpleNamespace(log=log, now=0.0)
@@ -459,7 +469,7 @@ def test_events_csv_formats_each_cell_as_the_table_does(tmp_path, monkeypatch, f
     # with a writer slot, every step after the first cuts the rows of the one before
     assert len(forks) == (0 if cpus == 1 else 19)
     expected = table_to_text(events_to_table(log, include_samples=True))
-    for row in ("1,gridlock,-1,0,-0.0,0.0,\n", "1.0,transmission,-1,0,500,0.0,1\n",
+    for row in ("1.0,gridlock,-1,0,-0.0,0.0,\n", "1.0,transmission,-1,0,500.0,0.0,1\n",
                 "1.0,sample,1,0,0.0,-0.0,\n", "1.0,sample,2,1,-0.0,0.0,\n",
                 "1.0,sample,3,0,500.0,nan,\n", "1.0,exit,5,0,nan,0.0,\n",
                 "1.0,lane_change,2,1,12.833333333333334,-0.0,1|0\n",
