@@ -17,6 +17,13 @@ class ConfigError(ValueError):
     """Raised for unknown keys, malformed values or violated constraints."""
 
 
+# what a field of each declared type may hold: an int field what operator.index
+# takes, a float field an int too; a bool, echoed as true or false, is no number
+_HOLDS = {"bool": lambda v: type(v) is bool, "str": lambda v: type(v) is str,
+          "int": lambda v: type(v) is not bool and hasattr(type(v), "__index__"),
+          "float": lambda v: type(v) is not bool and isinstance(v, (int, float))}
+
+
 @dataclass(slots=True)
 class SimConfig:
     """Everything a single simulation run needs, seed included."""
@@ -50,13 +57,15 @@ class SimConfig:
         def bad(key, constraint, value):
             return ConfigError(f"{key}: must be {constraint}, got {value!r}")
 
-        # NaN passes every comparison below, so non-finite values go first
+        # NaN passes every comparison below, and each needs its field's type: check both first
         for prefix, section in (("", self), ("radio.", self.radio),
                                 ("policy.", self.policy), ("driver.", self.driver)):
             for f in fields(section):
                 value = getattr(section, f.name)
                 if f.init and isinstance(value, float) and not math.isfinite(value):
                     raise bad(prefix + f.name, "finite", value)
+                if f.init and f.type in _HOLDS and not _HOLDS[f.type](value):
+                    raise bad(prefix + f.name, f"of type {f.type}", value)
         if self.field_length <= 0:
             raise bad("field_length", "> 0", self.field_length)
         if not 0 < self.obstacle_position < self.field_length:
@@ -96,18 +105,11 @@ class SimConfig:
             raise bad("safe_braking_limit", "> 0", self.safe_braking_limit)
         if self.lane_change_cooldown < 0:
             raise bad("lane_change_cooldown", ">= 0", self.lane_change_cooldown)
-        try:
-            self.radio.validate()
-        except ValueError as exc:
-            raise ConfigError(f"radio.{exc}") from exc
-        try:
-            self.policy.validate()
-        except ValueError as exc:
-            raise ConfigError(f"policy.{exc}") from exc
-        try:
-            self.driver.validate()
-        except ValueError as exc:
-            raise ConfigError(f"driver.{exc}") from exc
+        for name in ("radio", "policy", "driver"):
+            try:
+                getattr(self, name).validate()
+            except ValueError as exc:
+                raise ConfigError(f"{name}.{exc}") from exc
         # warned drivers aim at speed_limit - vsl_reduction, which must stay positive
         if self.vsl_enabled and self.driver.vsl_reduction >= self.speed_limit:
             raise bad("driver.vsl_reduction", f"< speed_limit ({self.speed_limit!r}) "

@@ -125,9 +125,14 @@ def rebroadcast_prob_mixed(n_k: int, n_k_opp: int, alpha: float,
                rebroadcast_prob_distance(d_from_sender, tx_range))
 
 
+def ttl_expired(msg: WarningMessage, now: float) -> bool:
+    """Whether the message is older than its time to live at ``now`` (the bound is alive)."""
+    return (now - msg.created_at) > msg.ttl_time
+
+
 def ttl_alive(msg: WarningMessage, now: float, my_pos: float) -> bool:
     """Whether the message may still be relayed at this time and place (bounds inclusive)."""
-    return (now - msg.created_at) <= msg.ttl_time and abs(my_pos - msg.origin_position) <= msg.ttl_distance
+    return not ttl_expired(msg, now) and abs(my_pos - msg.origin_position) <= msg.ttl_distance
 
 
 def should_rebroadcast(policy: DisseminationPolicy, msg: WarningMessage, entry: LedgerEntry,

@@ -12,7 +12,7 @@ the run exactly.
 from __future__ import annotations
 
 import bisect
-import gc
+import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -22,7 +22,7 @@ from operator import eq, sub
 import numpy as np
 
 from .config import SimConfig, as_echo_dict
-from .dissemination import WarningMessage, should_rebroadcast, ttl_alive
+from .dissemination import WarningMessage, should_rebroadcast, ttl_alive, ttl_expired
 from .radio import (MacState, defer, draw_backoffs, mac_tick, medium_busy, next_attempt,
                     receive_roll)
 from .traffic import (BASE, BRUTE_FORCE, NO_VEHICLE, PAPER_MULTIPLICATIVE,
@@ -86,11 +86,12 @@ class Events(Sequence):
     ``run_t[k]``, ``run_kind[k]``, ``run_lane[k]`` and ``run_aux[k]``. A
     (lane, transmission) batch of receptions given to ``log_receptions`` is
     one run; a record given to ``append``, ``extend`` or ``+=`` is a run of
-    one row. Every record reads back as (float, str, int, int, float, float,
-    aux), aux an int or a str; reads expand the runs with one ``np.repeat``
-    per column, EXPAND_ROWS rows at a time. A slice with step 1 is an
-    ``Events`` that holds copies of its rows and runs; its tuples are made
-    as it is iterated.
+    one row. A record at a NaN time or before the last one is rejected, so
+    ``run_t`` is sorted and ``before`` bisects it. Every record reads back
+    as (float, str, int, int, float, float, aux), aux an int or a str; reads
+    expand the runs with one ``np.repeat`` per column, EXPAND_ROWS rows at a
+    time. A slice with step 1 is an ``Events`` that holds copies of its rows
+    and runs; its tuples are made as it is iterated.
     """
 
     __slots__ = ("vehicle_id", "position", "velocity", "run_start", "run_t", "run_kind",
@@ -109,16 +110,23 @@ class Events(Sequence):
     def __len__(self):
         return len(self.vehicle_id)
 
+    def _check_time(self, t) -> None:
+        """Raise ValueError unless ``t`` is at or after the last record's time."""
+        last = self.run_t[-1] if self.run_t else -math.inf
+        if not t >= last:
+            raise ValueError(f"event time {t!r} is NaN or before the last one logged, {last!r}")
+
     def append(self, record) -> None:
         """Log ``record`` as a run of one row.
 
-        A record that does not fit the columns (not seven cells, a kind that
-        is not a str, an aux that is neither an int nor a str, a number that
-        its typed column cannot hold) raises and leaves the log unchanged.
+        A record that does not fit (not seven cells, a kind that is not a
+        str, an aux that is neither an int nor a str, a number its typed
+        column cannot hold, a NaN or earlier time) raises; the log is unchanged.
         """
         t, kind, vehicle_id, lane, position, velocity, aux = record
         if type(kind) is not str or type(aux) not in (int, str):
             raise TypeError(f"record {record!r} does not fit the event columns")
+        self._check_time(t)
         n, k = len(self.vehicle_id), len(self.run_start)
         try:
             self.run_t.append(t)
@@ -128,16 +136,26 @@ class Events(Sequence):
             self.velocity.append(velocity)
         except (TypeError, OverflowError):
             # take back the cells appended before the one that did not fit
-            del self.run_t[k:], self.run_lane[k:]
-            del self.vehicle_id[n:], self.position[n:], self.velocity[n:]
+            self._cut(n, k)
             raise
         self.run_start.append(n)
         self.run_kind.append(kind)
         self.run_aux.append(aux)
 
+    def _cut(self, rows: int, runs: int) -> None:
+        """Drop every row from index ``rows`` on and every run from index ``runs`` on."""
+        for name in self.__slots__:
+            del getattr(self, name)[runs if name.startswith("run_") else rows:]
+
     def extend(self, records) -> None:
-        for record in records:
-            self.append(record)
+        """``append`` each record; if one raises, the log is left as it was before the call."""
+        rows, runs = len(self), len(self.run_start)
+        try:
+            for record in records:
+                self.append(record)
+        except Exception:
+            self._cut(rows, runs)
+            raise
 
     def __iadd__(self, records):
         self.extend(records)
@@ -148,8 +166,9 @@ class Events(Sequence):
 
         ``runs`` holds one (index in ``vehicles``, lane, message id) per run,
         in order, the first at index 0: a run's rows go up to the next run's
-        index. A run with no rows is dropped.
+        index. A run with no rows is dropped. A NaN or earlier ``t`` raises.
         """
+        self._check_time(t)
         if vehicles and (not runs or runs[0][0] != 0):
             raise ValueError("the first reception row starts no run")
         base = len(self.vehicle_id)
@@ -219,6 +238,11 @@ class Events(Sequence):
                 setattr(part, name, getattr(self, name)[j0:j1])
         return part
 
+    def before(self, t: float) -> int:
+        """The number of records logged before time ``t``."""
+        k = bisect.bisect_left(self.run_t, t)
+        return self.run_start[k] if k < len(self.run_start) else len(self)
+
     def times(self) -> np.ndarray:
         """The time of every record, in order, as float64."""
         return self._run_cells(0, len(self), (self.run_t,))[0] if len(self) else np.empty(0)
@@ -245,9 +269,9 @@ class EventLog:
     Event records are (time_s, event_kind, vehicle_id, lane, position_m,
     velocity_mps, aux); aux carries the message id for communication events
     and "target_lane|infected" for lane changes. ``events`` is an ``Events``
-    sequence, in time order: every record is a row of typed columns, with
-    the time, kind, lane and aux once per run of rows (a reception batch, or
-    one other record), and reads back as these tuples.
+    sequence, which keeps its records in time order: every record is a row
+    of typed columns, with the time, kind, lane and aux once per run of rows
+    (a reception batch, or one other record), and reads back as a tuple.
     """
 
     config_echo: dict
@@ -440,12 +464,11 @@ def _communicate(state: SimState) -> None:
     events = state.log.events
     rng = state.rng
     messages = state.messages
-    # generations past their time to live can be neither sent nor relayed
-    # again (ttl_alive's time test fails); ids grow with time, so they are
-    # the oldest entries. Their ledger entries go with them.
+    # expired generations can be neither sent nor relayed again; ids grow with
+    # time, so they are the oldest entries. Their ledger entries go with them.
     expired = []
     for msg in messages.values():
-        if not (t - msg.created_at) > msg.ttl_time:
+        if not ttl_expired(msg, t):
             break
         expired.append(msg.msg_id)
     if expired:
@@ -752,13 +775,7 @@ def _integrate(state: SimState, snapshot: tuple) -> None:
     log = state.log
     vehicles, x, v, accel = snapshot
     v_new, dx = kinematic_updates(v, accel, cfg.dt)
-    velocities = v_new.tolist()
-    # stopped vehicles get the one shared 0.0 that kinematic_update's clamp
-    # assigns (+0.0 is the all-zero bit pattern): logged events keep
-    # velocities alive, and a fresh 0.0 per stopped vehicle adds up
-    for k in (v_new.view(np.int64) == 0).nonzero()[0].tolist():
-        velocities[k] = 0.0
-    for veh, velocity, position in zip(vehicles, velocities, (x + dx).tolist()):
+    for veh, velocity, position in zip(vehicles, v_new.tolist(), (x + dx).tolist()):
         veh.velocity = velocity
         veh.position = position
     state.tick += 1
@@ -819,24 +836,13 @@ def run(cfg: SimConfig, on_step=None) -> EventLog:
 
     ``on_step(state)``, when given, is called after every step. It may read
     the state and its log but must not change them.
-
-    The cyclic garbage collector is off during the step loop: a step makes no
-    reference cycles, and each full collection would walk the whole event log
-    again. It is switched back on afterwards if it was on before.
     """
     state = new_state(cfg)
-    n_steps = round(cfg.duration / cfg.dt)
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(n_steps):
-            step(state)
-            if on_step is not None:
-                on_step(state)
-            if cfg.stop_at_origin and state.log.first_origin_slow_time is not None:
-                break
-    finally:
-        if collecting:
-            gc.enable()
+    for _ in range(round(cfg.duration / cfg.dt)):
+        step(state)
+        if on_step is not None:
+            on_step(state)
+        if cfg.stop_at_origin and state.log.first_origin_slow_time is not None:
+            break
     state.log.end_time = state.now
     return state.log

@@ -113,14 +113,15 @@ def _stream_steps(log, segment=None):
     Yields (events, lo, hi) per distinct time, in time order: the list of
     event records at that time, then the samples lo:hi of ``log.samples``;
     either part may be empty. Each stream keeps its log order, which is what
-    a stable sort of events + samples by time gives. Both must already be in
-    time order, as the engine logs them; otherwise ValueError is raised.
+    a stable sort of events + samples by time gives. The events keep their
+    time order; samples out of time order raise ValueError.
 
     ``segment`` = (s0, s1, e0, e1, t_lo, t_hi) limits the stream to the
-    samples s0:s1 and the events e0:e1, whose times must all lie in
-    [t_lo, t_hi); by default it is the whole log. Segments that split the
-    time axis give, one after the other, the steps of the whole log. The
-    events are read in one pass over one slice of ``log.events``.
+    samples s0:s1, whose times must lie in [t_lo, t_hi), and the events
+    e0:e1, cut at the same times (``Events.before``); by default it is the
+    whole log. Segments that split the time axis give, one after the other,
+    the steps of the whole log. The events are read in one pass over one
+    slice of ``log.events``.
     """
     if segment is None:
         segment = (0, len(log.samples), 0, len(log.events), -math.inf, math.inf)
@@ -131,10 +132,6 @@ def _stream_steps(log, segment=None):
         raise ValueError("samples are not in time order")
     events = log.events[e0:e1]
     event_t = events.times()
-    if not ((event_t >= t_lo) & (event_t < t_hi)).all():
-        raise ValueError(f"events {e0}:{e1} are not all within [{t_lo}, {t_hi}) s")
-    if (event_t[1:] < event_t[:-1]).any():
-        raise ValueError("events are not in time order")
     records = iter(events)
     # the end of each distinct time's events and samples
     times = np.unique(np.concatenate((event_t, sample_t)))
@@ -309,10 +306,8 @@ class EventsCsvWriter:
         if self.writer is not None:
             return
         # the rows the last step logged at now are not final yet
-        now, events = state.now, log.events
-        s1 = bisect_left(log.samples.t, now, s0)
-        k = bisect_left(events.run_t, now)
-        e1 = events.run_start[k] if k < len(events.run_start) else len(events)
+        now = state.now
+        s1, e1 = bisect_left(log.samples.t, now, s0), log.events.before(now)
         if s1 - s0 + e1 - e0 >= CHUNK_ROWS and self._fork(log, (s0, s1, e0, e1, t_lo, now)):
             self.next = (s1, e1, now)
 
@@ -461,21 +456,12 @@ def exit_series(log, bin_s: float = 30.0) -> ExitSeries:
     """Cumulative entered/exited counts sampled at bin boundaries."""
     _check_bin_size("bin_s", bin_s)
     n_bins = max(0, math.ceil(log.end_time / bin_s - 1e-9))
-    arrival_times = sorted(e[0] for e in log.events.of_kind("injection"))
-    exit_times = sorted(e[0] for e in log.events.of_kind("exit"))
-    t, arrivals, exits, ratio = [], [], [], []
-    ai = xi = 0
-    for k in range(n_bins):
-        edge = (k + 1) * bin_s
-        while ai < len(arrival_times) and arrival_times[ai] <= edge:
-            ai += 1
-        while xi < len(exit_times) and exit_times[xi] <= edge:
-            xi += 1
-        t.append(edge)
-        arrivals.append(ai)
-        exits.append(xi)
-        ratio.append(xi / ai if ai else 0.0)
-    return ExitSeries(bin_s=bin_s, t=t, arrivals=arrivals, exits=exits, ratio=ratio)
+    edges = [(k + 1) * bin_s for k in range(n_bins)]
+    # the log keeps its records in time order, so each count is one bisection
+    arrivals, exits = (np.searchsorted([e[0] for e in log.events.of_kind(kind)], edges,
+                                       side="right").tolist() for kind in ("injection", "exit"))
+    ratio = [x / a if a else 0.0 for a, x in zip(arrivals, exits)]
+    return ExitSeries(bin_s=bin_s, t=edges, arrivals=arrivals, exits=exits, ratio=ratio)
 
 
 # --- lane changes ---------------------------------------------------------------

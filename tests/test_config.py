@@ -3,10 +3,12 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from vanetflow.config import (ConfigError, PRESETS, SimConfig, as_echo_dict,
                               config_to_text, parse_config)
+from vanetflow.engine import run
 
 
 def test_empty_document_gives_defaults_and_full_echo():
@@ -109,6 +111,36 @@ def test_validate_rejects_non_finite_fields(key, value):
         setattr(cfg, attr, value)
     with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
         cfg.validate()
+
+
+# each value set in code, where no parser reads it into its field's type
+@pytest.mark.parametrize("key, value", [
+    ("communication_enabled", "false"),  # a non-empty str is truthy: the run would communicate
+    ("obstacle_lane", 0.0),              # the event log's int8 lane column takes no float
+    ("dt", "0.25"),                      # a str cannot be compared with 0
+    ("seed", True),                      # the echo writes a bool as true, which is no int
+    ("speed_limit", False),
+    ("lane_change_variant", 1),
+    ("radio.backoff_max", 15.0),
+    ("policy.alpha", "1"),
+    ("driver.politeness", None),
+])
+def test_validate_rejects_a_value_of_another_type(key, value):
+    cfg = SimConfig(communication_enabled=False)
+    section, _, attr = key.rpartition(".")
+    if section:
+        setattr(cfg, section, replace(getattr(cfg, section), **{attr: value}))
+    else:
+        setattr(cfg, attr, value)
+    with pytest.raises(ConfigError, match=f"^{key}: must be of type "):
+        run(cfg)
+
+
+def test_validate_accepts_ints_for_floats_and_numpy_integers_for_ints():
+    cfg = SimConfig(duration=120, warm_up=10, dt=np.float64(0.25), seed=np.int64(3),
+                    obstacle_lane=np.int8(1))
+    cfg.radio = replace(cfg.radio, backoff_max=np.uint16(15))
+    cfg.validate()
 
 
 def test_boolean_words():

@@ -11,7 +11,7 @@ from vanetflow.dissemination import (DisseminationPolicy, LedgerEntry,
                                      rebroadcast_prob_directional,
                                      rebroadcast_prob_distance,
                                      rebroadcast_prob_mixed,
-                                     should_rebroadcast, ttl_alive)
+                                     should_rebroadcast, ttl_alive, ttl_expired)
 
 
 def msg(**kw):
@@ -157,6 +157,15 @@ def test_ttl_time_boundary():
     m = msg(ttl_time=120.0)
     assert ttl_alive(m, 120.0, 1000.0)
     assert not ttl_alive(m, 120.0 + 1e-9, 1000.0)
+
+
+def test_ttl_expired_at_the_bound_is_still_alive():
+    m = msg(created_at=10.0, ttl_time=120.0)
+    assert not ttl_expired(m, 130.0) and ttl_alive(m, 130.0, 1000.0)
+    later = math.nextafter(130.0, math.inf)
+    assert ttl_expired(m, later) and not ttl_alive(m, later, 1000.0)
+    for now in (0.0, 10.0, 129.5, 130.0, later, 500.0):
+        assert ttl_alive(m, now, 1000.0) is not ttl_expired(m, now)
 
 
 def test_ttl_distance_boundary_inclusive():

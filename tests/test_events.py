@@ -4,6 +4,7 @@ import pickle
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,29 @@ record = st.tuples(finite, st.sampled_from(["injection", "exit", "infection", "r
 op = st.one_of(st.tuples(st.just("rx"), step_time, st.lists(batch, max_size=4)),
                st.tuples(st.just("append"), record),
                st.tuples(st.just("extend"), st.lists(record, max_size=3)))
+
+
+def in_time_order(ops):
+    """The operations with their drawn times sorted, as the log takes them.
+
+    The sort is stable and 0.0 == -0.0, so ties stay, -0.0 after 0.0 included.
+    """
+    def times(kind, arg, *_):
+        return [arg] if kind == "rx" else [arg[0]] if kind == "append" else [r[0] for r in arg]
+
+    drawn = iter(sorted(t for op in ops for t in times(*op)))
+    ordered = []
+    for kind, arg, *rest in ops:
+        if kind == "rx":
+            ordered.append((kind, next(drawn), *rest))
+        elif kind == "append":
+            ordered.append((kind, (next(drawn), *arg[1:])))
+        else:
+            ordered.append((kind, [(next(drawn), *r[1:]) for r in arg]))
+    return ordered
+
+
+ops_in_time_order = st.lists(op, max_size=12).map(in_time_order)
 
 
 def build(ops):
@@ -94,7 +118,7 @@ def same_rows(got, want):
 
 
 @SETTINGS
-@given(st.lists(op, max_size=12), st.sampled_from([1, 2, 5, engine.EXPAND_ROWS]), st.data())
+@given(ops_in_time_order, st.sampled_from([1, 2, 5, engine.EXPAND_ROWS]), st.data())
 def test_events_read_as_the_list_of_their_records(ops, expand_rows, data):
     # small expansion chunks put chunk ends inside runs and next to one-row runs
     with mock.patch.object(engine, "EXPAND_ROWS", expand_rows):
@@ -142,6 +166,8 @@ def check_reads(ops, data):
         same_rows(events[i:][1:3], expected[i:][1:3])
     same_rows(pickle.loads(pickle.dumps(events)), expected)
     assert events.times().tolist() == [row[0] for row in expected]
+    for t in [row[0] for row in expected] + [data.draw(st.floats(allow_nan=False))]:
+        assert events.before(t) == sum(row[0] < t for row in expected)
     for kind in ("reception", "exit"):
         same_rows(events.of_kind(kind), [row for row in expected if row[1] == kind])
 
@@ -162,6 +188,33 @@ def test_append_rejects_a_record_that_does_not_fit(record):
     assert len(events) == len(expected) == 4
     assert {name: getattr(events, name) for name in Events.__slots__} == before
     same_rows(events, expected)
+
+
+@pytest.mark.parametrize("t", [0.75, float("nan")])
+@pytest.mark.parametrize("call", ["append", "extend", "log_receptions"])
+def test_a_record_before_the_last_or_at_nan_is_rejected(t, call):
+    events, expected = build([("rx", 0.5, [(1, 7, [(3, 5.0, 1.5), (4, 6.0, 2.5)], 0)]),
+                              ("append", (1.0, "exit", 2, 1, 1500.0, 30.0, ""))])
+    before = {name: getattr(events, name)[:] for name in Events.__slots__}
+    late = (t, "exit", 5, 0, 1500.0, 30.0, "")
+    with pytest.raises(ValueError, match="NaN or before the last one logged"):
+        if call == "append":
+            events.append(late)
+        elif call == "extend":
+            # the first record fits and is taken back with the rest
+            events.extend([(1.0, "exit", 6, 0, 1500.0, 30.0, ""), late])
+        else:
+            events.log_receptions(t, [SimpleNamespace(id=5, position=1.0, velocity=2.0)],
+                                  [(0, 0, 7)])
+    assert {name: getattr(events, name) for name in Events.__slots__} == before
+    same_rows(events, expected)
+
+
+def test_a_nan_time_is_rejected_as_the_first_too():
+    events = Events()
+    with pytest.raises(ValueError, match="NaN"):
+        events.append((float("nan"), "exit", 5, 0, 1500.0, 30.0, ""))
+    assert len(events) == len(events.run_t) == 0
 
 
 def test_events_compare_unequal_to_other_lists():
@@ -196,6 +249,15 @@ def test_every_row_of_an_engine_log_reads_back_typed_in_time_order(minute_log):
     assert all(a[0] <= b[0] for a, b in zip(rows, rows[1:]))
     assert {row[1] for row in rows} >= {"injection", "exit", "transmission", "reception",
                                         "infection", "lane_change"}
+
+
+def test_before_counts_the_records_of_an_engine_log_before_each_time(minute_log):
+    events = minute_log.events
+    times = events.times()
+    assert len(events.run_start) < len(events)  # reception runs hold many rows
+    steps = np.unique(times)
+    for t in np.concatenate((steps, (steps[:-1] + steps[1:]) / 2, [-1.0, 1e9])).tolist():
+        assert events.before(t) == np.count_nonzero(times < t)
 
 
 def test_each_reception_reads_back_typed_and_each_infection_follows_its_reception(minute_log):

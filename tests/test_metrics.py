@@ -72,6 +72,25 @@ def test_exit_series_matches_recount_oracle():
     assert all(b >= a for a, b in zip(series.arrivals, series.arrivals[1:]))
 
 
+def test_exit_series_counts_events_at_a_bin_edge_in_that_bin():
+    # ties at each edge, and events just before and after it
+    times = [0.0, 29.75, 30.0, 30.0, 30.25, 59.75, 60.0, 60.0, 60.0, 89.75, 90.0]
+    events = []
+    for i, t in enumerate(times):
+        events.append((t, "injection", i, 0, 0.0, 30.0, ""))
+        if i % 2:
+            events.append((t, "exit", i, 1, 1500.0, 30.0, ""))
+    log = synthetic_log(events=events, end_time=90.0)
+    series = exit_series(log, bin_s=30.0)
+    assert series.t == [30.0, 60.0, 90.0]
+    for k, edge in enumerate(series.t):
+        arrivals = sum(1 for e in log.events if e[1] == "injection" and e[0] <= edge)
+        exits = sum(1 for e in log.events if e[1] == "exit" and e[0] <= edge)
+        assert (series.arrivals[k], series.exits[k]) == (arrivals, exits)
+        assert series.ratio[k] == exits / arrivals
+    assert series.arrivals == [4, 9, 11]
+
+
 # --- lane changes -----------------------------------------------------------------
 
 def test_lane_change_projection_empty():
@@ -299,12 +318,13 @@ def test_events_writer_rejects_cells_that_break_the_csv(tmp_path):
 
 
 def test_events_stream_needs_events_in_time_order(tmp_path):
-    log = synthetic_log(events=[EVENTS[1], EVENTS[0]], samples=ORDERED_SAMPLES)
-    with pytest.raises(ValueError, match="events are not in time order"):
-        write_events_csv(log, tmp_path / "events.csv")
-    assert not (tmp_path / "events.csv").exists()
-    with pytest.raises(ValueError, match="events are not in time order"):
-        events_to_table(log, include_samples=True)
+    """The log refuses an event out of time order, so the stream never meets one."""
+    log = synthetic_log(events=EVENTS[1:], samples=ORDERED_SAMPLES)
+    with pytest.raises(ValueError, match="before the last one logged"):
+        log.events.append(EVENTS[0])
+    assert log.events == EVENTS[1:]
+    write_events_csv(log, tmp_path / "events.csv")
+    assert read_csv(tmp_path / "events.csv") == events_to_table(log, include_samples=True)
 
 
 def test_events_stream_needs_samples_in_time_order(tmp_path):
@@ -676,10 +696,10 @@ def test_streamed_events_csv_rejects_events_before_a_cut(tmp_path, monkeypatch, 
 
     def late_event():
         yield from synthetic_steps(log, 30)
-        # an event older than the last cut breaks the order of the stream
+        # an event older than the last cut would break the order of the stream
         log.events.append((0.5, "exit", 99, 1, 1500.0, 30.0, ""))
 
-    with pytest.raises(ValueError, match="not all within"):
+    with pytest.raises(ValueError, match="before the last one logged"):
         streamed_steps(log, late_event(), tmp_path / "events.csv")
     assert len(forks) >= 1
     assert not (tmp_path / "events.csv").exists()
