@@ -57,6 +57,10 @@ class SimConfig:
         def bad(key, constraint, value):
             return ConfigError(f"{key}: must be {constraint}, got {value!r}")
 
+        for f in fields(self):  # a section of another type has no fields to check below
+            section = f.default_factory
+            if isinstance(section, type) and not isinstance(getattr(self, f.name), section):
+                raise bad(f.name, f"a {section.__name__}", getattr(self, f.name))
         # NaN passes every comparison below, and each needs its field's type: check both first
         for prefix, section in (("", self), ("radio.", self.radio),
                                 ("policy.", self.policy), ("driver.", self.driver)):
@@ -152,14 +156,6 @@ def _num(key, text, units):
     return value
 
 
-def _parse_float(units=None):
-    units = units or {}
-
-    def parse(key, text):
-        return _num(key, text, units)
-    return parse
-
-
 def _parse_int(key, text):
     try:
         return int(text)  # exact, where a float would round beyond 2**53
@@ -183,62 +179,49 @@ def _parse_bool(key, text):
     return _BOOL_WORDS[word]
 
 
-def _parse_choice(choices):
-    def parse(key, text):
-        word = text.strip()
-        if word not in choices:
-            raise ConfigError(f"{key}: expected one of {tuple(choices)}, got {text!r}")
-        return word
-    return parse
+# the unit suffixes each float key takes; any other float key takes a bare number
+_UNITS = {
+    **dict.fromkeys(("field_length", "obstacle_position", "vehicle_length", "ttl_distance",
+                     "radio.wavelength", "radio.tx_range", "radio.interference_range",
+                     "driver.min_gap"), _DIST_UNITS),
+    **dict.fromkeys(("dt", "duration", "warm_up", "beacon_interval", "ttl_time",
+                     "lane_change_cooldown", "driver.time_headway"), _TIME_UNITS),
+    **dict.fromkeys(("speed_limit", "driver.vsl_reduction"), _SPEED_UNITS),
+    "traffic_load": _RATE_UNITS, "radio.tx_power": _POWER_UNITS}
+# the words each str key takes
+_CHOICES = {"lane_change_variant": LANE_CHANGE_VARIANTS, "lane_change_rule": LANE_CHANGE_RULES,
+            "policy.kind": POLICY_KINDS}
 
 
-# key -> (section, attribute, parser); section None means SimConfig itself
-_SCHEMA = {
-    "field_length": (None, "field_length", _parse_float(_DIST_UNITS)),
-    "obstacle_position": (None, "obstacle_position", _parse_float(_DIST_UNITS)),
-    "obstacle_lane": (None, "obstacle_lane", _parse_int),
-    "vehicle_length": (None, "vehicle_length", _parse_float(_DIST_UNITS)),
-    "traffic_load": (None, "traffic_load", _parse_float(_RATE_UNITS)),
-    "speed_limit": (None, "speed_limit", _parse_float(_SPEED_UNITS)),
-    "dt": (None, "dt", _parse_float(_TIME_UNITS)),
-    "duration": (None, "duration", _parse_float(_TIME_UNITS)),
-    "warm_up": (None, "warm_up", _parse_float(_TIME_UNITS)),
-    "seed": (None, "seed", _parse_int),
-    "beacon_interval": (None, "beacon_interval", _parse_float(_TIME_UNITS)),
-    "communication_enabled": (None, "communication_enabled", _parse_bool),
-    "vsl_enabled": (None, "vsl_enabled", _parse_bool),
-    "lane_change_variant": (None, "lane_change_variant", _parse_choice(LANE_CHANGE_VARIANTS)),
-    "lane_change_rule": (None, "lane_change_rule", _parse_choice(LANE_CHANGE_RULES)),
-    "brute_force_boost": (None, "brute_force_boost", _parse_float()),
-    "stop_at_origin": (None, "stop_at_origin", _parse_bool),
-    "ttl_time": (None, "ttl_time", _parse_float(_TIME_UNITS)),
-    "ttl_distance": (None, "ttl_distance", _parse_float(_DIST_UNITS)),
-    "safe_braking_limit": (None, "safe_braking_limit", _parse_float()),
-    "lane_change_cooldown": (None, "lane_change_cooldown", _parse_float(_TIME_UNITS)),
-    "radio.tx_power": ("radio", "tx_power", _parse_float(_POWER_UNITS)),
-    "radio.gain_tx": ("radio", "gain_tx", _parse_float()),
-    "radio.gain_rx": ("radio", "gain_rx", _parse_float()),
-    "radio.wavelength": ("radio", "wavelength", _parse_float(_DIST_UNITS)),
-    "radio.system_loss": ("radio", "system_loss", _parse_float()),
-    "radio.tx_range": ("radio", "tx_range", _parse_float(_DIST_UNITS)),
-    "radio.interference_range": ("radio", "interference_range", _parse_float(_DIST_UNITS)),
-    "radio.reception_prob": ("radio", "reception_prob", _parse_float()),
-    "radio.backoff_min": ("radio", "backoff_min", _parse_int),
-    "radio.backoff_max": ("radio", "backoff_max", _parse_int),
-    "radio.max_backoff_stage": ("radio", "max_backoff_stage", _parse_int),
-    "policy.kind": ("policy", "kind", _parse_choice(POLICY_KINDS)),
-    "policy.alpha": ("policy", "alpha", _parse_float()),
-    "driver.max_accel": ("driver", "max_accel", _parse_float()),
-    "driver.comfortable_brake": ("driver", "comfortable_brake", _parse_float()),
-    "driver.time_headway": ("driver", "time_headway", _parse_float(_TIME_UNITS)),
-    "driver.min_gap": ("driver", "min_gap", _parse_float(_DIST_UNITS)),
-    "driver.accel_exponent": ("driver", "accel_exponent", _parse_float()),
-    "driver.politeness": ("driver", "politeness", _parse_float()),
-    "driver.change_threshold": ("driver", "change_threshold", _parse_float()),
-    "driver.lane_bias": ("driver", "lane_bias", _parse_float()),
-    "driver.diff_cap": ("driver", "diff_cap", _parse_float()),
-    "driver.vsl_reduction": ("driver", "vsl_reduction", _parse_float(_SPEED_UNITS)),
-}
+def _parse(key, kind, text):
+    """The value of declared type ``kind`` that ``text`` gives for ``key``."""
+    if kind == "float":
+        return _num(key, text, _UNITS.get(key, {}))
+    if kind == "int":
+        return _parse_int(key, text)
+    if kind == "bool":
+        return _parse_bool(key, text)
+    word = text.strip()
+    if word not in _CHOICES[key]:
+        raise ConfigError(f"{key}: expected one of {_CHOICES[key]}, got {text!r}")
+    return word
+
+
+def _schema():
+    schema = {}
+    for f in fields(SimConfig):
+        if isinstance(f.default_factory, type):  # a section: a key for each init field
+            schema.update((f"{f.name}.{g.name}", (f.name, g.name, g.type))
+                          for g in fields(f.default_factory) if g.init)
+        else:
+            schema[f.name] = (None, f.name, f.type)
+    del schema["driver.desired_velocity"]  # follows speed_limit
+    return schema
+
+
+# key -> (section, attribute, declared type), in SimConfig's field order;
+# section None means SimConfig itself
+_SCHEMA = _schema()
 
 
 def parse_config(text: str, base: SimConfig | None = None) -> SimConfig:
@@ -250,7 +233,6 @@ def parse_config(text: str, base: SimConfig | None = None) -> SimConfig:
     """
     cfg = replace(base) if base is not None else SimConfig()
     seen = set()
-    tx_range_set = interference_set = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -265,17 +247,15 @@ def parse_config(text: str, base: SimConfig | None = None) -> SimConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        section, attr, parser = _SCHEMA[key]
-        value = parser(key, value)
+        section, attr, kind = _SCHEMA[key]
+        value = _parse(key, kind, value)
         if section is None:
             setattr(cfg, attr, value)
         else:
             # sections are replaced, never mutated: base keeps its own and
             # DriverParams is frozen
             setattr(cfg, section, replace(getattr(cfg, section), **{attr: value}))
-        tx_range_set |= key == "radio.tx_range"
-        interference_set |= key == "radio.interference_range"
-    if tx_range_set and not interference_set:
+    if "radio.tx_range" in seen and "radio.interference_range" not in seen:
         cfg.radio = replace(cfg.radio, interference_range=2.0 * cfg.radio.tx_range)
     cfg.validate()
     return cfg
@@ -308,19 +288,20 @@ def config_to_text(cfg: SimConfig) -> str:
 
 @dataclass(slots=True)
 class ScenarioPreset:
-    """Named experiment setup; produces the paired with/without-communication configs."""
+    """Named experiment setup; produces the paired with/without-communication configs.
+
+    ``overrides`` holds SimConfig fields, plus one shorthand: ``policy_kind``
+    for ``policy.kind``.
+    """
 
     name: str
     description: str
     overrides: dict
 
     def config(self, seed: int = 1, communication: bool = True) -> SimConfig:
-        cfg = SimConfig(**{k: v for k, v in self.overrides.items()
-                           if k not in ("policy_kind", "policy_alpha")})
+        cfg = SimConfig(**{k: v for k, v in self.overrides.items() if k != "policy_kind"})
         if "policy_kind" in self.overrides:
             cfg.policy = replace(cfg.policy, kind=self.overrides["policy_kind"])
-        if "policy_alpha" in self.overrides:
-            cfg.policy = replace(cfg.policy, alpha=self.overrides["policy_alpha"])
         cfg.seed = seed
         cfg.communication_enabled = communication
         cfg.validate()

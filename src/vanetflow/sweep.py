@@ -61,7 +61,8 @@ def run_sweep(preset: ScenarioPreset, seeds, jobs: int = 1) -> MetricTable:
         cases.append((preset.config(seed, communication=True), seed, "on"))
         cases.append((preset.config(seed, communication=False), seed, "off"))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # under fork the pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cases))) as pool:
             results = list(pool.map(_run_case, cases))
     else:
         results = [_run_case(case) for case in cases]

@@ -1,14 +1,17 @@
 """Config document parsing, echoing and preset coverage."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from vanetflow.config import (ConfigError, PRESETS, SimConfig, as_echo_dict,
-                              config_to_text, parse_config)
+from vanetflow.config import (_CHOICES, _SCHEMA, _UNITS, ConfigError, PRESETS, SimConfig,
+                              as_echo_dict, config_to_text, parse_config)
+from vanetflow.dissemination import DisseminationPolicy
 from vanetflow.engine import run
+from vanetflow.radio import RadioConfig
+from vanetflow.traffic import DriverParams
 
 
 def test_empty_document_gives_defaults_and_full_echo():
@@ -36,6 +39,54 @@ def test_unit_suffixes_distance_time_rate():
     assert cfg.duration == 600.0
     assert cfg.traffic_load == 4400.0
     assert cfg.warm_up == 30.0
+
+
+# one suffix each unit-bearing key takes, with the base-unit value it gives
+UNIT_CASES = [
+    ("field_length", "1.2 km", 1200.0), ("obstacle_position", "0.5 km", 500.0),
+    ("vehicle_length", "0.004 km", 4.0), ("ttl_distance", "2.5 km", 2500.0),
+    ("radio.wavelength", "0.05 km", 50.0), ("radio.tx_range", "0.12 km", 120.0),
+    ("radio.interference_range", "0.3 km", 300.0), ("driver.min_gap", "0.003 km", 3.0),
+    ("dt", "0.005 min", 0.3), ("duration", "10 min", 600.0), ("warm_up", "0.5 min", 30.0),
+    ("beacon_interval", "0.05 min", 3.0), ("ttl_time", "3 min", 180.0),
+    ("lane_change_cooldown", "0.05 min", 3.0), ("driver.time_headway", "1 min", 60.0),
+    ("speed_limit", "90 km/h", 25.0), ("driver.vsl_reduction", "18 km/h", 5.0),
+    ("traffic_load", "3000 /h", 3000.0), ("radio.tx_power", "50 mW", 0.05),
+]
+
+
+@pytest.mark.parametrize("key, text, expected", UNIT_CASES)
+def test_every_unit_key_takes_its_suffix(key, text, expected):
+    section, attr, _ = _SCHEMA[key]
+    cfg = parse_config(f"{key} = {text}\n")
+    assert getattr(cfg if section is None else getattr(cfg, section), attr) == pytest.approx(expected)
+
+
+def test_the_unit_cases_cover_every_unit_key():
+    assert sorted(key for key, _, _ in UNIT_CASES) == sorted(_UNITS)
+
+
+def test_unit_keys_are_float_keys_and_str_keys_have_choices():
+    assert all(_SCHEMA[key][2] == "float" for key in _UNITS)
+    assert {kind for _, _, kind in _SCHEMA.values()} == {"float", "int", "bool", "str"}
+    assert {key for key, (_, _, kind) in _SCHEMA.items() if kind == "str"} == set(_CHOICES)
+
+
+def test_every_init_field_is_a_key():
+    sections = {"radio": RadioConfig, "policy": DisseminationPolicy, "driver": DriverParams}
+    keys = {f.name for f in fields(SimConfig) if f.name not in sections}
+    keys |= {f"{name}.{f.name}" for name, kind in sections.items() for f in fields(kind) if f.init}
+    keys.remove("driver.desired_velocity")  # follows speed_limit
+    assert set(_SCHEMA) == keys
+
+
+@pytest.mark.parametrize("key, value, kind", [("radio", None, "RadioConfig"),
+                                              ("policy", "mixed", "DisseminationPolicy"),
+                                              ("driver", 3, "DriverParams")])
+def test_validate_rejects_a_section_of_another_type(key, value, kind):
+    # dataclasses.fields used to raise a TypeError on it
+    with pytest.raises(ConfigError, match=f"^{key}: must be a {kind}, got {value!r}$"):
+        SimConfig(**{key: value}).validate()
 
 
 def test_negative_traffic_load_names_the_key():

@@ -754,6 +754,33 @@ def test_sweep_parallelism_invariance():
     assert a.columns == b.columns
 
 
+def test_sweep_starts_no_more_workers_than_cases(monkeypatch):
+    import vanetflow.sweep as sweep_mod
+
+    asked = []
+
+    class SerialPool:
+        """Notes the worker count asked for and maps in this process; starts none."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", SerialPool)
+    table = run_sweep(tiny_preset(), [0], jobs=5000)
+    assert asked == [2]  # one worker per case: the two arms of seed 0
+    assert table.meta["jobs"] == "5000"  # the summary keeps the jobs asked for
+    assert table.rows == run_sweep(tiny_preset(), [0], jobs=1).rows
+
+
 def test_sweep_medians_match_independent_sort():
     table = run_sweep(tiny_preset(), [0, 1, 2, 3], jobs=2)
     per_seed = [r for r in table.rows if r[6] == "ok"]
