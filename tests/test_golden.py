@@ -47,6 +47,13 @@ CASES = {
                       "radio.tx_range = 250 m\nradio.reception_prob = 0.5\n"
                       "radio.backoff_max = 7\nradio.max_backoff_stage = 3\n", []),
     "velocity_motorway-seed2": ("velocity_motorway", "", []),
+    # lane-change rule paths no case above takes: the base variant, the
+    # multiplicative rule's brute-force branch and a zero standstill gap
+    "base_variant": ("velocity_motorway", "lane_change_variant = base\n", []),
+    "multiplicative-brute_force": ("velocity_motorway",
+                                   "lane_change_rule = paper_multiplicative\n"
+                                   "lane_change_variant = brute_force\n", []),
+    "zero_min_gap": ("velocity_motorway", "driver.min_gap = 0 m\n", []),
 }
 
 # cases run at another seed than 1
@@ -89,6 +96,12 @@ GOLDEN = {
         "600777c749e98a1ee5414aaf5439aefa9e3db8c20d5f514365794e590dcea3f0",
     "velocity_motorway-seed2":
         "091a67659286aed97fd65d4a210cd0f2e6e6a8b5b7ad45ee3734dc829e352b10",
+    "base_variant":
+        "1a0a8b8fccde42c51bc115cdc1a49ad467e41e2aa9bc9f665f6246af89042f4b",
+    "multiplicative-brute_force":
+        "120ec66b8060c0218b1681848074d3ebb01cac86c464f1720be1d873f654450f",
+    "zero_min_gap":
+        "bdf3cdcfef6f8709ac6407cfb6dcfab8b95e172dcec7a5c8c14c23977e1bfb5b",
 }
 
 
