@@ -26,17 +26,16 @@ from .dissemination import WarningMessage, should_rebroadcast, ttl_alive, ttl_ex
 from .radio import (MacState, defer, draw_backoffs, mac_tick, medium_busy, next_attempt,
                     receive_roll)
 from .traffic import (BASE, BRUTE_FORCE, NO_VEHICLE, PAPER_MULTIPLICATIVE,
-                      Neighborhood, VehicleState, base_lane_change,
-                      brute_force_lane_change, additive_lane_change,
-                      diff_incentive, free_road_terms, idm_acceleration,
-                      idm_accelerations, kinematic_updates, others_disadvantage,
-                      proportional_lane_change)
-# kinematic_update is not called here (kinematic_updates moves everyone at
-# once); the benchmark's traced run wraps it by this name (bench/layers.py)
-from .traffic import kinematic_update  # noqa: F401
+                      VehicleState, base_lane_change, brute_force_lane_change,
+                      additive_lane_change, diff_incentives, free_road_terms,
+                      idm_acceleration, idm_accelerations, kinematic_updates,
+                      others_disadvantages, proportional_lane_change)
+# not called here (kinematic_updates moves everyone at once, and
+# others_disadvantages and diff_incentives weigh every lane change); the
+# benchmark's traced run wraps them by these names (bench/layers.py)
+from .traffic import diff_incentive, kinematic_update, others_disadvantage  # noqa: F401
 
 OBSTACLE_ID = -1
-SLOW_LANE = 0               # lane the bias pulls back into
 WARMUP_LOAD_FACTOR = 0.25
 ENTRY_JITTER = 1e-3         # m, breaks exact-position ties at injection
 GRIDLOCK_SPEED = 0.1        # m/s
@@ -615,31 +614,27 @@ def _leaders(cfg: SimConfig, pos, vel, k, x, in_obstacle_lane) -> tuple:
 def _decide(state: SimState) -> tuple[tuple, list]:
     """Every vehicle's acceleration and lane-change proposal, from the pre-move snapshot.
 
-    Both lanes go through the IDM and the vetoes as one numpy batch. Only
-    the vehicles that pass every veto reach ``others_disadvantage`` and the
-    decision rules, one by one in lane order. Returns the snapshot to move,
-    (vehicles, positions, velocities, accelerations), and the proposals as
-    (vehicle, lane, target lane, insertion index in the target lane).
+    Both lanes go through the IDM, the vetoes, the followers' disadvantage,
+    the incentives and the decision rule as one numpy batch; every element
+    is the float the scalar functions give for it. Returns the snapshot to
+    move, (vehicles, positions, velocities, accelerations), and the
+    proposals, in lane order, as (vehicle, lane, target lane, insertion
+    index in the target lane).
     """
     cfg = state.cfg
     t = state.now
     lanes = state.lanes
     normal_p = state.driver_p
-    vsl_p = state.driver_vsl_p
-    vsl_on = cfg.vsl_enabled
     variant = cfg.lane_change_variant
-    multiplicative = cfg.lane_change_rule == PAPER_MULTIPLICATIVE
     b_safe = cfg.safe_braking_limit
-    obstacle_lane = cfg.obstacle_lane
     obstacle_pos = cfg.obstacle_position
     length = cfg.vehicle_length
     vehicles = lanes[0] + lanes[1]
     n0 = len(lanes[0])
     n = len(vehicles)
 
-    velocities = [veh.velocity for veh in vehicles]
     x = np.fromiter([veh.position for veh in vehicles], float, n)
-    v = np.fromiter(velocities, float, n)
+    v = np.fromiter([veh.velocity for veh in vehicles], float, n)
     pos, vel, slot = _pad(x, v, n0)
     # two leader lookups per vehicle: the next slot in its own lane, and the
     # first vehicle at or ahead of it in the other lane, as bisect_left finds it
@@ -647,32 +642,66 @@ def _decide(state: SimState) -> tuple[tuple, list]:
     lead = np.concatenate((slot + 1, x1.searchsorted(x0) + (n0 + 3), x0.searchsorted(x1) + 1))
     t_lead = lead[n:]
     # lane 0's block ends at slot n0 + 1
-    in_obstacle_lane = lead <= n0 + 1 if obstacle_lane == 0 else lead > n0 + 1
+    in_obstacle_lane = lead <= n0 + 1 if cfg.obstacle_lane == 0 else lead > n0 + 1
+    follow = slot - 1
+    follow_gap = x - pos[follow] - length
+    follow_v = vel[follow]
     t_follow = t_lead - 1
     t_follow_gap = x - pos[t_follow] - length
     t_follow_v = vel[t_follow]
     # positions never decrease, so a vehicle upstream now has not passed the obstacle
     warned_upstream = np.fromiter([veh.infected for veh in vehicles], bool, n) & (x <= obstacle_pos)
-    free = np.fromiter(free_road_terms(velocities, normal_p), float, n)
-    # the target followers are judged with the normal parameters
+    free = free_road_terms(v, normal_p)
+    # the followers are judged with the normal parameters
     free_pad = np.zeros(n + 4)
     free_pad[slot] = free
     # VSL drivers differ only in v0 (driver_vsl_p is driver_p with another
-    # desired velocity), so one parameter set serves with per-vehicle free terms
-    if vsl_on:
-        free[warned_upstream] = free_road_terms(v[warned_upstream].tolist(), vsl_p)
-    # a zero gap divides by zero; whether it reached the IDM is checked below
+    # desired velocity), which no decision rule reads: one parameter set
+    # serves, with per-vehicle free terms
+    if cfg.vsl_enabled:
+        free[warned_upstream] = free_road_terms(v[warned_upstream], state.driver_vsl_p)
+    # a zero gap divides by zero, and what it gives is summed on; whether it
+    # reached the IDM is checked below
     with np.errstate(divide="ignore", invalid="ignore"):
         gaps, lead_vs = _leaders(cfg, pos, vel, lead, np.concatenate((x, x)), in_obstacle_lane)
-        # three IDM evaluations per vehicle: behind its own leader, behind
-        # the target leader, and the target follower's behind the vehicle
-        v3 = np.concatenate((v, v, t_follow_v))
-        accels = idm_accelerations(v3, np.concatenate((gaps, t_follow_gap)),
-                                   v3 - np.concatenate((lead_vs, v)),
-                                   np.concatenate((free, free, free_pad[t_follow])), normal_p)
-    gap, t_gap = gaps[:n], gaps[n:]
-    lead_v, t_lead_v = lead_vs[:n], lead_vs[n:]
-    a_self, a_new, a_follower = accels[:n], accels[n:2 * n], accels[2 * n:]
+        gap, t_gap = gaps[:n], gaps[n:]
+        lead_v, t_lead_v = lead_vs[:n], lead_vs[n:]
+        # six IDM evaluations per vehicle: itself behind its own leader and
+        # behind the target leader; the target follower behind it and behind
+        # the target leader; its own follower behind it and behind its leader
+        t_follow_free = free_pad[t_follow]
+        follow_free = free_pad[follow]
+        v6 = np.concatenate((v, v, t_follow_v, t_follow_v, follow_v, follow_v))
+        accels = idm_accelerations(
+            v6, np.concatenate((gaps, t_follow_gap, t_follow_gap + t_gap, follow_gap,
+                                follow_gap + gap)),
+            v6 - np.concatenate((lead_vs, v, t_lead_v, v, lead_v)),
+            np.concatenate((free, free, t_follow_free, t_follow_free, follow_free, follow_free)),
+            normal_p)
+        a_self, a_new, a_follower, t_follow_before, follow_before, follow_after = \
+            accels.reshape(6, n)
+        oth_dis = others_disadvantages(follow_before, follow_after, t_follow_before, a_follower)
+        my_adv = a_new - a_self
+        # lane 1's vehicles target lane 0, the slow lane the bias pulls back into
+        my_adv[n0:] += normal_p.lane_bias
+        incentive = 0.0
+        if variant != BASE and warned_upstream.any():
+            # the variant's incentive goes to the warned vehicles upstream in the obstacle lane
+            use_variant = warned_upstream & in_obstacle_lane[:n] & (x < obstacle_pos)
+            boost = (cfg.brute_force_boost if variant == BRUTE_FORCE
+                     else diff_incentives(x, obstacle_pos, normal_p))
+            incentive = np.where(use_variant, boost, 0.0)
+        # outside the variant the incentive is 0.0, and x + 0.0 differs from
+        # x only in the sign of a zero, which no rule's comparison with
+        # change_threshold > 0 can tell: the variant's rule is the base rule there
+        if cfg.lane_change_rule != PAPER_MULTIPLICATIVE:
+            change = additive_lane_change(my_adv, incentive, oth_dis, normal_p)
+        elif variant == BASE:
+            change = base_lane_change(my_adv, oth_dis, normal_p)
+        elif variant == BRUTE_FORCE:
+            change = brute_force_lane_change(my_adv, incentive, oth_dis, normal_p)
+        else:
+            change = proportional_lane_change(my_adv, incentive, oth_dis, normal_p)
     last_change = np.fromiter([veh.last_change for veh in vehicles], float, n)
     reach_new = t - last_change >= cfg.lane_change_cooldown
     # warned drivers do not merge into the blocked lane
@@ -681,6 +710,10 @@ def _decide(state: SimState) -> tuple[tuple, list]:
     # do not force emergency braking on myself or on the new follower
     reach_new &= np.minimum(t_gap, t_follow_gap) >= normal_p.min_gap
     reach_follower = reach_new & (a_new >= -b_safe)
+    # this check also keeps others_disadvantage's ValueError out of reach:
+    # the own follower's gap is bitwise that follower's own vehicle gap, and
+    # a candidate's target gaps passed the gap veto (a zero one under a zero
+    # min_gap raises below), so any gap that is not positive raises here first
     collided = gap <= 0.0
     if normal_p.min_gap <= 0.0:
         # a target gap that passed the gap veto is at least min_gap, so only
@@ -691,50 +724,14 @@ def _decide(state: SimState) -> tuple[tuple, list]:
         k = int(collided.argmax())
         for g in (gap[k], t_gap[k], t_follow_gap[k]):
             if g <= 0.0:
-                idm_acceleration(velocities[k], float(g), 0.0, normal_p)
+                idm_acceleration(float(v[k]), float(g), 0.0, normal_p)
     # an absent follower (a NO_VEHICLE gap) is not asked
-    candidates = (reach_follower & ((t_follow_gap == NO_VEHICLE)
-                                    | (a_follower >= -b_safe))).nonzero()[0]
-    proposals = []
-    if not len(candidates):
-        return (vehicles, x, v, a_self), proposals
-
-    behind = slot[candidates] - 1
-    columns = np.concatenate((np.array((x, t_follow_gap, t_follow_v)), gaps.reshape(2, n),
-                              lead_vs.reshape(2, n), accels[:2 * n].reshape(2, n)))
-    rows = zip(candidates.tolist(), t_lead[candidates].tolist(),
-               (x[candidates] - pos[behind] - length).tolist(), vel[behind].tolist(),
-               *columns[:, candidates].tolist())
-    for (k, t_slot, follow_gap, follow_v, xk, t_follow_gap_k, t_follow_v_k, gap_k, t_gap_k,
-         lead_v_k, t_lead_v_k, a_self_k, a_new_k) in rows:
-        veh = vehicles[k]
-        li = 0 if k < n0 else 1
-        tl = 1 - li
-        p_eff = vsl_p if vsl_on and warned_upstream[k] else normal_p
-        bias = p_eff.lane_bias if tl == SLOW_LANE else 0.0
-        my_adv = a_new_k - a_self_k + bias
-        cur_nb = Neighborhood(gap_k, lead_v_k, follow_gap, follow_v)
-        tgt_nb = Neighborhood(t_gap_k, t_lead_v_k, t_follow_gap_k, t_follow_v_k)
-        oth_dis = others_disadvantage(cur_nb, tgt_nb, velocities[k], normal_p)
-        use_variant = (variant != BASE and veh.infected and li == obstacle_lane
-                       and xk < obstacle_pos)
-        if not use_variant:
-            incentive = 0.0
-        elif variant == BRUTE_FORCE:
-            incentive = cfg.brute_force_boost
-        else:
-            incentive = diff_incentive(xk, obstacle_pos, p_eff)
-        if not multiplicative:
-            change = additive_lane_change(my_adv, incentive, oth_dis, p_eff)
-        elif not use_variant:
-            change = base_lane_change(my_adv, oth_dis, p_eff)
-        elif variant == BRUTE_FORCE:
-            change = brute_force_lane_change(my_adv, incentive, oth_dis, p_eff)
-        else:
-            change = proportional_lane_change(my_adv, incentive, oth_dis, p_eff)
-        if change:
-            # the index in the target lane: lane 0 starts at slot 1, lane 1 at n0 + 3
-            proposals.append((veh, li, tl, t_slot - 1 if li else t_slot - n0 - 3))
+    movers = (reach_follower & ((t_follow_gap == NO_VEHICLE) | (a_follower >= -b_safe))
+              & change).nonzero()[0]
+    # the index in the target lane: lane 0 starts at slot 1, lane 1 at n0 + 3
+    proposals = [(vehicles[k], 0, 1, t_slot - n0 - 3) if k < n0
+                 else (vehicles[k], 1, 0, t_slot - 1)
+                 for k, t_slot in zip(movers.tolist(), t_lead[movers].tolist())]
     return (vehicles, x, v, a_self), proposals
 
 

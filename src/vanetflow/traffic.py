@@ -1,12 +1,18 @@
 """Vehicle dynamics: IDM car following, lane-change decisions and kinematic stepping.
 
-All functions here are pure; the engine owns iteration order and state.
+All functions here are pure; the engine owns iteration order and state. The
+scalar functions are the reference; the engine calls their numpy forms (the
+plural names) over every vehicle at once, and the four decision rules
+directly on arrays, which they take element by element.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+
+import numpy as np
 
 from .dissemination import MessageLedger
 from .radio import MacState
@@ -131,15 +137,16 @@ def idm_acceleration(v: float, gap: float, delta_v: float, p: DriverParams) -> f
     return p.max_accel * (free - ratio * ratio)
 
 
-def free_road_terms(velocities, p: DriverParams) -> list:
-    """The IDM free-road term ``1.0 - (v / v0) ** δ`` of each velocity, for ``idm_accelerations``.
+def free_road_terms(v, p: DriverParams):
+    """The IDM free-road term ``1.0 - (v / v0) ** δ`` of each velocity of the array ``v``.
 
-    It uses Python's scalar ``**``, as ``idm_acceleration`` does: numpy's
-    vectorised power may round differently in the last bit.
+    For ``idm_accelerations``. The division and the subtraction are numpy's,
+    correctly rounded as the scalar ones are; the power is Python's scalar
+    ``**``, as in ``idm_acceleration``, because numpy's vectorised power may
+    round differently in the last bit.
     """
-    v0 = p.desired_velocity
-    delta = p.accel_exponent
-    return [1.0 - (v / v0) ** delta for v in velocities]
+    ratios = (v / p.desired_velocity).tolist()
+    return 1.0 - np.fromiter(map(pow, ratios, repeat(p.accel_exponent)), float, len(ratios))
 
 
 def idm_accelerations(v, gap, delta_v, free, p: DriverParams):
@@ -187,6 +194,20 @@ def others_disadvantage(current: Neighborhood, target: Neighborhood,
     return total
 
 
+def others_disadvantages(before, after, t_before, t_after):
+    """``others_disadvantage`` over numpy arrays, equal to it bit for bit element by element.
+
+    ``before`` and ``after`` are the old-lane follower's IDM accelerations
+    behind the mover and behind the mover's leader, ``t_before`` and
+    ``t_after`` the new-lane follower's behind its leader and behind the
+    mover. The sum runs in the scalar order. An absent follower is given as
+    a sentinel: gap NO_VEHICLE, velocity 0.0 and free-road term 0.0, whose
+    IDM value is exactly 0.0 both before and after; its pair adds 0.0,
+    which leaves the sum as the scalar's ``!= NO_VEHICLE`` branch does.
+    """
+    return 0.0 + (after - before) + (t_after - t_before)
+
+
 def base_lane_change(my_adv: float, oth_dis: float, p: DriverParams) -> bool:
     """Default decision rule: multiplicative trade-off against the threshold."""
     return (my_adv - p.politeness) * oth_dis > p.change_threshold
@@ -207,6 +228,15 @@ def diff_incentive(pos_me: float, pos_obst: float, p: DriverParams) -> float:
     if pos_me >= pos_obst:
         raise ValueError(f"vehicle at {pos_me} is not upstream of obstacle at {pos_obst}")
     return min(p.diff_cap, pos_obst / (pos_obst - pos_me))
+
+
+def diff_incentives(pos_me, pos_obst: float, p: DriverParams):
+    """``diff_incentive`` over a numpy array of positions, equal to it bit for bit.
+
+    Only the elements strictly upstream of the obstacle mean anything; the
+    others are not checked, and the caller masks them out.
+    """
+    return np.minimum(p.diff_cap, pos_obst / (pos_obst - pos_me))
 
 
 def proportional_lane_change(my_adv: float, diff: float, oth_dis: float,
