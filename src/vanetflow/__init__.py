@@ -12,7 +12,7 @@ from .dissemination import (DisseminationPolicy, LedgerEntry, MessageLedger,
                             rebroadcast_prob_directional, rebroadcast_prob_distance,
                             rebroadcast_prob_mixed, should_rebroadcast, ttl_alive)
 from .engine import (EventLog, SimState, SimulationError, add_vehicle,
-                     detect_gridlock, inject_vehicles, new_state, run, step)
+                     detect_gridlock, inject_vehicles, lane_columns, new_state, run, step)
 from .metrics import (EventsCsvWriter, ExitSeries, MetricTable, VelocityGrid,
                       events_to_table, exit_series, lane_change_positions, read_csv,
                       slow_cell_area, velocity_grid, write_csv, write_events_csv)
@@ -20,7 +20,7 @@ from .radio import (MacState, RadioConfig, draw_backoff, friis_received_power,
                     mac_tick, medium_busy, next_attempt, range_for_sensitivity,
                     receive_roll)
 from .sweep import run_sweep
-from .traffic import (DriverParams, Neighborhood, VehicleState,
+from .traffic import (DriverParams, Neighborhood, VehicleColumns, VehicleState,
                       base_lane_change, brute_force_lane_change, desired_gap,
                       diff_incentive, idm_acceleration, kinematic_update,
                       others_disadvantage, proportional_lane_change)

@@ -17,7 +17,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, islice
-from operator import eq, sub
+from operator import eq, itemgetter
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .dissemination import WarningMessage, should_rebroadcast, ttl_alive, ttl_ex
 from .radio import (MacState, defer, draw_backoffs, mac_tick, medium_busy, next_attempt,
                     receive_roll)
 from .traffic import (BASE, BRUTE_FORCE, NO_VEHICLE, PAPER_MULTIPLICATIVE,
-                      VehicleState, base_lane_change, brute_force_lane_change,
+                      VehicleColumns, VehicleState, base_lane_change, brute_force_lane_change,
                       additive_lane_change, diff_incentives, free_road_terms,
                       idm_acceleration, idm_accelerations, kinematic_updates,
                       others_disadvantages, proportional_lane_change)
@@ -160,19 +160,34 @@ class Events(Sequence):
         self.extend(records)
         return self
 
-    def log_receptions(self, t: float, vehicles: list, runs: list) -> None:
-        """One reception row at time ``t`` per vehicle, as it stands now.
+    def log_receptions(self, t: float, ids, positions, velocities, runs: list) -> None:
+        """One reception row at time ``t`` per receiver, given as columns.
 
-        ``runs`` holds one (index in ``vehicles``, lane, message id) per run,
-        in order, the first at index 0: a run's rows go up to the next run's
-        index. A run with no rows is dropped. A NaN or earlier ``t`` raises.
+        ``ids``, ``positions`` and ``velocities`` hold the rows' cells, as
+        int64 and float64 numpy arrays or as sequences numpy converts to
+        them. ``runs`` holds one (row index, lane, message id) per run, in
+        order, the first at row 0: a run's rows go up to the next run's
+        index. A run with no rows is dropped. A NaN or earlier ``t``, ids
+        that are not signed integers, columns of unequal lengths or cells
+        their columns cannot hold raise; the log is unchanged.
         """
         self._check_time(t)
-        if vehicles and (not runs or runs[0][0] != 0):
+        ids = np.ascontiguousarray(ids)
+        # an empty list reads as float64; an id past int64 as uint64 or object
+        if ids.size and ids.dtype.kind != "i":
+            raise TypeError(f"reception vehicle ids must fit int64, got {ids.dtype}")
+        ids = ids.astype(np.int64, copy=False)
+        positions = np.ascontiguousarray(positions, dtype=np.float64)
+        velocities = np.ascontiguousarray(velocities, dtype=np.float64)
+        n = len(ids)
+        if not len(positions) == len(velocities) == n:
+            raise ValueError(f"reception columns of unequal lengths: {n} ids, "
+                             f"{len(positions)} positions, {len(velocities)} velocities")
+        if n and (not runs or runs[0][0] != 0):
             raise ValueError("the first reception row starts no run")
         base = len(self.vehicle_id)
         stops = [start for start, _, _ in islice(runs, 1, None)]
-        stops.append(len(vehicles))
+        stops.append(n)
         for (start, lane, msg_id), stop in zip(runs, stops):
             if start < stop:
                 self.run_start.append(base + start)
@@ -180,9 +195,10 @@ class Events(Sequence):
                 self.run_kind.append("reception")
                 self.run_lane.append(lane)
                 self.run_aux.append(msg_id)
-        self.vehicle_id.fromlist([veh.id for veh in vehicles])
-        self.position.fromlist([veh.position for veh in vehicles])
-        self.velocity.fromlist([veh.velocity for veh in vehicles])
+        # the arrays' own buffers: a bytes copy per call would fragment the heap
+        self.vehicle_id.frombytes(ids.data.cast("B"))
+        self.position.frombytes(positions.data.cast("B"))
+        self.velocity.frombytes(velocities.data.cast("B"))
 
     def _run_cells(self, lo: int, hi: int, columns: tuple) -> list:
         """The per-run ``columns`` expanded to rows lo:hi (lo < hi), as numpy arrays.
@@ -289,9 +305,11 @@ class EventLog:
 class SimState:
     """Mutable world state; vehicles are kept per lane, sorted by position.
 
-    Each vehicle carries its own MAC and last lane-change time. The run
-    totals and detector times live on ``log`` only, current after every
-    ``step``.
+    Every vehicle's position, velocity and last lane-change time live in
+    ``cols``, one row per vehicle id, which the phases gather and scatter
+    by id; its lane, warning flag, ledger and MAC live on its
+    ``VehicleState``. The run totals and detector times live on ``log``
+    only, current after every ``step``.
     """
 
     cfg: SimConfig
@@ -310,6 +328,7 @@ class SimState:
     entry_queue: int = 0
     prev_tx_positions: list = field(default_factory=list)
     attempts: dict = field(default_factory=dict)  # tick -> [(vehicle, MacState)] due then
+    cols: VehicleColumns = field(default_factory=VehicleColumns)
 
 
 def new_state(cfg: SimConfig) -> SimState:
@@ -325,8 +344,18 @@ def new_state(cfg: SimConfig) -> SimState:
 
 def _enter(state: SimState, lane: int, index: int, position: float,
            velocity: float) -> VehicleState:
-    """Put a new vehicle at ``index`` of its lane, count it and log its injection."""
-    veh = VehicleState(state.next_id, lane, position, velocity)
+    """Put a new vehicle at ``index`` of its lane, count it and log its injection.
+
+    The vehicle's row of ``state.cols`` is its id; the columns double when full.
+    """
+    cols = state.cols
+    veh_id = state.next_id
+    if veh_id == len(cols.x):
+        cols.grow()
+    cols.x[veh_id] = position
+    cols.v[veh_id] = velocity
+    cols.last_change[veh_id] = -math.inf
+    veh = VehicleState(veh_id, lane, cols)
     state.next_id += 1
     state.lanes[lane].insert(index, veh)
     state.log.entered += 1
@@ -363,29 +392,49 @@ def _leader(cfg: SimConfig, lane_list: list, lane_idx: int, k: int, x: float):
     return gap, lv
 
 
-def detect_gridlock(state: SimState) -> bool:
-    """All vehicles upstream of the obstacle crawling, with enough of them present."""
-    cfg = state.cfg
-    count = 0
+def lane_columns(state: SimState) -> list:
+    """Each lane's (ids, positions, velocities), gathered from ``state.cols`` in lane order.
+
+    One pass over the lane's vehicles reads their ids; the rest are numpy
+    arrays, int64 and float64.
+    """
+    cols = state.cols
+    lanes = []
     for lane_list in state.lanes:
-        for veh in lane_list:
-            if veh.position >= cfg.obstacle_position:
+        ids = _ids(lane_list)
+        lanes.append((ids, cols.x[ids], cols.v[ids]))
+    return lanes
+
+
+def detect_gridlock(cfg: SimConfig, lanes: list) -> bool:
+    """All vehicles upstream of the obstacle crawling, with enough of them present.
+
+    ``lanes`` is ``lane_columns``' (ids, positions, velocities) per lane.
+    """
+    count = 0
+    for _, x, v in lanes:
+        # a memoryview yields Python floats, and the loop stops early
+        for position, velocity in zip(memoryview(x), memoryview(v)):
+            if position >= cfg.obstacle_position:
                 break
-            if veh.velocity >= GRIDLOCK_SPEED:
+            if velocity >= GRIDLOCK_SPEED:
                 return False
             count += 1
     return count >= GRIDLOCK_MIN_VEHICLES
 
 
-def origin_congested(state: SimState) -> bool:
-    """Mean velocity over the first 100 m below 5 m/s (needs a few vehicles there)."""
+def origin_congested(lanes: list) -> bool:
+    """Mean velocity over the first 100 m below 5 m/s (needs a few vehicles there).
+
+    ``lanes`` as for ``detect_gridlock``.
+    """
     total = 0.0
     n = 0
-    for lane_list in state.lanes:
-        for veh in lane_list:
-            if veh.position > ORIGIN_WINDOW:
+    for _, x, v in lanes:
+        for position, velocity in zip(memoryview(x), memoryview(v)):
+            if position > ORIGIN_WINDOW:
                 break
-            total += veh.velocity
+            total += velocity
             n += 1
     return n >= ORIGIN_MIN_VEHICLES and total / n < ORIGIN_SLOW_SPEED
 
@@ -448,6 +497,18 @@ def _diagnostic(state, message):
     return SimulationError(f"{message} at t={state.now}\n" + "\n".join(rows))
 
 
+def _ids(vehicles: list) -> np.ndarray:
+    """The vehicles' ids, their rows in ``SimState.cols``, as an int64 array."""
+    return np.fromiter([veh.id for veh in vehicles], np.int64, len(vehicles))
+
+
+def _log_receptions(state: SimState, t: float, got: list, runs: list) -> None:
+    """Log a reception row for each vehicle id in ``got``, with its position and velocity now."""
+    ids = np.fromiter(got, np.int64, len(got))
+    cols = state.cols
+    state.log.events.log_receptions(t, ids, cols.x[ids], cols.v[ids], runs)
+
+
 def _file_attempt(state: SimState, veh: VehicleState, mac: MacState) -> None:
     """Make ``mac`` the vehicle's pending MAC and file it under its attempt tick."""
     tick, ready = next_attempt(mac, state.tick)
@@ -463,6 +524,7 @@ def _communicate(state: SimState) -> None:
     events = state.log.events
     rng = state.rng
     messages = state.messages
+    cols = state.cols
     # expired generations can be neither sent nor relayed again; ids grow with
     # time, so they are the oldest entries. Their ledger entries go with them.
     expired = []
@@ -492,13 +554,16 @@ def _communicate(state: SimState) -> None:
     # only the MACs whose countdown ends this tick act; the rest would just
     # count down. Entries of superseded frames and exited vehicles are stale.
     due = [(veh, mac) for veh, mac in state.attempts.pop(state.tick, ()) if veh.mac is mac]
-    due.sort(key=lambda entry: (entry[0].lane, entry[0].position))
+    # (lane, position, velocity, vehicle, MAC) of each attempt, from one gather each
+    ids = _ids([veh for veh, _ in due])
+    due = sorted([(veh.lane, x, v, veh, mac) for (veh, mac), x, v
+                  in zip(due, cols.x[ids].tolist(), cols.v[ids].tolist())], key=itemgetter(0, 1))
     # the medium is busy by the previous tick's transmitters only, so every
     # busy attempt of the pass is known up front and draws in one call
-    busy = [medium_busy(veh.position, prev_tx, radio_cfg) for veh, _ in due]
-    waits = iter(draw_backoffs([mac.backoff_stage for (_, mac), b in zip(due, busy) if b],
+    busy = [medium_busy(x, prev_tx, radio_cfg) for _, x, _, _, _ in due]
+    waits = iter(draw_backoffs([mac.backoff_stage for (*_, mac), b in zip(due, busy) if b],
                                radio_cfg, rng))
-    for (veh, mac), is_busy in zip(due, busy):
+    for (lane, x, v, veh, mac), is_busy in zip(due, busy):
         if is_busy:
             _file_attempt(state, veh, defer(mac, next(waits), radio_cfg))
             continue
@@ -507,10 +572,9 @@ def _communicate(state: SimState) -> None:
         msg = messages.get(mac.pending_message)
         # messages that died while queued are dropped, not sent; a generation
         # that is no longer held expired in time
-        if msg is not None and ttl_alive(msg, t, veh.position):
-            transmissions.append((veh.position, msg))
-            events.append((t, "transmission", veh.id, veh.lane,
-                           veh.position, veh.velocity, msg.msg_id))
+        if msg is not None and ttl_alive(msg, t, x):
+            transmissions.append((x, msg))
+            events.append((t, "transmission", veh.id, lane, x, v, msg.msg_id))
     receptions = []
     if transmissions:
         # gather every (lane, transmission) batch of possible receivers, then
@@ -519,51 +583,53 @@ def _communicate(state: SimState) -> None:
         batches = []
         distances = []
         for lane, lane_list in enumerate(state.lanes):
-            positions = [v.position for v in lane_list]
+            positions = cols.x[_ids(lane_list)].tolist()
             for sender_pos, msg in transmissions:
                 lo = bisect.bisect_left(positions, sender_pos - rc)
                 hi = bisect.bisect_right(positions, sender_pos + rc)
                 # the sender itself sits at sender_pos, and so does an exact
                 # tie, whose direction cannot be attributed: neither draws
-                heard = [v for v in lane_list[lo:hi] if v.position != sender_pos]
-                if heard:
-                    batches.append((heard, sender_pos, msg, lane))
-                    distances += [abs(v.position - sender_pos) for v in heard]
+                tie_lo = bisect.bisect_left(positions, sender_pos, lo, hi)
+                tie_hi = bisect.bisect_right(positions, sender_pos, tie_lo, hi)
+                if lo < tie_lo or tie_hi < hi:
+                    heard_x = positions[lo:tie_lo] + positions[tie_hi:hi]
+                    batches.append((lane_list[lo:tie_lo] + lane_list[tie_hi:hi], heard_x,
+                                    sender_pos, msg, lane))
+                    distances += [abs(x - sender_pos) for x in heard_x]
         hits = receive_roll(distances, radio_cfg, rng) if batches else []
         # the step's receptions go into the log's columns together, and
         # before each infection, which follows the reception that caused it;
         # each batch is one run of rows, split by such an infection
         got, runs = [], []
         start = 0
-        for heard, sender_pos, msg, lane in batches:
+        for heard, heard_x, sender_pos, msg, lane in batches:
             end = start + len(heard)
             msg_id = msg.msg_id
             runs.append((len(got), lane, msg_id))
-            for veh in compress(heard, hits[start:end]):
-                got.append(veh)
-                veh.ledger.record_reception(msg, sender_pos, veh.position)
+            for veh, x in compress(zip(heard, heard_x), hits[start:end]):
+                got.append(veh.id)
+                veh.ledger.record_reception(msg, sender_pos, x)
                 if not veh.infected:
                     veh.infected = True
-                    events.log_receptions(t, got, runs)
+                    _log_receptions(state, t, got, runs)
                     got, runs = [], [(0, lane, msg_id)]
-                    events.append((t, "infection", veh.id, veh.lane, veh.position,
-                                   veh.velocity, msg_id))
+                    events.append((t, "infection", veh.id, veh.lane, x, veh.velocity, msg_id))
                 # a MAC that holds this or a newer generation will not take it
                 # in the relay pass either, which only raises generations
                 pending = veh.mac.pending_message
                 if pending is None or pending < msg_id:
-                    receptions.append((veh, msg, sender_pos))
+                    receptions.append((veh, x, msg, sender_pos))
             start = end
         if got:
-            events.log_receptions(t, got, runs)
+            _log_receptions(state, t, got, runs)
     # all receptions land before any relay decision is made
-    for veh, msg, sender_pos in receptions:
+    for veh, x, msg, sender_pos in receptions:
         mac = veh.mac
         if mac.pending_message is not None and mac.pending_message >= msg.msg_id:
             continue  # that or a newer warning generation is already queued
         entry = veh.ledger.entries[msg.msg_id]
-        if should_rebroadcast(cfg.policy, msg, entry, now=t, my_pos=veh.position,
-                              d_from_sender=abs(veh.position - sender_pos),
+        if should_rebroadcast(cfg.policy, msg, entry, now=t, my_pos=x,
+                              d_from_sender=abs(x - sender_pos),
                               tx_range=radio_cfg.tx_range, rng=rng):
             # a newer generation supersedes any older pending frame and, as
             # for any fresh frame, contention starts from stage 0
@@ -616,10 +682,11 @@ def _decide(state: SimState) -> tuple[tuple, list]:
 
     Both lanes go through the IDM, the vetoes, the followers' disadvantage,
     the incentives and the decision rule as one numpy batch; every element
-    is the float the scalar functions give for it. Returns the snapshot to
-    move, (vehicles, positions, velocities, accelerations), and the
-    proposals, in lane order, as (vehicle, lane, target lane, insertion
-    index in the target lane).
+    is the float the scalar functions give for it. Positions, velocities
+    and last lane-change times are gathers from ``state.cols`` by id.
+    Returns the snapshot to move, (ids, positions, velocities,
+    accelerations), and the proposals, in lane order, as (vehicle, lane,
+    target lane, insertion index in the target lane).
     """
     cfg = state.cfg
     t = state.now
@@ -633,8 +700,10 @@ def _decide(state: SimState) -> tuple[tuple, list]:
     n0 = len(lanes[0])
     n = len(vehicles)
 
-    x = np.fromiter([veh.position for veh in vehicles], float, n)
-    v = np.fromiter([veh.velocity for veh in vehicles], float, n)
+    cols = state.cols
+    ids = _ids(vehicles)
+    x = cols.x[ids]
+    v = cols.v[ids]
     pos, vel, slot = _pad(x, v, n0)
     # two leader lookups per vehicle: the next slot in its own lane, and the
     # first vehicle at or ahead of it in the other lane, as bisect_left finds it
@@ -702,8 +771,7 @@ def _decide(state: SimState) -> tuple[tuple, list]:
             change = brute_force_lane_change(my_adv, incentive, oth_dis, normal_p)
         else:
             change = proportional_lane_change(my_adv, incentive, oth_dis, normal_p)
-    last_change = np.fromiter([veh.last_change for veh in vehicles], float, n)
-    reach_new = t - last_change >= cfg.lane_change_cooldown
+    reach_new = t - cols.last_change[ids] >= cfg.lane_change_cooldown
     # warned drivers do not merge into the blocked lane
     reach_new &= ~(warned_upstream & in_obstacle_lane[n:] & (x < obstacle_pos))
     # hard safety vetoes: keep at least the standstill gap both ways,
@@ -732,7 +800,7 @@ def _decide(state: SimState) -> tuple[tuple, list]:
     proposals = [(vehicles[k], 0, 1, t_slot - n0 - 3) if k < n0
                  else (vehicles[k], 1, 0, t_slot - 1)
                  for k, t_slot in zip(movers.tolist(), t_lead[movers].tolist())]
-    return (vehicles, x, v, a_self), proposals
+    return (ids, x, v, a_self), proposals
 
 
 def _apply_changes(state: SimState, proposals: list) -> None:
@@ -765,52 +833,57 @@ def _apply_changes(state: SimState, proposals: list) -> None:
 def _integrate(state: SimState, snapshot: tuple) -> None:
     """Move everyone by one dt, then take the exits.
 
-    ``snapshot`` is ``_decide``'s (vehicles, positions, velocities,
-    accelerations): moves use the pre-step velocities.
+    ``snapshot`` is ``_decide``'s (ids, positions, velocities,
+    accelerations): moves use the pre-step velocities, and scatter into
+    ``state.cols`` by id.
     """
     cfg = state.cfg
     log = state.log
-    vehicles, x, v, accel = snapshot
+    cols = state.cols
+    ids, x, v, accel = snapshot
     v_new, dx = kinematic_updates(v, accel, cfg.dt)
-    for veh, velocity, position in zip(vehicles, v_new.tolist(), (x + dx).tolist()):
-        veh.velocity = velocity
-        veh.position = position
+    cols.v[ids] = v_new
+    cols.x[ids] = x + dx
     state.tick += 1
     state.now = now = state.tick * cfg.dt
     for li, lane_list in enumerate(state.lanes):
-        while lane_list and lane_list[-1].position > cfg.field_length:
+        while lane_list and cols.x.item(lane_list[-1].id) > cfg.field_length:
             veh = lane_list.pop()
             veh.mac = None
             log.exited += 1
-            log.events.append((now, "exit", veh.id, li, veh.position, veh.velocity, ""))
+            log.events.append((now, "exit", veh.id, li, cols.x.item(veh.id),
+                               cols.v.item(veh.id), ""))
 
 
 def _account(state: SimState) -> None:
-    """Log the samples, check the invariants and run the detectors."""
+    """Log the samples, check the invariants and run the detectors.
+
+    The samples and the detectors read each lane's ``lane_columns``.
+    """
     cfg = state.cfg
     now = state.now
     log = state.log
     samples = log.samples
     on_road = 0
-    min_spacing = cfg.vehicle_length
-    for li, lane_list in enumerate(state.lanes):
-        xs = [veh.position for veh in lane_list]
-        n = len(xs)
-        if n > 1 and min(map(sub, xs[1:], xs)) <= min_spacing:
-            i = next(i for i in range(1, n) if xs[i] - xs[i - 1] <= min_spacing)
-            raise _diagnostic(state, f"overlap in lane {li} at vehicle {lane_list[i].id}")
+    lanes = lane_columns(state)
+    for li, (ids, xs, vs) in enumerate(lanes):
+        n = len(ids)
+        overlap = (xs[1:] - xs[:-1]) <= cfg.vehicle_length
+        if overlap.any():
+            raise _diagnostic(state, f"overlap in lane {li} at vehicle "
+                                     f"{ids[overlap.argmax() + 1]}")
         samples.t.extend(array("d", (now,)) * n)
-        samples.vehicle_id.fromlist([veh.id for veh in lane_list])
+        samples.vehicle_id.frombytes(ids.data.cast("B"))
         samples.lane.extend(array("b", (li,)) * n)
-        samples.position.fromlist(xs)
-        samples.velocity.fromlist([veh.velocity for veh in lane_list])
+        samples.position.frombytes(xs.data.cast("B"))
+        samples.velocity.frombytes(vs.data.cast("B"))
         on_road += n
     if log.scheduled_arrivals != log.exited + on_road + state.entry_queue:
         raise _diagnostic(state, "vehicle conservation violated")
-    if log.first_gridlock_time is None and detect_gridlock(state):
+    if log.first_gridlock_time is None and detect_gridlock(cfg, lanes):
         log.first_gridlock_time = now
         log.events.append((now, "gridlock", OBSTACLE_ID, cfg.obstacle_lane, 0.0, 0.0, ""))
-    if log.first_origin_slow_time is None and origin_congested(state):
+    if log.first_origin_slow_time is None and origin_congested(lanes):
         log.first_origin_slow_time = now
         log.events.append((now, "origin_congested", OBSTACLE_ID, cfg.obstacle_lane, 0.0, 0.0, ""))
 

@@ -18,6 +18,7 @@ from .dissemination import MessageLedger
 from .radio import MacState
 
 NO_VEHICLE = math.inf  # gap sentinel: nothing in that slot
+INITIAL_ROWS = 256     # vehicle rows VehicleColumns holds before it first grows
 
 BASE = "base"
 BRUTE_FORCE = "brute_force"
@@ -78,25 +79,83 @@ class DriverParams:
             raise ValueError("vsl_reduction must be >= 0")
 
 
-@dataclass(slots=True)
-class VehicleState:
-    """Position, velocity and lane plus warning, radio and lane-change bookkeeping.
+class VehicleColumns:
+    """Position, velocity and last lane-change time of every vehicle, one row per vehicle id.
 
-    Each vehicle carries its own reception ledger, its MAC (a pending one as
-    at its next attempt; ``None`` once the vehicle has exited, so a frame it
-    had filed is never sent) and the time of its last lane change. Driver
-    parameters are not per vehicle: the engine holds one set for the whole
-    fleet (``SimState.driver_p``).
+    ``x`` (m along the road), ``v`` (m/s, never negative) and
+    ``last_change`` (s; -inf: never changed lane) are float64 arrays indexed
+    by vehicle id, which is dense from 0. They are the only copy of these
+    numbers: the engine writes a vehicle's row as it enters, gathers and
+    scatters them by id, and a ``VehicleState`` reads and writes its own
+    row. ``grow`` doubles the capacity with new arrays, so hold the
+    columns, not an array.
     """
 
-    id: int
-    lane: int            # 0 = obstacle lane, 1 = opposite lane
-    position: float      # m along the road
-    velocity: float      # m/s, never negative
-    infected: bool = False
-    ledger: MessageLedger = field(default_factory=MessageLedger)
-    mac: MacState | None = field(default_factory=MacState)
-    last_change: float = -math.inf  # s; -inf: never changed lane
+    __slots__ = ("x", "v", "last_change")
+
+    def __init__(self):
+        self.x = np.empty(INITIAL_ROWS)
+        self.v = np.empty(INITIAL_ROWS)
+        self.last_change = np.empty(INITIAL_ROWS)
+
+    def grow(self) -> None:
+        """Double the capacity; the rows held keep their values, the new ones are unset."""
+        for name in self.__slots__:
+            column = getattr(self, name)
+            setattr(self, name, np.concatenate((column, np.empty_like(column))))
+
+
+class VehicleState:
+    """One vehicle: its id and lane plus warning, radio and lane-change bookkeeping.
+
+    Its position, velocity and last lane-change time live in its row of the
+    engine's ``VehicleColumns`` (``cols``); the properties read that row as
+    Python floats and write it, so a value set here is the one the next
+    step moves from. The engine's phases gather and scatter the columns
+    directly, not through these properties. Each vehicle also carries its
+    own reception ledger and its MAC (a pending one as at its next attempt;
+    ``None`` once the vehicle has exited, so a frame it had filed is never
+    sent). Driver parameters are not per vehicle: the engine holds one set
+    for the whole fleet (``SimState.driver_p``).
+    """
+
+    __slots__ = ("id", "lane", "cols", "infected", "ledger", "mac")
+
+    def __init__(self, id: int, lane: int, cols: VehicleColumns):
+        self.id = id
+        self.lane = lane          # 0 = obstacle lane, 1 = opposite lane
+        self.cols = cols
+        self.infected = False
+        self.ledger = MessageLedger()
+        self.mac: MacState | None = MacState()
+
+    @property
+    def position(self) -> float:
+        return self.cols.x.item(self.id)
+
+    @position.setter
+    def position(self, value: float) -> None:
+        self.cols.x[self.id] = value
+
+    @property
+    def velocity(self) -> float:
+        return self.cols.v.item(self.id)
+
+    @velocity.setter
+    def velocity(self, value: float) -> None:
+        self.cols.v[self.id] = value
+
+    @property
+    def last_change(self) -> float:
+        return self.cols.last_change.item(self.id)
+
+    @last_change.setter
+    def last_change(self, value: float) -> None:
+        self.cols.last_change[self.id] = value
+
+    def __repr__(self):
+        return (f"VehicleState(id={self.id}, lane={self.lane}, position={self.position!r}, "
+                f"velocity={self.velocity!r}, infected={self.infected})")
 
 
 @dataclass(slots=True)

@@ -5,6 +5,7 @@ import gc
 import re
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from vanetflow import engine
 from vanetflow.config import PRESETS, SimConfig
 from vanetflow.engine import (GRIDLOCK_MIN_VEHICLES, _leader, _leaders,
                               _pad, add_vehicle, detect_gridlock, inject_vehicles,
-                              new_state, origin_congested, run, step)
-from vanetflow.traffic import NO_VEHICLE
+                              lane_columns, new_state, origin_congested, run, step)
+from vanetflow.traffic import NO_VEHICLE, kinematic_update
 
 
 def quiet_cfg(**kw):
@@ -79,6 +80,55 @@ def test_blocked_vehicle_stops_behind_obstacle():
     assert veh.velocity < 0.05
     gap = cfg.obstacle_position - veh.position
     assert gap == pytest.approx(cfg.driver_params().min_gap, abs=0.5)
+
+
+# --- the kinematic columns ------------------------------------------------------
+
+def test_a_vehicle_reads_and_writes_its_row_of_the_columns():
+    cfg = quiet_cfg(lane_change_variant="base", lane_change_rule="mobil_additive")
+    state = new_state(cfg)
+    veh = add_vehicle(state, 0, 0.0, cfg.speed_limit)
+    add_vehicle(state, 1, 500.0, 20.0)
+    assert [type(value) for value in (veh.position, veh.velocity, veh.last_change)] == [float] * 3
+    assert veh.last_change == -np.inf
+    step(state)
+    # a velocity set between two steps is the one the next move starts from
+    veh.velocity = 12.0
+    x0 = veh.position
+    snapshots = []
+    integrate = engine._integrate
+
+    def spy(state, snapshot):
+        snapshots.append(snapshot)
+        integrate(state, snapshot)
+
+    with mock.patch.object(engine, "_integrate", spy):
+        step(state)
+    ids, x, v, accel = snapshots[0]
+    k = ids.tolist().index(veh.id)
+    assert (x[k], v[k]) == (x0, 12.0)
+    v_new, dx = kinematic_update(12.0, float(accel[k]), cfg.dt)
+    assert (veh.velocity, veh.position) == (v_new, x0 + dx)
+    assert [type(value) for value in (veh.position, veh.velocity)] == [float] * 2
+    # the lone driver in the obstacle lane swings out: the change's time is its row too
+    while veh.lane == 0:
+        step(state)
+    assert type(veh.last_change) is float
+    assert veh.last_change == state.now - cfg.dt == state.cols.last_change[veh.id]
+
+
+def test_the_columns_double_as_vehicles_enter():
+    state = new_state(quiet_cfg())
+    initial = len(state.cols.x)
+    placed = []
+    for i in range(3 * initial + 5):
+        placed.append((add_vehicle(state, i % 2, 10.0 * i, i / 100.0), 10.0 * i, i / 100.0))
+        entered = state.log.entered
+        assert entered <= len(state.cols.x) < 2 * entered + initial
+        assert len(state.cols.v) == len(state.cols.last_change) == len(state.cols.x)
+    # growing keeps every row
+    assert [(veh.position, veh.velocity, veh.last_change) for veh, _, _ in placed] == [
+        (x, v, -np.inf) for _, x, v in placed]
 
 
 def batched_leader(cfg, lane_list, lane_idx, k, x):
@@ -261,9 +311,9 @@ def test_gridlock_detector():
     state = new_state(cfg)
     for i in range(15):
         add_vehicle(state, 0, 900.0 - 10.0 * i, 0.0)
-    assert detect_gridlock(state) is True
+    assert detect_gridlock(cfg, lane_columns(state)) is True
     state.lanes[0][0].velocity = 5.0
-    assert detect_gridlock(state) is False
+    assert detect_gridlock(cfg, lane_columns(state)) is False
 
 
 def test_gridlock_needs_a_minimum_population():
@@ -271,7 +321,7 @@ def test_gridlock_needs_a_minimum_population():
     state = new_state(cfg)
     for i in range(GRIDLOCK_MIN_VEHICLES - 1):
         add_vehicle(state, 0, 900.0 - 10.0 * i, 0.0)
-    assert detect_gridlock(state) is False
+    assert detect_gridlock(cfg, lane_columns(state)) is False
 
 
 def test_gridlock_ignores_vehicles_past_obstacle():
@@ -279,7 +329,7 @@ def test_gridlock_ignores_vehicles_past_obstacle():
     state = new_state(cfg)
     for i in range(12):
         add_vehicle(state, 1, 1100.0 + 10.0 * i, 0.0)
-    assert detect_gridlock(state) is False
+    assert detect_gridlock(cfg, lane_columns(state)) is False
 
 
 def test_origin_congestion_detector():
@@ -287,9 +337,9 @@ def test_origin_congestion_detector():
     state = new_state(cfg)
     for i in range(4):
         add_vehicle(state, 0, 10.0 + 20.0 * i, 1.0)
-    assert origin_congested(state) is True
+    assert origin_congested(lane_columns(state)) is True
     state.lanes[0][0].velocity = 30.0
-    assert origin_congested(state) is False
+    assert origin_congested(lane_columns(state)) is False
 
 
 # --- run-level contracts -------------------------------------------------------------

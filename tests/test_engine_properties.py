@@ -1,4 +1,5 @@
-"""Differential test: the behaviour phase's batch decides as the per-candidate loop did.
+"""Engine properties: the behaviour phase's batch decides as the per-candidate
+loop did, and the engine's invariants hold after every step of random runs.
 
 ``engine._decide`` evaluates the lane-change decision of every vehicle in
 one numpy batch. ``per_candidate_decide`` below keeps the form it replaced:
@@ -11,6 +12,11 @@ must also be given the same advantage and incentive, and the same
 followers' disadvantage bit for bit: a wrong one would seldom change a
 decision (the followers' free-road terms, for one, cancel in the
 disadvantage up to rounding).
+
+``test_engine_invariants_hold_after_every_step`` drives ``step()`` through
+random short runs and checks conservation, the lane order, that nobody
+reverses, and that every vehicle's position and velocity are its row of
+the step's samples; the same config and seed must give the same log.
 """
 
 import math
@@ -23,7 +29,9 @@ from hypothesis import strategies as st
 
 from vanetflow import engine
 from vanetflow.config import SimConfig
-from vanetflow.engine import _decide, _leaders, _pad, add_vehicle, new_state
+from vanetflow.dissemination import POLICY_KINDS, DisseminationPolicy
+from vanetflow.engine import (SimulationError, _decide, _leaders, _pad, add_vehicle, new_state,
+                              step)
 from vanetflow.traffic import (BASE, BRUTE_FORCE, LANE_CHANGE_RULES, LANE_CHANGE_VARIANTS,
                                NO_VEHICLE, PAPER_MULTIPLICATIVE, DriverParams, Neighborhood,
                                additive_lane_change, base_lane_change,
@@ -100,8 +108,9 @@ def per_candidate_decide(state, seen=None):
     candidates = (reach_follower & ((t_follow_gap == NO_VEHICLE)
                                     | (a_follower >= -b_safe))).nonzero()[0]
     proposals = []
+    ids = np.array([veh.id for veh in vehicles], dtype=np.int64)
     if not len(candidates):
-        return (vehicles, x, v, a_self), proposals
+        return (ids, x, v, a_self), proposals
 
     behind = slot[candidates] - 1
     columns = np.concatenate((np.array((x, t_follow_gap, t_follow_v)), gaps.reshape(2, n),
@@ -140,7 +149,7 @@ def per_candidate_decide(state, seen=None):
             change = proportional_lane_change(my_adv, incentive, oth_dis, p_eff)
         if change:
             proposals.append((veh, li, tl, t_slot - 1 if li else t_slot - n0 - 3))
-    return (vehicles, x, v, a_self), proposals
+    return (ids, x, v, a_self), proposals
 
 
 OBSTACLE = 1000.0
@@ -191,10 +200,10 @@ def bits(values):
 def outcome(decide, state):
     """What ``decide`` gives on ``state``: the ValueError's text, or comparable results."""
     try:
-        (vehicles, x, v, accel), proposals = decide(state)
+        (ids, x, v, accel), proposals = decide(state)
     except ValueError as exc:
         return "ValueError", str(exc)
-    return ([veh.id for veh in vehicles], [bits(a) for a in (x, v, accel)],
+    return (ids.tolist(), [bits(a) for a in (x, v, accel)],
             [(veh.id, li, tl, int(index)) for veh, li, tl, index in proposals])
 
 
@@ -253,3 +262,81 @@ def test_batch_decide_matches_on_a_lane_change_and_on_a_collision():
     crashed = outcome(_decide, state)
     assert crashed == outcome(per_candidate_decide, state)
     assert crashed[0] == "ValueError"
+
+
+@st.composite
+def small_configs(draw):
+    """Runs of at most 60 s: any load, dt, policy, rule, variant, VSL, with or without radio."""
+    dt = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    warm_up = draw(st.sampled_from([0.0, 10.0]))
+    # whole seconds past the warm-up, a whole number of steps at each dt
+    duration = float(draw(st.sampled_from(range(int(warm_up) + 1, 61))))
+    field_length = draw(st.sampled_from([300.0, 800.0, 1500.0]))
+    return SimConfig(field_length=field_length,
+                     obstacle_position=field_length * draw(st.sampled_from([0.3, 2.0 / 3.0])),
+                     obstacle_lane=draw(st.sampled_from([0, 1])),
+                     traffic_load=draw(st.floats(500.0, 12000.0)),
+                     dt=dt, duration=duration, warm_up=warm_up,
+                     seed=draw(st.integers(0, 2**32 - 1)),
+                     communication_enabled=draw(st.booleans()),
+                     policy=DisseminationPolicy(kind=draw(st.sampled_from(POLICY_KINDS))),
+                     lane_change_rule=draw(st.sampled_from(LANE_CHANGE_RULES)),
+                     lane_change_variant=draw(st.sampled_from(LANE_CHANGE_VARIANTS)),
+                     vsl_enabled=draw(st.booleans()))
+
+
+def check_step(state, first_row, last_position):
+    """The invariants after one step whose samples start at ``first_row``.
+
+    ``last_position`` maps each vehicle id to its position after the step
+    before; it is updated.
+    """
+    log = state.log
+    samples = log.samples
+    on_road = sum(map(len, state.lanes))
+    assert log.scheduled_arrivals == log.exited + on_road + state.entry_queue
+    assert log.entered == log.exited + on_road
+    assert len(samples) - first_row == on_road
+    row = first_row
+    for lane, vehicles in enumerate(state.lanes):
+        positions = [veh.position for veh in vehicles]
+        assert all(a < b for a, b in zip(positions, positions[1:])), positions
+        for veh in vehicles:
+            assert veh.lane == lane
+            assert veh.velocity >= 0.0
+            assert veh.position >= last_position.get(veh.id, 0.0)
+            last_position[veh.id] = veh.position
+            # the object reads the same numbers the step logged for it
+            assert (samples.t[row], samples.vehicle_id[row], samples.lane[row]) == (
+                state.now, veh.id, lane)
+            assert (samples.position[row], samples.velocity[row]) == (veh.position, veh.velocity)
+            row += 1
+
+
+def drive(cfg):
+    """Step a run to its end, checking the invariants after every step.
+
+    Returns the log and the overlap diagnostic that ended the run early, if
+    one did. A large dt can make vehicles overlap (ROADMAP item 10); that is
+    the only error a run may end with.
+    """
+    state = new_state(cfg)
+    last_position = {}
+    try:
+        for _ in range(round(cfg.duration / cfg.dt)):
+            first_row = len(state.log.samples)
+            step(state)
+            check_step(state, first_row, last_position)
+    except SimulationError as exc:
+        assert str(exc).startswith("overlap in lane "), str(exc)
+        return state.log, str(exc)
+    return state.log, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_configs())
+def test_engine_invariants_hold_after_every_step(cfg):
+    log, error = drive(cfg)
+    again, error_again = drive(cfg)
+    assert error_again == error
+    assert again.events == log.events and again.samples == log.samples

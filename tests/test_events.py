@@ -1,7 +1,6 @@
 """The event log as columns: ``engine.Events`` reads as the list of its records."""
 
 import pickle
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -58,6 +57,13 @@ def in_time_order(ops):
 ops_in_time_order = st.lists(op, max_size=12).map(in_time_order)
 
 
+def columns(rows):
+    """The ids, positions and velocities of (id, position, velocity) rows, as numpy columns."""
+    return (np.array([i for i, _, _ in rows], dtype=np.int64),
+            np.array([x for _, x, _ in rows], dtype=float),
+            np.array([v for _, _, v in rows], dtype=float))
+
+
 def build(ops):
     """The Events and the plain list that the same operations give.
 
@@ -73,14 +79,14 @@ def build(ops):
             for lane, msg, rows, infect_after in batches:
                 runs.append((len(got), lane, msg))
                 for k, (i, x, v) in enumerate(rows):
-                    got.append(SimpleNamespace(id=i, lane=lane, position=x, velocity=v))
+                    got.append((i, x, v))
                     expected.append((t, "reception", i, lane, x, v, msg))
                     if k == infect_after:
-                        events.log_receptions(t, got, runs)
+                        events.log_receptions(t, *columns(got), runs)
                         got, runs = [], [(0, lane, msg)]
                         expected.append((t, "infection", i, lane, x, v, msg))
                         events.append(expected[-1])
-            events.log_receptions(t, got, runs)
+            events.log_receptions(t, *columns(got), runs)
         elif kind == "append":
             events.append(args[0])
             expected.append(args[0])
@@ -204,10 +210,34 @@ def test_a_record_before_the_last_or_at_nan_is_rejected(t, call):
             # the first record fits and is taken back with the rest
             events.extend([(1.0, "exit", 6, 0, 1500.0, 30.0, ""), late])
         else:
-            events.log_receptions(t, [SimpleNamespace(id=5, position=1.0, velocity=2.0)],
-                                  [(0, 0, 7)])
+            events.log_receptions(t, [5], [1.0], [2.0], [(0, 0, 7)])
     assert {name: getattr(events, name) for name in Events.__slots__} == before
     same_rows(events, expected)
+
+
+@pytest.mark.parametrize("cells", [
+    ([5, 6], [1.0], [2.0, 3.0]),          # a position short
+    ([5], [1.0], []),                      # a velocity short
+    ([2**63], [1.0], [2.0]),               # an id the int64 column cannot hold
+    ([5.0], [1.0], [2.0]),                 # a float vehicle id
+    ([5], ["far"], [2.0]),                 # a position that is not a number
+])
+def test_log_receptions_rejects_columns_that_do_not_fit(cells):
+    events, expected = build([("rx", 0.5, [(1, 7, [(3, 5.0, 1.5), (4, 6.0, 2.5)], 0)])])
+    before = {name: getattr(events, name)[:] for name in Events.__slots__}
+    with pytest.raises((TypeError, ValueError, OverflowError)):
+        events.log_receptions(1.0, *cells, [(0, 0, 7)])
+    assert {name: getattr(events, name) for name in Events.__slots__} == before
+    same_rows(events, expected)
+
+
+def test_log_receptions_takes_lists_and_strided_arrays():
+    events = Events()
+    events.log_receptions(1.0, np.arange(6)[::2], np.arange(6.0)[::-2], [0.5, 1.5, 2.5],
+                          [(0, 1, 7), (2, 0, 8)])
+    events.log_receptions(2.0, [], [], [], [])
+    same_rows(events, [(1.0, "reception", 0, 1, 5.0, 0.5, 7), (1.0, "reception", 2, 1, 3.0, 1.5, 7),
+                       (1.0, "reception", 4, 0, 1.0, 2.5, 8)])
 
 
 def test_a_nan_time_is_rejected_as_the_first_too():
