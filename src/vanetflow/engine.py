@@ -14,10 +14,9 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, islice
-from operator import eq, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -68,29 +67,24 @@ class SampleLog:
     def __eq__(self, other):
         if not isinstance(other, SampleLog):
             return NotImplemented
-        return (self.t == other.t and self.vehicle_id == other.vehicle_id
-                and self.lane == other.lane and self.position == other.position
-                and self.velocity == other.velocity)
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
-class Events(Sequence):
+class Events:
     """The event records of a run, in log order, as runs of typed columns.
 
-    Reads as the list of (time_s, event_kind, vehicle_id, lane, position_m,
-    velocity_mps, aux) records: ``len``, indexing, slices, iteration and
-    ``==`` against a list or another ``Events`` behave as on that list. A
+    A (time_s, event_kind, vehicle_id, lane, position_m, velocity_mps, aux)
     record is one row of the columns ``vehicle_id``, ``position`` and
-    ``velocity`` (24 B a row). Its time, kind, lane and aux are those of its
-    run of consecutive rows: run k starts at row ``run_start[k]`` with
-    ``run_t[k]``, ``run_kind[k]``, ``run_lane[k]`` and ``run_aux[k]``. A
-    (lane, transmission) batch of receptions given to ``log_receptions`` is
-    one run; a record given to ``append``, ``extend`` or ``+=`` is a run of
-    one row. A record at a NaN time or before the last one is rejected, so
-    ``run_t`` is sorted and ``before`` bisects it. Every record reads back
-    as (float, str, int, int, float, float, aux), aux an int or a str; reads
-    expand the runs with one ``np.repeat`` per column, EXPAND_ROWS rows at a
-    time. A slice with step 1 is an ``Events`` that holds copies of its rows
-    and runs; its tuples are made as it is iterated.
+    ``velocity`` (24 B a row); its time, kind, lane and aux are those of its
+    run of rows: run k starts at row ``run_start[k]`` with ``run_t[k]``,
+    ``run_kind[k]``, ``run_lane[k]`` and ``run_aux[k]``. A batch given to
+    ``log_receptions`` is one run, a record given to ``append`` or
+    ``extend`` a run of one row. A NaN or earlier time is rejected, so
+    ``run_t`` is sorted and ``before`` bisects it. ``columns`` and
+    ``of_kind`` read rows as seven numpy columns; iteration yields them as
+    (float, str, int, int, float, float, int | str) tuples, EXPAND_ROWS at
+    a time. A slice with step 1 is an ``Events`` holding copies of its rows
+    and runs. An ``Events`` compares, column by column, only with another.
     """
 
     __slots__ = ("vehicle_id", "position", "velocity", "run_start", "run_t", "run_kind",
@@ -156,10 +150,6 @@ class Events(Sequence):
             self._cut(rows, runs)
             raise
 
-    def __iadd__(self, records):
-        self.extend(records)
-        return self
-
     def log_receptions(self, t: float, ids, positions, velocities, runs: list) -> None:
         """One reception row at time ``t`` per receiver, given as columns.
 
@@ -168,8 +158,9 @@ class Events(Sequence):
         them. ``runs`` holds one (row index, lane, message id) per run, in
         order, the first at row 0: a run's rows go up to the next run's
         index. A run with no rows is dropped. A NaN or earlier ``t``, ids
-        that are not signed integers, columns of unequal lengths or cells
-        their columns cannot hold raise; the log is unchanged.
+        that are not signed integers, columns of unequal lengths, cells
+        their columns cannot hold, runs out of order and message ids that
+        are not ints raise; the log is unchanged.
         """
         self._check_time(t)
         ids = np.ascontiguousarray(ids)
@@ -186,22 +177,29 @@ class Events(Sequence):
         if n and (not runs or runs[0][0] != 0):
             raise ValueError("the first reception row starts no run")
         base = len(self.vehicle_id)
-        stops = [start for start, _, _ in islice(runs, 1, None)]
-        stops.append(n)
+        stops = [start for start, _, _ in islice(runs, 1, None)] + [n]
+        # the new runs' cells, held until every run is known to fit
+        starts, lanes, msg_ids = array("q"), array("b"), []
         for (start, lane, msg_id), stop in zip(runs, stops):
+            if start > stop or type(msg_id) is not int:
+                raise ValueError(f"reception run {(start, lane, msg_id)!r} is out of order "
+                                 "or its message id is not an int")
             if start < stop:
-                self.run_start.append(base + start)
-                self.run_t.append(t)
-                self.run_kind.append("reception")
-                self.run_lane.append(lane)
-                self.run_aux.append(msg_id)
+                starts.append(base + start)
+                lanes.append(lane)
+                msg_ids.append(msg_id)
+        self.run_start += starts
+        self.run_t += array("d", [t]) * len(starts)
+        self.run_kind += ["reception"] * len(starts)
+        self.run_lane += lanes
+        self.run_aux += msg_ids
         # the arrays' own buffers: a bytes copy per call would fragment the heap
         self.vehicle_id.frombytes(ids.data.cast("B"))
         self.position.frombytes(positions.data.cast("B"))
         self.velocity.frombytes(velocities.data.cast("B"))
 
-    def _run_cells(self, lo: int, hi: int, columns: tuple) -> list:
-        """The per-run ``columns`` expanded to rows lo:hi (lo < hi), as numpy arrays.
+    def _run_cells(self, lo: int, hi: int) -> list:
+        """The run columns (t, kind, lane, aux) of rows lo:hi (lo <= hi), as numpy arrays.
 
         A run column that is a list (kinds, aux) expands to an object array.
         """
@@ -210,38 +208,53 @@ class Events(Sequence):
         k1 = int(starts.searchsorted(hi))
         lengths = np.diff(starts[k0:k1].clip(lo), append=hi)
         return [np.array(column[k0:k1], dtype=object if type(column) is list else None)
-                .repeat(lengths) for column in columns]
+                .repeat(lengths) for column in (self.run_t, self.run_kind, self.run_lane,
+                                                self.run_aux)]
 
-    def _row_chunks(self):
-        """The rows as tuples, EXPAND_ROWS at a time: one ``zip`` of the rows per chunk."""
-        runs = (self.run_t, self.run_kind, self.run_lane, self.run_aux)
-        ids, xs, vs = iter(self.vehicle_id), iter(self.position), iter(self.velocity)
-        n = len(self)
-        for lo in range(0, n, EXPAND_ROWS):
-            t, kind, lane, aux = self._run_cells(lo, min(lo + EXPAND_ROWS, n), runs)
-            # a memoryview of a numeric numpy column yields Python floats and
-            # ints; t runs out first, so the shared column iterators lose no row
-            yield zip(memoryview(t), kind.tolist(), ids, memoryview(lane), xs, vs, aux.tolist())
+    def columns(self, lo: int, hi: int) -> tuple:
+        """Rows lo:hi, cut as a slice is, as (t, kind, vehicle_id, lane, position, velocity, aux).
+
+        The columns are float64, object (str), int64, int8, float64, float64
+        and object (int or str), all copies: a view of a column's buffer
+        would make the next append raise BufferError.
+        """
+        if lo < 0 or hi < 0:
+            raise IndexError(f"event rows {lo}:{hi} start or stop before row 0")
+        lo, hi = min(lo, len(self)), min(max(lo, hi), len(self))
+        t, kind, lane, aux = self._run_cells(lo, hi)
+        ids, xs, vs = (np.frombuffer(column[lo:hi], column.typecode)
+                       for column in (self.vehicle_id, self.position, self.velocity))
+        return t, kind, ids, lane, xs, vs, aux
+
+    def of_kind(self, kind: str) -> tuple:
+        """The rows of every run of ``kind``, as ``columns``; no other run is expanded."""
+        picked = np.array([k for k, name in enumerate(self.run_kind) if name == kind], np.int64)
+        ends = np.append(self.run_start, len(self))  # each run's first row, then the row count
+        lengths = ends[picked + 1] - ends[picked]
+        rows = np.arange(lengths.sum()) + (ends[picked + 1] - lengths.cumsum()).repeat(lengths)
+        t, kinds, lane, aux = (
+            np.array([column[k] for k in picked.tolist()], getattr(column, "typecode", object))
+            .repeat(lengths) for column in (self.run_t, self.run_kind, self.run_lane, self.run_aux))
+        ids, xs, vs = (np.frombuffer(column, column.typecode)[rows]
+                       for column in (self.vehicle_id, self.position, self.velocity))
+        return t, kinds, ids, lane, xs, vs, aux
 
     def __iter__(self):
-        return chain.from_iterable(self._row_chunks())
-
-    def __getitem__(self, index):
+        """The rows as tuples, EXPAND_ROWS at a time: one ``zip`` of the rows per chunk."""
         n = len(self)
-        if isinstance(index, slice):
-            start, stop, stride = index.indices(n)
-            if stride != 1:
-                return [self[i] for i in range(start, stop, stride)]
-            return self._slice(start, max(start, stop))
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("event index out of range")
-        j = bisect.bisect_right(self.run_start, index) - 1
-        return (self.run_t[j], self.run_kind[j], self.vehicle_id[index], self.run_lane[j],
-                self.position[index], self.velocity[index], self.run_aux[j])
+        ids, xs, vs = iter(self.vehicle_id), iter(self.position), iter(self.velocity)
+        # a memoryview of a numeric numpy column yields Python floats and
+        # ints; t runs out first, so the shared column iterators lose no row
+        return chain.from_iterable(
+            zip(memoryview(t), kind.tolist(), ids, memoryview(lane), xs, vs, aux.tolist())
+            for t, kind, lane, aux in (self._run_cells(lo, min(lo + EXPAND_ROWS, n))
+                                       for lo in range(0, n, EXPAND_ROWS)))
 
-    def _slice(self, start: int, stop: int) -> "Events":
+    def __getitem__(self, index: slice) -> "Events":
+        """The rows of a slice with step 1, as an ``Events`` holding copies of its rows and runs."""
+        if not isinstance(index, slice) or index.step not in (None, 1):
+            raise TypeError("Events takes only slices with step 1; read rows with columns(lo, hi)")
+        start, stop, _ = index.indices(len(self))
         part = Events()
         if start < stop:
             for name in ("vehicle_id", "position", "velocity"):
@@ -258,23 +271,11 @@ class Events(Sequence):
         k = bisect.bisect_left(self.run_t, t)
         return self.run_start[k] if k < len(self.run_start) else len(self)
 
-    def times(self) -> np.ndarray:
-        """The time of every record, in order, as float64."""
-        return self._run_cells(0, len(self), (self.run_t,))[0] if len(self) else np.empty(0)
-
-    def of_kind(self, kind: str) -> list:
-        """The records of one kind, in log order."""
-        stops = chain(islice(self.run_start, 1, None), (len(self),))
-        return [self[i] for start, stop, run_kind in zip(self.run_start, stops, self.run_kind)
-                if run_kind == kind for i in range(start, stop)]
-
     def __eq__(self, other):
-        if not isinstance(other, (Events, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    def __repr__(self):
-        return f"Events({list(self)!r})"
+        if not isinstance(other, Events):
+            raise TypeError(f"an Events compares only with an Events, not with a "
+                            f"{type(other).__name__}; compare list(events) with a list")
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 @dataclass
@@ -283,10 +284,8 @@ class EventLog:
 
     Event records are (time_s, event_kind, vehicle_id, lane, position_m,
     velocity_mps, aux); aux carries the message id for communication events
-    and "target_lane|infected" for lane changes. ``events`` is an ``Events``
-    sequence, which keeps its records in time order: every record is a row
-    of typed columns, with the time, kind, lane and aux once per run of rows
-    (a reception batch, or one other record), and reads back as a tuple.
+    and "target_lane|infected" for lane changes. ``events`` keeps them in
+    time order as runs of typed columns, read by ``Events.columns``.
     """
 
     config_echo: dict

@@ -14,7 +14,7 @@ import re
 import signal
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from operator import add
 
 import numpy as np
@@ -103,58 +103,62 @@ EVENT_COLUMNS = ["time_s", "event_kind", "vehicle_id", "lane", "position_m",
 # the fewest finished rows that EventsCsvWriter hands to a writer process
 CHUNK_ROWS = 1 << 16
 # rows held before a write of the events.csv writer, which writes after
-# whole time steps; bounds the text held at once
+# whole time steps, and the event rows it reads at a time; bounds the memory
 FLUSH_ROWS = 1 << 13
 
 
 def _stream_steps(log, segment=None):
     """The row order of the events + samples stream, one time step at a time.
 
-    Yields (events, lo, hi) per distinct time, in time order: the list of
-    event records at that time, then the samples lo:hi of ``log.samples``;
-    either part may be empty. Each stream keeps its log order, which is what
-    a stable sort of events + samples by time gives. The events keep their
-    time order; samples out of time order raise ValueError.
+    Yields (events, lo, hi) per distinct time, in time order: the event rows
+    at that time as the seven ``Events.columns``, as lists, then the samples
+    lo:hi of ``log.samples``; either part may be empty. Each stream keeps
+    its log order, which is what a stable sort of events + samples by time
+    gives. The events keep their time order; samples out of time order
+    raise ValueError.
 
     ``segment`` = (s0, s1, e0, e1, t_lo, t_hi) limits the stream to the
     samples s0:s1, whose times must lie in [t_lo, t_hi), and the events
     e0:e1, cut at the same times (``Events.before``); by default it is the
     whole log. Segments that split the time axis give, one after the other,
-    the steps of the whole log. The events are read in one pass over one
-    slice of ``log.events``.
+    the steps of the whole log. The steps are cut at the runs' times, and
+    the rows read about FLUSH_ROWS at a time, a larger step in one read.
     """
+    events = log.events
     if segment is None:
-        segment = (0, len(log.samples), 0, len(log.events), -math.inf, math.inf)
+        segment = (0, len(log.samples), 0, len(events), -math.inf, math.inf)
     s0, s1, e0, e1, t_lo, t_hi = segment
     sample_t = np.frombuffer(log.samples.t, dtype=np.float64)[s0:s1]
     if (sample_t[1:] < sample_t[:-1]).any() or (
             s1 > s0 and not t_lo <= sample_t[0] <= sample_t[-1] < t_hi):
         raise ValueError("samples are not in time order")
-    events = log.events[e0:e1]
-    event_t = events.times()
-    records = iter(events)
+    # the runs of rows e0:e1 (k0 <= k < k1; e0 starts a run), their times and ends
+    k0, k1 = bisect_left(events.run_start, e0), bisect_left(events.run_start, e1)
+    run_t = np.array(events.run_t[k0:k1], dtype=np.float64)
+    run_ends = np.concatenate(([e0], events.run_start[k0 + 1:k1], [e1]))
     # the end of each distinct time's events and samples
-    times = np.unique(np.concatenate((event_t, sample_t)))
-    event_ends = np.searchsorted(event_t, times, side="right").tolist()
+    times = np.unique(np.concatenate((run_t, sample_t)))
+    event_ends = run_ends[run_t.searchsorted(times, side="right")].tolist()
     sample_ends = (np.searchsorted(sample_t, times, side="right") + s0).tolist()
-    a, lo = 0, s0
+    a, lo, c1 = e0, s0, -1  # ``read`` holds the columns of rows c0:c1, none at first
     for b, hi in zip(event_ends, sample_ends):
-        yield list(islice(records, b - a)), lo, hi
+        if b > c1:
+            c0, c1 = a, min(max(b, a + FLUSH_ROWS), e1)
+            read = events.columns(c0, c1)
+        yield [column[a - c0:b - c0].tolist() for column in read], lo, hi
         a, lo = b, hi
 
 
 def events_to_table(log, include_samples: bool = False) -> MetricTable:
-    """The raw log as one record stream; samples become 'sample' rows on request."""
-    if include_samples:
-        s = log.samples
-        rows = []
-        for events, lo, hi in _stream_steps(log):
-            rows += events
+    """The raw log as one stream; samples, in time order, become 'sample' rows on request."""
+    s = log.samples
+    rows = []
+    for columns, lo, hi in _stream_steps(log):
+        rows += zip(*columns)
+        if include_samples:
             rows.extend(zip(s.t[lo:hi], ["sample"] * (hi - lo), s.vehicle_id[lo:hi],
                             s.lane[lo:hi], s.position[lo:hi], s.velocity[lo:hi],
                             [""] * (hi - lo)))
-    else:
-        rows = list(log.events)
     return MetricTable(columns=list(EVENT_COLUMNS), rows=rows, meta=dict(log.config_echo))
 
 
@@ -191,8 +195,7 @@ def _write_segment(fh, log, segment=None) -> None:
     The rows (by default those of the whole log) are streamed from the event
     and sample logs one time step at a time, in the order ``_stream_steps``
     gives, without building a row table, and written after the step that
-    brings the rows held to FLUSH_ROWS. The segment's events are read in one
-    pass over one slice of ``log.events``, whose columns fix each cell's
+    brings the rows held to FLUSH_ROWS. The event columns fix each cell's
     type: (float, str, int, int, float, float, int | str).
 
     Each distinct float of a step is formatted once, and its string serves
@@ -217,13 +220,8 @@ def _write_segment(fh, log, segment=None) -> None:
         lines.clear()
         texts.clear()
 
-    for events, lo, hi in _stream_steps(log, segment):
-        floats = []
-        if events:
-            t_cells, kinds, ids, lanes, xs, vs, auxes = zip(*events)
-            floats += t_cells
-            floats += xs
-            floats += vs
+    for (t_cells, kinds, ids, lanes, xs, vs, auxes), lo, hi in _stream_steps(log, segment):
+        floats = t_cells + xs + vs
         if hi > lo:
             t = s.t[lo]
             positions, velocities = s.position[lo:hi].tolist(), s.velocity[lo:hi].tolist()
@@ -235,7 +233,7 @@ def _write_segment(fh, log, segment=None) -> None:
         keys = dict.fromkeys(floats)
         keys.pop(0.0, None)
         reprs = _Reprs(zip(keys, map(reprs.__getitem__, keys)))
-        if events:
+        if t_cells:
             lines += map(",".join, zip(map(reprs.__getitem__, t_cells), kinds,
                                        map(texts.__getitem__, ids),
                                        map(texts.__getitem__, lanes),
@@ -458,8 +456,8 @@ def exit_series(log, bin_s: float = 30.0) -> ExitSeries:
     n_bins = max(0, math.ceil(log.end_time / bin_s - 1e-9))
     edges = [(k + 1) * bin_s for k in range(n_bins)]
     # the log keeps its records in time order, so each count is one bisection
-    arrivals, exits = (np.searchsorted([e[0] for e in log.events.of_kind(kind)], edges,
-                                       side="right").tolist() for kind in ("injection", "exit"))
+    arrivals, exits = (np.searchsorted(log.events.of_kind(kind)[0], edges, side="right").tolist()
+                       for kind in ("injection", "exit"))
     ratio = [x / a if a else 0.0 for a, x in zip(arrivals, exits)]
     return ExitSeries(bin_s=bin_s, t=edges, arrivals=arrivals, exits=exits, ratio=ratio)
 
@@ -472,7 +470,8 @@ def lane_change_positions(log, out_of_obstacle_lane: bool = False,
     """(time, position, infected) per lane-change event, with optional filters."""
     cfg = log.cfg
     rows = []
-    for time_s, _, _, from_lane, position, _, aux in log.events.of_kind("lane_change"):
+    lane_changes = (column.tolist() for column in log.events.of_kind("lane_change"))
+    for time_s, _, _, from_lane, position, _, aux in zip(*lane_changes):
         target_lane, _, infected = aux.partition("|")
         if out_of_obstacle_lane and from_lane != cfg.obstacle_lane:
             continue

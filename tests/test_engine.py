@@ -376,7 +376,7 @@ def test_an_exited_vehicle_never_transmits():
 def test_zero_duration_run_is_empty():
     cfg = SimConfig(duration=0.0, warm_up=0.0)
     log = run(cfg)
-    assert log.events == []
+    assert list(log.events) == []
     assert len(log.samples) == 0
     assert log.end_time == 0.0
     assert log.config_echo["seed"] == "1"

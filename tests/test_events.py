@@ -1,6 +1,7 @@
-"""The event log as columns: ``engine.Events`` reads as the list of its records."""
+"""The event log as columns: ``engine.Events`` gives out the columns of its records."""
 
 import pickle
+from operator import eq, ne
 from unittest import mock
 
 import numpy as np
@@ -91,7 +92,7 @@ def build(ops):
             events.append(args[0])
             expected.append(args[0])
         else:
-            events += args[0]
+            events.extend(args[0])
             expected.extend(args[0])
     return events, expected
 
@@ -110,6 +111,11 @@ def runs_are_whole(events):
     assert len(events.vehicle_id) == len(events.position) == len(events.velocity) == len(events)
     lengths = [stop - start for start, stop in zip(starts, starts[1:] + [len(events)])]
     assert all(n == 1 for n, kind in zip(lengths, events.run_kind) if kind != "reception")
+
+
+def rows_of(columns):
+    """The records that seven columns of ``Events.columns`` hold, as tuples."""
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def same_rows(got, want):
@@ -136,46 +142,43 @@ def check_reads(ops, data):
     n = len(expected)
     assert len(events) == n
     runs_are_whole(events)
-    # == compares NaN cells as floats, which they never equal
-    nan_free = not any(cell != cell for row in expected for cell in row)
     copy = Events()
-    copy += expected
-    if nan_free:
-        assert events == expected and expected == events and not events != expected
-        assert events == copy
+    copy.extend(expected)
     same_rows(copy, expected)
     same_rows(events, expected)
-    for i in range(-n, n):
-        same_rows([events[i]], [expected[i]])
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            events[i]
     for _ in range(5):
         cut = slice(data.draw(st.one_of(st.none(), st.integers(-n - 2, n + 2))),
                     data.draw(st.one_of(st.none(), st.integers(-n - 2, n + 2))),
-                    data.draw(st.one_of(st.none(), st.integers(-3, 3).filter(bool))))
+                    data.draw(st.sampled_from([None, 1])))
         part = events[cut]
-        assert len(part) == len(expected[cut])
-        if nan_free:
-            assert part == expected[cut]
+        # a slice is itself an Events: slice it again
+        assert isinstance(part, Events)
+        runs_are_whole(part)
         same_rows(part, expected[cut])
-        if cut.step in (None, 1):
-            # a slice is itself an Events: index it and slice it again
-            assert isinstance(part, Events)
-            runs_are_whole(part)
-            same_rows(part[1:-1], expected[cut][1:-1])
-            same_rows(part[::-1], expected[cut][::-1])
-    # a window at every start, so that slice bounds fall inside every run
+        same_rows(part[1:-1], expected[cut][1:-1])
+    # a window at every start, so that the bounds fall inside every run
     for i in range(n + 1):
         runs_are_whole(events[i:i + 3])
         same_rows(events[i:i + 3], expected[i:i + 3])
-        same_rows(events[i:][1:3], expected[i:][1:3])
+        same_rows(rows_of(events.columns(i, i + 3)), expected[i:i + 3])
+    assert [column.dtype for column in events.columns(0, n)] == [
+        np.float64, object, np.int64, np.int8, np.float64, np.float64, object]
     same_rows(pickle.loads(pickle.dumps(events)), expected)
-    assert events.times().tolist() == [row[0] for row in expected]
     for t in [row[0] for row in expected] + [data.draw(st.floats(allow_nan=False))]:
         assert events.before(t) == sum(row[0] < t for row in expected)
-    for kind in ("reception", "exit"):
-        same_rows(events.of_kind(kind), [row for row in expected if row[1] == kind])
+    for kind in ("injection", "exit", "infection", "reception", "lane_change"):
+        same_rows(rows_of(events.of_kind(kind)), [row for row in expected if row[1] == kind])
+    for index in (0, -1, n, slice(None, None, 2), slice(None, None, -1), slice(1, None, 3)):
+        with pytest.raises(TypeError):
+            events[index]
+    for lo, hi in ((-1, n), (0, -1)):
+        with pytest.raises(IndexError):
+            events.columns(lo, hi)
+    # the columns are copies, so the log grows while they are held
+    held = events.columns(0, n), events.of_kind("reception")
+    events.append((float("inf"), "exit", 0, 0, 0.0, 0.0, ""))
+    events.log_receptions(float("inf"), [1], [2.0], [3.0], [(0, 1, 4)])
+    assert len(events) == n + 2 and len(held[0][0]) == n
 
 
 @pytest.mark.parametrize("record", [
@@ -216,17 +219,20 @@ def test_a_record_before_the_last_or_at_nan_is_rejected(t, call):
 
 
 @pytest.mark.parametrize("cells", [
-    ([5, 6], [1.0], [2.0, 3.0]),          # a position short
-    ([5], [1.0], []),                      # a velocity short
-    ([2**63], [1.0], [2.0]),               # an id the int64 column cannot hold
-    ([5.0], [1.0], [2.0]),                 # a float vehicle id
-    ([5], ["far"], [2.0]),                 # a position that is not a number
+    ([5, 6], [1.0], [2.0, 3.0], [(0, 0, 7)]),          # a position short
+    ([5], [1.0], [], [(0, 0, 7)]),                      # a velocity short
+    ([2**63], [1.0], [2.0], [(0, 0, 7)]),               # an id the int64 column cannot hold
+    ([5.0], [1.0], [2.0], [(0, 0, 7)]),                 # a float vehicle id
+    ([5], ["far"], [2.0], [(0, 0, 7)]),                 # a position that is not a number
+    ([5], [1.0], [2.0], [(0, 300, 7)]),                 # a lane the int8 column cannot hold
+    ([5], [1.0], [2.0], [(0, 0, 7.5)]),                 # a float message id
+    ([5], [1.0], [2.0], [(0, 0, 7), (-1, 1, 8)]),       # a run that starts before the last
 ])
 def test_log_receptions_rejects_columns_that_do_not_fit(cells):
     events, expected = build([("rx", 0.5, [(1, 7, [(3, 5.0, 1.5), (4, 6.0, 2.5)], 0)])])
     before = {name: getattr(events, name)[:] for name in Events.__slots__}
     with pytest.raises((TypeError, ValueError, OverflowError)):
-        events.log_receptions(1.0, *cells, [(0, 0, 7)])
+        events.log_receptions(1.0, *cells)
     assert {name: getattr(events, name) for name in Events.__slots__} == before
     same_rows(events, expected)
 
@@ -247,12 +253,20 @@ def test_a_nan_time_is_rejected_as_the_first_too():
     assert len(events) == len(events.run_t) == 0
 
 
-def test_events_compare_unequal_to_other_lists():
-    events, expected = build([("rx", 1.0, [(1, 7, [(3, 5.0, -0.0)], 0)])])
-    assert events != expected[:1]
-    assert events != expected[::-1]
-    assert events != [(1.0, "reception", 3, 1, 5.0, 0.5, 7), expected[1]]
-    assert events != tuple(expected)
+def test_events_compare_only_with_events():
+    events, expected = build([("rx", 1.0, [(1, 7, [(3, 5.0, -0.0), (4, 6.0, 0.5)], 5)])])
+    assert events == events[:] and not events != events[:]
+    other = events[:]
+    other.velocity[1] = 0.25
+    assert events != other and not events == other
+    # a list never equals nor differs from an Events: compare list(events)
+    for other in (expected, [], tuple(expected)):
+        for compare in (eq, ne):
+            with pytest.raises(TypeError, match="compare list"):
+                compare(events, other)
+            with pytest.raises(TypeError, match="compare list"):
+                compare(other, events)
+    assert list(events) == expected
 
 
 @pytest.fixture(scope="module")
@@ -283,7 +297,7 @@ def test_every_row_of_an_engine_log_reads_back_typed_in_time_order(minute_log):
 
 def test_before_counts_the_records_of_an_engine_log_before_each_time(minute_log):
     events = minute_log.events
-    times = events.times()
+    times = events.columns(0, len(events))[0]
     assert len(events.run_start) < len(events)  # reception runs hold many rows
     steps = np.unique(times)
     for t in np.concatenate((steps, (steps[:-1] + steps[1:]) / 2, [-1.0, 1e9])).tolist():
@@ -303,8 +317,8 @@ def test_each_reception_reads_back_typed_and_each_infection_follows_its_receptio
         before = rows[k - 1]
         assert before[1] == "reception"
         assert (before[0], before[2], before[6]) == (rows[k][0], rows[k][2], rows[k][6])
-    assert rows == log.events and [rows[k] for k in infections] == [
-        log.events[k] for k in infections]
+    same_rows([rows[k] for k in infections],
+              [row for k in infections for row in rows_of(log.events.columns(k, k + 1))])
 
 
 def test_receptions_take_24_bytes_a_row_and_one_run_per_batch(minute_log):

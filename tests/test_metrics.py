@@ -248,6 +248,7 @@ def test_events_table_long_form_with_samples():
     times = [row[0] for row in table.rows]
     assert times == sorted(times)
     assert table.meta["seed"] == "31"
+    assert events_to_table(log).rows == list(log.events)
 
 
 # events in time order, some tied with sample times, some before and after
@@ -322,7 +323,7 @@ def test_events_stream_needs_events_in_time_order(tmp_path):
     log = synthetic_log(events=EVENTS[1:], samples=ORDERED_SAMPLES)
     with pytest.raises(ValueError, match="before the last one logged"):
         log.events.append(EVENTS[0])
-    assert log.events == EVENTS[1:]
+    assert list(log.events) == EVENTS[1:]
     write_events_csv(log, tmp_path / "events.csv")
     assert read_csv(tmp_path / "events.csv") == events_to_table(log, include_samples=True)
 
@@ -331,8 +332,9 @@ def test_events_stream_needs_samples_in_time_order(tmp_path):
     log = synthetic_log(samples=ORDERED_SAMPLES[::-1])
     with pytest.raises(ValueError, match="samples are not in time order"):
         write_events_csv(log, tmp_path / "events.csv")
-    with pytest.raises(ValueError, match="samples are not in time order"):
-        events_to_table(log, include_samples=True)
+    for include_samples in (True, False):
+        with pytest.raises(ValueError, match="samples are not in time order"):
+            events_to_table(log, include_samples)
 
 
 # --- events.csv written while the run goes on ---------------------------------------
@@ -470,10 +472,10 @@ def pitfall_steps(log, n_steps, dt=0.5):
             log.samples.lane.append(lane)
             log.samples.position.append(position)
             log.samples.velocity.append(velocity)
-        log.events += [(now, "reception", 4, 1, x, 3.25, k),  # vehicle 4's sample
-                       (now, "transmission", -1, 0, 500, 0.0, k),
-                       (now, "lane_change", 2, 1, np.float64(x), -0.0, "1|0"),
-                       (now, "exit", 5, 0, nan, 0.0, "")]
+        log.events.extend([(now, "reception", 4, 1, x, 3.25, k),  # vehicle 4's sample
+                           (now, "transmission", -1, 0, 500, 0.0, k),
+                           (now, "lane_change", 2, 1, np.float64(x), -0.0, "1|0"),
+                           (now, "exit", 5, 0, nan, 0.0, "")])
         if now.is_integer():
             log.events.append((int(now), "gridlock", -1, 0, -0.0, 0.0, ""))
         yield state
