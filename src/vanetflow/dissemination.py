@@ -44,12 +44,6 @@ class DisseminationPolicy:
     kind: str = MIXED
     alpha: float = 1.0
 
-    def validate(self):
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}, expected one of {POLICY_KINDS}")
-        if self.alpha <= 0:
-            raise ValueError("policy alpha must be > 0")
-
 
 class MessageLedger:
     """Per-vehicle reception bookkeeping, keyed by message id.

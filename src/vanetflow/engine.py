@@ -369,28 +369,6 @@ def add_vehicle(state: SimState, lane: int, position: float, velocity: float) ->
     return _enter(state, lane, index, position, velocity)
 
 
-def _leader(cfg: SimConfig, lane_list: list, lane_idx: int, k: int, x: float):
-    """Net gap and velocity of the leader of a vehicle at ``x`` in lane ``lane_idx``.
-
-    ``k`` indexes the first vehicle of ``lane_list`` ahead of ``x``: ``i + 1``
-    for the vehicle at ``i`` in its own lane, the ``bisect`` index in the
-    other lane, 0 for an arrival at the road start. Vehicle gaps are bumper to bumper (positions minus the vehicle
-    length); the obstacle is a zero-length stationary leader while upstream.
-    """
-    if k < len(lane_list):
-        nxt = lane_list[k]
-        gap = nxt.position - x - cfg.vehicle_length
-        lv = nxt.velocity
-    else:
-        gap = NO_VEHICLE
-        lv = 0.0
-    if lane_idx == cfg.obstacle_lane and x < cfg.obstacle_position:
-        obs_gap = cfg.obstacle_position - x
-        if obs_gap < gap:
-            return obs_gap, 0.0
-    return gap, lv
-
-
 def lane_columns(state: SimState) -> list:
     """Each lane's (ids, positions, velocities), gathered from ``state.cols`` in lane order.
 
@@ -442,7 +420,13 @@ def _try_insert(state: SimState, lane_idx: int) -> bool:
     """Insert one queued arrival at the road start if the entry gap allows it."""
     cfg = state.cfg
     p = state.driver_p
-    gap, leader_velocity = _leader(cfg, state.lanes[lane_idx], lane_idx, 0, 0.0)
+    lane = state.lanes[lane_idx]
+    gap, leader_velocity = NO_VEHICLE, 0.0
+    if lane:  # the leader of an arrival at 0, bumper to bumper
+        gap, leader_velocity = lane[0].position - cfg.vehicle_length, lane[0].velocity
+    if lane_idx == cfg.obstacle_lane and cfg.obstacle_position < gap:
+        # the obstacle, a zero-length stationary leader, is nearer
+        gap, leader_velocity = cfg.obstacle_position, 0.0
     if gap == NO_VEHICLE:
         velocity = cfg.speed_limit
     else:
@@ -645,7 +629,7 @@ def _pad(x, v, n0: int) -> tuple:
     at the sentinels; ``slot`` gives each vehicle's place in it. Slot
     ``s + 1`` holds the leader and ``s - 1`` the follower of the vehicle at
     ``s``, and a missing neighbour is a sentinel, whose gap comes out as
-    exactly NO_VEHICLE with velocity 0.0, as ``_leader`` gives them.
+    exactly NO_VEHICLE with velocity 0.0.
     Returns (positions, velocities, slot).
     """
     n = len(x)
@@ -661,11 +645,13 @@ def _pad(x, v, n0: int) -> tuple:
 
 
 def _leaders(cfg: SimConfig, pos, vel, k, x, in_obstacle_lane) -> tuple:
-    """``_leader`` for many positions at once: net gaps and velocities of their leaders.
+    """Net gaps and velocities of the leaders of the positions ``x``.
 
     ``k`` holds the slots, in ``_pad``'s layout, of the first vehicles ahead
     of the positions ``x``; ``in_obstacle_lane`` marks the lookups made in
-    the obstacle's lane, where the obstacle leads while it is nearer.
+    the obstacle's lane, where the obstacle leads while it is nearer. Gaps
+    are bumper to bumper (positions minus the vehicle length); the obstacle
+    is a zero-length stationary leader while upstream.
     """
     gap = pos[k] - x - cfg.vehicle_length
     lead_v = vel[k]

@@ -29,27 +29,6 @@ class RadioConfig:
     backoff_max: int = 15          # ticks
     max_backoff_stage: int = 5
 
-    def validate(self):
-        if self.tx_power <= 0:
-            raise ValueError("tx_power must be > 0")
-        if self.system_loss < 1:
-            raise ValueError("system_loss must be >= 1")
-        if self.tx_range <= 0:
-            raise ValueError("tx_range must be > 0")
-        if self.interference_range < self.tx_range:
-            raise ValueError("interference_range must be >= tx_range")
-        if not 0.0 <= self.reception_prob <= 1.0:
-            raise ValueError("reception_prob must be in [0, 1]")
-        if not 0 <= self.backoff_min <= self.backoff_max:
-            raise ValueError("need 0 <= backoff_min <= backoff_max")
-        if self.max_backoff_stage < 0:
-            raise ValueError("max_backoff_stage must be >= 0")
-        # draw_backoffs draws from int64 bounds; the bit length tells whether
-        # backoff_max << max_backoff_stage fits without making the shift
-        if self.backoff_max and int(self.backoff_max).bit_length() + self.max_backoff_stage > 63:
-            raise ValueError(f"backoff_max << max_backoff_stage must fit in int64, "
-                             f"got {self.backoff_max} << {self.max_backoff_stage}")
-
 
 @dataclass(slots=True)
 class MacState:

@@ -53,30 +53,8 @@ class DriverParams:
 
     def __post_init__(self):
         ab = self.max_accel * self.comfortable_brake
-        # NaN for the negative products validate() rejects, instead of a crash here
+        # NaN for the negative products SimConfig.validate() rejects, instead of a crash here
         object.__setattr__(self, "two_sqrt_ab", 2.0 * math.sqrt(ab) if ab >= 0 else math.nan)
-
-    def validate(self):
-        if self.max_accel <= 0:
-            raise ValueError("max_accel must be > 0")
-        if self.comfortable_brake <= 0:
-            raise ValueError("comfortable_brake must be > 0")
-        if self.desired_velocity <= 0:
-            raise ValueError("desired_velocity must be > 0")
-        if self.time_headway < 0:
-            raise ValueError("time_headway must be >= 0")
-        if self.min_gap < 0:
-            raise ValueError("min_gap must be >= 0")
-        if self.change_threshold <= 0:
-            raise ValueError("change_threshold must be > 0")
-        if self.diff_cap <= 0:
-            raise ValueError("diff_cap must be > 0")
-        if self.politeness < 0:
-            raise ValueError("politeness must be >= 0")
-        if self.accel_exponent <= 0:
-            raise ValueError("accel_exponent must be > 0")
-        if self.vsl_reduction < 0:
-            raise ValueError("vsl_reduction must be >= 0")
 
 
 class VehicleColumns:

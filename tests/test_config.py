@@ -1,12 +1,13 @@
 """Config document parsing, echoing and preset coverage."""
 
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from vanetflow.config import (_CHOICES, _SCHEMA, _UNITS, ConfigError, PRESETS, SimConfig,
+from vanetflow.config import (_BOUNDS, _CHOICES, _SCHEMA, _UNITS, ConfigError, PRESETS, SimConfig,
                               as_echo_dict, config_to_text, parse_config)
 from vanetflow.dissemination import DisseminationPolicy
 from vanetflow.engine import run
@@ -147,6 +148,15 @@ def test_non_finite_numbers_name_the_key(line):
         parse_config(line + "\n")
 
 
+def set_key(cfg, key, value):
+    """Set a document key (or driver.desired_velocity) in code, where no parser checks it."""
+    section, _, attr = key.rpartition(".")
+    if section:
+        setattr(cfg, section, replace(getattr(cfg, section), **{attr: value}))
+    else:
+        setattr(cfg, attr, value)
+
+
 @pytest.mark.parametrize("key, value", [
     ("traffic_load", math.nan), ("dt", math.inf), ("seed", math.nan),
     ("radio.tx_range", math.nan), ("radio.reception_prob", -math.inf),
@@ -155,11 +165,7 @@ def test_non_finite_numbers_name_the_key(line):
 ])
 def test_validate_rejects_non_finite_fields(key, value):
     cfg = SimConfig()
-    section, _, attr = key.rpartition(".")
-    if section:
-        setattr(cfg, section, replace(getattr(cfg, section), **{attr: value}))
-    else:
-        setattr(cfg, attr, value)
+    set_key(cfg, key, value)
     with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
         cfg.validate()
 
@@ -178,11 +184,7 @@ def test_validate_rejects_non_finite_fields(key, value):
 ])
 def test_validate_rejects_a_value_of_another_type(key, value):
     cfg = SimConfig(communication_enabled=False)
-    section, _, attr = key.rpartition(".")
-    if section:
-        setattr(cfg, section, replace(getattr(cfg, section), **{attr: value}))
-    else:
-        setattr(cfg, attr, value)
+    set_key(cfg, key, value)
     with pytest.raises(ConfigError, match=f"^{key}: must be of type "):
         run(cfg)
 
@@ -192,6 +194,70 @@ def test_validate_accepts_ints_for_floats_and_numpy_integers_for_ints():
                     obstacle_lane=np.int8(1))
     cfg.radio = replace(cfg.radio, backoff_max=np.uint16(15))
     cfg.validate()
+
+
+# a value just outside each key's own bound
+OUT_OF_BOUNDS = [
+    ("field_length", 0.0), ("obstacle_position", 0.0), ("obstacle_lane", 2),
+    ("vehicle_length", -1.0), ("traffic_load", 0.0), ("speed_limit", -1.0), ("dt", 0.0),
+    ("duration", -0.25), ("warm_up", -1.0), ("seed", -1), ("beacon_interval", 0.0),
+    ("ttl_time", 0.0), ("ttl_distance", -1.0), ("safe_braking_limit", 0.0),
+    ("lane_change_cooldown", -0.5), ("radio.tx_power", 0.0), ("radio.system_loss", 0.5),
+    ("radio.tx_range", 0.0), ("radio.reception_prob", 1.5), ("radio.backoff_min", -1),
+    ("radio.backoff_max", -1), ("radio.max_backoff_stage", -1), ("policy.alpha", 0.0),
+    ("driver.max_accel", 0.0), ("driver.comfortable_brake", -1.67),
+    ("driver.desired_velocity", 0.0), ("driver.time_headway", -1.0), ("driver.min_gap", -2.0),
+    ("driver.accel_exponent", 0.0), ("driver.politeness", -0.2), ("driver.change_threshold", 0.0),
+    ("driver.diff_cap", 0.0), ("driver.vsl_reduction", -2.7),
+]
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_BOUNDS)
+def test_every_bound_names_its_key(key, value):
+    cfg = SimConfig()
+    set_key(cfg, key, value)
+    constraint = re.escape(_BOUNDS[key][0])
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be {constraint}, got {value!r}$"):
+        cfg.validate()
+
+
+def test_the_bound_cases_cover_every_bound_and_the_bounds_only_keys():
+    assert sorted(key for key, _ in OUT_OF_BOUNDS) == sorted(_BOUNDS)
+    assert set(_BOUNDS) <= set(_SCHEMA) | {"driver.desired_velocity"}
+    assert not set(_BOUNDS) & set(_CHOICES)
+
+
+# each rule that binds two keys, and each word list, with the key it names
+@pytest.mark.parametrize("key, values", [
+    ("obstacle_position", {"obstacle_position": 1500.0}),
+    ("duration", {"duration": 30.0}),
+    ("duration", {"duration": 900.1}),
+    ("radio.interference_range", {"radio.interference_range": 99.0}),
+    ("radio.backoff_min", {"radio.backoff_min": 9, "radio.backoff_max": 3}),
+    ("radio.backoff_max", {"radio.backoff_max": 1 << 58}),
+    ("driver.vsl_reduction", {"vsl_enabled": True, "speed_limit": 2.7}),
+    ("lane_change_variant", {"lane_change_variant": "x"}),
+    ("lane_change_rule", {"lane_change_rule": "x"}),
+    ("policy.kind", {"policy.kind": "x"}),
+])
+def test_every_rule_between_keys_and_every_word_list_names_its_key(key, values):
+    cfg = SimConfig()
+    for name, value in values.items():
+        set_key(cfg, name, value)
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be "):
+        cfg.validate()
+
+
+def test_messages_name_the_key_as_a_document_writes_it():
+    # the section-prefixed messages these replace read "policy.policy alpha
+    # must be > 0" and "radio.need 0 <= backoff_min <= backoff_max"
+    with pytest.raises(ConfigError, match=r"^policy\.alpha: must be > 0, got 0\.0$"):
+        parse_config("policy.alpha = 0\n")
+    with pytest.raises(ConfigError,
+                       match=r"^radio\.backoff_min: must be <= radio\.backoff_max \(3\), got 9$"):
+        parse_config("radio.backoff_min = 9\nradio.backoff_max = 3\n")
+    with pytest.raises(ConfigError, match=r"^policy\.kind: must be one of \('flooding', "):
+        SimConfig(policy=DisseminationPolicy(kind="x")).validate()
 
 
 def test_boolean_words():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vanetflow.config import ConfigError, SimConfig
 from vanetflow.dissemination import (DisseminationPolicy, LedgerEntry,
                                      MessageLedger, WarningMessage,
                                      rebroadcast_prob_bidirectional,
@@ -102,8 +103,8 @@ def test_alpha_must_be_positive():
         rebroadcast_prob_bidirectional(1, 1, 0.0)
     with pytest.raises(ValueError):
         rebroadcast_prob_directional(1, 1, -1.0)
-    with pytest.raises(ValueError):
-        DisseminationPolicy(kind="edge", alpha=0.0).validate()
+    with pytest.raises(ConfigError, match=r"^policy\.alpha: must be > 0, got 0\.0$"):
+        SimConfig(policy=DisseminationPolicy(kind="edge", alpha=0.0)).validate()
 
 
 # --- ledger ---------------------------------------------------------------------

@@ -12,9 +12,9 @@ import pytest
 
 from vanetflow import engine
 from vanetflow.config import PRESETS, SimConfig
-from vanetflow.engine import (GRIDLOCK_MIN_VEHICLES, _leader, _leaders,
-                              _pad, add_vehicle, detect_gridlock, inject_vehicles,
-                              lane_columns, new_state, origin_congested, run, step)
+from vanetflow.engine import (GRIDLOCK_MIN_VEHICLES, _leaders, _pad, add_vehicle,
+                              detect_gridlock, inject_vehicles, lane_columns, new_state,
+                              origin_congested, run, step)
 from vanetflow.traffic import NO_VEHICLE, kinematic_update
 
 
@@ -132,7 +132,11 @@ def test_the_columns_double_as_vehicles_enter():
 
 
 def batched_leader(cfg, lane_list, lane_idx, k, x):
-    """``_leader``'s lookup made as ``_decide`` makes it: ``_pad``'s layout and ``_leaders``."""
+    """The net gap and velocity of the leader of a vehicle at ``x`` in lane ``lane_idx``.
+
+    ``k`` indexes the first vehicle of ``lane_list`` ahead of ``x``. The
+    lookup is made as ``_decide`` makes it: ``_pad``'s layout and ``_leaders``.
+    """
     lanes = [[], []]
     lanes[lane_idx] = lane_list
     vehicles = lanes[0] + lanes[1]
@@ -175,7 +179,6 @@ def test_leader_on_both_lanes():
         ((lane0, 0, 3, 960.0), (40.0, 0.0)),
     ]
     for args, expected in cases:
-        assert _leader(cfg, *args) == expected, args
         assert batched_leader(cfg, *args) == expected, args
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vanetflow.config import ConfigError, SimConfig
 from vanetflow.radio import (MacState, RadioConfig, draw_backoff,
                              friis_received_power, mac_tick, medium_busy,
                              range_for_sensitivity, receive_roll)
@@ -227,10 +228,10 @@ def test_seeded_sequences_are_reproducible():
 
 
 def test_radio_config_validation():
-    with pytest.raises(ValueError):
-        cfg(interference_range=50.0).validate()
-    with pytest.raises(ValueError):
-        cfg(reception_prob=1.5).validate()
-    with pytest.raises(ValueError):
-        cfg(backoff_min=10, backoff_max=5).validate()
-    cfg().validate()
+    with pytest.raises(ConfigError, match=r"^radio\.interference_range: must be >= "):
+        SimConfig(radio=cfg(interference_range=50.0)).validate()
+    with pytest.raises(ConfigError, match=r"^radio\.reception_prob: must be in \[0, 1\]"):
+        SimConfig(radio=cfg(reception_prob=1.5)).validate()
+    with pytest.raises(ConfigError, match=r"^radio\.backoff_min: must be <= "):
+        SimConfig(radio=cfg(backoff_min=10, backoff_max=5)).validate()
+    SimConfig(radio=cfg()).validate()
