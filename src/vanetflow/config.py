@@ -54,6 +54,8 @@ class SimConfig:
     driver: DriverParams = field(default_factory=DriverParams)
 
     def validate(self):
+        """Raise ConfigError, ``key: must be <constraint>, got <value>``, at the first bad key."""
+
         def bad(key, constraint, value):
             return ConfigError(f"{key}: must be {constraint}, got {value!r}")
 

@@ -216,12 +216,12 @@ OUT_OF_BOUNDS = [
 def test_every_bound_names_its_key(key, value):
     cfg = SimConfig()
     set_key(cfg, key, value)
-    constraint = re.escape(_BOUNDS[key][0])
-    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be {constraint}, got {value!r}$"):
+    message = f"{key}: must be {_BOUNDS[key][0]}, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         cfg.validate()
 
 
-def test_the_bound_cases_cover_every_bound_and_the_bounds_only_keys():
+def test_the_bound_cases_cover_every_bound_and_every_bound_is_a_key():
     assert sorted(key for key, _ in OUT_OF_BOUNDS) == sorted(_BOUNDS)
     assert set(_BOUNDS) <= set(_SCHEMA) | {"driver.desired_velocity"}
     assert not set(_BOUNDS) & set(_CHOICES)
