@@ -16,22 +16,23 @@ import math
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, islice
-from operator import itemgetter
 
 import numpy as np
 
 from .config import SimConfig, as_echo_dict
 from .dissemination import WarningMessage, should_rebroadcast, ttl_alive, ttl_expired
-from .radio import (MacState, defer, draw_backoffs, mac_tick, medium_busy, next_attempt,
+from .radio import (MacState, defers, draw_backoffs, mac_tick, medium_busy_at, next_attempts,
                     receive_roll)
-from .traffic import (BASE, BRUTE_FORCE, NO_VEHICLE, PAPER_MULTIPLICATIVE,
+from .traffic import (BASE, BRUTE_FORCE, NO_FRAME, NO_VEHICLE, PAPER_MULTIPLICATIVE,
                       VehicleColumns, VehicleState, base_lane_change, brute_force_lane_change,
                       additive_lane_change, diff_incentives, free_road_terms,
                       idm_acceleration, idm_accelerations, kinematic_updates,
                       others_disadvantages, proportional_lane_change)
-# not called here (kinematic_updates moves everyone at once, and
-# others_disadvantages and diff_incentives weigh every lane change); the
-# benchmark's traced run wraps them by these names (bench/layers.py)
+# not called here (kinematic_updates moves everyone at once,
+# others_disadvantages and diff_incentives weigh every lane change, and
+# medium_busy_at checks every attempt); the benchmark's traced run wraps
+# them by these names (bench/layers.py)
+from .radio import medium_busy  # noqa: F401
 from .traffic import diff_incentive, kinematic_update, others_disadvantage  # noqa: F401
 
 OBSTACLE_ID = -1
@@ -304,9 +305,12 @@ class EventLog:
 class SimState:
     """Mutable world state; vehicles are kept per lane, sorted by position.
 
-    Every vehicle's position, velocity and last lane-change time live in
-    ``cols``, one row per vehicle id, which the phases gather and scatter
-    by id; its lane, warning flag, ledger and MAC live on its
+    ``lanes`` holds each lane's ``VehicleState`` objects in order, and
+    ``lane_ids`` the same order as an int64 array of ids, rebuilt from
+    ``lanes`` wherever a lane changes (``_order``). Every vehicle's
+    position, velocity, last lane-change time, warning flag and MAC live
+    in ``cols``, one row per vehicle id, which the phases gather and
+    scatter by the ids of ``lane_ids``; its lane and ledger live on its
     ``VehicleState``. The run totals and detector times live on ``log``
     only, current after every ``step``.
     """
@@ -315,6 +319,7 @@ class SimState:
     rng: np.random.Generator
     log: EventLog
     lanes: list            # [list[VehicleState], list[VehicleState]]
+    lane_ids: list         # [ids of lanes[0], ids of lanes[1]], int64 arrays
     messages: dict         # msg id -> WarningMessage
     driver_p: object       # every vehicle's DriverParams
     driver_vsl_p: object   # the same, slowed for warned vehicles under VSL
@@ -326,7 +331,6 @@ class SimState:
     next_entry_lane: int = 0
     entry_queue: int = 0
     prev_tx_positions: list = field(default_factory=list)
-    attempts: dict = field(default_factory=dict)  # tick -> [(vehicle, MacState)] due then
     cols: VehicleColumns = field(default_factory=VehicleColumns)
 
 
@@ -336,7 +340,7 @@ def new_state(cfg: SimConfig) -> SimState:
     vsl_v0 = driver_p.desired_velocity - driver_p.vsl_reduction
     log = EventLog(config_echo=as_echo_dict(cfg), cfg=cfg)
     return SimState(cfg=cfg, rng=np.random.default_rng(cfg.seed), log=log,
-                    lanes=[[], []], messages={},
+                    lanes=[[], []], lane_ids=[np.zeros(0, np.int64), np.zeros(0, np.int64)], messages={},
                     driver_p=driver_p,
                     driver_vsl_p=replace(driver_p, desired_velocity=vsl_v0))
 
@@ -345,7 +349,8 @@ def _enter(state: SimState, lane: int, index: int, position: float,
            velocity: float) -> VehicleState:
     """Put a new vehicle at ``index`` of its lane, count it and log its injection.
 
-    The vehicle's row of ``state.cols`` is its id; the columns double when full.
+    The vehicle's row of ``state.cols`` is its id; the columns double when
+    full. It enters unwarned, with no frame queued.
     """
     cols = state.cols
     veh_id = state.next_id
@@ -354,9 +359,13 @@ def _enter(state: SimState, lane: int, index: int, position: float,
     cols.x[veh_id] = position
     cols.v[veh_id] = velocity
     cols.last_change[veh_id] = -math.inf
+    cols.infected[veh_id] = False
+    cols.attempt_tick[veh_id] = cols.pending_message[veh_id] = NO_FRAME
+    cols.backoff_stage[veh_id] = 0
     veh = VehicleState(veh_id, lane, cols)
     state.next_id += 1
     state.lanes[lane].insert(index, veh)
+    _order(state, lane)
     state.log.entered += 1
     state.log.events.append((state.now, "injection", veh.id, lane, position, velocity, ""))
     return veh
@@ -370,17 +379,12 @@ def add_vehicle(state: SimState, lane: int, position: float, velocity: float) ->
 
 
 def lane_columns(state: SimState) -> list:
-    """Each lane's (ids, positions, velocities), gathered from ``state.cols`` in lane order.
+    """Each lane's (ids, positions, velocities) in lane order, as int64 and float64 arrays.
 
-    One pass over the lane's vehicles reads their ids; the rest are numpy
-    arrays, int64 and float64.
+    The ids are ``state.lane_ids``; the rest are gathered from ``state.cols`` by them.
     """
     cols = state.cols
-    lanes = []
-    for lane_list in state.lanes:
-        ids = _ids(lane_list)
-        lanes.append((ids, cols.x[ids], cols.v[ids]))
-    return lanes
+    return [(ids, cols.x[ids], cols.v[ids]) for ids in state.lane_ids]
 
 
 def detect_gridlock(cfg: SimConfig, lanes: list) -> bool:
@@ -480,9 +484,10 @@ def _diagnostic(state, message):
     return SimulationError(f"{message} at t={state.now}\n" + "\n".join(rows))
 
 
-def _ids(vehicles: list) -> np.ndarray:
-    """The vehicles' ids, their rows in ``SimState.cols``, as an int64 array."""
-    return np.fromiter([veh.id for veh in vehicles], np.int64, len(vehicles))
+def _order(state: SimState, lane: int) -> None:
+    """Rebuild ``state.lane_ids[lane]`` from ``state.lanes[lane]``, after the lane changed."""
+    vehicles = state.lanes[lane]
+    state.lane_ids[lane] = np.fromiter([veh.id for veh in vehicles], np.int64, len(vehicles))
 
 
 def _log_receptions(state: SimState, t: float, got: list, runs: list) -> None:
@@ -490,13 +495,6 @@ def _log_receptions(state: SimState, t: float, got: list, runs: list) -> None:
     ids = np.fromiter(got, np.int64, len(got))
     cols = state.cols
     state.log.events.log_receptions(t, ids, cols.x[ids], cols.v[ids], runs)
-
-
-def _file_attempt(state: SimState, veh: VehicleState, mac: MacState) -> None:
-    """Make ``mac`` the vehicle's pending MAC and file it under its attempt tick."""
-    tick, ready = next_attempt(mac, state.tick)
-    veh.mac = ready
-    state.attempts.setdefault(tick, []).append((veh, ready))
 
 
 def _communicate(state: SimState) -> None:
@@ -508,6 +506,10 @@ def _communicate(state: SimState) -> None:
     rng = state.rng
     messages = state.messages
     cols = state.cols
+    # memoryviews of the columns read and write one cell as a Python bool or
+    # int, faster than numpy's scalar indexing; NO_FRAME is below every message id
+    infected = memoryview(cols.infected)
+    pending = memoryview(cols.pending_message)
     # expired generations can be neither sent nor relayed again; ids grow with
     # time, so they are the oldest entries. Their ledger entries go with them.
     expired = []
@@ -533,31 +535,44 @@ def _communicate(state: SimState) -> None:
         transmissions.append((cfg.obstacle_position, msg))
         events.append((t, "transmission", OBSTACLE_ID, cfg.obstacle_lane,
                        cfg.obstacle_position, 0.0, msg.msg_id))
-    prev_tx = state.prev_tx_positions
-    # only the MACs whose countdown ends this tick act; the rest would just
-    # count down. Entries of superseded frames and exited vehicles are stale.
-    due = [(veh, mac) for veh, mac in state.attempts.pop(state.tick, ()) if veh.mac is mac]
-    # (lane, position, velocity, vehicle, MAC) of each attempt, from one gather each
-    ids = _ids([veh for veh, _ in due])
-    due = sorted([(veh.lane, x, v, veh, mac) for (veh, mac), x, v
-                  in zip(due, cols.x[ids].tolist(), cols.v[ids].tolist())], key=itemgetter(0, 1))
-    # the medium is busy by the previous tick's transmitters only, so every
-    # busy attempt of the pass is known up front and draws in one call
-    busy = [medium_busy(x, prev_tx, radio_cfg) for _, x, _, _, _ in due]
-    waits = iter(draw_backoffs([mac.backoff_stage for (*_, mac), b in zip(due, busy) if b],
-                               radio_cfg, rng))
-    for (lane, x, v, veh, mac), is_busy in zip(due, busy):
-        if is_busy:
-            _file_attempt(state, veh, defer(mac, next(waits), radio_cfg))
-            continue
+    lane_ids = state.lane_ids
+    # only the MACs whose countdown ends this tick act, in lane order; the
+    # rest would just count down
+    ids = np.concatenate(lane_ids)
+    due_at = (cols.attempt_tick[ids] == state.tick).nonzero()[0]
+    if due_at.size:
+        due = ids[due_at]
+        # the medium is busy by the previous tick's transmitters only, so every
+        # busy attempt of the pass is known up front and draws in one call
+        busy = medium_busy_at(cols.x[due], state.prev_tx_positions, radio_cfg)
+        deferred = due[busy]
+        if deferred.size:
+            stages = cols.backoff_stage[deferred]
+            waits = np.array(draw_backoffs(stages.tolist(), radio_cfg, rng), np.int64)
+            cols.backoff_stage[deferred] = defers(stages, radio_cfg)
+            cols.attempt_tick[deferred] = next_attempts(waits, state.tick)
         # an attempt on an idle medium sends
-        veh.mac, _ = mac_tick(mac, False, radio_cfg, rng)
-        msg = messages.get(mac.pending_message)
-        # messages that died while queued are dropped, not sent; a generation
-        # that is no longer held expired in time
-        if msg is not None and ttl_alive(msg, t, x):
-            transmissions.append((x, msg))
-            events.append((t, "transmission", veh.id, lane, x, v, msg.msg_id))
+        idle = ~busy
+        sent = due[idle]
+        n0 = len(lane_ids[0])
+        stages = []
+        for veh_id, lane, x, v, stage, msg_id in zip(
+                sent.tolist(), (due_at[idle] >= n0).astype(int).tolist(), cols.x[sent].tolist(),
+                cols.v[sent].tolist(), cols.backoff_stage[sent].tolist(),
+                cols.pending_message[sent].tolist()):
+            mac, _ = mac_tick(MacState(stage, 0, msg_id), False, radio_cfg, rng)
+            stages.append(mac.backoff_stage)
+            msg = messages.get(msg_id)
+            # messages that died while queued are dropped, not sent; a
+            # generation that is no longer held expired in time
+            if msg is not None and ttl_alive(msg, t, x):
+                transmissions.append((x, msg))
+                # msg.msg_id, not the column's copy: the log keeps each run's
+                # aux object, and a fresh int per transmission costs 28 B
+                events.append((t, "transmission", veh_id, lane, x, v, msg.msg_id))
+        # a send resets contention and empties the queue slot: no frame, no attempt
+        cols.backoff_stage[sent] = stages
+        cols.attempt_tick[sent] = cols.pending_message[sent] = NO_FRAME
     receptions = []
     if transmissions:
         # gather every (lane, transmission) batch of possible receivers, then
@@ -566,7 +581,7 @@ def _communicate(state: SimState) -> None:
         batches = []
         distances = []
         for lane, lane_list in enumerate(state.lanes):
-            positions = cols.x[_ids(lane_list)].tolist()
+            positions = cols.x[lane_ids[lane]].tolist()
             for sender_pos, msg in transmissions:
                 lo = bisect.bisect_left(positions, sender_pos - rc)
                 hi = bisect.bisect_right(positions, sender_pos + rc)
@@ -590,33 +605,37 @@ def _communicate(state: SimState) -> None:
             msg_id = msg.msg_id
             runs.append((len(got), lane, msg_id))
             for veh, x in compress(zip(heard, heard_x), hits[start:end]):
-                got.append(veh.id)
+                veh_id = veh.id
+                got.append(veh_id)
                 veh.ledger.record_reception(msg, sender_pos, x)
-                if not veh.infected:
-                    veh.infected = True
+                if not infected[veh_id]:
+                    infected[veh_id] = True
                     _log_receptions(state, t, got, runs)
                     got, runs = [], [(0, lane, msg_id)]
-                    events.append((t, "infection", veh.id, veh.lane, x, veh.velocity, msg_id))
+                    events.append((t, "infection", veh_id, lane, x, cols.v.item(veh_id), msg_id))
                 # a MAC that holds this or a newer generation will not take it
                 # in the relay pass either, which only raises generations
-                pending = veh.mac.pending_message
-                if pending is None or pending < msg_id:
+                if pending[veh_id] < msg_id:
                     receptions.append((veh, x, msg, sender_pos))
             start = end
         if got:
             _log_receptions(state, t, got, runs)
     # all receptions land before any relay decision is made
+    relayed = []
     for veh, x, msg, sender_pos in receptions:
-        mac = veh.mac
-        if mac.pending_message is not None and mac.pending_message >= msg.msg_id:
+        if pending[veh.id] >= msg.msg_id:
             continue  # that or a newer warning generation is already queued
         entry = veh.ledger.entries[msg.msg_id]
         if should_rebroadcast(cfg.policy, msg, entry, now=t, my_pos=x,
                               d_from_sender=abs(x - sender_pos),
                               tx_range=radio_cfg.tx_range, rng=rng):
-            # a newer generation supersedes any older pending frame and, as
-            # for any fresh frame, contention starts from stage 0
-            _file_attempt(state, veh, MacState(0, 0, msg.msg_id))
+            # a newer generation supersedes any older pending frame
+            pending[veh.id] = msg.msg_id
+            relayed.append(veh.id)
+    if relayed:
+        # as for any fresh frame, contention starts from stage 0 with no countdown
+        cols.backoff_stage[relayed] = 0
+        cols.attempt_tick[relayed] = next_attempts(0, state.tick)
     state.prev_tx_positions = [pos for pos, _ in transmissions]
 
 
@@ -667,8 +686,9 @@ def _decide(state: SimState) -> tuple[tuple, list]:
 
     Both lanes go through the IDM, the vetoes, the followers' disadvantage,
     the incentives and the decision rule as one numpy batch; every element
-    is the float the scalar functions give for it. Positions, velocities
-    and last lane-change times are gathers from ``state.cols`` by id.
+    is the float the scalar functions give for it. Positions, velocities,
+    last lane-change times and warning flags are gathers from
+    ``state.cols`` by the ids of ``state.lane_ids``.
     Returns the snapshot to move, (ids, positions, velocities,
     accelerations), and the proposals, in lane order, as (vehicle, lane,
     target lane, insertion index in the target lane).
@@ -681,12 +701,11 @@ def _decide(state: SimState) -> tuple[tuple, list]:
     b_safe = cfg.safe_braking_limit
     obstacle_pos = cfg.obstacle_position
     length = cfg.vehicle_length
-    vehicles = lanes[0] + lanes[1]
     n0 = len(lanes[0])
-    n = len(vehicles)
 
     cols = state.cols
-    ids = _ids(vehicles)
+    ids = np.concatenate(state.lane_ids)
+    n = len(ids)
     x = cols.x[ids]
     v = cols.v[ids]
     pos, vel, slot = _pad(x, v, n0)
@@ -704,7 +723,7 @@ def _decide(state: SimState) -> tuple[tuple, list]:
     t_follow_gap = x - pos[t_follow] - length
     t_follow_v = vel[t_follow]
     # positions never decrease, so a vehicle upstream now has not passed the obstacle
-    warned_upstream = np.fromiter([veh.infected for veh in vehicles], bool, n) & (x <= obstacle_pos)
+    warned_upstream = cols.infected[ids] & (x <= obstacle_pos)
     free = free_road_terms(v, normal_p)
     # the followers are judged with the normal parameters
     free_pad = np.zeros(n + 4)
@@ -782,8 +801,8 @@ def _decide(state: SimState) -> tuple[tuple, list]:
     movers = (reach_follower & ((t_follow_gap == NO_VEHICLE) | (a_follower >= -b_safe))
               & change).nonzero()[0]
     # the index in the target lane: lane 0 starts at slot 1, lane 1 at n0 + 3
-    proposals = [(vehicles[k], 0, 1, t_slot - n0 - 3) if k < n0
-                 else (vehicles[k], 1, 0, t_slot - 1)
+    proposals = [(lanes[0][k], 0, 1, t_slot - n0 - 3) if k < n0
+                 else (lanes[1][k - n0], 1, 0, t_slot - 1)
                  for k, t_slot in zip(movers.tolist(), t_lead[movers].tolist())]
     return (ids, x, v, a_self), proposals
 
@@ -813,6 +832,8 @@ def _apply_changes(state: SimState, proposals: list) -> None:
         veh.lane = tl
         veh.last_change = t
         bisect.insort(lanes[tl], veh, key=lambda v: v.position)
+    for li in (0, 1):
+        _order(state, li)
 
 
 def _integrate(state: SimState, snapshot: tuple) -> None:
@@ -832,37 +853,43 @@ def _integrate(state: SimState, snapshot: tuple) -> None:
     state.tick += 1
     state.now = now = state.tick * cfg.dt
     for li, lane_list in enumerate(state.lanes):
+        n = len(lane_list)
         while lane_list and cols.x.item(lane_list[-1].id) > cfg.field_length:
             veh = lane_list.pop()
-            veh.mac = None
             log.exited += 1
             log.events.append((now, "exit", veh.id, li, cols.x.item(veh.id),
                                cols.v.item(veh.id), ""))
+        if len(lane_list) < n:
+            _order(state, li)
 
 
 def _account(state: SimState) -> None:
     """Log the samples, check the invariants and run the detectors.
 
-    The samples and the detectors read each lane's ``lane_columns``.
+    One gather by the ids of both lanes, lane 0 then lane 1, serves the
+    spacing check, the samples and, split at the lane boundary, the
+    detectors.
     """
     cfg = state.cfg
     now = state.now
     log = state.log
     samples = log.samples
-    on_road = 0
-    lanes = lane_columns(state)
-    for li, (ids, xs, vs) in enumerate(lanes):
-        n = len(ids)
-        overlap = (xs[1:] - xs[:-1]) <= cfg.vehicle_length
-        if overlap.any():
-            raise _diagnostic(state, f"overlap in lane {li} at vehicle "
-                                     f"{ids[overlap.argmax() + 1]}")
-        samples.t.extend(array("d", (now,)) * n)
-        samples.vehicle_id.frombytes(ids.data.cast("B"))
-        samples.lane.extend(array("b", (li,)) * n)
-        samples.position.frombytes(xs.data.cast("B"))
-        samples.velocity.frombytes(vs.data.cast("B"))
-        on_road += n
+    cols = state.cols
+    ids = np.concatenate(state.lane_ids)
+    xs, vs = cols.x[ids], cols.v[ids]
+    n0, on_road = len(state.lane_ids[0]), len(ids)
+    overlap = (xs[1:] - xs[:-1]) <= cfg.vehicle_length
+    if 0 < n0 < on_road:
+        overlap[n0 - 1] = False  # lane 0's last vehicle and lane 1's first
+    if overlap.any():
+        k = int(overlap.argmax()) + 1
+        raise _diagnostic(state, f"overlap in lane {int(k >= n0)} at vehicle {ids[k]}")
+    samples.t.extend(array("d", (now,)) * on_road)
+    samples.vehicle_id.frombytes(ids.data.cast("B"))
+    samples.lane.extend(array("b", (0,)) * n0 + array("b", (1,)) * (on_road - n0))
+    samples.position.frombytes(xs.data.cast("B"))
+    samples.velocity.frombytes(vs.data.cast("B"))
+    lanes = [(ids[:n0], xs[:n0], vs[:n0]), (ids[n0:], xs[n0:], vs[n0:])]
     if log.scheduled_arrivals != log.exited + on_road + state.entry_queue:
         raise _diagnostic(state, "vehicle conservation violated")
     if log.first_gridlock_time is None and detect_gridlock(cfg, lanes):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 FOUR_PI_SQ = (4.0 * math.pi) ** 2
+LAST_TICK = np.iinfo(np.int64).max  # where next_attempts saturates: no run reaches it
 
 
 @dataclass(slots=True)
@@ -67,6 +68,26 @@ def medium_busy(me: float, transmitting_positions, cfg: RadioConfig) -> bool:
     return False
 
 
+def medium_busy_at(positions, transmitting_positions, cfg: RadioConfig):
+    """``medium_busy`` for each element of the array ``positions``, as a bool array.
+
+    One ``searchsorted`` over the sorted transmitter positions finds each
+    position's nearest transmitter on either side. Float subtraction rounds
+    monotonically, so no other transmitter has a smaller ``abs(pos - me)``,
+    and comparing those two gives ``medium_busy``'s answer bit for bit.
+    ``transmitting_positions`` may be unsorted, hold duplicates or be empty.
+    """
+    me = np.asarray(positions, dtype=np.float64)
+    tx = np.sort(np.asarray(transmitting_positions, dtype=np.float64))
+    if not tx.size:
+        return np.zeros(me.shape, bool)
+    k = tx.searchsorted(me)
+    ri = cfg.interference_range
+    ahead = tx[np.minimum(k, tx.size - 1)]
+    behind = tx[np.maximum(k - 1, 0)]
+    return (np.abs(ahead - me) <= ri) | (np.abs(behind - me) <= ri)
+
+
 def draw_backoffs(stages, cfg: RadioConfig, rng) -> list[int]:
     """One uniform draw per stage n from its doubling window [2^n*Bmin, 2^n*Bmax].
 
@@ -97,6 +118,14 @@ def defer(state: MacState, wait: int, cfg: RadioConfig) -> MacState:
                     state.pending_message)
 
 
+def defers(stages, cfg: RadioConfig):
+    """``defer``'s stage over an int64 array of stages: one more, at most ``max_backoff_stage``.
+
+    The drawn wait becomes the countdown unchanged, as in ``defer``.
+    """
+    return np.minimum(stages + 1, cfg.max_backoff_stage)
+
+
 def mac_tick(state: MacState, busy: bool, cfg: RadioConfig, rng) -> tuple[MacState, bool]:
     """Advance the MAC one tick; returns (new state, transmit_now).
 
@@ -125,6 +154,15 @@ def next_attempt(state: MacState, tick: int) -> tuple[int, MacState]:
     """
     return (tick + state.backoff_remaining + 1,
             MacState(state.backoff_stage, 0, state.pending_message))
+
+
+def next_attempts(countdowns, tick: int):
+    """``next_attempt``'s tick for each countdown of an int64 array (or an int) set at ``tick``.
+
+    A tick past int64 saturates at LAST_TICK, which no run reaches, as no
+    run reaches the tick ``next_attempt`` gives there.
+    """
+    return np.minimum(countdowns, LAST_TICK - tick - 1) + (tick + 1)
 
 
 def receive_roll(distances, cfg: RadioConfig, rng) -> list[bool]:

@@ -427,6 +427,27 @@ def test_conservation_and_ordering_hold():
         assert all(b - a > cfg.vehicle_length for a, b in zip(ordered, ordered[1:]))
 
 
+def test_the_spacing_check_skips_the_lane_boundary_and_names_the_overlapping_vehicle():
+    # _account checks both lanes in one pass; lane 0's last vehicle and lane
+    # 1's first sit side by side, closer than a vehicle length, in two lanes
+    state = new_state(quiet_cfg())
+    for lane, x in ((0, 100.0), (0, 500.0), (1, 502.0), (1, 600.0)):
+        add_vehicle(state, lane, x, 20.0)
+    engine._account(state)
+    assert list(state.log.samples.lane) == [0, 0, 1, 1]
+    # an overlap in lane 1 names the downstream vehicle of the pair, as
+    # checking lane by lane did
+    overlapping = add_vehicle(state, 1, 603.0, 20.0)
+    with pytest.raises(engine.SimulationError,
+                       match=f"^overlap in lane 1 at vehicle {overlapping.id} at t="):
+        engine._account(state)
+    # with overlaps in both lanes, lane 0's is named, as its check ran first
+    first = add_vehicle(state, 0, 101.0, 20.0)
+    with pytest.raises(engine.SimulationError,
+                       match=f"^overlap in lane 0 at vehicle {first.id} at t="):
+        engine._account(state)
+
+
 def test_no_teleportation():
     cfg = SimConfig(duration=240.0, seed=25)
     log = run(cfg)

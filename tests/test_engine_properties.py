@@ -14,9 +14,11 @@ decision (the followers' free-road terms, for one, cancel in the
 disadvantage up to rounding).
 
 ``test_engine_invariants_hold_after_every_step`` drives ``step()`` through
-random short runs and checks conservation, the lane order, that nobody
-reverses, and that every vehicle's position and velocity are its row of
-the step's samples; the same config and seed must give the same log.
+random short runs and checks conservation, the lane order and the id
+arrays that mirror it, that nobody reverses, that every vehicle's position
+and velocity are its row of the step's samples, and that a queued frame has
+an attempt tick still to come; the same config and seed must give the same
+log.
 """
 
 import math
@@ -33,8 +35,8 @@ from vanetflow.dissemination import POLICY_KINDS, DisseminationPolicy
 from vanetflow.engine import (SimulationError, _decide, _leaders, _pad, add_vehicle, new_state,
                               step)
 from vanetflow.traffic import (BASE, BRUTE_FORCE, LANE_CHANGE_RULES, LANE_CHANGE_VARIANTS,
-                               NO_VEHICLE, PAPER_MULTIPLICATIVE, DriverParams, Neighborhood,
-                               additive_lane_change, base_lane_change,
+                               NO_FRAME, NO_VEHICLE, PAPER_MULTIPLICATIVE, DriverParams,
+                               Neighborhood, additive_lane_change, base_lane_change,
                                brute_force_lane_change, diff_incentive, idm_acceleration,
                                idm_accelerations, others_disadvantage,
                                proportional_lane_change)
@@ -297,10 +299,20 @@ def check_step(state, first_row, last_position):
     assert log.scheduled_arrivals == log.exited + on_road + state.entry_queue
     assert log.entered == log.exited + on_road
     assert len(samples) - first_row == on_road
+    cols = state.cols
     row = first_row
     for lane, vehicles in enumerate(state.lanes):
         positions = [veh.position for veh in vehicles]
         assert all(a < b for a, b in zip(positions, positions[1:])), positions
+        ids = [veh.id for veh in vehicles]
+        assert state.lane_ids[lane].dtype == np.int64
+        assert state.lane_ids[lane].tolist() == ids
+        # a queued frame attempts at the next MAC pass, at state.tick, or
+        # later; no frame, no attempt
+        pending = cols.pending_message[ids]
+        ticks = cols.attempt_tick[ids]
+        assert (ticks[pending != NO_FRAME] >= state.tick).all()
+        assert (ticks[pending == NO_FRAME] == NO_FRAME).all()
         for veh in vehicles:
             assert veh.lane == lane
             assert veh.velocity >= 0.0

@@ -5,14 +5,18 @@ The engine only calls ``mac_tick`` on the tick a MAC's countdown ends
 with one ``draw_backoffs`` call, and rolls all receivers of a step with one
 ``receive_roll`` call. Each must leave the outcomes and the random stream as
 ticking every MAC every tick, deferring attempts one by one and rolling
-receivers one by one do.
+receivers one by one do. The MAC pass also runs on arrays: its busy check
+(``medium_busy_at``), deferral (``defers``) and attempt ticks
+(``next_attempts``) must equal the scalar ``medium_busy``, ``defer`` and
+``next_attempt`` element by element.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanetflow.radio import (MacState, RadioConfig, defer, draw_backoffs, mac_tick, next_attempt,
+from vanetflow.radio import (LAST_TICK, MacState, RadioConfig, defer, defers, draw_backoffs,
+                             mac_tick, medium_busy, medium_busy_at, next_attempt, next_attempts,
                              receive_roll)
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -132,3 +136,65 @@ def test_batched_backoffs_match_one_mac_tick_per_busy_attempt(case):
         assert after[0] == after[1] == after[2]
     assert rng_a.bit_generator.state == rng_b.bit_generator.state == rng_c.bit_generator.state
 
+
+@st.composite
+def busy_cases(draw):
+    ri = draw(st.floats(1.0, 400.0))
+    cfg = RadioConfig(tx_range=ri / 2, interference_range=ri)
+    anywhere = st.floats(-1000.0, 3000.0)
+    transmitters = draw(st.lists(anywhere, max_size=8))
+    # duplicates and unsorted order come from the draw itself, and more from here
+    if transmitters:
+        transmitters += draw(st.lists(st.sampled_from(transmitters), max_size=4))
+    # attempts exactly at the interference range of a transmitter, on both sides
+    edges = [pos + sign * ri for pos in transmitters for sign in (-1.0, 1.0)]
+    attempt = st.one_of(anywhere, st.sampled_from(edges)) if edges else anywhere
+    return cfg, draw(st.lists(attempt, max_size=16)), transmitters
+
+
+@SETTINGS
+@given(busy_cases())
+def test_array_busy_check_matches_medium_busy_per_attempt(case):
+    cfg, positions, transmitters = case
+    got = medium_busy_at(np.array(positions), transmitters, cfg)
+    assert got.dtype == bool and got.shape == (len(positions),)
+    assert got.tolist() == [medium_busy(x, transmitters, cfg) for x in positions]
+
+
+def test_array_busy_check_at_the_interference_range_and_without_transmitters():
+    cfg = RadioConfig(interference_range=200.0)
+    positions = np.array([300.0, 300.5, -100.0, -100.5, 100.0])
+    assert medium_busy_at(positions, [100.0, 100.0], cfg).tolist() == [
+        True, False, True, False, True]
+    assert medium_busy_at(positions, [], cfg).tolist() == [False] * 5
+    assert medium_busy_at(np.array([]), [100.0], cfg).tolist() == []
+
+
+@st.composite
+def defer_cases(draw):
+    top = draw(st.integers(0, 6))
+    cfg = RadioConfig(max_backoff_stage=top)
+    # stages above the cap included; waits up to what the int64 bounds allow
+    stages = draw(st.lists(st.integers(0, top + 3), max_size=12))
+    waits = draw(st.lists(st.one_of(st.integers(0, 40), st.integers(0, (1 << 63) - 1)),
+                          min_size=len(stages), max_size=len(stages)))
+    tick = draw(st.one_of(st.integers(0, 10**6), st.just(LAST_TICK - 1)))
+    return cfg, stages, waits, tick
+
+
+@SETTINGS
+@given(defer_cases())
+def test_array_deferral_matches_defer_then_next_attempt(case):
+    cfg, stages, waits, tick = case
+    got_stages = defers(np.array(stages, np.int64), cfg)
+    got_ticks = next_attempts(np.array(waits, np.int64), tick)
+    assert got_stages.dtype == got_ticks.dtype == np.int64
+    want = [next_attempt(defer(MacState(stage, 0, 7), wait, cfg), tick)
+            for stage, wait in zip(stages, waits)]
+    assert got_stages.tolist() == [mac.backoff_stage for _, mac in want]
+    # the rest of the state is what the columns keep as it was: no countdown, the same frame
+    assert all(mac == MacState(mac.backoff_stage, 0, 7) for _, mac in want)
+    # a tick past int64 saturates at LAST_TICK, where no run gets to
+    assert got_ticks.tolist() == [min(due, LAST_TICK) for due, _ in want]
+    # a fresh frame, with no countdown, attempts on the next tick
+    assert next_attempts(0, tick) == next_attempt(MacState(0, 0, 7), tick)[0]
