@@ -13,7 +13,7 @@ from .dissemination import (DisseminationPolicy, LedgerEntry, MessageLedger,
                             rebroadcast_prob_mixed, should_rebroadcast, ttl_alive)
 from .engine import (EventLog, SimState, SimulationError, add_vehicle,
                      detect_gridlock, inject_vehicles, lane_columns, new_state, run, step)
-from .metrics import (EventsCsvWriter, ExitSeries, MetricTable, VelocityGrid,
+from .metrics import (EventsCsvWriter, ExitSeries, MetricFold, MetricTable, VelocityGrid,
                       events_to_table, exit_series, lane_change_positions, read_csv,
                       slow_cell_area, velocity_grid, write_csv, write_events_csv)
 from .radio import (MacState, RadioConfig, draw_backoff, friis_received_power,

@@ -10,8 +10,10 @@ from pathlib import Path
 from .config import ConfigError, PRESETS, ScenarioPreset, SimConfig, parse_config
 from .dissemination import POLICY_KINDS
 from .engine import run
-# events_to_table is not called here; the benchmark's traced run wraps it by
-# this name (bench/layers.py) along with the other CSV builders
+# events_to_table, exit_series, lane_changes_to_table and velocity_grid are
+# not called here (the events.csv writer folds the metric files segment by
+# segment); the benchmark's traced run wraps them by these names
+# (bench/layers.py) along with the other CSV builders
 from .metrics import (EventsCsvWriter, events_to_table, exit_series,  # noqa: F401
                       lane_changes_to_table, velocity_grid, write_csv)
 from .sweep import run_sweep
@@ -85,13 +87,15 @@ def _cmd_run(args) -> int:
     cfg = _build_config(args)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    # events.csv is formatted in finished time segments while the run goes on
+    # events.csv is formatted, and the other three files folded, in finished
+    # time segments while the run goes on; the log releases the rows written
     with EventsCsvWriter(out / "events.csv") as events_csv:
         log = run(cfg, on_step=events_csv.after_step)
-        events_csv.finish(log)
-    write_csv(exit_series(log).to_table(log.config_echo), out / "exits.csv")
-    write_csv(lane_changes_to_table(log), out / "lane_changes.csv")
-    write_csv(velocity_grid(log).to_table(log.config_echo), out / "velocity_grid.csv")
+        fold = events_csv.finish(log)
+    write_csv(fold.exit_series(log.end_time).to_table(log.config_echo), out / "exits.csv")
+    write_csv(fold.lane_changes_table(log.config_echo), out / "lane_changes.csv")
+    write_csv(fold.velocity_grid(log.end_time).to_table(log.config_echo),
+              out / "velocity_grid.csv")
     gridlock = log.first_gridlock_time if log.first_gridlock_time is not None else "never"
     origin = log.first_origin_slow_time if log.first_origin_slow_time is not None else "never"
     print(f"ran {log.end_time:.1f} s: entered={log.entered} exited={log.exited} "

@@ -50,12 +50,48 @@ class SimulationError(RuntimeError):
     """An engine invariant broke; carries a diagnostic dump, never repaired."""
 
 
-class SampleLog:
-    """Columnar per-tick vehicle samples (time, id, lane, position, velocity)."""
+class _Released:
+    """The rows a log has released: how many, and the time of the last of them.
+
+    A log's ``release(rows)`` drops a prefix of its rows that ends at a step
+    boundary. Row indices still count from the run's first row, and ``len``
+    every row logged. A read that starts at a released row raises
+    IndexError, naming the released rows, so no whole-log reader answers
+    from part of a log.
+    """
+
+    __slots__ = ("released", "released_t")
+
+    def __init__(self):
+        self.released = 0
+        self.released_t = -math.inf
+
+    def check_held(self, lo: int) -> None:
+        """Raise IndexError if row ``lo`` was released."""
+        if lo < self.released:
+            raise IndexError(f"{type(self).__name__} rows 0:{self.released} are released; "
+                             f"rows from {lo} on are not all held, and a whole-log reader "
+                             "needs a log that keeps every row")
+
+    def _check_after_released(self, t: float) -> None:
+        """Raise IndexError unless ``t`` is later than every released row."""
+        if self.released and not t > self.released_t:
+            raise IndexError(f"{type(self).__name__} rows 0:{self.released}, up to time "
+                             f"{self.released_t!r}, are released; the rows before {t!r} "
+                             "are not known")
+
+
+class SampleLog(_Released):
+    """Columnar per-tick vehicle samples (time, id, lane, position, velocity).
+
+    The columns hold the samples from index ``released`` on: those not
+    dropped by ``release`` (see ``_Released``).
+    """
 
     __slots__ = ("t", "vehicle_id", "lane", "position", "velocity")
 
     def __init__(self):
+        super().__init__()
         self.t = array("d")
         self.vehicle_id = array("q")
         self.lane = array("b")
@@ -63,15 +99,32 @@ class SampleLog:
         self.velocity = array("d")
 
     def __len__(self):
-        return len(self.t)
+        return self.released + len(self.t)
 
     def __eq__(self, other):
         if not isinstance(other, SampleLog):
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        return self.released == other.released and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def before(self, t: float) -> int:
+        """The number of samples logged before time ``t``, later than every released one."""
+        self._check_after_released(t)
+        return self.released + bisect.bisect_left(self.t, t)
+
+    def release(self, rows: int) -> None:
+        """Drop the samples before index ``rows``, which must end a step (one time's samples)."""
+        k = rows - self.released
+        if not 0 <= k <= len(self.t) or (0 < k < len(self.t) and self.t[k - 1] == self.t[k]):
+            raise ValueError(f"samples {self.released}:{rows} are not held or do not end "
+                             "at a step boundary")
+        if k:
+            self.released, self.released_t = rows, self.t[k - 1]
+            for name in self.__slots__:
+                del getattr(self, name)[:k]
 
 
-class Events:
+class Events(_Released):
     """The event records of a run, in log order, as runs of typed columns.
 
     A (time_s, event_kind, vehicle_id, lane, position_m, velocity_mps, aux)
@@ -86,12 +139,18 @@ class Events:
     (float, str, int, int, float, float, int | str) tuples, EXPAND_ROWS at
     a time. A slice with step 1 is an ``Events`` holding copies of its rows
     and runs. An ``Events`` compares, column by column, only with another.
+
+    ``release`` drops the rows of a prefix with the runs they start (see
+    ``_Released``). The columns then hold the rows from index ``released``
+    on, and ``run_start`` keeps its indices. ``columns`` and ``of_kind``
+    read held rows; iteration and slicing need every row.
     """
 
     __slots__ = ("vehicle_id", "position", "velocity", "run_start", "run_t", "run_kind",
                  "run_lane", "run_aux")
 
     def __init__(self):
+        super().__init__()
         self.vehicle_id = array("q")
         self.position = array("d")
         self.velocity = array("d")
@@ -102,11 +161,11 @@ class Events:
         self.run_aux = []
 
     def __len__(self):
-        return len(self.vehicle_id)
+        return self.released + len(self.vehicle_id)
 
     def _check_time(self, t) -> None:
         """Raise ValueError unless ``t`` is at or after the last record's time."""
-        last = self.run_t[-1] if self.run_t else -math.inf
+        last = self.run_t[-1] if self.run_t else self.released_t
         if not t >= last:
             raise ValueError(f"event time {t!r} is NaN or before the last one logged, {last!r}")
 
@@ -121,7 +180,7 @@ class Events:
         if type(kind) is not str or type(aux) not in (int, str):
             raise TypeError(f"record {record!r} does not fit the event columns")
         self._check_time(t)
-        n, k = len(self.vehicle_id), len(self.run_start)
+        n, k = len(self), len(self.run_start)
         try:
             self.run_t.append(t)
             self.run_lane.append(lane)
@@ -137,9 +196,9 @@ class Events:
         self.run_aux.append(aux)
 
     def _cut(self, rows: int, runs: int) -> None:
-        """Drop every row from index ``rows`` on and every run from index ``runs`` on."""
+        """Drop every row from index ``rows`` on and every held run from ``run_start[runs]`` on."""
         for name in self.__slots__:
-            del getattr(self, name)[runs if name.startswith("run_") else rows:]
+            del getattr(self, name)[runs if name.startswith("run_") else rows - self.released:]
 
     def extend(self, records) -> None:
         """``append`` each record; if one raises, the log is left as it was before the call."""
@@ -177,7 +236,7 @@ class Events:
                              f"{len(positions)} positions, {len(velocities)} velocities")
         if n and (not runs or runs[0][0] != 0):
             raise ValueError("the first reception row starts no run")
-        base = len(self.vehicle_id)
+        base = len(self)
         stops = [start for start, _, _ in islice(runs, 1, None)] + [n]
         # the new runs' cells, held until every run is known to fit
         starts, lanes, msg_ids = array("q"), array("b"), []
@@ -200,7 +259,7 @@ class Events:
         self.velocity.frombytes(velocities.data.cast("B"))
 
     def _run_cells(self, lo: int, hi: int) -> list:
-        """The run columns (t, kind, lane, aux) of rows lo:hi (lo <= hi), as numpy arrays.
+        """The run columns (t, kind, lane, aux) of held rows lo:hi (lo <= hi), as numpy arrays.
 
         A run column that is a list (kinds, aux) expands to an object array.
         """
@@ -217,20 +276,33 @@ class Events:
 
         The columns are float64, object (str), int64, int8, float64, float64
         and object (int or str), all copies: a view of a column's buffer
-        would make the next append raise BufferError.
+        would make the next append raise BufferError. Rows lo:hi must be
+        held, unless there are none.
         """
         if lo < 0 or hi < 0:
             raise IndexError(f"event rows {lo}:{hi} start or stop before row 0")
         lo, hi = min(lo, len(self)), min(max(lo, hi), len(self))
+        if lo < hi:
+            self.check_held(lo)
         t, kind, lane, aux = self._run_cells(lo, hi)
+        lo, hi = lo - self.released, hi - self.released
         ids, xs, vs = (np.frombuffer(column[lo:hi], column.typecode)
                        for column in (self.vehicle_id, self.position, self.velocity))
         return t, kind, ids, lane, xs, vs, aux
 
-    def of_kind(self, kind: str) -> tuple:
-        """The rows of every run of ``kind``, as ``columns``; no other run is expanded."""
-        picked = np.array([k for k, name in enumerate(self.run_kind) if name == kind], np.int64)
-        ends = np.append(self.run_start, len(self))  # each run's first row, then the row count
+    def of_kind(self, kind: str, lo: int = 0, hi: int | None = None) -> tuple:
+        """The rows of ``kind`` among rows lo:hi (by default all), as ``columns``.
+
+        Rows lo:hi must be held and start and end runs; no run of another
+        kind is expanded.
+        """
+        self.check_held(lo)
+        hi = len(self) if hi is None else hi
+        k0, k1 = bisect.bisect_left(self.run_start, lo), bisect.bisect_left(self.run_start, hi)
+        picked = np.array([k for k, name in enumerate(islice(self.run_kind, k0, k1), k0)
+                           if name == kind], np.int64)
+        # each held run's first row, then the row count, as indices into the row columns
+        ends = np.append(self.run_start, len(self)) - self.released
         lengths = ends[picked + 1] - ends[picked]
         rows = np.arange(lengths.sum()) + (ends[picked + 1] - lengths.cumsum()).repeat(lengths)
         t, kinds, lane, aux = (
@@ -242,6 +314,7 @@ class Events:
 
     def __iter__(self):
         """The rows as tuples, EXPAND_ROWS at a time: one ``zip`` of the rows per chunk."""
+        self.check_held(0)
         n = len(self)
         ids, xs, vs = iter(self.vehicle_id), iter(self.position), iter(self.velocity)
         # a memoryview of a numeric numpy column yields Python floats and
@@ -255,6 +328,7 @@ class Events:
         """The rows of a slice with step 1, as an ``Events`` holding copies of its rows and runs."""
         if not isinstance(index, slice) or index.step not in (None, 1):
             raise TypeError("Events takes only slices with step 1; read rows with columns(lo, hi)")
+        self.check_held(0)
         start, stop, _ = index.indices(len(self))
         part = Events()
         if start < stop:
@@ -268,15 +342,35 @@ class Events:
         return part
 
     def before(self, t: float) -> int:
-        """The number of records logged before time ``t``."""
+        """The number of records logged before time ``t``, later than every released one."""
+        self._check_after_released(t)
         k = bisect.bisect_left(self.run_t, t)
         return self.run_start[k] if k < len(self.run_start) else len(self)
+
+    def release(self, rows: int) -> None:
+        """Drop the rows before index ``rows`` and their runs; ``rows`` must end a step.
+
+        That is, row ``rows`` starts a run at a later time than the run
+        before it, or is the row count.
+        """
+        k = bisect.bisect_left(self.run_start, rows)
+        if not (self.released <= rows <= len(self)
+                and (rows == len(self) or k < len(self.run_start) and self.run_start[k] == rows)
+                and (k in (0, len(self.run_t)) or self.run_t[k - 1] < self.run_t[k])):
+            raise ValueError(f"event rows {self.released}:{rows} are not held or do not end "
+                             "at a step boundary")
+        if k:
+            self.released_t = self.run_t[k - 1]
+            for name in self.__slots__:
+                del getattr(self, name)[:k if name.startswith("run_") else rows - self.released]
+        self.released = rows
 
     def __eq__(self, other):
         if not isinstance(other, Events):
             raise TypeError(f"an Events compares only with an Events, not with a "
                             f"{type(other).__name__}; compare list(events) with a list")
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        return self.released == other.released and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 @dataclass
@@ -326,8 +420,7 @@ class SimState:
     now: float = 0.0
     tick: int = 0
     next_id: int = 0
-    next_msg_id: int = 0
-    next_beacon: float = 0.0
+    next_msg_id: int = 0   # also the beacons emitted: only the obstacle starts a message
     next_entry_lane: int = 0
     entry_queue: int = 0
     prev_tx_positions: list = field(default_factory=list)
@@ -526,12 +619,13 @@ def _communicate(state: SimState) -> None:
                 for msg_id in expired:
                     entries.pop(msg_id, None)
     transmissions = []
-    if t >= state.next_beacon - 1e-9:
+    # beacon k is due at k * interval, one product and not a running sum, so
+    # its time does not drift with k
+    if t >= state.next_msg_id * cfg.beacon_interval - 1e-9:
         msg = WarningMessage(state.next_msg_id, cfg.obstacle_position, t,
                              cfg.ttl_time, cfg.ttl_distance)
         messages[msg.msg_id] = msg
         state.next_msg_id += 1
-        state.next_beacon += cfg.beacon_interval
         transmissions.append((cfg.obstacle_position, msg))
         events.append((t, "transmission", OBSTACLE_ID, cfg.obstacle_lane,
                        cfg.obstacle_position, 0.0, msg.msg_id))
@@ -917,7 +1011,10 @@ def run(cfg: SimConfig, on_step=None) -> EventLog:
     """Run a full scenario; identical config and seed give an identical log.
 
     ``on_step(state)``, when given, is called after every step. It may read
-    the state and its log but must not change them.
+    the state and its log. It may release rows of the log older than
+    ``state.now`` (``SampleLog.release``, ``Events.release``), which the
+    engine never reads again, and must change nothing else. Without such a
+    hook the log keeps every row.
     """
     state = new_state(cfg)
     for _ in range(round(cfg.duration / cfg.dt)):

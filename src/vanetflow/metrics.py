@@ -12,6 +12,7 @@ import math
 import os
 import re
 import signal
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -112,7 +113,8 @@ def _stream_steps(log, segment=None):
 
     Yields (events, lo, hi) per distinct time, in time order: the event rows
     at that time as the seven ``Events.columns``, as lists, then the samples
-    lo:hi of ``log.samples``; either part may be empty. Each stream keeps
+    lo:hi of ``log.samples``, indices that count released samples too;
+    either part may be empty. Each stream keeps
     its log order, which is what a stable sort of events + samples by time
     gives. The events keep their time order; samples out of time order
     raise ValueError.
@@ -122,13 +124,18 @@ def _stream_steps(log, segment=None):
     e0:e1, cut at the same times (``Events.before``); by default it is the
     whole log. Segments that split the time axis give, one after the other,
     the steps of the whole log. The steps are cut at the runs' times, and
-    the rows read about FLUSH_ROWS at a time, a larger step in one read.
+    the rows read about FLUSH_ROWS at a time, a larger step in one read. A
+    segment with released rows raises IndexError (``Events.check_held``).
     """
-    events = log.events
+    events, samples = log.events, log.samples
     if segment is None:
-        segment = (0, len(log.samples), 0, len(events), -math.inf, math.inf)
+        segment = (0, len(samples), 0, len(events), -math.inf, math.inf)
     s0, s1, e0, e1, t_lo, t_hi = segment
-    sample_t = np.frombuffer(log.samples.t, dtype=np.float64)[s0:s1]
+    samples.check_held(s0)
+    events.check_held(e0)
+    # a copy: the samples may be released while the stream is read
+    sample_t = np.frombuffer(samples.t[s0 - samples.released:s1 - samples.released],
+                             dtype=np.float64)
     if (sample_t[1:] < sample_t[:-1]).any() or (
             s1 > s0 and not t_lo <= sample_t[0] <= sample_t[-1] < t_hi):
         raise ValueError("samples are not in time order")
@@ -222,6 +229,8 @@ def _write_segment(fh, log, segment=None) -> None:
 
     for (t_cells, kinds, ids, lanes, xs, vs, auxes), lo, hi in _stream_steps(log, segment):
         floats = t_cells + xs + vs
+        # a write may reap a writer process, which releases the rows before these
+        lo, hi = lo - s.released, hi - s.released
         if hi > lo:
             t = s.t[lo]
             positions, velocities = s.position[lo:hi].tolist(), s.velocity[lo:hi].tolist()
@@ -251,22 +260,26 @@ def _write_segment(fh, log, segment=None) -> None:
 
 
 class EventsCsvWriter:
-    """Writes events.csv for a run while the run goes on.
+    """Writes events.csv for a run while the run goes on, and folds its metrics.
 
     ``after_step(state)`` is the engine's ``on_step`` hook. After a step,
     every row with time < ``state.now`` is final, because later steps only
-    log at ``now`` or later. Once at least CHUNK_ROWS final rows are waiting
-    and no writer process is alive, those rows become a segment. The parent
-    flushes the file and notes its end; a forked child opens the file
-    again, formats the segment in place from that offset and always leaves
-    through ``os._exit``, while the parent keeps stepping. Once the writer
-    is reaped, the parent's file moves on past its rows. ``finish(log)``
-    formats the last segment, in memory while the writer still runs, and
-    into the file after the writer's rows once it is reaped. With one
-    CPU or without ``os.fork`` no segment is cut, and ``finish`` writes the
-    whole file, as ``write_events_csv`` does. Either way the file is the
-    only one written, and its bytes are those of
-    ``write_csv(events_to_table(log, True), path)``.
+    log at ``now`` or later. Once at least CHUNK_ROWS rows are waiting, the
+    parent waits for the writer process, if one is still busy, and the
+    final rows become a segment, which ``fold``, a ``MetricFold``, takes in.
+    The parent flushes the file and notes its end; a forked child opens the
+    file again, formats the segment in place from that offset and always
+    leaves through ``os._exit``, while the parent keeps stepping. Once the
+    writer is reaped, the parent's file moves on past its rows and the log
+    releases them. So the log holds at most two segments of rows, the
+    writer's and the next, however long the run. With one CPU or without
+    ``os.fork`` the parent formats each segment itself and releases it at
+    once. ``finish(log)``
+    formats and folds the last segment, in memory while the writer still
+    runs, and into the file after the writer's rows once it is reaped, and
+    returns the fold of the whole log. Either way the file is the only one
+    written, and its bytes are those of
+    ``write_csv(events_to_table(log, True), path)`` for the unreleased log.
 
     When a writer fails, the parent truncates the file back to the
     writer's offset and formats its segment again, which raises the error
@@ -283,6 +296,7 @@ class EventsCsvWriter:
         self.next = (0, 0, -math.inf)  # sample index, event index, time where the next segment starts
         self.writer = None             # (pid, segment, offset) of the live writer process
         self.fh = None
+        self.fold = None
 
     def __enter__(self):
         return self
@@ -294,20 +308,26 @@ class EventsCsvWriter:
             raise OSError(f"cannot write {self.path}: {exc}") from exc
 
     def after_step(self, state) -> None:
-        if not self.forking:
-            return
         log = state.log
         s0, e0, t_lo = self.next
         if len(log.samples) - s0 + len(log.events) - e0 < CHUNK_ROWS:
             return
-        self._reap(log, wait=False)
-        if self.writer is not None:
-            return
+        # a writer still busy holds the run up, so the log keeps at most its
+        # segment's rows and the next segment's
+        self._reap(log, wait=True)
         # the rows the last step logged at now are not final yet
         now = state.now
-        s1, e1 = bisect_left(log.samples.t, now, s0), log.events.before(now)
-        if s1 - s0 + e1 - e0 >= CHUNK_ROWS and self._fork(log, (s0, s1, e0, e1, t_lo, now)):
-            self.next = (s1, e1, now)
+        s1, e1 = log.samples.before(now), log.events.before(now)
+        if s1 - s0 + e1 - e0 < CHUNK_ROWS:
+            return
+        segment = (s0, s1, e0, e1, t_lo, now)
+        out = self._out(log)
+        forked = self.forking and self._fork(log, segment)
+        self.fold.add(log, segment)
+        if not forked:
+            _write_segment(out, log, segment)
+            _release(log, segment)
+        self.next = (s1, e1, now)
 
     def _fork(self, log, segment) -> bool:
         out = self._out(log)
@@ -315,7 +335,7 @@ class EventsCsvWriter:
         offset = out.tell()
         try:
             pid = os.fork()
-        except OSError:  # no process to spare: the parent formats the rest
+        except OSError:  # no process to spare: the parent formats the segments itself
             self.forking = False
             return False
         if pid == 0:
@@ -334,7 +354,7 @@ class EventsCsvWriter:
         return True
 
     def _reap(self, log, wait: bool) -> None:
-        """Reap the writer if it is done; format its segment again if it failed."""
+        """Reap the writer if it is done, formatting its segment again if it failed; release it."""
         if self.writer is None:
             return
         pid, segment, offset = self.writer
@@ -348,29 +368,35 @@ class EventsCsvWriter:
             self.fh.seek(offset)
             self.fh.truncate()
             _write_segment(self.fh, log, segment)
+        _release(log, segment)
 
     def _out(self, log):
+        """The file, made with its header at the first segment, and the fold, made with it."""
         if self.fh is None:
             self.fh = open(self.path, "wb")
             self.fh.write(table_to_text(MetricTable(columns=list(EVENT_COLUMNS), rows=[],
                                                     meta=log.config_echo)).encode())
+            self.fold = MetricFold(log.cfg)
         return self.fh
 
-    def finish(self, log) -> None:
-        """Format the rows no writer took, wait for the writer and close.
+    def finish(self, log) -> "MetricFold":
+        """Format and fold the rows no writer took, wait for the writer and close.
 
         While the writer is still alive, the text of the last segment is
         held in memory; once it is reaped, the held text and the rest go
         straight to the file, after the writer's rows (or after its segment,
-        formatted again, if it failed).
+        formatted again, if it failed). Returns the fold of the whole log;
+        the rows of the last segment stay in the log.
         """
         s0, e0, t_lo = self.next
         out = _HeldWhileWriting(self, log)
         _write_segment(out, log, (s0, len(log.samples), e0, len(log.events), t_lo, math.inf))
+        self.fold.add(log, (s0, len(log.samples), e0, len(log.events), t_lo, log.end_time))
         self._reap(log, wait=True)
         out.write(b"")  # the writer is reaped: any held text goes to the file
         self.fh.close()
         self.fh = None
+        return self.fold
 
     def _abort(self) -> None:
         if self.writer is not None:
@@ -384,6 +410,12 @@ class EventsCsvWriter:
                 os.unlink(self.path)
             except FileNotFoundError:
                 pass
+
+
+def _release(log, segment) -> None:
+    """Release the segment's rows, and every row before them, from the log."""
+    log.samples.release(segment[1])
+    log.events.release(segment[3])
 
 
 class _HeldWhileWriting:
@@ -452,14 +484,7 @@ def _check_bin_size(name: str, size: float) -> None:
 
 def exit_series(log, bin_s: float = 30.0) -> ExitSeries:
     """Cumulative entered/exited counts sampled at bin boundaries."""
-    _check_bin_size("bin_s", bin_s)
-    n_bins = max(0, math.ceil(log.end_time / bin_s - 1e-9))
-    edges = [(k + 1) * bin_s for k in range(n_bins)]
-    # the log keeps its records in time order, so each count is one bisection
-    arrivals, exits = (np.searchsorted(log.events.of_kind(kind)[0], edges, side="right").tolist()
-                       for kind in ("injection", "exit"))
-    ratio = [x / a if a else 0.0 for a, x in zip(arrivals, exits)]
-    return ExitSeries(bin_s=bin_s, t=edges, arrivals=arrivals, exits=exits, ratio=ratio)
+    return _fold_events(log).exit_series(log.end_time, bin_s)
 
 
 # --- lane changes ---------------------------------------------------------------
@@ -468,23 +493,11 @@ def exit_series(log, bin_s: float = 30.0) -> ExitSeries:
 def lane_change_positions(log, out_of_obstacle_lane: bool = False,
                           upstream_only: bool = False) -> list:
     """(time, position, infected) per lane-change event, with optional filters."""
-    cfg = log.cfg
-    rows = []
-    lane_changes = (column.tolist() for column in log.events.of_kind("lane_change"))
-    for time_s, _, _, from_lane, position, _, aux in zip(*lane_changes):
-        target_lane, _, infected = aux.partition("|")
-        if out_of_obstacle_lane and from_lane != cfg.obstacle_lane:
-            continue
-        if upstream_only and position >= cfg.obstacle_position:
-            continue
-        rows.append((time_s, position, int(infected)))
-    return rows
+    return _fold_events(log).lane_change_positions(out_of_obstacle_lane, upstream_only)
 
 
 def lane_changes_to_table(log) -> MetricTable:
-    rows = lane_change_positions(log)
-    return MetricTable(columns=["t_s", "position_m", "infected"],
-                       rows=rows, meta=dict(log.config_echo))
+    return _fold_events(log).lane_changes_table(log.config_echo)
 
 
 # --- velocity grid --------------------------------------------------------------
@@ -515,27 +528,152 @@ class VelocityGrid:
 
 def velocity_grid(log, x_bin_size: float = 10.0, t_bin_size: float = 30.0) -> VelocityGrid:
     """Mean velocity per (time bin, position bin) over all per-tick samples."""
-    _check_bin_size("x_bin_size", x_bin_size)
-    _check_bin_size("t_bin_size", t_bin_size)
-    cfg = log.cfg
-    nt = max(1, math.ceil(log.end_time / t_bin_size - 1e-9))
-    nx = max(1, math.ceil(cfg.field_length / x_bin_size - 1e-9))
-    samples = log.samples
-    if len(samples) == 0:
-        counts = np.zeros((nt, nx), dtype=np.int64)
-        means = np.full((nt, nx), np.nan)
-        return VelocityGrid(x_bin_size, t_bin_size, counts, means)
-    t = np.frombuffer(samples.t, dtype=np.float64)
-    x = np.frombuffer(samples.position, dtype=np.float64)
-    v = np.frombuffer(samples.velocity, dtype=np.float64)
-    ti = np.minimum((t / t_bin_size).astype(np.int64), nt - 1)
-    xi = np.minimum((x / x_bin_size).astype(np.int64), nx - 1)
-    flat = ti * nx + xi
-    counts = np.bincount(flat, minlength=nt * nx).reshape(nt, nx)
-    sums = np.bincount(flat, weights=v, minlength=nt * nx).reshape(nt, nx)
-    with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return VelocityGrid(x_bin_size, t_bin_size, counts, means)
+    fold = MetricFold(log.cfg, x_bin_size, t_bin_size)
+    fold.add_samples(log.samples, 0, len(log.samples), log.end_time)
+    return fold.velocity_grid(log.end_time)
+
+
+# --- the three metric files, folded one segment at a time ------------------------
+
+
+class MetricFold:
+    """What exits.csv, lane_changes.csv and velocity_grid.csv need of a log, folded.
+
+    ``add(log, segment)`` takes the rows of a segment of the log, given as
+    ``_stream_steps`` takes it: samples s0:s1 and events e0:e1, and a time
+    t_hi at or before the log's end. Successive segments must follow each
+    other; ``exit_series``, ``lane_change_positions``,
+    ``lane_changes_to_table`` and ``velocity_grid`` are this fold over the
+    whole log.
+
+    The fold keeps the time of every injection and exit and one (time,
+    lane, position, aux) row per lane change. For the velocity grid it
+    keeps each cell's count and sum. The last time bin also takes the
+    samples at and after its end, and which bin is last depends on the
+    log's end, so the samples of every bin that may still be the last are
+    held. Once a later segment shows that the log goes on past the bin
+    after theirs, or ``velocity_grid(end_time)`` fixes the last bin, a
+    bin's samples are placed by ``np.add.at``, which is unbuffered and
+    applies them in log order: each cell's sum adds its samples in the
+    order one ``bincount`` over the whole log does, so the two agree
+    bitwise, whatever the segments and the order of the samples.
+    """
+
+    def __init__(self, cfg, x_bin_size: float = 10.0, t_bin_size: float = 30.0):
+        _check_bin_size("x_bin_size", x_bin_size)
+        _check_bin_size("t_bin_size", t_bin_size)
+        self.cfg = cfg
+        self.x_bin_size, self.t_bin_size = x_bin_size, t_bin_size
+        self.nx = max(1, math.ceil(cfg.field_length / x_bin_size - 1e-9))
+        self.injections, self.exits = array("d"), array("d")
+        self.lane_changes = []  # (time_s, from_lane, position_m, aux)
+        # the placed samples' cells, time bin major, as far as the latest bin placed
+        self.counts = np.zeros(0, np.int64)
+        self.sums = np.zeros(0)
+        self.held = (np.zeros(0),) * 3  # the held samples' times, positions and velocities
+
+    def add(self, log, segment) -> None:
+        s0, s1, e0, e1, _, t_hi = segment
+        self.add_events(log.events, e0, e1)
+        self.add_samples(log.samples, s0, s1, t_hi)
+
+    def add_events(self, events, e0: int, e1: int) -> None:
+        """Keep the injection and exit times and the lane changes of event rows e0:e1."""
+        for kind, times in (("injection", self.injections), ("exit", self.exits)):
+            times.frombytes(events.of_kind(kind, e0, e1)[0].tobytes())
+        time_s, _, _, lane, position, _, aux = (column.tolist() for column in
+                                                events.of_kind("lane_change", e0, e1))
+        self.lane_changes += zip(time_s, lane, position, aux)
+
+    def add_samples(self, samples, s0: int, s1: int, t_hi: float) -> None:
+        """Fold samples s0:s1 of a log that ends at ``t_hi`` or later into the grid."""
+        samples.check_held(s0)
+        lo, hi = s0 - samples.released, s1 - samples.released
+        t, x, v = (np.concatenate((held, np.frombuffer(getattr(samples, name)[lo:hi])))
+                   for held, name in zip(self.held, ("t", "position", "velocity")))
+        ti, xi = self._bins(t, x)
+        # the last time bin of a log that ends at t_hi: this log ends there or
+        # later, so the bins before it are final. That bin and the later ones
+        # are held, since the log's last bin adds the samples after its end
+        # in log order with its own
+        last = max(1, math.ceil(t_hi / self.t_bin_size - 1e-9)) - 1
+        placed = ti < last
+        if placed.any():
+            self.counts, self.sums = self._place(self.counts, self.sums, ti[placed],
+                                                 xi[placed], v[placed])
+            keep = ~placed
+            self.held = (t[keep], x[keep], v[keep])
+        else:
+            self.held = (t, x, v)
+
+    def _bins(self, t, x) -> tuple:
+        ti = (t / self.t_bin_size).astype(np.int64)
+        xi = np.minimum((x / self.x_bin_size).astype(np.int64), self.nx - 1)
+        if ti.size and min(ti.min(), xi.min()) < 0:
+            raise ValueError(f"a sample lies before time -{self.t_bin_size} or position "
+                             f"-{self.x_bin_size}, outside the velocity grid")
+        return ti, xi
+
+    def _place(self, counts, sums, ti, xi, v) -> tuple:
+        """``counts`` and ``sums`` with the samples added, grown to the latest bin they reach."""
+        flat = ti * self.nx + xi
+        size = (int(ti.max()) + 1) * self.nx
+        if size > len(counts):
+            counts = np.concatenate((counts, np.zeros(size - len(counts), np.int64)))
+            sums = np.concatenate((sums, np.zeros(size - len(sums))))
+        np.add.at(counts, flat, 1)
+        np.add.at(sums, flat, v)
+        return counts, sums
+
+    def velocity_grid(self, end_time: float) -> VelocityGrid:
+        """The grid of the samples folded so far, of a log that ends at ``end_time``."""
+        nx = self.nx
+        nt = max(1, math.ceil(end_time / self.t_bin_size - 1e-9))
+        if len(self.counts) > nt * nx:
+            raise ValueError(f"end time {end_time!r} is before the time bins already placed")
+        counts = np.zeros(nt * nx, np.int64)
+        sums = np.zeros(nt * nx)
+        counts[:len(self.counts)], sums[:len(self.sums)] = self.counts, self.sums
+        t, x, v = self.held
+        if t.size:
+            ti, xi = self._bins(t, x)
+            counts, sums = self._place(counts, sums, np.minimum(ti, nt - 1), xi, v)
+        counts, sums = counts.reshape(nt, nx), sums.reshape(nt, nx)
+        with np.errstate(invalid="ignore"):
+            means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+        return VelocityGrid(self.x_bin_size, self.t_bin_size, counts, means)
+
+    def exit_series(self, end_time: float, bin_s: float = 30.0) -> ExitSeries:
+        """Cumulative entered/exited counts at the bin edges of a log that ends at ``end_time``."""
+        _check_bin_size("bin_s", bin_s)
+        n_bins = max(0, math.ceil(end_time / bin_s - 1e-9))
+        edges = [(k + 1) * bin_s for k in range(n_bins)]
+        # the log keeps its records in time order, so each count is one bisection
+        arrivals, exits = (np.searchsorted(np.array(times), edges, side="right").tolist()
+                           for times in (self.injections, self.exits))
+        ratio = [x / a if a else 0.0 for a, x in zip(arrivals, exits)]
+        return ExitSeries(bin_s=bin_s, t=edges, arrivals=arrivals, exits=exits, ratio=ratio)
+
+    def lane_change_positions(self, out_of_obstacle_lane: bool = False,
+                              upstream_only: bool = False) -> list:
+        """(time, position, infected) per lane change, with optional filters."""
+        cfg = self.cfg
+        # aux is "target_lane|infected"
+        return [(time_s, position, int(aux.partition("|")[2]))
+                for time_s, from_lane, position, aux in self.lane_changes
+                if not (out_of_obstacle_lane and from_lane != cfg.obstacle_lane
+                        or upstream_only and position >= cfg.obstacle_position)]
+
+    def lane_changes_table(self, meta) -> MetricTable:
+        return MetricTable(columns=["t_s", "position_m", "infected"],
+                           rows=self.lane_change_positions(), meta=dict(meta))
+
+
+def _fold_events(log) -> MetricFold:
+    """The fold of every event row of ``log``: its exits and lane changes."""
+    fold = MetricFold(log.cfg)
+    fold.add_events(log.events, 0, len(log.events))
+    return fold
 
 
 def slow_cell_area(grid: VelocityGrid, threshold: float = 5.0,

@@ -223,6 +223,25 @@ def test_obstacle_beacons_on_schedule():
     assert times[1] - times[0] == pytest.approx(cfg.beacon_interval)
 
 
+def test_obstacle_beacons_keep_their_schedule_over_a_long_run():
+    """Beacon k goes out at the step at k * beacon_interval, however many came before.
+
+    With dt = beacon_interval = 0.1 s, step k and beacon k are due at the
+    same time. Adding 0.1 up 50,940 times overshoots that product by more
+    than the 1e-9 s slack, so a summed schedule would send beacon 50,940 one
+    step late and every later one too, one a step. The beacon pass alone
+    is driven, step by step, as ``step`` advances the time.
+    """
+    cfg = quiet_cfg(communication_enabled=True, dt=0.1, beacon_interval=0.1, ttl_time=1.0)
+    state = new_state(cfg)
+    n = 51_000
+    for tick in range(n):
+        state.tick, state.now = tick, tick * cfg.dt
+        engine._communicate(state)
+    times = state.log.events.of_kind("transmission")[0]
+    assert times.tolist() == [k * cfg.beacon_interval for k in range(n)]
+
+
 def test_vsl_slows_warned_vehicles_until_passing():
     cfg = quiet_cfg(vsl_enabled=True, duration=90.0)
     state = new_state(cfg)

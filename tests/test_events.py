@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanetflow import engine
+from vanetflow import engine, metrics
 from vanetflow.config import PRESETS
 from vanetflow.engine import Events, run
 
@@ -351,3 +351,100 @@ def test_receptions_take_24_bytes_a_row_and_one_run_per_batch(minute_log):
     keys = [(row[0], row[3], row[6]) for row in rows if row[1] == "reception"]
     changes = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
     assert changes <= reception_runs <= hit_batches + infections
+
+
+# --- released rows ---------------------------------------------------------------
+
+
+def released_copy(log, t):
+    """A copy of ``log`` with its rows before step time ``t`` released."""
+    log = pickle.loads(pickle.dumps(log))
+    log.events.release(log.events.before(t))
+    log.samples.release(log.samples.before(t))
+    return log
+
+
+def step_times(log):
+    return np.unique(log.events.columns(0, len(log.events))[0]).tolist()
+
+
+def test_a_released_log_reads_its_held_rows_at_their_own_indices(minute_log):
+    whole, events = minute_log, minute_log.events
+    n = len(events)
+    steps = step_times(whole)
+    log = pickle.loads(pickle.dumps(whole))
+    for t in steps[len(steps) // 4::len(steps) // 4]:
+        e, s = events.before(t), whole.samples.before(t)
+        log.events.release(e)
+        log.samples.release(s)
+        assert (log.events.released, log.samples.released) == (e, s) != (0, 0)
+        assert (len(log.events), len(log.samples)) == (n, len(whole.samples))
+        for lo, hi in ((e, n), (e, e + 1), (n - 3, n), (n, n + 5)):
+            same_rows(rows_of(log.events.columns(lo, hi)), rows_of(events.columns(lo, hi)))
+        for kind in ("injection", "exit", "reception", "lane_change"):
+            same_rows(rows_of(log.events.of_kind(kind, e)), rows_of(events.of_kind(kind, e)))
+        later = [u for u in steps if u > t][:5] + [1e9]
+        assert [log.events.before(u) for u in later] == [events.before(u) for u in later]
+        assert ([log.samples.before(u) for u in later]
+                == [whole.samples.before(u) for u in later])
+        assert all(getattr(log.samples, name) == getattr(whole.samples, name)[s:]
+                   for name in ("t", "vehicle_id", "lane", "position", "velocity"))
+
+
+@pytest.mark.parametrize("read", [
+    lambda log: log.events.of_kind("exit"),
+    lambda log: list(log.events),
+    lambda log: log.events[:],
+    lambda log: log.events.columns(0, 10),
+    lambda log: log.events.before(0.5),
+    lambda log: log.samples.before(0.5),
+    metrics.velocity_grid,
+    metrics.exit_series,
+    metrics.lane_change_positions,
+    metrics.lane_changes_to_table,
+    metrics.events_to_table,
+], ids=["of_kind", "iter", "slice", "columns", "before", "samples_before", "velocity_grid",
+        "exit_series", "lane_change_positions", "lane_changes_to_table", "events_to_table"])
+def test_a_whole_log_reader_raises_on_a_released_log(minute_log, read):
+    steps = step_times(minute_log)
+    log = released_copy(minute_log, steps[len(steps) // 2])
+    with pytest.raises(IndexError, match=r"(Events|SampleLog) rows 0:\d+.* are released"):
+        read(log)
+
+
+def test_write_events_csv_raises_on_a_released_log_and_leaves_no_file(minute_log, tmp_path):
+    steps = step_times(minute_log)
+    log = released_copy(minute_log, steps[len(steps) // 2])
+    with pytest.raises(IndexError, match=r"rows 0:\d+ are released"):
+        metrics.write_events_csv(log, tmp_path / "events.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_release_cuts_only_at_a_step_boundary(minute_log):
+    log = pickle.loads(pickle.dumps(minute_log))
+    events, samples = log.events, log.samples
+    # a step with several event rows, all at one time
+    t = next(u for u in step_times(log)[1:] if events.before(u) - events.before(u - 1e-9) == 0
+             and events.before(np.nextafter(u, np.inf)) - events.before(u) > 1)
+    e, s = events.before(t), samples.before(t)
+    for release, rows in ((events.release, e + 1), (samples.release, s + 1),
+                          (events.release, len(events) + 1), (samples.release, -1)):
+        with pytest.raises(ValueError, match="step boundary"):
+            release(rows)
+    events.release(e)
+    samples.release(s)
+    with pytest.raises(ValueError, match="not held"):
+        events.release(e - 1)
+    assert (events.released, samples.released) == (e, s)
+
+
+def test_a_log_released_to_its_end_still_rejects_an_earlier_time(minute_log):
+    events = pickle.loads(pickle.dumps(minute_log.events))
+    last = float(events.columns(len(events) - 1, len(events))[0][0])
+    events.release(len(events))
+    assert len(events.run_t) == 0 and len(events) == len(minute_log.events)
+    with pytest.raises(ValueError, match="before the last one logged"):
+        events.append((last - 0.25, "exit", 5, 0, 1500.0, 30.0, ""))
+    events.append((last, "exit", 5, 0, 1500.0, 30.0, ""))
+    same_rows(rows_of(events.columns(len(events) - 1, len(events))),
+              [(last, "exit", 5, 0, 1500.0, 30.0, "")])

@@ -1,17 +1,22 @@
 """Metric extraction with recount oracles and CSV round-trips."""
 
 import io
+import math
 import os
+import pickle
 import signal
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vanetflow.config import ScenarioPreset, SimConfig, as_echo_dict
 from vanetflow.engine import EventLog, SimulationError, run
 from vanetflow import metrics
-from vanetflow.metrics import (EVENT_COLUMNS, EventsCsvWriter, MetricTable,
+from vanetflow.metrics import (EVENT_COLUMNS, EventsCsvWriter, MetricFold, MetricTable,
                                events_to_table, exit_series, lane_change_positions,
                                lane_changes_to_table, parse_csv_text, read_csv,
                                slow_cell_area, table_to_text, velocity_grid,
@@ -366,11 +371,11 @@ def set_chunk_rows(monkeypatch, rows):
 
 
 def wait_for_writers(monkeypatch):
-    """Make the writer wait for its live writer process before it decides whether to cut.
+    """Make every reap wait for the live writer process, ``finish``'s too.
 
-    A cut forks only once the last writer has finished, so without this the
-    number of forks depends on how fast the host formats a segment compared
-    with how fast the engine steps.
+    ``after_step`` already waits for a busy writer before it cuts; this
+    makes ``finish`` wait as well, so that no text waits in memory for a
+    writer however fast the host formats a segment.
     """
     real_reap = EventsCsvWriter._reap
 
@@ -425,15 +430,27 @@ def streamed_steps(log, steps, path):
         writer.finish(log)
 
 
+def unreleased(steps, n_steps):
+    """The log that ``steps(log, n_steps)`` logs, with every row kept.
+
+    The writer releases the rows it has written, so a test compares its
+    file with one written from this log.
+    """
+    log = synthetic_log()
+    for _ in steps(log, n_steps):
+        pass
+    return log
+
+
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_streamed_events_csv_matches_write_events_csv(tmp_path, monkeypatch, forks, cpus):
     set_cpus(monkeypatch, cpus)
     wait_for_writers(monkeypatch)
     set_chunk_rows(monkeypatch, 1500)
-    log = streamed_run(SimConfig(duration=120.0, seed=31, warm_up=10.0),
-                       tmp_path / "events.csv")
+    cfg = SimConfig(duration=120.0, seed=31, warm_up=10.0)
+    streamed_run(cfg, tmp_path / "events.csv")
     assert len(forks) >= 3
-    write_events_csv(log, tmp_path / "serial.csv")
+    write_events_csv(run(cfg), tmp_path / "serial.csv")
     assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert_nothing_left(tmp_path)
 
@@ -445,9 +462,10 @@ def test_streamed_events_csv_cuts_at_times_with_events(tmp_path, monkeypatch, fo
     log = synthetic_log()
     streamed_steps(log, synthetic_steps(log, 60), tmp_path / "events.csv")
     assert len(forks) >= 3
-    write_events_csv(log, tmp_path / "serial.csv")
+    whole = unreleased(synthetic_steps, 60)
+    write_events_csv(whole, tmp_path / "serial.csv")
     assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    assert read_csv(tmp_path / "events.csv") == events_to_table(log, include_samples=True)
+    assert read_csv(tmp_path / "events.csv") == events_to_table(whole, include_samples=True)
     assert_nothing_left(tmp_path)
 
 
@@ -490,7 +508,8 @@ def test_events_csv_formats_each_cell_as_the_table_does(tmp_path, monkeypatch, f
     streamed_steps(log, pitfall_steps(log, 20), tmp_path / "events.csv")
     # with a writer slot, every step after the first cuts the rows of the one before
     assert len(forks) == (0 if cpus == 1 else 19)
-    expected = table_to_text(events_to_table(log, include_samples=True))
+    whole = unreleased(pitfall_steps, 20)
+    expected = table_to_text(events_to_table(whole, include_samples=True))
     for row in ("1.0,gridlock,-1,0,-0.0,0.0,\n", "1.0,transmission,-1,0,500.0,0.0,1\n",
                 "1.0,sample,1,0,0.0,-0.0,\n", "1.0,sample,2,1,-0.0,0.0,\n",
                 "1.0,sample,3,0,500.0,nan,\n", "1.0,exit,5,0,nan,0.0,\n",
@@ -499,15 +518,20 @@ def test_events_csv_formats_each_cell_as_the_table_does(tmp_path, monkeypatch, f
                 "1.0,sample,4,1,12.833333333333334,3.25,\n"):
         assert row in expected
     assert (tmp_path / "events.csv").read_text() == expected
-    write_events_csv(log, tmp_path / "serial.csv")
+    write_events_csv(whole, tmp_path / "serial.csv")
     assert (tmp_path / "serial.csv").read_text() == expected
     assert_nothing_left(tmp_path)
 
 
 def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, forks):
-    """No second writer starts while the first is busy, though more CPUs are free."""
+    """No second writer starts while the first is busy, though more CPUs are free.
+
+    The run logs about 33,700 rows. Segments of 20,000 rows leave fewer
+    than a segment's rows after the first cut, so the run never waits for
+    the gated writer.
+    """
     set_cpus(monkeypatch, 4)
-    set_chunk_rows(monkeypatch, 1500)
+    set_chunk_rows(monkeypatch, 20000)
     parent = os.getpid()
     gate_r, gate_w = os.pipe()
     real_write = metrics._write_segment
@@ -520,10 +544,10 @@ def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, fork
 
     monkeypatch.setattr(metrics, "_write_segment", gated)
     path = tmp_path / "events.csv"
+    cfg = SimConfig(duration=120.0, seed=31, warm_up=10.0)
     try:
         with EventsCsvWriter(path) as writer:
-            log = run(SimConfig(duration=120.0, seed=31, warm_up=10.0),
-                      on_step=writer.after_step)
+            log = run(cfg, on_step=writer.after_step)
             assert len(forks) == 1
             os.close(gate_w)
             gate_w = None
@@ -532,7 +556,7 @@ def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, fork
         os.close(gate_r)
         if gate_w is not None:
             os.close(gate_w)
-    write_events_csv(log, tmp_path / "serial.csv")
+    write_events_csv(run(cfg), tmp_path / "serial.csv")
     assert path.read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert_nothing_left(tmp_path)
 
@@ -544,10 +568,13 @@ def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeyp
     """The last segment is held in memory while the writer is busy, then follows its rows.
 
     The writer is let go once the main process holds some text, or only when
-    ``finish`` waits for it, after the whole last segment is held.
+    ``finish`` waits for it, after the whole last segment is held. Segments
+    of 20,000 rows leave fewer than a segment's rows after the first cut,
+    so the run never waits for the gated writer.
     """
     set_cpus(monkeypatch, 4)
-    set_chunk_rows(monkeypatch, 1500)
+    set_chunk_rows(monkeypatch, 20000)
+    monkeypatch.setattr(metrics, "FLUSH_ROWS", 1500)
     parent = os.getpid()
     gate_r, gate_w = os.pipe()
     real_write_segment = metrics._write_segment
@@ -577,7 +604,7 @@ def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeyp
                 open_gate()
 
     def reap(self, log, wait):
-        if wait:
+        if wait and self.writer is not None:
             open_gate()
         real_reap(self, log, wait)
 
@@ -585,17 +612,17 @@ def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeyp
     monkeypatch.setattr(metrics._HeldWhileWriting, "write", write)
     monkeypatch.setattr(EventsCsvWriter, "_reap", reap)
     path = tmp_path / "events.csv"
+    cfg = SimConfig(duration=120.0, seed=31, warm_up=10.0)
     try:
         with EventsCsvWriter(path) as writer:
-            log = run(SimConfig(duration=120.0, seed=31, warm_up=10.0),
-                      on_step=writer.after_step)
+            log = run(cfg, on_step=writer.after_step)
             assert len(forks) == 1
             writer.finish(log)
     finally:
         os.close(gate_r)
         open_gate()
     assert len(held) >= (2 if release == "final_wait" else 1)
-    write_events_csv(log, tmp_path / "serial.csv")
+    write_events_csv(run(cfg), tmp_path / "serial.csv")
     assert path.read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert_nothing_left(tmp_path)
 
@@ -637,7 +664,7 @@ def test_streamed_events_csv_forks_after_the_last_writer_is_reaped(tmp_path, mon
     assert set(pids) == reaped
     assert all(listing in ([], ["events.csv"]) for listing in listings)
     assert listings[-1] == ["events.csv"]
-    write_events_csv(log, tmp_path / "serial.csv")
+    write_events_csv(unreleased(synthetic_steps, 60), tmp_path / "serial.csv")
     assert (out / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert_nothing_left(out)
 
@@ -664,7 +691,7 @@ def test_streamed_events_csv_recovers_the_rows_of_a_killed_writer(tmp_path, monk
     streamed_steps(log, synthetic_steps(log, 60), tmp_path / "events.csv")
     assert len(forks) >= 3
     monkeypatch.setattr(metrics, "_write_segment", real_write)
-    write_events_csv(log, tmp_path / "serial.csv")
+    write_events_csv(unreleased(synthetic_steps, 60), tmp_path / "serial.csv")
     assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert_nothing_left(tmp_path)
 
@@ -672,10 +699,10 @@ def test_streamed_events_csv_recovers_the_rows_of_a_killed_writer(tmp_path, monk
 def test_streamed_events_csv_on_one_cpu_forks_nothing(tmp_path, monkeypatch, forks):
     set_cpus(monkeypatch, 1)
     set_chunk_rows(monkeypatch, 1500)
-    log = streamed_run(SimConfig(duration=60.0, seed=31, warm_up=10.0),
-                       tmp_path / "events.csv")
+    cfg = SimConfig(duration=60.0, seed=31, warm_up=10.0)
+    streamed_run(cfg, tmp_path / "events.csv")
     assert forks == []
-    write_events_csv(log, tmp_path / "serial.csv")
+    write_events_csv(run(cfg), tmp_path / "serial.csv")
     assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
@@ -732,6 +759,135 @@ def test_streamed_events_csv_cleans_up_when_the_run_stops(tmp_path, monkeypatch,
     assert len(forks) >= 3
     assert list(out.iterdir()) == []
     assert_nothing_left(out)
+
+
+@pytest.mark.parametrize("writer", ["forking", "slow_writer", "in_process"])
+def test_streamed_run_holds_a_bounded_number_of_rows(tmp_path, monkeypatch, forks, writer):
+    """While events.csv is written, the log holds at most two segments' rows.
+
+    A segment is CHUNK_ROWS and at most a step's rows, and the next waits
+    for the writer of the last one; a step logs fewer than 200 rows here,
+    so the log stays under three CHUNK_ROWS. A writer process that formats
+    slowly makes the run wait for it; without writer processes the parent
+    formats each segment itself and releases it at once. The four files are
+    those of the same run with every row kept.
+    """
+    set_cpus(monkeypatch, 2)
+    set_chunk_rows(monkeypatch, 1500)
+    if writer == "slow_writer":
+        parent = os.getpid()
+        real_write = metrics._write_segment
+
+        def slow(fh, log, segment=None):
+            if os.getpid() != parent:
+                time.sleep(0.05)
+            real_write(fh, log, segment)
+
+        monkeypatch.setattr(metrics, "_write_segment", slow)
+    cfg = SimConfig(duration=120.0, seed=31, warm_up=10.0)
+    held = []
+    with EventsCsvWriter(tmp_path / "events.csv") as events_csv:
+        events_csv.forking = writer != "in_process"
+
+        def after_step(state):
+            events_csv.after_step(state)
+            held.append(len(state.log.samples.t) + len(state.log.events.vehicle_id))
+
+        log = run(cfg, on_step=after_step)
+        fold = events_csv.finish(log)
+    assert max(held) < 3 * metrics.CHUNK_ROWS
+    # at least four segments were cut and released
+    assert log.samples.released + log.events.released >= 4 * metrics.CHUNK_ROWS
+    assert len(forks) >= 4 if writer != "in_process" else forks == []
+    whole = run(cfg)
+    write_events_csv(whole, tmp_path / "serial.csv")
+    assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    echo = whole.config_echo
+    for got, want in ((fold.exit_series(log.end_time).to_table(echo),
+                       exit_series(whole).to_table(echo)),
+                      (fold.lane_changes_table(echo), lane_changes_to_table(whole)),
+                      (fold.velocity_grid(log.end_time).to_table(echo),
+                       velocity_grid(whole).to_table(echo))):
+        assert table_to_text(got) == table_to_text(want)
+    assert_nothing_left(tmp_path)
+
+
+# --- the metric fold ------------------------------------------------------------
+
+
+def bincount_grid(log, x_bin_size=10.0, t_bin_size=30.0):
+    """(counts, sums) of the velocity grid by one bincount over every sample: the reference."""
+    nt = max(1, math.ceil(log.end_time / t_bin_size - 1e-9))
+    nx = max(1, math.ceil(log.cfg.field_length / x_bin_size - 1e-9))
+    s = log.samples
+    ti = np.minimum((np.array(s.t) / t_bin_size).astype(np.int64), nt - 1)
+    xi = np.minimum((np.array(s.position) / x_bin_size).astype(np.int64), nx - 1)
+    flat = ti * nx + xi
+    counts = np.bincount(flat, minlength=nt * nx).reshape(nt, nx)
+    sums = np.bincount(flat, weights=np.array(s.velocity), minlength=nt * nx).reshape(nt, nx)
+    return counts, sums
+
+
+@pytest.fixture(scope="module")
+def fold_logs():
+    """A run that ends at 60 s, on a time bin's edge, and one that stops at origin congestion."""
+    exact = run(SimConfig(duration=60.0, seed=31, warm_up=10.0))
+    stopped = run(SimConfig(duration=600.0, seed=31, warm_up=10.0, stop_at_origin=True,
+                            traffic_load=6000.0, field_length=500.0, obstacle_position=300.0))
+    assert exact.end_time == 60.0
+    assert stopped.first_origin_slow_time == stopped.end_time < 600.0
+    return {"exact_end": exact, "stop_at_origin": stopped}
+
+
+def test_velocity_grid_equals_one_bincount_for_samples_in_any_order(fold_logs):
+    """The whole-log grid takes its samples in log order, in time order or not.
+
+    Each cell's sum adds its samples in the order the log holds them, as one
+    bincount does, so the last time bin's own samples and the ones clamped
+    into it, at and after its end, are added together.
+    """
+    whole = fold_logs["exact_end"]
+    order = np.random.default_rng(0).permutation(len(whole.samples))
+    log = synthetic_log(end_time=whole.end_time, cfg=whole.cfg)
+    for name in ("t", "vehicle_id", "lane", "position", "velocity"):
+        column = getattr(whole.samples, name)
+        getattr(log.samples, name).extend(np.array(column)[order].tolist())
+    grid = velocity_grid(log)
+    counts, sums = bincount_grid(log)
+    assert grid.counts.tobytes() == counts.tobytes()
+    with np.errstate(invalid="ignore"):
+        assert grid.means.tobytes() == np.where(counts > 0, sums / np.maximum(counts, 1),
+                                                np.nan).tobytes()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["exact_end", "stop_at_origin"]),
+       st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_folding_segments_gives_the_whole_log_metrics_bitwise(fold_logs, name, cuts):
+    """Folding random step-aligned segments, each released after, equals the whole-log metrics."""
+    whole = fold_logs[name]
+    log = pickle.loads(pickle.dumps(whole))
+    steps = np.unique(np.array(whole.samples.t))
+    fold = MetricFold(log.cfg)
+    s0 = e0 = 0
+    for t in sorted({steps[int(c * (len(steps) - 1))] for c in cuts}):
+        s1, e1 = log.samples.before(t), log.events.before(t)
+        fold.add(log, (s0, s1, e0, e1, None, t))
+        log.samples.release(s1)
+        log.events.release(e1)
+        s0, e0 = s1, e1
+    fold.add(log, (s0, len(log.samples), e0, len(log.events), None, log.end_time))
+    grid = fold.velocity_grid(log.end_time)
+    counts, sums = bincount_grid(whole)
+    assert grid.counts.tobytes() == counts.tobytes()
+    with np.errstate(invalid="ignore"):
+        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    assert grid.means.tobytes() == means.tobytes()
+    whole_grid = velocity_grid(whole)
+    assert grid.means.tobytes() == whole_grid.means.tobytes()
+    assert fold.exit_series(log.end_time) == exit_series(whole)
+    assert fold.lane_changes_table(whole.config_echo) == lane_changes_to_table(whole)
+    assert fold.lane_change_positions(True, True) == lane_change_positions(whole, True, True)
 
 
 def test_velocity_grid_long_form_row_count():
