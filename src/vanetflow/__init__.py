@@ -11,8 +11,9 @@ from .dissemination import (DisseminationPolicy, LedgerEntry, MessageLedger,
                             WarningMessage, rebroadcast_prob_bidirectional,
                             rebroadcast_prob_directional, rebroadcast_prob_distance,
                             rebroadcast_prob_mixed, should_rebroadcast, ttl_alive)
-from .engine import (EventLog, SimState, SimulationError, add_vehicle,
-                     detect_gridlock, inject_vehicles, lane_columns, new_state, run, step)
+from .engine import (EventLog, SimState, SimulationError, VehicleColumns, VehicleState,
+                     add_vehicle, detect_gridlock, inject_vehicles, lane_columns, new_state, run,
+                     step)
 from .metrics import (EventsCsvWriter, ExitSeries, MetricFold, MetricTable, VelocityGrid,
                       events_to_table, exit_series, lane_change_positions, read_csv,
                       slow_cell_area, velocity_grid, write_csv, write_events_csv)
@@ -20,9 +21,8 @@ from .radio import (MacState, RadioConfig, draw_backoff, friis_received_power,
                     mac_tick, medium_busy, next_attempt, range_for_sensitivity,
                     receive_roll)
 from .sweep import run_sweep
-from .traffic import (DriverParams, Neighborhood, VehicleColumns, VehicleState,
-                      base_lane_change, brute_force_lane_change, desired_gap,
-                      diff_incentive, idm_acceleration, kinematic_update,
+from .traffic import (DriverParams, Neighborhood, base_lane_change, brute_force_lane_change,
+                      desired_gap, diff_incentive, idm_acceleration, kinematic_update,
                       others_disadvantage, proportional_lane_change)
 
 __version__ = "0.1.0"

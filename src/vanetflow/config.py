@@ -105,6 +105,16 @@ class SimConfig:
         if self.vsl_enabled and self.driver.vsl_reduction >= self.speed_limit:
             raise bad("driver.vsl_reduction", f"< speed_limit ({self.speed_limit!r}) "
                       "when vsl_enabled", self.driver.vsl_reduction)
+        # the IDM raises v / v0 to accel_exponent, and a velocity stays below
+        # speed_limit + max_accel * dt; v0 is speed_limit, or the warned one under VSL
+        driver = self.driver
+        v0 = self.speed_limit - (driver.vsl_reduction if self.vsl_enabled else 0.0)
+        try:
+            ((self.speed_limit + driver.max_accel * self.dt) / v0) ** driver.accel_exponent
+        except OverflowError:
+            raise bad("driver.accel_exponent", "small enough that (v / v0) ** accel_exponent "
+                      "stays finite up to v = speed_limit + max_accel * dt",
+                      driver.accel_exponent) from None
 
     def driver_params(self) -> DriverParams:
         """Driver parameters with the desired velocity pinned to the speed limit."""

@@ -7,6 +7,11 @@ pass, one reception draw for the step, relay decisions), ``_decide``
 ``_account`` (samples, invariants, detectors). One seeded generator drives
 every random draw in a fixed order, so identical config and seed reproduce
 the run exactly.
+
+A vehicle is an id. ``SimState.lane_ids`` orders each lane's ids by
+position, and a vehicle's numbers are its row of ``VehicleColumns``; the
+phases gather and scatter those rows by id. ``VehicleState`` is a view of
+one id, for tests and demos.
 """
 
 from __future__ import annotations
@@ -20,12 +25,12 @@ from itertools import chain, compress, islice
 import numpy as np
 
 from .config import SimConfig, as_echo_dict
-from .dissemination import WarningMessage, should_rebroadcast, ttl_alive, ttl_expired
+from .dissemination import (MessageLedger, WarningMessage, should_rebroadcast, ttl_alive,
+                            ttl_expired)
 from .radio import (MacState, defers, draw_backoffs, mac_tick, medium_busy_at, next_attempts,
                     receive_roll)
-from .traffic import (BASE, BRUTE_FORCE, NO_FRAME, NO_VEHICLE, PAPER_MULTIPLICATIVE,
-                      VehicleColumns, VehicleState, base_lane_change, brute_force_lane_change,
-                      additive_lane_change, diff_incentives, free_road_terms,
+from .traffic import (BASE, BRUTE_FORCE, NO_VEHICLE, PAPER_MULTIPLICATIVE, additive_lane_change,
+                      base_lane_change, brute_force_lane_change, diff_incentives, free_road_terms,
                       idm_acceleration, idm_accelerations, kinematic_updates,
                       others_disadvantages, proportional_lane_change)
 # not called here (kinematic_updates moves everyone at once,
@@ -44,6 +49,8 @@ ORIGIN_WINDOW = 100.0       # m, stretch of road watched for congestion at entry
 ORIGIN_SLOW_SPEED = 5.0     # m/s
 ORIGIN_MIN_VEHICLES = 3
 EXPAND_ROWS = 1 << 16       # rows whose runs an iteration expands at a time
+NO_FRAME = -1               # MAC columns' "none": no attempt tick, no pending message
+INITIAL_ROWS = 256          # vehicle rows VehicleColumns holds before it first grows
 
 
 class SimulationError(RuntimeError):
@@ -395,25 +402,103 @@ class EventLog:
     first_origin_slow_time: float | None = None
 
 
+class VehicleColumns:
+    """The numbers of every vehicle, one row per vehicle id.
+
+    ``x`` (m along the road), ``v`` (m/s, never negative) and
+    ``last_change`` (s; -inf: never changed lane) are float64 arrays;
+    ``infected`` (warned) is a bool array. The MAC of a vehicle is three
+    int64 columns: ``attempt_tick``, the tick of its next transmit attempt,
+    ``backoff_stage``, and ``pending_message``, the message id of its one
+    queued frame; the tick and the message are NO_FRAME when no frame is
+    queued. A queued frame's countdown is not kept: its attempt tick says
+    when it ends (``radio.next_attempt``). All columns are indexed by
+    vehicle id, which is dense from 0. They are the only copy of these
+    values: the engine writes a vehicle's row as it enters and gathers and
+    scatters the rows by id. The rows of exited vehicles keep their last
+    values, which the engine does not read. ``grow`` doubles the capacity with new arrays,
+    so hold the columns, not an array.
+    """
+
+    __slots__ = ("x", "v", "last_change", "infected", "attempt_tick", "backoff_stage",
+                 "pending_message")
+
+    def __init__(self):
+        self.x = np.empty(INITIAL_ROWS)
+        self.v = np.empty(INITIAL_ROWS)
+        self.last_change = np.empty(INITIAL_ROWS)
+        self.infected = np.empty(INITIAL_ROWS, bool)
+        self.attempt_tick = np.empty(INITIAL_ROWS, np.int64)
+        self.backoff_stage = np.empty(INITIAL_ROWS, np.int64)
+        self.pending_message = np.empty(INITIAL_ROWS, np.int64)
+
+    def grow(self) -> None:
+        """Double the capacity; the rows held keep their values, the new ones are unset."""
+        for name in self.__slots__:
+            column = getattr(self, name)
+            setattr(self, name, np.concatenate((column, np.empty_like(column))))
+
+
+def _row(column: str) -> property:
+    """A property that reads a view's vehicle's cell of ``state.cols.<column>`` and writes it."""
+    return property(lambda veh: getattr(veh.state.cols, column).item(veh.id),
+                    lambda veh, value: getattr(veh.state.cols, column).__setitem__(veh.id, value))
+
+
+@dataclass(slots=True, eq=False)
+class VehicleState:
+    """A view of one vehicle: its id and the ``SimState`` that holds it, nothing else.
+
+    ``position``, ``velocity``, ``last_change`` and ``infected`` read and
+    write the vehicle's row of ``state.cols`` as Python floats and a bool,
+    so a value set here is the one the next step uses. ``lane`` is looked
+    up in ``state.lane_ids`` and ``ledger`` in ``state.ledgers``: a view of
+    a vehicle off the road has ``lane`` None and no ledger (None). Only
+    ``add_vehicle`` and ``SimState.lanes`` build views; the engine's phases
+    work on ids.
+    """
+
+    id: int
+    state: SimState
+
+    @property
+    def lane(self) -> int | None:
+        for lane, ids in enumerate(self.state.lane_ids):
+            if self.id in ids:
+                return lane
+        return None
+
+    @property
+    def ledger(self) -> MessageLedger | None:
+        return self.state.ledgers.get(self.id)
+
+    position = _row("x")
+    velocity = _row("v")
+    last_change = _row("last_change")
+    infected = _row("infected")
+
+    def __repr__(self):
+        return (f"VehicleState(id={self.id}, lane={self.lane}, position={self.position!r}, "
+                f"velocity={self.velocity!r}, infected={self.infected})")
+
+
 @dataclass
 class SimState:
-    """Mutable world state; vehicles are kept per lane, sorted by position.
+    """Mutable world state; each lane's vehicles are an id array sorted by position.
 
-    ``lanes`` holds each lane's ``VehicleState`` objects in order, and
-    ``lane_ids`` the same order as an int64 array of ids, rebuilt from
-    ``lanes`` wherever a lane changes (``_order``). Every vehicle's
-    position, velocity, last lane-change time, warning flag and MAC live
-    in ``cols``, one row per vehicle id, which the phases gather and
-    scatter by the ids of ``lane_ids``; its lane and ledger live on its
-    ``VehicleState``. The run totals and detector times live on ``log``
-    only, current after every ``step``.
+    ``lane_ids`` holds each lane's vehicle ids as an int64 array in
+    position order: the only record of which vehicles are on the road, and
+    in what order. Every vehicle's position, velocity, last lane-change
+    time, warning flag and MAC live in ``cols``, one row per id, and its
+    reception ledger in ``ledgers``, by id, from its entry to its exit.
+    ``lanes`` reads the lanes as ``VehicleState`` views. The run totals
+    and detector times live on ``log`` only, current after every ``step``.
     """
 
     cfg: SimConfig
     rng: np.random.Generator
     log: EventLog
-    lanes: list            # [list[VehicleState], list[VehicleState]]
-    lane_ids: list         # [ids of lanes[0], ids of lanes[1]], int64 arrays
+    lane_ids: list         # [lane 0's ids, lane 1's ids], int64 arrays
     messages: dict         # msg id -> WarningMessage
     driver_p: object       # every vehicle's DriverParams
     driver_vsl_p: object   # the same, slowed for warned vehicles under VSL
@@ -425,6 +510,12 @@ class SimState:
     entry_queue: int = 0
     prev_tx_positions: list = field(default_factory=list)
     cols: VehicleColumns = field(default_factory=VehicleColumns)
+    ledgers: dict = field(default_factory=dict)  # vehicle id -> MessageLedger, on the road
+
+    @property
+    def lanes(self) -> list:
+        """Each lane's vehicles in position order, as ``VehicleState`` views (read only)."""
+        return [[VehicleState(veh_id, self) for veh_id in ids.tolist()] for ids in self.lane_ids]
 
 
 def new_state(cfg: SimConfig) -> SimState:
@@ -433,17 +524,17 @@ def new_state(cfg: SimConfig) -> SimState:
     vsl_v0 = driver_p.desired_velocity - driver_p.vsl_reduction
     log = EventLog(config_echo=as_echo_dict(cfg), cfg=cfg)
     return SimState(cfg=cfg, rng=np.random.default_rng(cfg.seed), log=log,
-                    lanes=[[], []], lane_ids=[np.zeros(0, np.int64), np.zeros(0, np.int64)], messages={},
+                    lane_ids=[np.zeros(0, np.int64), np.zeros(0, np.int64)], messages={},
                     driver_p=driver_p,
                     driver_vsl_p=replace(driver_p, desired_velocity=vsl_v0))
 
 
-def _enter(state: SimState, lane: int, index: int, position: float,
-           velocity: float) -> VehicleState:
+def _enter(state: SimState, lane: int, index: int, position: float, velocity: float) -> int:
     """Put a new vehicle at ``index`` of its lane, count it and log its injection.
 
     The vehicle's row of ``state.cols`` is its id; the columns double when
-    full. It enters unwarned, with no frame queued.
+    full. It enters unwarned, with no frame queued and an empty ledger.
+    Returns its id.
     """
     cols = state.cols
     veh_id = state.next_id
@@ -455,20 +546,20 @@ def _enter(state: SimState, lane: int, index: int, position: float,
     cols.infected[veh_id] = False
     cols.attempt_tick[veh_id] = cols.pending_message[veh_id] = NO_FRAME
     cols.backoff_stage[veh_id] = 0
-    veh = VehicleState(veh_id, lane, cols)
+    state.ledgers[veh_id] = MessageLedger()
     state.next_id += 1
-    state.lanes[lane].insert(index, veh)
-    _order(state, lane)
+    ids = state.lane_ids[lane]
+    state.lane_ids[lane] = np.concatenate((ids[:index], (veh_id,), ids[index:]))
     state.log.entered += 1
-    state.log.events.append((state.now, "injection", veh.id, lane, position, velocity, ""))
-    return veh
+    state.log.events.append((state.now, "injection", veh_id, lane, position, velocity, ""))
+    return veh_id
 
 
 def add_vehicle(state: SimState, lane: int, position: float, velocity: float) -> VehicleState:
     """Place a vehicle directly (tests and demos); keeps per-lane ordering."""
     state.log.scheduled_arrivals += 1
-    index = bisect.bisect_right(state.lanes[lane], position, key=lambda v: v.position)
-    return _enter(state, lane, index, position, velocity)
+    index = int(state.cols.x[state.lane_ids[lane]].searchsorted(position, "right"))
+    return VehicleState(_enter(state, lane, index, position, velocity), state)
 
 
 def lane_columns(state: SimState) -> list:
@@ -517,10 +608,12 @@ def _try_insert(state: SimState, lane_idx: int) -> bool:
     """Insert one queued arrival at the road start if the entry gap allows it."""
     cfg = state.cfg
     p = state.driver_p
-    lane = state.lanes[lane_idx]
+    cols = state.cols
+    ids = state.lane_ids[lane_idx]
     gap, leader_velocity = NO_VEHICLE, 0.0
-    if lane:  # the leader of an arrival at 0, bumper to bumper
-        gap, leader_velocity = lane[0].position - cfg.vehicle_length, lane[0].velocity
+    if len(ids):  # the leader of an arrival at 0, bumper to bumper
+        leader = ids.item(0)
+        gap, leader_velocity = cols.x.item(leader) - cfg.vehicle_length, cols.v.item(leader)
     if lane_idx == cfg.obstacle_lane and cfg.obstacle_position < gap:
         # the obstacle, a zero-length stationary leader, is nearer
         gap, leader_velocity = cfg.obstacle_position, 0.0
@@ -557,30 +650,21 @@ def inject_vehicles(state: SimState) -> SimState:
     state.log.scheduled_arrivals += fresh
     state.entry_queue += fresh
     while state.entry_queue > 0:
-        inserted = False
         for lane_try in (state.next_entry_lane, 1 - state.next_entry_lane):
             if _try_insert(state, lane_try):
                 state.next_entry_lane = 1 - lane_try
-                inserted = True
+                state.entry_queue -= 1
                 break
-        if not inserted:
+        else:
             break
-        state.entry_queue -= 1
     return state
 
 
 def _diagnostic(state, message):
-    rows = []
-    for li, lane_list in enumerate(state.lanes):
-        for veh in lane_list:
-            rows.append(f"  lane={li} id={veh.id} x={veh.position:.3f} v={veh.velocity:.3f}")
+    rows = [f"  lane={li} id={veh_id} x={x:.3f} v={v:.3f}"
+            for li, (ids, xs, vs) in enumerate(lane_columns(state))
+            for veh_id, x, v in zip(ids.tolist(), xs.tolist(), vs.tolist())]
     return SimulationError(f"{message} at t={state.now}\n" + "\n".join(rows))
-
-
-def _order(state: SimState, lane: int) -> None:
-    """Rebuild ``state.lane_ids[lane]`` from ``state.lanes[lane]``, after the lane changed."""
-    vehicles = state.lanes[lane]
-    state.lane_ids[lane] = np.fromiter([veh.id for veh in vehicles], np.int64, len(vehicles))
 
 
 def _log_receptions(state: SimState, t: float, got: list, runs: list) -> None:
@@ -610,14 +694,14 @@ def _communicate(state: SimState) -> None:
         if not ttl_expired(msg, t):
             break
         expired.append(msg.msg_id)
+    ledgers = state.ledgers
     if expired:
         for msg_id in expired:
             del messages[msg_id]
-        for lane_list in state.lanes:
-            for veh in lane_list:
-                entries = veh.ledger.entries
-                for msg_id in expired:
-                    entries.pop(msg_id, None)
+        for ledger in ledgers.values():
+            entries = ledger.entries
+            for msg_id in expired:
+                entries.pop(msg_id, None)
     transmissions = []
     # beacon k is due at k * interval, one product and not a running sum, so
     # its time does not drift with k
@@ -674,8 +758,8 @@ def _communicate(state: SimState) -> None:
         rc = radio_cfg.tx_range
         batches = []
         distances = []
-        for lane, lane_list in enumerate(state.lanes):
-            positions = cols.x[lane_ids[lane]].tolist()
+        for lane, ids in enumerate(lane_ids):
+            on_lane, positions = ids.tolist(), cols.x[ids].tolist()
             for sender_pos, msg in transmissions:
                 lo = bisect.bisect_left(positions, sender_pos - rc)
                 hi = bisect.bisect_right(positions, sender_pos + rc)
@@ -685,7 +769,7 @@ def _communicate(state: SimState) -> None:
                 tie_hi = bisect.bisect_right(positions, sender_pos, tie_lo, hi)
                 if lo < tie_lo or tie_hi < hi:
                     heard_x = positions[lo:tie_lo] + positions[tie_hi:hi]
-                    batches.append((lane_list[lo:tie_lo] + lane_list[tie_hi:hi], heard_x,
+                    batches.append((on_lane[lo:tie_lo] + on_lane[tie_hi:hi], heard_x,
                                     sender_pos, msg, lane))
                     distances += [abs(x - sender_pos) for x in heard_x]
         hits = receive_roll(distances, radio_cfg, rng) if batches else []
@@ -698,10 +782,9 @@ def _communicate(state: SimState) -> None:
             end = start + len(heard)
             msg_id = msg.msg_id
             runs.append((len(got), lane, msg_id))
-            for veh, x in compress(zip(heard, heard_x), hits[start:end]):
-                veh_id = veh.id
+            for veh_id, x in compress(zip(heard, heard_x), hits[start:end]):
                 got.append(veh_id)
-                veh.ledger.record_reception(msg, sender_pos, x)
+                ledgers[veh_id].record_reception(msg, sender_pos, x)
                 if not infected[veh_id]:
                     infected[veh_id] = True
                     _log_receptions(state, t, got, runs)
@@ -710,22 +793,22 @@ def _communicate(state: SimState) -> None:
                 # a MAC that holds this or a newer generation will not take it
                 # in the relay pass either, which only raises generations
                 if pending[veh_id] < msg_id:
-                    receptions.append((veh, x, msg, sender_pos))
+                    receptions.append((veh_id, x, msg, sender_pos))
             start = end
         if got:
             _log_receptions(state, t, got, runs)
     # all receptions land before any relay decision is made
     relayed = []
-    for veh, x, msg, sender_pos in receptions:
-        if pending[veh.id] >= msg.msg_id:
+    for veh_id, x, msg, sender_pos in receptions:
+        if pending[veh_id] >= msg.msg_id:
             continue  # that or a newer warning generation is already queued
-        entry = veh.ledger.entries[msg.msg_id]
+        entry = ledgers[veh_id].entries[msg.msg_id]
         if should_rebroadcast(cfg.policy, msg, entry, now=t, my_pos=x,
                               d_from_sender=abs(x - sender_pos),
                               tx_range=radio_cfg.tx_range, rng=rng):
             # a newer generation supersedes any older pending frame
-            pending[veh.id] = msg.msg_id
-            relayed.append(veh.id)
+            pending[veh_id] = msg.msg_id
+            relayed.append(veh_id)
     if relayed:
         # as for any fresh frame, contention starts from stage 0 with no countdown
         cols.backoff_stage[relayed] = 0
@@ -784,18 +867,17 @@ def _decide(state: SimState) -> tuple[tuple, list]:
     last lane-change times and warning flags are gathers from
     ``state.cols`` by the ids of ``state.lane_ids``.
     Returns the snapshot to move, (ids, positions, velocities,
-    accelerations), and the proposals, in lane order, as (vehicle, lane,
+    accelerations), and the proposals, in lane order, as (vehicle id, lane,
     target lane, insertion index in the target lane).
     """
     cfg = state.cfg
     t = state.now
-    lanes = state.lanes
     normal_p = state.driver_p
     variant = cfg.lane_change_variant
     b_safe = cfg.safe_braking_limit
     obstacle_pos = cfg.obstacle_position
     length = cfg.vehicle_length
-    n0 = len(lanes[0])
+    n0 = len(state.lane_ids[0])
 
     cols = state.cols
     ids = np.concatenate(state.lane_ids)
@@ -895,9 +977,9 @@ def _decide(state: SimState) -> tuple[tuple, list]:
     movers = (reach_follower & ((t_follow_gap == NO_VEHICLE) | (a_follower >= -b_safe))
               & change).nonzero()[0]
     # the index in the target lane: lane 0 starts at slot 1, lane 1 at n0 + 3
-    proposals = [(lanes[0][k], 0, 1, t_slot - n0 - 3) if k < n0
-                 else (lanes[1][k - n0], 1, 0, t_slot - 1)
-                 for k, t_slot in zip(movers.tolist(), t_lead[movers].tolist())]
+    proposals = [(veh_id, 0, 1, t_slot - n0 - 3) if k < n0 else (veh_id, 1, 0, t_slot - 1)
+                 for k, veh_id, t_slot in zip(movers.tolist(), ids[movers].tolist(),
+                                              t_lead[movers].tolist())]
     return (ids, x, v, a_self), proposals
 
 
@@ -905,29 +987,32 @@ def _apply_changes(state: SimState, proposals: list) -> None:
     """Apply the lane changes simultaneously.
 
     Of several proposals into the same target gap the downstream one moves;
-    the upstream ones defer a tick.
+    the upstream ones defer a tick. The movers leave their lanes by one mask
+    over the ids; then each, in proposal order, is spliced into its target
+    lane after every vehicle at or upstream of its position.
     """
     t = state.now
-    lanes = state.lanes
+    cols = state.cols
+    x = cols.x
+    lane_ids = state.lane_ids
     chosen = {}
     for prop in proposals:
-        key = (prop[2], prop[3])
-        held = chosen.get(key)
-        if held is None or prop[0].position > held[0].position:
-            chosen[key] = prop
-    moved = [prop for prop in proposals if chosen[(prop[2], prop[3])] is prop]
-    moved_ids = {prop[0].id for prop in moved}
-    for li in (0, 1):
-        if any(prop[1] == li for prop in moved):
-            lanes[li] = [v for v in lanes[li] if v.id not in moved_ids]
-    for veh, li, tl, _ in moved:
-        state.log.events.append((t, "lane_change", veh.id, li, veh.position, veh.velocity,
-                                 f"{tl}|{int(veh.infected)}"))
-        veh.lane = tl
-        veh.last_change = t
-        bisect.insort(lanes[tl], veh, key=lambda v: v.position)
-    for li in (0, 1):
-        _order(state, li)
+        held = chosen.get(prop[2:])
+        if held is None or x.item(prop[0]) > x.item(held[0]):
+            chosen[prop[2:]] = prop
+    moved = [prop for prop in proposals if chosen[prop[2:]] is prop]
+    leaving = np.zeros(state.next_id, bool)
+    leaving[[prop[0] for prop in moved]] = True
+    for li, ids in enumerate(lane_ids):
+        lane_ids[li] = ids[~leaving[ids]]
+    for veh_id, li, tl, _ in moved:
+        position = x.item(veh_id)
+        state.log.events.append((t, "lane_change", veh_id, li, position, cols.v.item(veh_id),
+                                 f"{tl}|{int(cols.infected.item(veh_id))}"))
+        cols.last_change[veh_id] = t
+        ids = lane_ids[tl]
+        k = int(x[ids].searchsorted(position, "right"))
+        lane_ids[tl] = np.concatenate((ids[:k], (veh_id,), ids[k:]))
 
 
 def _integrate(state: SimState, snapshot: tuple) -> None:
@@ -935,7 +1020,8 @@ def _integrate(state: SimState, snapshot: tuple) -> None:
 
     ``snapshot`` is ``_decide``'s (ids, positions, velocities,
     accelerations): moves use the pre-step velocities, and scatter into
-    ``state.cols`` by id.
+    ``state.cols`` by id. Each lane's tail past the road's end exits,
+    logged downstream first, and its ledgers go with it.
     """
     cfg = state.cfg
     log = state.log
@@ -946,15 +1032,16 @@ def _integrate(state: SimState, snapshot: tuple) -> None:
     cols.x[ids] = x + dx
     state.tick += 1
     state.now = now = state.tick * cfg.dt
-    for li, lane_list in enumerate(state.lanes):
-        n = len(lane_list)
-        while lane_list and cols.x.item(lane_list[-1].id) > cfg.field_length:
-            veh = lane_list.pop()
+    for li, ids in enumerate(state.lane_ids):
+        tail = len(ids)
+        while tail and cols.x.item(ids.item(tail - 1)) > cfg.field_length:
+            tail -= 1
+        for veh_id in ids[tail:][::-1].tolist():
             log.exited += 1
-            log.events.append((now, "exit", veh.id, li, cols.x.item(veh.id),
-                               cols.v.item(veh.id), ""))
-        if len(lane_list) < n:
-            _order(state, li)
+            log.events.append((now, "exit", veh_id, li, cols.x.item(veh_id),
+                               cols.v.item(veh_id), ""))
+            del state.ledgers[veh_id]
+        state.lane_ids[li] = ids[:tail]
 
 
 def _account(state: SimState) -> None:

@@ -1,6 +1,7 @@
 """Vehicle dynamics: IDM car following, lane-change decisions and kinematic stepping.
 
-All functions here are pure; the engine owns iteration order and state. The
+The model only: driver parameters and pure functions. The engine owns the
+iteration order and every vehicle's state (``engine.VehicleColumns``). The
 scalar functions are the reference; the engine calls their numpy forms (the
 plural names) over every vehicle at once, and the four decision rules
 directly on arrays, which they take element by element.
@@ -14,11 +15,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .dissemination import MessageLedger
-
 NO_VEHICLE = math.inf  # gap sentinel: nothing in that slot
-NO_FRAME = -1          # MAC columns' "none": no attempt tick, no pending message
-INITIAL_ROWS = 256     # vehicle rows VehicleColumns holds before it first grows
 
 BASE = "base"
 BRUTE_FORCE = "brute_force"
@@ -55,102 +52,6 @@ class DriverParams:
         ab = self.max_accel * self.comfortable_brake
         # NaN for the negative products SimConfig.validate() rejects, instead of a crash here
         object.__setattr__(self, "two_sqrt_ab", 2.0 * math.sqrt(ab) if ab >= 0 else math.nan)
-
-
-class VehicleColumns:
-    """The numbers of every vehicle, one row per vehicle id.
-
-    ``x`` (m along the road), ``v`` (m/s, never negative) and
-    ``last_change`` (s; -inf: never changed lane) are float64 arrays;
-    ``infected`` (warned) is a bool array. The MAC of a vehicle is three
-    int64 columns: ``attempt_tick``, the tick of its next transmit attempt,
-    ``backoff_stage``, and ``pending_message``, the message id of its one
-    queued frame; the tick and the message are NO_FRAME when no frame is
-    queued. A queued frame's countdown is not kept: its attempt tick says
-    when it ends (``radio.next_attempt``). All columns are indexed by
-    vehicle id, which is dense from 0. They are the only copy of these
-    values: the engine writes a vehicle's row as it enters, gathers and
-    scatters them by id, and a ``VehicleState`` reads and writes its own
-    row. The rows of exited vehicles keep their last values and are not
-    read. ``grow`` doubles the capacity with new arrays, so hold the
-    columns, not an array.
-    """
-
-    __slots__ = ("x", "v", "last_change", "infected", "attempt_tick", "backoff_stage",
-                 "pending_message")
-
-    def __init__(self):
-        self.x = np.empty(INITIAL_ROWS)
-        self.v = np.empty(INITIAL_ROWS)
-        self.last_change = np.empty(INITIAL_ROWS)
-        self.infected = np.empty(INITIAL_ROWS, bool)
-        self.attempt_tick = np.empty(INITIAL_ROWS, np.int64)
-        self.backoff_stage = np.empty(INITIAL_ROWS, np.int64)
-        self.pending_message = np.empty(INITIAL_ROWS, np.int64)
-
-    def grow(self) -> None:
-        """Double the capacity; the rows held keep their values, the new ones are unset."""
-        for name in self.__slots__:
-            column = getattr(self, name)
-            setattr(self, name, np.concatenate((column, np.empty_like(column))))
-
-
-class VehicleState:
-    """One vehicle: its id and lane, a view of its row of the columns, and its ledger.
-
-    Its position, velocity, last lane-change time and warning flag live in
-    its row of the engine's ``VehicleColumns`` (``cols``); the properties
-    read that row as Python floats and a bool and write it, so a value set
-    here is the one the next step uses. The engine's phases gather and
-    scatter the columns directly, not through these properties. Its MAC
-    lives only in the columns. Each vehicle also carries its own reception
-    ledger. Driver parameters are not per vehicle: the engine holds one set
-    for the whole fleet (``SimState.driver_p``).
-    """
-
-    __slots__ = ("id", "lane", "cols", "ledger")
-
-    def __init__(self, id: int, lane: int, cols: VehicleColumns):
-        self.id = id
-        self.lane = lane          # 0 = obstacle lane, 1 = opposite lane
-        self.cols = cols
-        self.ledger = MessageLedger()
-
-    @property
-    def position(self) -> float:
-        return self.cols.x.item(self.id)
-
-    @position.setter
-    def position(self, value: float) -> None:
-        self.cols.x[self.id] = value
-
-    @property
-    def velocity(self) -> float:
-        return self.cols.v.item(self.id)
-
-    @velocity.setter
-    def velocity(self, value: float) -> None:
-        self.cols.v[self.id] = value
-
-    @property
-    def last_change(self) -> float:
-        return self.cols.last_change.item(self.id)
-
-    @last_change.setter
-    def last_change(self, value: float) -> None:
-        self.cols.last_change[self.id] = value
-
-    @property
-    def infected(self) -> bool:
-        return self.cols.infected.item(self.id)
-
-    @infected.setter
-    def infected(self, value: bool) -> None:
-        self.cols.infected[self.id] = value
-
-    def __repr__(self):
-        return (f"VehicleState(id={self.id}, lane={self.lane}, position={self.position!r}, "
-                f"velocity={self.velocity!r}, infected={self.infected})")
 
 
 @dataclass(slots=True)

@@ -236,6 +236,7 @@ def test_the_bound_cases_cover_every_bound_and_every_bound_is_a_key():
     ("radio.backoff_min", {"radio.backoff_min": 9, "radio.backoff_max": 3}),
     ("radio.backoff_max", {"radio.backoff_max": 1 << 58}),
     ("driver.vsl_reduction", {"vsl_enabled": True, "speed_limit": 2.7}),
+    ("driver.accel_exponent", {"driver.accel_exponent": 1e6}),
     ("lane_change_variant", {"lane_change_variant": "x"}),
     ("lane_change_rule", {"lane_change_rule": "x"}),
     ("policy.kind", {"policy.kind": "x"}),
@@ -304,6 +305,23 @@ def test_vsl_reduction_must_stay_below_the_speed_limit():
     cfg = replace(SimConfig(), vsl_enabled=True, speed_limit=2.7)
     with pytest.raises(ConfigError, match=r"driver\.vsl_reduction"):
         cfg.validate()
+
+
+def test_an_idm_exponent_that_would_overflow_mid_run_is_rejected():
+    # with 1e4, (v / v0) ** accel_exponent of a warned driver slowed by VSL
+    # once stopped a run partway with a bare OverflowError; 1e3 runs to the end
+    cfg = PRESETS["velocity_motorway"].config(seed=1, communication=True)
+    cfg.vsl_enabled, cfg.duration = True, 300.0
+    cfg.driver = replace(cfg.driver, accel_exponent=1e4)
+    with pytest.raises(ConfigError, match=r"^driver\.accel_exponent: must be .*, got 10000\.0$"):
+        cfg.validate()
+    cfg.driver = replace(cfg.driver, accel_exponent=1e3)
+    cfg.validate()
+    for preset in PRESETS.values():
+        for vsl in (False, True):
+            cfg = preset.config(seed=1)
+            cfg.vsl_enabled = vsl
+            cfg.validate()
 
 
 @pytest.mark.parametrize("value", ["-1", "0"])

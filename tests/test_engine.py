@@ -213,6 +213,36 @@ def test_a_vetoed_zero_gap_neither_raises_nor_warns():
     assert [veh.lane for veh in state.lanes[0] + state.lanes[1]] == [0, 1]
 
 
+def test_of_several_proposals_into_one_gap_the_downstream_vehicle_moves():
+    # the slow vehicle at 160 m and the two faster ones behind it all want
+    # the empty lane 0, each at its index 0
+    state = new_state(quiet_cfg(lane_change_variant="base", lane_change_rule="mobil_additive"))
+    for x, v in ((100.0, 20.0), (130.0, 20.0), (160.0, 5.0)):
+        add_vehicle(state, 1, x, v)
+    assert len(engine._decide(state)[1]) == 3
+    step(state)
+    assert state.lane_ids[0].tolist() == [2]
+    assert state.lane_ids[1].tolist() == [0, 1]
+    assert state.cols.last_change[[0, 1]].tolist() == [-np.inf, -np.inf]
+    assert [e[2] for e in state.log.events if e[1] == "lane_change"] == [2]
+
+
+def test_several_exits_from_one_lane_in_one_step():
+    state = new_state(quiet_cfg(driver=replace(SimConfig().driver, change_threshold=1e9)))
+    add_vehicle(state, 0, 1200.0, 20.0)
+    add_vehicle(state, 1, 1300.0, 20.0)
+    leaving = [add_vehicle(state, 1, x, 20.0) for x in (1501.0, 1541.0, 1581.0)]
+    step(state)
+    # lane 1's three, downstream first
+    assert [e[2:4] for e in state.log.events if e[1] in ("exit", "lane_change")] == [
+        (4, 1), (3, 1), (2, 1)]
+    assert state.log.exited == 3
+    assert [ids.tolist() for ids in state.lane_ids] == [[0], [1]]
+    assert sorted(state.ledgers) == [0, 1]
+    # a view of a vehicle off the road has no lane and no ledger
+    assert [(veh.lane, veh.ledger) for veh in leaving] == [(None, None)] * 3
+
+
 def test_obstacle_beacons_on_schedule():
     cfg = quiet_cfg(communication_enabled=True, duration=10.0)
     log = run(cfg)
@@ -271,7 +301,7 @@ def test_poisson_arrival_rate():
     ticks = 40000
     for _ in range(ticks):
         inject_vehicles(state)
-        state.lanes = [[], []]  # keep the entry clear
+        state.lane_ids = [np.zeros(0, np.int64), np.zeros(0, np.int64)]  # keep the entry clear
         state.entry_queue = 0
         state.log.exited = state.log.scheduled_arrivals  # keep conservation meaningless here
     total_time = ticks * cfg.dt
@@ -285,7 +315,7 @@ def test_warmup_quarters_the_load():
     state = new_state(cfg)
     for _ in range(2000):  # stays inside warm-up
         inject_vehicles(state)
-        state.lanes = [[], []]
+        state.lane_ids = [np.zeros(0, np.int64), np.zeros(0, np.int64)]
         state.entry_queue = 0
     rate = state.log.scheduled_arrivals / (2000 * cfg.dt)
     assert rate == pytest.approx(0.25, abs=0.05)

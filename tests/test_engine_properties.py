@@ -14,11 +14,11 @@ decision (the followers' free-road terms, for one, cancel in the
 disadvantage up to rounding).
 
 ``test_engine_invariants_hold_after_every_step`` drives ``step()`` through
-random short runs and checks conservation, the lane order and the id
-arrays that mirror it, that nobody reverses, that every vehicle's position
-and velocity are its row of the step's samples, and that a queued frame has
-an attempt tick still to come; the same config and seed must give the same
-log.
+random short runs and checks conservation, that each vehicle on the road
+is in one lane once and holds a ledger, the lane order, that nobody
+reverses, that every vehicle's position and velocity are its row of the
+step's samples, and that a queued frame has an attempt tick still to come;
+the same config and seed must give the same log.
 """
 
 import math
@@ -32,10 +32,10 @@ from hypothesis import strategies as st
 from vanetflow import engine
 from vanetflow.config import SimConfig
 from vanetflow.dissemination import POLICY_KINDS, DisseminationPolicy
-from vanetflow.engine import (SimulationError, _decide, _leaders, _pad, add_vehicle, new_state,
-                              step)
+from vanetflow.engine import (NO_FRAME, SimulationError, _decide, _leaders, _pad, add_vehicle,
+                              new_state, step)
 from vanetflow.traffic import (BASE, BRUTE_FORCE, LANE_CHANGE_RULES, LANE_CHANGE_VARIANTS,
-                               NO_FRAME, NO_VEHICLE, PAPER_MULTIPLICATIVE, DriverParams,
+                               NO_VEHICLE, PAPER_MULTIPLICATIVE, DriverParams,
                                Neighborhood, additive_lane_change, base_lane_change,
                                brute_force_lane_change, diff_incentive, idm_acceleration,
                                idm_accelerations, others_disadvantage,
@@ -150,7 +150,7 @@ def per_candidate_decide(state, seen=None):
         else:
             change = proportional_lane_change(my_adv, incentive, oth_dis, p_eff)
         if change:
-            proposals.append((veh, li, tl, t_slot - 1 if li else t_slot - n0 - 3))
+            proposals.append((veh.id, li, tl, t_slot - 1 if li else t_slot - n0 - 3))
     return (ids, x, v, a_self), proposals
 
 
@@ -206,7 +206,7 @@ def outcome(decide, state):
     except ValueError as exc:
         return "ValueError", str(exc)
     return (ids.tolist(), [bits(a) for a in (x, v, accel)],
-            [(veh.id, li, tl, int(index)) for veh, li, tl, index in proposals])
+            [(veh_id, li, tl, int(index)) for veh_id, li, tl, index in proposals])
 
 
 RULES = ("additive_lane_change", "base_lane_change", "brute_force_lane_change",
@@ -295,18 +295,20 @@ def check_step(state, first_row, last_position):
     """
     log = state.log
     samples = log.samples
-    on_road = sum(map(len, state.lanes))
-    assert log.scheduled_arrivals == log.exited + on_road + state.entry_queue
-    assert log.entered == log.exited + on_road
-    assert len(samples) - first_row == on_road
+    on_road = np.concatenate(state.lane_ids).tolist()
+    assert log.scheduled_arrivals == log.exited + len(on_road) + state.entry_queue
+    assert log.entered == log.exited + len(on_road)
+    assert len(samples) - first_row == len(on_road)
+    # the lanes' ids are unique and disjoint, and only the vehicles on the
+    # road hold a ledger, so the ledgers stay bounded by them
+    assert len(set(on_road)) == len(on_road)
+    assert sorted(state.ledgers) == sorted(on_road)
     cols = state.cols
     row = first_row
-    for lane, vehicles in enumerate(state.lanes):
-        positions = [veh.position for veh in vehicles]
-        assert all(a < b for a, b in zip(positions, positions[1:])), positions
-        ids = [veh.id for veh in vehicles]
-        assert state.lane_ids[lane].dtype == np.int64
-        assert state.lane_ids[lane].tolist() == ids
+    for lane, (ids, vehicles) in enumerate(zip(state.lane_ids, state.lanes)):
+        assert ids.dtype == np.int64
+        positions = cols.x[ids]
+        assert (positions[1:] > positions[:-1]).all(), positions
         # a queued frame attempts at the next MAC pass, at state.tick, or
         # later; no frame, no attempt
         pending = cols.pending_message[ids]
@@ -318,7 +320,7 @@ def check_step(state, first_row, last_position):
             assert veh.velocity >= 0.0
             assert veh.position >= last_position.get(veh.id, 0.0)
             last_position[veh.id] = veh.position
-            # the object reads the same numbers the step logged for it
+            # the view reads the same numbers the step logged for it
             assert (samples.t[row], samples.vehicle_id[row], samples.lane[row]) == (
                 state.now, veh.id, lane)
             assert (samples.position[row], samples.velocity[row]) == (veh.position, veh.velocity)
