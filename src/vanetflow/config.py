@@ -88,6 +88,15 @@ class SimConfig:
         steps = self.duration / self.dt
         if not (math.isfinite(steps) and math.isclose(steps, round(steps), rel_tol=1e-9)):
             raise bad("duration", f"a whole number of dt = {self.dt!r} s steps", self.duration)
+        # each arrival that enters takes the next vehicle id, and the logs keep
+        # ids in four bytes; near 2**31 arrivals, the Poisson count passes its
+        # mean by ten standard deviations with a probability below 1e-21
+        arrivals = self.traffic_load * self.duration / 3600.0
+        if arrivals + 10.0 * math.sqrt(arrivals) > 1 << 31:
+            raise bad("traffic_load", "small enough that the expected arrivals, traffic_load "
+                      f"* duration / 3600 with duration = {self.duration!r} s, plus ten "
+                      "standard deviations stay within 2**31 vehicle ids (int32)",
+                      self.traffic_load)
         radio = self.radio
         if radio.interference_range < radio.tx_range:
             raise bad("radio.interference_range", f">= radio.tx_range ({radio.tx_range!r})",

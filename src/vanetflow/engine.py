@@ -51,20 +51,27 @@ ORIGIN_MIN_VEHICLES = 3
 EXPAND_ROWS = 1 << 16       # rows whose runs an iteration expands at a time
 NO_FRAME = -1               # MAC columns' "none": no attempt tick, no pending message
 INITIAL_ROWS = 256          # vehicle rows VehicleColumns holds before it first grows
+INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1  # the logs keep vehicle ids in four bytes
+RUN_CELLS = ("run_t", "run_kind", "run_lane", "run_aux")  # an event's cells kept once per run
 
 
 class SimulationError(RuntimeError):
     """An engine invariant broke; carries a diagnostic dump, never repaired."""
 
 
-class _Released:
-    """The rows a log has released: how many, and the time of the last of them.
+class _RunLog:
+    """A log of rows whose times are kept once per run of rows.
 
-    A log's ``release(rows)`` drops a prefix of its rows that ends at a step
-    boundary. Row indices still count from the run's first row, and ``len``
-    every row logged. A read that starts at a released row raises
-    IndexError, naming the released rows, so no whole-log reader answers
-    from part of a log.
+    Run k starts at row ``run_start[k]`` with time ``run_t[k]``; the other
+    ``run_`` columns hold one cell per run, the rest one cell per row. A
+    subclass names its columns in ``__slots__``, and ``vehicle_id`` is one
+    of its row columns.
+
+    ``release(rows)`` drops a prefix of the rows that ends at a step
+    boundary, with the runs it starts. Row indices, ``run_start`` included,
+    still count from the log's first row, and ``len`` every row logged. A
+    read that starts at a released row raises IndexError, naming the
+    released rows, so no whole-log reader answers from part of a log.
     """
 
     __slots__ = ("released", "released_t")
@@ -72,6 +79,9 @@ class _Released:
     def __init__(self):
         self.released = 0
         self.released_t = -math.inf
+
+    def __len__(self):
+        return self.released + len(self.vehicle_id)
 
     def check_held(self, lo: int) -> None:
         """Raise IndexError if row ``lo`` was released."""
@@ -87,26 +97,96 @@ class _Released:
                              f"{self.released_t!r}, are released; the rows before {t!r} "
                              "are not known")
 
+    def _cut(self, rows: int, runs: int) -> None:
+        """Drop every row from index ``rows`` on and every held run from ``run_start[runs]`` on."""
+        for name in self.__slots__:
+            del getattr(self, name)[runs if name.startswith("run_") else rows - self.released:]
 
-class SampleLog(_Released):
+    def _run_cells(self, lo: int, hi: int, *names: str) -> list:
+        """The run columns ``names`` of held rows lo:hi (lo <= hi), a cell per row, as numpy arrays.
+
+        A run column that is a list expands to an object array.
+        """
+        starts = np.frombuffer(self.run_start, dtype=np.int64)
+        k0 = int(starts.searchsorted(lo, "right")) - 1
+        k1 = int(starts.searchsorted(hi))
+        lengths = np.diff(starts[k0:k1].clip(lo), append=hi)
+        return [np.array(column[k0:k1], dtype=object if type(column) is list else None)
+                .repeat(lengths) for column in (getattr(self, name) for name in names)]
+
+    def before(self, t: float) -> int:
+        """The number of rows logged before time ``t``, later than every released one.
+
+        The runs' times must be in order (``bisect``).
+        """
+        self._check_after_released(t)
+        k = bisect.bisect_left(self.run_t, t)
+        return self.run_start[k] if k < len(self.run_start) else len(self)
+
+    def release(self, rows: int) -> None:
+        """Drop the rows before index ``rows`` and their runs; ``rows`` must end a step.
+
+        That is, row ``rows`` starts a run whose time is not equal to that
+        of the run before it, or is the row count.
+        """
+        k = bisect.bisect_left(self.run_start, rows)
+        if not (self.released <= rows <= len(self)
+                and (rows == len(self) or k < len(self.run_start) and self.run_start[k] == rows)
+                and (k in (0, len(self.run_t)) or self.run_t[k - 1] != self.run_t[k])):
+            raise ValueError(f"{type(self).__name__} rows {self.released}:{rows} are not held "
+                             "or do not end at a step boundary")
+        if k:
+            self.released_t = self.run_t[k - 1]
+            for name in self.__slots__:
+                del getattr(self, name)[:k if name.startswith("run_") else rows - self.released]
+        self.released = rows
+
+
+def _int32_ids(ids) -> np.ndarray:
+    """Vehicle ids as a contiguous int32 numpy array, for the logs' four-byte id columns.
+
+    Ids that are not signed integers raise TypeError, and ids past int32
+    OverflowError: no id is wrapped.
+    """
+    ids = np.ascontiguousarray(ids)
+    if not ids.size:
+        return ids.astype(np.int32)
+    # an empty list reads as float64; an id past int64 as uint64 or object
+    if ids.dtype.kind != "i":
+        raise TypeError(f"vehicle ids must be signed integers, got {ids.dtype}")
+    if ids.itemsize > 4 and not INT32_MIN <= ids.min() <= ids.max() <= INT32_MAX:
+        raise OverflowError(f"vehicle ids must fit int32, got {ids.min()} to {ids.max()}")
+    return ids.astype(np.int32, copy=False)
+
+
+class SampleLog(_RunLog):
     """Columnar per-tick vehicle samples (time, id, lane, position, velocity).
 
+    A sample is one row of the columns ``vehicle_id`` (int32), ``lane``
+    (int8), ``position`` and ``velocity`` (float64), 21 B a row. Its time
+    is that of its run (see ``_RunLog``). A row whose time has other bits
+    than the last run's starts a run (``-0.0`` after ``0.0`` does, and so
+    does every NaN), so each step of the engine is one run. ``t`` reads the
+    held rows' times back as a float64 numpy array, bit for bit as they
+    were logged. ``append`` logs one row and ``log_step`` one step's rows;
+    a cell its column cannot hold, an id past int32 included, raises and
+    leaves the log unchanged. The times need not be in order, but
+    ``before`` answers only for a log whose times are.
+
     The columns hold the samples from index ``released`` on: those not
-    dropped by ``release`` (see ``_Released``).
+    dropped by ``release``, with the runs they start.
     """
 
-    __slots__ = ("t", "vehicle_id", "lane", "position", "velocity")
+    __slots__ = ("vehicle_id", "lane", "position", "velocity", "run_start", "run_t")
 
     def __init__(self):
         super().__init__()
-        self.t = array("d")
-        self.vehicle_id = array("q")
+        self.vehicle_id = array("i")
         self.lane = array("b")
         self.position = array("d")
         self.velocity = array("d")
-
-    def __len__(self):
-        return self.released + len(self.t)
+        self.run_start = array("q")
+        self.run_t = array("d")
 
     def __eq__(self, other):
         if not isinstance(other, SampleLog):
@@ -114,43 +194,83 @@ class SampleLog(_Released):
         return self.released == other.released and all(
             getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
-    def before(self, t: float) -> int:
-        """The number of samples logged before time ``t``, later than every released one."""
-        self._check_after_released(t)
-        return self.released + bisect.bisect_left(self.t, t)
+    @property
+    def t(self) -> np.ndarray:
+        """The time of each held sample, as a new float64 numpy array (read only)."""
+        return self.times(self.released, len(self))
 
-    def release(self, rows: int) -> None:
-        """Drop the samples before index ``rows``, which must end a step (one time's samples)."""
-        k = rows - self.released
-        if not 0 <= k <= len(self.t) or (0 < k < len(self.t) and self.t[k - 1] == self.t[k]):
-            raise ValueError(f"samples {self.released}:{rows} are not held or do not end "
-                             "at a step boundary")
-        if k:
-            self.released, self.released_t = rows, self.t[k - 1]
-            for name in self.__slots__:
-                del getattr(self, name)[:k]
+    def times(self, lo: int, hi: int) -> np.ndarray:
+        """The time of each of the held samples lo:hi (lo <= hi), as a float64 numpy array."""
+        self.check_held(lo)
+        return self._run_cells(lo, hi, "run_t")[0]
+
+    def _open_run(self, t: float) -> None:
+        """Start a run at the next row, unless ``t`` has the bits of the last run's time.
+
+        Equal times of one sign have the same bits: 0.0 and -0.0 do not, and
+        a NaN equals nothing, so it starts a run.
+        """
+        last = self.run_t[-1] if self.run_t else math.nan
+        if not (t == last and math.copysign(1.0, t) == math.copysign(1.0, last)):
+            self.run_t.append(t)
+            self.run_start.append(len(self))
+
+    def append(self, t: float, vehicle_id: int, lane: int, position: float,
+               velocity: float) -> None:
+        """Log one sample: ``log_step`` with one row."""
+        self.log_step(t, [vehicle_id], array("b", (lane,)), [position], [velocity])
+
+    def log_step(self, t: float, ids, lanes: array, positions, velocities) -> None:
+        """Log one sample per vehicle at time ``t``, given as columns.
+
+        ``ids`` are signed integers and ``positions`` and ``velocities``
+        floats, as numpy arrays or sequences numpy converts; ``lanes`` is an
+        ``array("b")``. Ids past int32, columns of unequal lengths and cells
+        their columns cannot hold raise; the log is unchanged.
+        """
+        ids = _int32_ids(ids)
+        positions = np.ascontiguousarray(positions, dtype=np.float64)
+        velocities = np.ascontiguousarray(velocities, dtype=np.float64)
+        n = len(ids)
+        if not len(lanes) == len(positions) == len(velocities) == n:
+            raise ValueError(f"sample columns of unequal lengths: {n} ids, {len(lanes)} lanes, "
+                             f"{len(positions)} positions, {len(velocities)} velocities")
+        if not n:
+            return
+        rows, runs = len(self), len(self.run_t)
+        try:
+            self._open_run(t)
+            self.lane += lanes
+        except TypeError:
+            self._cut(rows, runs)
+            raise
+        # the arrays' own buffers: a bytes copy per step would fragment the heap
+        self.vehicle_id.frombytes(ids.data.cast("B"))
+        self.position.frombytes(positions.data.cast("B"))
+        self.velocity.frombytes(velocities.data.cast("B"))
 
 
-class Events(_Released):
+class Events(_RunLog):
     """The event records of a run, in log order, as runs of typed columns.
 
     A (time_s, event_kind, vehicle_id, lane, position_m, velocity_mps, aux)
-    record is one row of the columns ``vehicle_id``, ``position`` and
-    ``velocity`` (24 B a row); its time, kind, lane and aux are those of its
-    run of rows: run k starts at row ``run_start[k]`` with ``run_t[k]``,
+    record is one row of the columns ``vehicle_id`` (int32), ``position``
+    and ``velocity`` (float64), 20 B a row; its time, kind, lane and aux
+    are those of its run of rows (see ``_RunLog``): run k has ``run_t[k]``,
     ``run_kind[k]``, ``run_lane[k]`` and ``run_aux[k]``. A batch given to
     ``log_receptions`` is one run, a record given to ``append`` or
     ``extend`` a run of one row. A NaN or earlier time is rejected, so
-    ``run_t`` is sorted and ``before`` bisects it. ``columns`` and
-    ``of_kind`` read rows as seven numpy columns; iteration yields them as
-    (float, str, int, int, float, float, int | str) tuples, EXPAND_ROWS at
-    a time. A slice with step 1 is an ``Events`` holding copies of its rows
-    and runs. An ``Events`` compares, column by column, only with another.
+    ``run_t`` is sorted and ``before`` bisects it, and so is an id past
+    int32. ``columns`` and ``of_kind`` read rows as seven numpy columns,
+    the ids as int64; iteration yields them as (float, str, int, int,
+    float, float, int | str) tuples, EXPAND_ROWS at a time. A slice with
+    step 1 is an ``Events`` holding copies of its rows and runs. An
+    ``Events`` compares, column by column, only with another.
 
-    ``release`` drops the rows of a prefix with the runs they start (see
-    ``_Released``). The columns then hold the rows from index ``released``
-    on, and ``run_start`` keeps its indices. ``columns`` and ``of_kind``
-    read held rows; iteration and slicing need every row.
+    ``release`` drops the rows of a prefix with the runs they start. The
+    columns then hold the rows from index ``released`` on, and
+    ``run_start`` keeps its indices. ``columns`` and ``of_kind`` read held
+    rows; iteration and slicing need every row.
     """
 
     __slots__ = ("vehicle_id", "position", "velocity", "run_start", "run_t", "run_kind",
@@ -158,7 +278,7 @@ class Events(_Released):
 
     def __init__(self):
         super().__init__()
-        self.vehicle_id = array("q")
+        self.vehicle_id = array("i")
         self.position = array("d")
         self.velocity = array("d")
         self.run_start = array("q")
@@ -166,9 +286,6 @@ class Events(_Released):
         self.run_kind = []
         self.run_lane = array("b")
         self.run_aux = []
-
-    def __len__(self):
-        return self.released + len(self.vehicle_id)
 
     def _check_time(self, t) -> None:
         """Raise ValueError unless ``t`` is at or after the last record's time."""
@@ -202,11 +319,6 @@ class Events(_Released):
         self.run_kind.append(kind)
         self.run_aux.append(aux)
 
-    def _cut(self, rows: int, runs: int) -> None:
-        """Drop every row from index ``rows`` on and every held run from ``run_start[runs]`` on."""
-        for name in self.__slots__:
-            del getattr(self, name)[runs if name.startswith("run_") else rows - self.released:]
-
     def extend(self, records) -> None:
         """``append`` each record; if one raises, the log is left as it was before the call."""
         rows, runs = len(self), len(self.run_start)
@@ -221,20 +333,16 @@ class Events(_Released):
         """One reception row at time ``t`` per receiver, given as columns.
 
         ``ids``, ``positions`` and ``velocities`` hold the rows' cells, as
-        int64 and float64 numpy arrays or as sequences numpy converts to
-        them. ``runs`` holds one (row index, lane, message id) per run, in
-        order, the first at row 0: a run's rows go up to the next run's
-        index. A run with no rows is dropped. A NaN or earlier ``t``, ids
-        that are not signed integers, columns of unequal lengths, cells
-        their columns cannot hold, runs out of order and message ids that
-        are not ints raise; the log is unchanged.
+        signed integer and float64 numpy arrays or as sequences numpy
+        converts to them. ``runs`` holds one (row index, lane, message id)
+        per run, in order, the first at row 0: a run's rows go up to the
+        next run's index. A run with no rows is dropped. A NaN or earlier
+        ``t``, ids that are not signed integers, ids past int32, columns of
+        unequal lengths, cells their columns cannot hold, runs out of order
+        and message ids that are not ints raise; the log is unchanged.
         """
         self._check_time(t)
-        ids = np.ascontiguousarray(ids)
-        # an empty list reads as float64; an id past int64 as uint64 or object
-        if ids.size and ids.dtype.kind != "i":
-            raise TypeError(f"reception vehicle ids must fit int64, got {ids.dtype}")
-        ids = ids.astype(np.int64, copy=False)
+        ids = _int32_ids(ids)
         positions = np.ascontiguousarray(positions, dtype=np.float64)
         velocities = np.ascontiguousarray(velocities, dtype=np.float64)
         n = len(ids)
@@ -265,37 +373,24 @@ class Events(_Released):
         self.position.frombytes(positions.data.cast("B"))
         self.velocity.frombytes(velocities.data.cast("B"))
 
-    def _run_cells(self, lo: int, hi: int) -> list:
-        """The run columns (t, kind, lane, aux) of held rows lo:hi (lo <= hi), as numpy arrays.
-
-        A run column that is a list (kinds, aux) expands to an object array.
-        """
-        starts = np.frombuffer(self.run_start, dtype=np.int64)
-        k0 = int(starts.searchsorted(lo, "right")) - 1
-        k1 = int(starts.searchsorted(hi))
-        lengths = np.diff(starts[k0:k1].clip(lo), append=hi)
-        return [np.array(column[k0:k1], dtype=object if type(column) is list else None)
-                .repeat(lengths) for column in (self.run_t, self.run_kind, self.run_lane,
-                                                self.run_aux)]
-
     def columns(self, lo: int, hi: int) -> tuple:
         """Rows lo:hi, cut as a slice is, as (t, kind, vehicle_id, lane, position, velocity, aux).
 
-        The columns are float64, object (str), int64, int8, float64, float64
-        and object (int or str), all copies: a view of a column's buffer
-        would make the next append raise BufferError. Rows lo:hi must be
-        held, unless there are none.
+        The columns are float64, object (str), int64 (the int32 ids
+        widened), int8, float64, float64 and object (int or str), all
+        copies: a view of a column's buffer would make the next append raise
+        BufferError. Rows lo:hi must be held, unless there are none.
         """
         if lo < 0 or hi < 0:
             raise IndexError(f"event rows {lo}:{hi} start or stop before row 0")
         lo, hi = min(lo, len(self)), min(max(lo, hi), len(self))
         if lo < hi:
             self.check_held(lo)
-        t, kind, lane, aux = self._run_cells(lo, hi)
+        t, kind, lane, aux = self._run_cells(lo, hi, *RUN_CELLS)
         lo, hi = lo - self.released, hi - self.released
         ids, xs, vs = (np.frombuffer(column[lo:hi], column.typecode)
                        for column in (self.vehicle_id, self.position, self.velocity))
-        return t, kind, ids, lane, xs, vs, aux
+        return t, kind, ids.astype(np.int64), lane, xs, vs, aux
 
     def of_kind(self, kind: str, lo: int = 0, hi: int | None = None) -> tuple:
         """The rows of ``kind`` among rows lo:hi (by default all), as ``columns``.
@@ -317,7 +412,7 @@ class Events(_Released):
             .repeat(lengths) for column in (self.run_t, self.run_kind, self.run_lane, self.run_aux))
         ids, xs, vs = (np.frombuffer(column, column.typecode)[rows]
                        for column in (self.vehicle_id, self.position, self.velocity))
-        return t, kinds, ids, lane, xs, vs, aux
+        return t, kinds, ids.astype(np.int64), lane, xs, vs, aux
 
     def __iter__(self):
         """The rows as tuples, EXPAND_ROWS at a time: one ``zip`` of the rows per chunk."""
@@ -328,7 +423,7 @@ class Events(_Released):
         # ints; t runs out first, so the shared column iterators lose no row
         return chain.from_iterable(
             zip(memoryview(t), kind.tolist(), ids, memoryview(lane), xs, vs, aux.tolist())
-            for t, kind, lane, aux in (self._run_cells(lo, min(lo + EXPAND_ROWS, n))
+            for t, kind, lane, aux in (self._run_cells(lo, min(lo + EXPAND_ROWS, n), *RUN_CELLS)
                                        for lo in range(0, n, EXPAND_ROWS)))
 
     def __getitem__(self, index: slice) -> "Events":
@@ -348,30 +443,6 @@ class Events(_Released):
                 setattr(part, name, getattr(self, name)[j0:j1])
         return part
 
-    def before(self, t: float) -> int:
-        """The number of records logged before time ``t``, later than every released one."""
-        self._check_after_released(t)
-        k = bisect.bisect_left(self.run_t, t)
-        return self.run_start[k] if k < len(self.run_start) else len(self)
-
-    def release(self, rows: int) -> None:
-        """Drop the rows before index ``rows`` and their runs; ``rows`` must end a step.
-
-        That is, row ``rows`` starts a run at a later time than the run
-        before it, or is the row count.
-        """
-        k = bisect.bisect_left(self.run_start, rows)
-        if not (self.released <= rows <= len(self)
-                and (rows == len(self) or k < len(self.run_start) and self.run_start[k] == rows)
-                and (k in (0, len(self.run_t)) or self.run_t[k - 1] < self.run_t[k])):
-            raise ValueError(f"event rows {self.released}:{rows} are not held or do not end "
-                             "at a step boundary")
-        if k:
-            self.released_t = self.run_t[k - 1]
-            for name in self.__slots__:
-                del getattr(self, name)[:k if name.startswith("run_") else rows - self.released]
-        self.released = rows
-
     def __eq__(self, other):
         if not isinstance(other, Events):
             raise TypeError(f"an Events compares only with an Events, not with a "
@@ -388,6 +459,8 @@ class EventLog:
     velocity_mps, aux); aux carries the message id for communication events
     and "target_lane|infected" for lane changes. ``events`` keeps them in
     time order as runs of typed columns, read by ``Events.columns``.
+    ``samples`` keeps each step's vehicle samples as one run of rows, its
+    time once per run. Both logs keep vehicle ids in four bytes (int32).
     """
 
     config_echo: dict
@@ -534,10 +607,12 @@ def _enter(state: SimState, lane: int, index: int, position: float, velocity: fl
 
     The vehicle's row of ``state.cols`` is its id; the columns double when
     full. It enters unwarned, with no frame queued and an empty ledger.
-    Returns its id.
+    Returns its id. Its injection is logged first, so an id the log cannot
+    hold (past int32) raises OverflowError before the vehicle enters.
     """
     cols = state.cols
     veh_id = state.next_id
+    state.log.events.append((state.now, "injection", veh_id, lane, position, velocity, ""))
     if veh_id == len(cols.x):
         cols.grow()
     cols.x[veh_id] = position
@@ -551,7 +626,6 @@ def _enter(state: SimState, lane: int, index: int, position: float, velocity: fl
     ids = state.lane_ids[lane]
     state.lane_ids[lane] = np.concatenate((ids[:index], (veh_id,), ids[index:]))
     state.log.entered += 1
-    state.log.events.append((state.now, "injection", veh_id, lane, position, velocity, ""))
     return veh_id
 
 
@@ -671,7 +745,8 @@ def _log_receptions(state: SimState, t: float, got: list, runs: list) -> None:
     """Log a reception row for each vehicle id in ``got``, with its position and velocity now."""
     ids = np.fromiter(got, np.int64, len(got))
     cols = state.cols
-    state.log.events.log_receptions(t, ids, cols.x[ids], cols.v[ids], runs)
+    # gathers by int64 ids are the fast ones; each id fits int32, as _enter logged it
+    state.log.events.log_receptions(t, ids.astype(np.int32), cols.x[ids], cols.v[ids], runs)
 
 
 def _communicate(state: SimState) -> None:
@@ -1065,11 +1140,9 @@ def _account(state: SimState) -> None:
     if overlap.any():
         k = int(overlap.argmax()) + 1
         raise _diagnostic(state, f"overlap in lane {int(k >= n0)} at vehicle {ids[k]}")
-    samples.t.extend(array("d", (now,)) * on_road)
-    samples.vehicle_id.frombytes(ids.data.cast("B"))
-    samples.lane.extend(array("b", (0,)) * n0 + array("b", (1,)) * (on_road - n0))
-    samples.position.frombytes(xs.data.cast("B"))
-    samples.velocity.frombytes(vs.data.cast("B"))
+    # every id on the road fits int32: _enter logs it before the vehicle enters
+    samples.log_step(now, ids.astype(np.int32),
+                     array("b", (0,)) * n0 + array("b", (1,)) * (on_road - n0), xs, vs)
     lanes = [(ids[:n0], xs[:n0], vs[:n0]), (ids[n0:], xs[n0:], vs[n0:])]
     if log.scheduled_arrivals != log.exited + on_road + state.entry_queue:
         raise _diagnostic(state, "vehicle conservation violated")

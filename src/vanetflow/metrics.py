@@ -111,21 +111,21 @@ FLUSH_ROWS = 1 << 13
 def _stream_steps(log, segment=None):
     """The row order of the events + samples stream, one time step at a time.
 
-    Yields (events, lo, hi) per distinct time, in time order: the event rows
-    at that time as the seven ``Events.columns``, as lists, then the samples
-    lo:hi of ``log.samples``, indices that count released samples too;
-    either part may be empty. Each stream keeps
-    its log order, which is what a stable sort of events + samples by time
-    gives. The events keep their time order; samples out of time order
-    raise ValueError.
+    Yields (events, lo, hi, t) per distinct time, in time order: the event
+    rows at that time as the seven ``Events.columns``, as lists, then the
+    samples lo:hi of ``log.samples``, indices that count released samples
+    too, and ``t``, the time of the first of those samples' runs; either
+    part may be empty. Each stream keeps its log order, which is what a
+    stable sort of events + samples by time gives. The events keep their
+    time order; samples out of time order raise ValueError.
 
     ``segment`` = (s0, s1, e0, e1, t_lo, t_hi) limits the stream to the
     samples s0:s1, whose times must lie in [t_lo, t_hi), and the events
-    e0:e1, cut at the same times (``Events.before``); by default it is the
-    whole log. Segments that split the time axis give, one after the other,
-    the steps of the whole log. The steps are cut at the runs' times, and
-    the rows read about FLUSH_ROWS at a time, a larger step in one read. A
-    segment with released rows raises IndexError (``Events.check_held``).
+    e0:e1, cut at the same times (``before``); by default it is the whole
+    log. Segments that split the time axis give, one after the other, the
+    steps of the whole log. The steps are cut at the runs' times, and the
+    event rows read about FLUSH_ROWS at a time, a larger step in one read.
+    A segment with released rows raises IndexError (``check_held``).
     """
     events, samples = log.events, log.samples
     if segment is None:
@@ -133,26 +133,31 @@ def _stream_steps(log, segment=None):
     s0, s1, e0, e1, t_lo, t_hi = segment
     samples.check_held(s0)
     events.check_held(e0)
-    # a copy: the samples may be released while the stream is read
-    sample_t = np.frombuffer(samples.t[s0 - samples.released:s1 - samples.released],
-                             dtype=np.float64)
+    # the sample runs of rows s0:s1, their times and bounds, as for the events
+    # below; copies, since the samples may be released while the stream is read
+    j0, j1 = bisect_left(samples.run_start, s0), bisect_left(samples.run_start, s1)
+    sample_t = np.array(samples.run_t[j0:j1], dtype=np.float64)
+    sample_bounds = np.concatenate(([s0], samples.run_start[j0 + 1:j1], [s1])).astype(np.int64)
     if (sample_t[1:] < sample_t[:-1]).any() or (
-            s1 > s0 and not t_lo <= sample_t[0] <= sample_t[-1] < t_hi):
+            j1 > j0 and not t_lo <= sample_t[0] <= sample_t[-1] < t_hi):
         raise ValueError("samples are not in time order")
     # the runs of rows e0:e1 (k0 <= k < k1; e0 starts a run), their times and ends
     k0, k1 = bisect_left(events.run_start, e0), bisect_left(events.run_start, e1)
     run_t = np.array(events.run_t[k0:k1], dtype=np.float64)
     run_ends = np.concatenate(([e0], events.run_start[k0 + 1:k1], [e1]))
-    # the end of each distinct time's events and samples
+    # the end of each distinct time's events and samples, and the time of its
+    # first sample run
     times = np.unique(np.concatenate((run_t, sample_t)))
     event_ends = run_ends[run_t.searchsorted(times, side="right")].tolist()
-    sample_ends = (np.searchsorted(sample_t, times, side="right") + s0).tolist()
+    sample_ends = sample_bounds[sample_t.searchsorted(times, side="right")].tolist()
+    sample_times = (sample_t.take(sample_t.searchsorted(times), mode="clip") if j1 > j0
+                    else times).tolist()
     a, lo, c1 = e0, s0, -1  # ``read`` holds the columns of rows c0:c1, none at first
-    for b, hi in zip(event_ends, sample_ends):
+    for b, hi, t in zip(event_ends, sample_ends, sample_times):
         if b > c1:
             c0, c1 = a, min(max(b, a + FLUSH_ROWS), e1)
             read = events.columns(c0, c1)
-        yield [column[a - c0:b - c0].tolist() for column in read], lo, hi
+        yield [column[a - c0:b - c0].tolist() for column in read], lo, hi, t
         a, lo = b, hi
 
 
@@ -160,12 +165,12 @@ def events_to_table(log, include_samples: bool = False) -> MetricTable:
     """The raw log as one stream; samples, in time order, become 'sample' rows on request."""
     s = log.samples
     rows = []
-    for columns, lo, hi in _stream_steps(log):
+    for columns, lo, hi, _ in _stream_steps(log):
         rows += zip(*columns)
         if include_samples:
-            rows.extend(zip(s.t[lo:hi], ["sample"] * (hi - lo), s.vehicle_id[lo:hi],
-                            s.lane[lo:hi], s.position[lo:hi], s.velocity[lo:hi],
-                            [""] * (hi - lo)))
+            rows.extend(zip(s.times(lo, hi).tolist(), ["sample"] * (hi - lo),
+                            s.vehicle_id[lo:hi], s.lane[lo:hi], s.position[lo:hi],
+                            s.velocity[lo:hi], [""] * (hi - lo)))
     return MetricTable(columns=list(EVENT_COLUMNS), rows=rows, meta=dict(log.config_echo))
 
 
@@ -227,12 +232,11 @@ def _write_segment(fh, log, segment=None) -> None:
         lines.clear()
         texts.clear()
 
-    for (t_cells, kinds, ids, lanes, xs, vs, auxes), lo, hi in _stream_steps(log, segment):
+    for (t_cells, kinds, ids, lanes, xs, vs, auxes), lo, hi, t in _stream_steps(log, segment):
         floats = t_cells + xs + vs
         # a write may reap a writer process, which releases the rows before these
         lo, hi = lo - s.released, hi - s.released
         if hi > lo:
-            t = s.t[lo]
             positions, velocities = s.position[lo:hi].tolist(), s.velocity[lo:hi].tolist()
             floats.append(t)
             floats += positions
@@ -587,10 +591,10 @@ class MetricFold:
 
     def add_samples(self, samples, s0: int, s1: int, t_hi: float) -> None:
         """Fold samples s0:s1 of a log that ends at ``t_hi`` or later into the grid."""
-        samples.check_held(s0)
         lo, hi = s0 - samples.released, s1 - samples.released
-        t, x, v = (np.concatenate((held, np.frombuffer(getattr(samples, name)[lo:hi])))
-                   for held, name in zip(self.held, ("t", "position", "velocity")))
+        t, x, v = (np.concatenate((held, column)) for held, column in zip(self.held, (
+            samples.times(s0, s1), np.frombuffer(samples.position[lo:hi]),
+            np.frombuffer(samples.velocity[lo:hi]))))
         ti, xi = self._bins(t, x)
         # the last time bin of a log that ends at t_hi: this log ends there or
         # later, so the bins before it are final. That bin and the later ones

@@ -6,7 +6,6 @@ import math
 import statistics
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import ScenarioPreset
 from .engine import run
@@ -61,6 +60,10 @@ def run_sweep(preset: ScenarioPreset, seeds, jobs: int = 1) -> MetricTable:
         cases.append((preset.config(seed, communication=True), seed, "on"))
         cases.append((preset.config(seed, communication=False), seed, "off"))
     if jobs > 1:
+        # imported here: the pool's modules (multiprocessing among them) cost
+        # every import of vanetflow about 10 ms, and only a sweep uses them
+        from concurrent.futures import ProcessPoolExecutor
+
         # under fork the pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(jobs, len(cases))) as pool:
             results = list(pool.map(_run_case, cases))

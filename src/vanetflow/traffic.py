@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -96,12 +95,19 @@ def free_road_terms(v, p: DriverParams):
     """The IDM free-road term ``1.0 - (v / v0) ** δ`` of each velocity of the array ``v``.
 
     For ``idm_accelerations``. The division and the subtraction are numpy's,
-    correctly rounded as the scalar ones are; the power is Python's scalar
-    ``**``, as in ``idm_acceleration``, because numpy's vectorised power may
-    round differently in the last bit.
+    correctly rounded as the scalar ones are. The power is
+    ``np.float_power``, which calls libm's ``pow`` per element as Python's
+    scalar ``**`` does and so gives the same bits; ``np.power``'s SIMD loop
+    may round differently in the last bit. A power that overflows raises
+    OverflowError, as the scalar ``**`` does, where ``float_power`` alone
+    would give inf.
     """
-    ratios = (v / p.desired_velocity).tolist()
-    return 1.0 - np.fromiter(map(pow, ratios, repeat(p.accel_exponent)), float, len(ratios))
+    ratios = v / p.desired_velocity
+    try:
+        with np.errstate(over="raise"):
+            return 1.0 - np.float_power(ratios, p.accel_exponent)
+    except FloatingPointError:
+        raise OverflowError(f"(v / v0) ** {p.accel_exponent!r} overflows") from None
 
 
 def idm_accelerations(v, gap, delta_v, free, p: DriverParams):

@@ -304,9 +304,10 @@ def test_criterion_9_determinism_and_conservation(scenario_b_pair_timed):
     # (hard failure); re-derive spacing independently from the sample stream
     cfg = log_a.cfg
     samples = log_a.samples
+    t = samples.t  # expanded from the runs on each read
     by_tick = {}
     for i in range(len(samples)):
-        by_tick.setdefault((samples.t[i], samples.lane[i]), []).append(
+        by_tick.setdefault((t[i], samples.lane[i]), []).append(
             samples.position[i])
     spacing_ok = True
     for positions in by_tick.values():

@@ -240,6 +240,7 @@ def test_the_bound_cases_cover_every_bound_and_every_bound_is_a_key():
     ("lane_change_variant", {"lane_change_variant": "x"}),
     ("lane_change_rule", {"lane_change_rule": "x"}),
     ("policy.kind", {"policy.kind": "x"}),
+    ("traffic_load", {"traffic_load": 1e9, "duration": 36000.0}),
 ])
 def test_every_rule_between_keys_and_every_word_list_names_its_key(key, values):
     cfg = SimConfig()
@@ -322,6 +323,22 @@ def test_an_idm_exponent_that_would_overflow_mid_run_is_rejected():
             cfg = preset.config(seed=1)
             cfg.vsl_enabled = vsl
             cfg.validate()
+
+
+def test_arrivals_past_the_int32_vehicle_ids_are_rejected():
+    # the logs keep vehicle ids in four bytes; over one hour the expected
+    # arrivals are traffic_load, and ten standard deviations above them must
+    # stay within 2**31 ids
+    cfg = SimConfig(duration=3600.0)
+    cfg.traffic_load = float(2**31)
+    with pytest.raises(ConfigError, match=r"^traffic_load: must be small enough that the "
+                       r"expected arrivals.*int32\), got 2147483648\.0$"):
+        cfg.validate()
+    cfg.traffic_load = 2**31 - 10.0 * math.sqrt(2**31) - 1.0
+    cfg.validate()
+    for preset in PRESETS.values():
+        for communication in (True, False):
+            preset.config(seed=1, communication=communication).validate()
 
 
 @pytest.mark.parametrize("value", ["-1", "0"])

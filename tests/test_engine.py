@@ -467,9 +467,10 @@ def test_conservation_and_ordering_hold():
     log = run(cfg)
     assert log.scheduled_arrivals >= log.entered >= log.exited
     samples = log.samples
+    t = samples.t  # expanded from the runs on each read
     by_tick = {}
     for i in range(len(samples)):
-        by_tick.setdefault((samples.t[i], samples.lane[i]), []).append(
+        by_tick.setdefault((t[i], samples.lane[i]), []).append(
             samples.position[i])
     for (_, _), positions in by_tick.items():
         ordered = sorted(positions)

@@ -305,6 +305,7 @@ def check_step(state, first_row, last_position):
     assert sorted(state.ledgers) == sorted(on_road)
     cols = state.cols
     row = first_row
+    t = samples.t  # expanded from the runs on each read
     for lane, (ids, vehicles) in enumerate(zip(state.lane_ids, state.lanes)):
         assert ids.dtype == np.int64
         positions = cols.x[ids]
@@ -321,7 +322,7 @@ def check_step(state, first_row, last_position):
             assert veh.position >= last_position.get(veh.id, 0.0)
             last_position[veh.id] = veh.position
             # the view reads the same numbers the step logged for it
-            assert (samples.t[row], samples.vehicle_id[row], samples.lane[row]) == (
+            assert (t[row], samples.vehicle_id[row], samples.lane[row]) == (
                 state.now, veh.id, lane)
             assert (samples.position[row], samples.velocity[row]) == (veh.position, veh.velocity)
             row += 1

@@ -1,6 +1,7 @@
 """The event log as columns: ``engine.Events`` gives out the columns of its records."""
 
 import pickle
+from array import array
 from operator import eq, ne
 from unittest import mock
 
@@ -11,24 +12,26 @@ from hypothesis import strategies as st
 
 from vanetflow import engine, metrics
 from vanetflow.config import PRESETS
-from vanetflow.engine import Events, run
+from vanetflow.engine import Events, SampleLog, run
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
 finite = st.floats(allow_nan=False)
 int64 = st.integers(-2**63, 2**63 - 1)
+# the logs keep vehicle ids in four bytes
+int32 = st.integers(-2**31, 2**31 - 1)
 # times and message ids often repeat, so runs of equal (t, lane, msg_id) meet
 step_time = st.one_of(st.sampled_from([0.0, -0.0, 2.5]), finite)
 msg_id = st.one_of(st.integers(0, 2), int64)
 # a (lane, transmission) batch: its lane, message id, the (vehicle id,
 # position, velocity) of each receiver and the row after which an infection
 # splits it (none when past its end)
-batch = st.tuples(st.integers(0, 1), msg_id, st.lists(st.tuples(int64, finite, finite),
+batch = st.tuples(st.integers(0, 1), msg_id, st.lists(st.tuples(int32, finite, finite),
                                                       max_size=6), st.integers(0, 7))
 # what the engine appends: (float, str, int, int, float, float, int | str),
 # with NaN positions and velocities, which a column reads back as new floats
 record = st.tuples(finite, st.sampled_from(["injection", "exit", "infection", "reception"]),
-                   st.one_of(st.integers(-1, 50), int64), st.integers(0, 1), st.floats(),
+                   st.one_of(st.integers(-1, 50), int32), st.integers(0, 1), st.floats(),
                    st.floats(), st.one_of(st.just(""), st.integers(0, 9), int64, st.just("1|0")))
 op = st.one_of(st.tuples(st.just("rx"), step_time, st.lists(batch, max_size=4)),
                st.tuples(st.just("append"), record),
@@ -221,7 +224,7 @@ def test_a_record_before_the_last_or_at_nan_is_rejected(t, call):
 @pytest.mark.parametrize("cells", [
     ([5, 6], [1.0], [2.0, 3.0], [(0, 0, 7)]),          # a position short
     ([5], [1.0], [], [(0, 0, 7)]),                      # a velocity short
-    ([2**63], [1.0], [2.0], [(0, 0, 7)]),               # an id the int64 column cannot hold
+    ([2**31], [1.0], [2.0], [(0, 0, 7)]),               # an id the int32 column cannot hold
     ([5.0], [1.0], [2.0], [(0, 0, 7)]),                 # a float vehicle id
     ([5], ["far"], [2.0], [(0, 0, 7)]),                 # a position that is not a number
     ([5], [1.0], [2.0], [(0, 300, 7)]),                 # a lane the int8 column cannot hold
@@ -321,14 +324,14 @@ def test_each_reception_reads_back_typed_and_each_infection_follows_its_receptio
               [row for k in infections for row in rows_of(log.events.columns(k, k + 1))])
 
 
-def test_receptions_take_24_bytes_a_row_and_one_run_per_batch(minute_log):
+def test_receptions_take_20_bytes_a_row_and_one_run_per_batch(minute_log):
     log = minute_log
     events = log.events
     rows = list(events)
     n = len(events)
     columns = (events.vehicle_id, events.position, events.velocity)
     assert [len(column) for column in columns] == [n] * 3
-    assert sum(column.itemsize for column in columns) == 24
+    assert sum(column.itemsize for column in columns) == 20
     runs = (events.run_start, events.run_t, events.run_kind, events.run_lane, events.run_aux)
     assert len({len(column) for column in runs}) == 1
     reception_runs = events.run_kind.count("reception")
@@ -388,7 +391,8 @@ def test_a_released_log_reads_its_held_rows_at_their_own_indices(minute_log):
         assert ([log.samples.before(u) for u in later]
                 == [whole.samples.before(u) for u in later])
         assert all(getattr(log.samples, name) == getattr(whole.samples, name)[s:]
-                   for name in ("t", "vehicle_id", "lane", "position", "velocity"))
+                   for name in ("vehicle_id", "lane", "position", "velocity"))
+        assert log.samples.t.tobytes() == whole.samples.t[s:].tobytes()
 
 
 @pytest.mark.parametrize("read", [
@@ -448,3 +452,164 @@ def test_a_log_released_to_its_end_still_rejects_an_earlier_time(minute_log):
     events.append((last, "exit", 5, 0, 1500.0, 30.0, ""))
     same_rows(rows_of(events.columns(len(events) - 1, len(events))),
               [(last, "exit", 5, 0, 1500.0, 30.0, "")])
+
+
+# --- the sample log: one time per run, ids in four bytes -------------------------------
+
+# times that repeat, 0.0 and -0.0 (equal, with other bits) and NaN (equal to nothing)
+sample_time = st.one_of(st.sampled_from([0.0, -0.0, 2.5, float("nan")]), st.floats())
+sample_row = st.tuples(int32, st.integers(0, 1), st.floats(), st.floats())
+sample_op = st.one_of(st.tuples(st.just("append"), sample_time, sample_row),
+                      st.tuples(st.just("step"), sample_time, st.lists(sample_row, max_size=4)))
+
+
+def bits(values):
+    """The bit patterns of float64 values: equal only if the floats are identical."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def build_samples(ops):
+    """The SampleLog and the (t, id, lane, position, velocity) rows that the operations give.
+
+    An "append" logs one row, a "step" its rows with one ``log_step`` call.
+    """
+    samples, rows = SampleLog(), []
+    for kind, t, arg in ops:
+        if kind == "append":
+            samples.append(t, *arg)
+            rows.append((t, *arg))
+        else:
+            ids, lanes, xs, vs = (list(column) for column in zip(*arg)) if arg else ([],) * 4
+            samples.log_step(t, np.array(ids, np.int64), array("b", lanes), xs, vs)
+            rows += [(t, *row) for row in arg]
+    return samples, rows
+
+
+def run_starts(ops):
+    """The rows where the runs of ``build_samples(ops)`` start.
+
+    A call's first row starts a run unless its time has the bits of the
+    last run's; a NaN equals nothing, so it always starts one.
+    """
+    starts, rows, last = [], 0, None
+    for kind, t, arg in ops:
+        n = 1 if kind == "append" else len(arg)
+        if n and not (last is not None and bits([last]) == bits([t]) and t == t):
+            starts.append(rows)
+            last = t
+        rows += n
+    return starts
+
+
+@SETTINGS
+@given(st.lists(sample_op, max_size=12))
+def test_sample_times_read_back_bit_for_bit_with_a_run_per_change_of_bits(ops):
+    samples, rows = build_samples(ops)
+    assert len(samples) == len(rows)
+    times = [row[0] for row in rows]
+    assert samples.t.dtype == np.float64 and bits(samples.t) == bits(times)
+    n = len(rows)
+    assert [bits(samples.times(lo, min(lo + 2, n))) for lo in range(n + 1)] == [
+        bits(times[lo:lo + 2]) for lo in range(n + 1)]
+    for name, k in (("vehicle_id", 1), ("lane", 2)):
+        assert list(getattr(samples, name)) == [row[k] for row in rows]
+    for name, k in (("position", 3), ("velocity", 4)):
+        assert bits(getattr(samples, name)) == bits([row[k] for row in rows])
+    # -0.0 after 0.0 starts a run, and so does every NaN
+    starts = run_starts(ops)
+    assert list(samples.run_start) == starts
+    assert bits(samples.run_t) == bits([times[k] for k in starts])
+
+
+def test_a_sample_log_keeps_no_per_row_time_and_four_byte_ids(minute_log):
+    samples, events = minute_log.samples, minute_log.events
+    assert "t" not in SampleLog.__slots__
+    # the row columns: 4 + 1 + 8 + 8 bytes; the time is kept once per step
+    columns = [getattr(samples, name) for name in SampleLog.__slots__
+               if not name.startswith("run_")]
+    assert [column.typecode for column in columns] == ["i", "b", "d", "d"]
+    assert sum(column.itemsize for column in columns) == 21
+    assert events.vehicle_id.itemsize == 4
+    # one run per step with a vehicle on the road
+    steps = minute_log.end_time / minute_log.cfg.dt
+    assert len(samples.run_t) == len(samples.run_start) <= steps < len(samples)
+    assert samples.run_t.tolist() == sorted(set(samples.t.tolist()))
+    with pytest.raises(AttributeError):
+        samples.t = np.zeros(len(samples))
+    # the readers still give int64 ids
+    assert events.columns(0, 10)[2].dtype == events.of_kind("injection")[2].dtype == np.int64
+
+
+def test_sample_release_cuts_only_at_a_step_boundary_and_before_and_eq_hold():
+    samples, _ = build_samples([("append", 0.0, (1, 0, 1.0, 2.0)),
+                                ("append", -0.0, (2, 0, 3.0, 4.0)),
+                                ("append", -0.0, (3, 1, 5.0, 6.0)),
+                                ("step", 0.5, [(4, 0, 7.0, 8.0), (5, 1, 9.0, 1.0)]),
+                                ("step", 1.0, [(6, 0, 2.0, 3.0), (7, 1, 4.0, 5.0)])])
+    assert list(samples.run_start) == [0, 1, 3, 5]
+    copy = pickle.loads(pickle.dumps(samples))
+    assert samples == copy and not samples != copy
+    copy.run_t[1] = 0.0  # -0.0 and 0.0 are equal
+    assert samples == copy
+    copy.run_t[3] = 1.5
+    assert samples != copy and samples != 1.0
+    assert [samples.before(t) for t in (0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 2.0)] == [
+        0, 0, 3, 3, 5, 5, 7]
+    # between 0.0 and -0.0 (one time), inside a run, and rows not held
+    for rows in (1, 2, 4, 6, 8, -1):
+        with pytest.raises(ValueError, match="step boundary"):
+            samples.release(rows)
+    samples.release(0)
+    samples.release(3)
+    assert (samples.released, len(samples), list(samples.run_start)) == (3, 7, [3, 5])
+    assert bits(samples.t) == bits([0.5, 0.5, 1.0, 1.0])
+    with pytest.raises(ValueError, match="not held"):
+        samples.release(0)
+    with pytest.raises(IndexError, match=r"SampleLog rows 0:3, up to time -0\.0, are released"):
+        samples.before(0.0)
+    assert samples.before(0.5) == 3 and samples.before(0.75) == 5
+    samples.release(5)
+    assert list(samples.vehicle_id) == [6, 7]
+    samples.release(7)
+    assert (len(samples.run_t), len(samples), samples.t.size) == (0, 7, 0)
+
+
+def unchanged(log):
+    """A copy of every column of ``log``, to compare with after a call that raises."""
+    return {name: getattr(log, name)[:] for name in type(log).__slots__}
+
+
+@pytest.mark.parametrize("call", [
+    lambda events, samples: events.append((2.0, "exit", 2**31, 0, 1500.0, 30.0, "")),
+    lambda events, samples: events.append((2.0, "exit", -2**31 - 1, 0, 1500.0, 30.0, "")),
+    lambda events, samples: events.log_receptions(2.0, [5, 2**31], [1.0, 2.0], [3.0, 4.0],
+                                                  [(0, 0, 7)]),
+    # 2**32 + 5 would wrap to 5 through astype
+    lambda events, samples: events.log_receptions(2.0, np.array([2**32 + 5]), [1.0], [3.0],
+                                                  [(0, 0, 7)]),
+    lambda events, samples: samples.append(2.0, 2**31, 0, 1.0, 2.0),
+    lambda events, samples: samples.append(0.5, -2**31 - 1, 0, 1.0, 2.0),
+    lambda events, samples: samples.log_step(2.0, np.array([5, 2**32 + 5]), array("b", [0, 1]),
+                                             [1.0, 2.0], [3.0, 4.0]),
+    lambda events, samples: samples.log_step(2.0, [2**31], array("b", [0]), [1.0], [3.0]),
+], ids=["append", "append_negative", "log_receptions", "log_receptions_wrap", "sample_append",
+        "sample_append_negative", "log_step_wrap", "log_step"])
+def test_an_id_past_int32_is_rejected_and_leaves_the_log_unchanged(call):
+    events, expected = build([("rx", 0.5, [(1, 7, [(3, 5.0, 1.5), (4, 6.0, 2.5)], 0)])])
+    samples, rows = build_samples([("step", 0.5, [(3, 0, 5.0, 1.5), (4, 1, 6.0, 2.5)])])
+    before = unchanged(events), unchanged(samples)
+    with pytest.raises(OverflowError, match="int32|maximum|minimum|out of bounds"):
+        call(events, samples)
+    assert (unchanged(events), unchanged(samples)) == before
+    same_rows(events, expected)
+    assert bits(samples.t) == bits([row[0] for row in rows])
+
+
+def test_a_vehicle_whose_id_the_logs_cannot_hold_never_enters():
+    state = engine.new_state(PRESETS["velocity_motorway"].config(seed=1))
+    engine.add_vehicle(state, 0, 100.0, 20.0)
+    state.next_id = 2**31
+    with pytest.raises(OverflowError):
+        engine.add_vehicle(state, 1, 200.0, 20.0)
+    assert [ids.tolist() for ids in state.lane_ids] == [[0], []]
+    assert (state.log.entered, len(state.log.events), sorted(state.ledgers)) == (1, 1, [0])

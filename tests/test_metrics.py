@@ -28,12 +28,8 @@ def synthetic_log(events=(), samples=(), end_time=90.0, cfg=None):
     cfg = cfg or SimConfig()
     log = EventLog(config_echo=as_echo_dict(cfg), cfg=cfg, end_time=end_time)
     log.events.extend(events)
-    for t, vid, lane, x, v in samples:
-        log.samples.t.append(t)
-        log.samples.vehicle_id.append(vid)
-        log.samples.lane.append(lane)
-        log.samples.position.append(x)
-        log.samples.velocity.append(v)
+    for sample in samples:
+        log.samples.append(*sample)
     return log
 
 
@@ -133,8 +129,9 @@ def test_velocity_grid_matches_bruteforce_recount():
     nt, nx = grid.counts.shape
     sums = np.zeros((nt, nx))
     counts = np.zeros((nt, nx), dtype=int)
+    t = s.t  # expanded from the runs on each read
     for i in range(len(s)):
-        ti = min(int(s.t[i] / 30.0), nt - 1)
+        ti = min(int(t[i] / 30.0), nt - 1)
         xi = min(int(s.position[i] / 10.0), nx - 1)
         sums[ti, xi] += s.velocity[i]
         counts[ti, xi] += 1
@@ -414,11 +411,7 @@ def synthetic_steps(log, n_steps, bad_step=None, dt=0.5):
                            "1,0" if k == bad_step else "1|0"))
         state.now = now = (k + 1) * dt
         for vid in range(3):
-            log.samples.t.append(now)
-            log.samples.vehicle_id.append(vid)
-            log.samples.lane.append(vid % 2)
-            log.samples.position.append(10.0 * vid + now)
-            log.samples.velocity.append(1.0 + 0.1 * vid)
+            log.samples.append(now, vid, vid % 2, 10.0 * vid + now, 1.0 + 0.1 * vid)
         log.events.append((now, "exit", k, 1, 1500.0, 30.0, ""))
         yield state
 
@@ -485,11 +478,7 @@ def pitfall_steps(log, n_steps, dt=0.5):
         x = 12.5 + k / 3
         for vid, lane, position, velocity in ((1, 0, 0.0, -0.0), (2, 1, -0.0, 0.0),
                                               (3, 0, 500.0, nan), (4, 1, x, 3.25)):
-            log.samples.t.append(now)
-            log.samples.vehicle_id.append(vid)
-            log.samples.lane.append(lane)
-            log.samples.position.append(position)
-            log.samples.velocity.append(velocity)
+            log.samples.append(now, vid, lane, position, velocity)
         log.events.extend([(now, "reception", 4, 1, x, 3.25, k),  # vehicle 4's sample
                            (now, "transmission", -1, 0, 500, 0.0, k),
                            (now, "lane_change", 2, 1, np.float64(x), -0.0, "1|0"),
@@ -791,7 +780,7 @@ def test_streamed_run_holds_a_bounded_number_of_rows(tmp_path, monkeypatch, fork
 
         def after_step(state):
             events_csv.after_step(state)
-            held.append(len(state.log.samples.t) + len(state.log.events.vehicle_id))
+            held.append(len(state.log.samples.vehicle_id) + len(state.log.events.vehicle_id))
 
         log = run(cfg, on_step=after_step)
         fold = events_csv.finish(log)
@@ -849,9 +838,10 @@ def test_velocity_grid_equals_one_bincount_for_samples_in_any_order(fold_logs):
     whole = fold_logs["exact_end"]
     order = np.random.default_rng(0).permutation(len(whole.samples))
     log = synthetic_log(end_time=whole.end_time, cfg=whole.cfg)
-    for name in ("t", "vehicle_id", "lane", "position", "velocity"):
-        column = getattr(whole.samples, name)
-        getattr(log.samples, name).extend(np.array(column)[order].tolist())
+    shuffled = (np.array(getattr(whole.samples, name))[order].tolist()
+                for name in ("t", "vehicle_id", "lane", "position", "velocity"))
+    for sample in zip(*shuffled):
+        log.samples.append(*sample)
     grid = velocity_grid(log)
     counts, sums = bincount_grid(log)
     assert grid.counts.tobytes() == counts.tobytes()
@@ -913,7 +903,7 @@ def test_sweep_parallelism_invariance():
 
 
 def test_sweep_starts_no_more_workers_than_cases(monkeypatch):
-    import vanetflow.sweep as sweep_mod
+    import concurrent.futures
 
     asked = []
 
@@ -932,7 +922,8 @@ def test_sweep_starts_no_more_workers_than_cases(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", SerialPool)
+    # run_sweep imports the pool only when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     table = run_sweep(tiny_preset(), [0], jobs=5000)
     assert asked == [2]  # one worker per case: the two arms of seed 0
     assert table.meta["jobs"] == "5000"  # the summary keeps the jobs asked for

@@ -10,6 +10,7 @@ zero included, or the golden event logs would move.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,11 +88,17 @@ def test_array_move_matches_scalar_move(rows, dt):
 @given(idm_cases())
 def test_array_free_road_terms_match_the_scalar_formula(case):
     p, vsl_p, rows = case
-    v = [row[0] for row in rows]
+    v = [row[0] for row in rows] + [-0.0]
     for params in (p, vsl_p):
         v0, delta = params.desired_velocity, params.accel_exponent
         assert bits(free_road_terms(np.array(v), params)) == bits([1.0 - (vk / v0) ** delta
                                                                    for vk in v])
+    # a power that overflows raises, as the scalar ** does, where float_power gives inf
+    steep = replace(p, accel_exponent=1000.0)
+    for power in (lambda: 1.0 - 10.0 ** steep.accel_exponent,
+                  lambda: free_road_terms(np.array(v + [10.0 * p.desired_velocity]), steep)):
+        with pytest.raises(OverflowError):
+            power()
 
 
 # a neighbour's gap is positive, or NO_VEHICLE when there is none
