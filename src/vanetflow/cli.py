@@ -88,7 +88,7 @@ def _cmd_run(args) -> int:
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     # events.csv is formatted, and the other three files folded, in finished
-    # time segments while the run goes on; the log releases the rows written
+    # time segments while the run goes on, each cut off the log as it is taken
     with EventsCsvWriter(out / "events.csv") as events_csv:
         log = run(cfg, on_step=events_csv.after_step)
         fold = events_csv.finish(log)

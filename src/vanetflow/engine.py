@@ -67,43 +67,27 @@ class _RunLog:
     subclass names its columns in ``__slots__``, and ``vehicle_id`` is one
     of its row columns.
 
-    ``release(rows)`` drops a prefix of the rows that ends at a step
-    boundary, with the runs it starts. Row indices, ``run_start`` included,
-    still count from the log's first row, and ``len`` every row logged. A
-    read that starts at a released row raises IndexError, naming the
-    released rows, so no whole-log reader answers from part of a log.
+    ``cut_before(t)`` takes the rows logged before time ``t`` out into a
+    log of their own, and what stays is a log of the later rows, numbered
+    from 0. ``floor`` is the latest cut's time (-inf before any), which
+    ``Events`` takes no record before.
     """
 
-    __slots__ = ("released", "released_t")
+    __slots__ = ("floor",)
 
     def __init__(self):
-        self.released = 0
-        self.released_t = -math.inf
+        self.floor = -math.inf
 
     def __len__(self):
-        return self.released + len(self.vehicle_id)
-
-    def check_held(self, lo: int) -> None:
-        """Raise IndexError if row ``lo`` was released."""
-        if lo < self.released:
-            raise IndexError(f"{type(self).__name__} rows 0:{self.released} are released; "
-                             f"rows from {lo} on are not all held, and a whole-log reader "
-                             "needs a log that keeps every row")
-
-    def _check_after_released(self, t: float) -> None:
-        """Raise IndexError unless ``t`` is later than every released row."""
-        if self.released and not t > self.released_t:
-            raise IndexError(f"{type(self).__name__} rows 0:{self.released}, up to time "
-                             f"{self.released_t!r}, are released; the rows before {t!r} "
-                             "are not known")
+        return len(self.vehicle_id)
 
     def _cut(self, rows: int, runs: int) -> None:
-        """Drop every row from index ``rows`` on and every held run from ``run_start[runs]`` on."""
+        """Drop every row from index ``rows`` on and every run from ``run_start[runs]`` on."""
         for name in self.__slots__:
-            del getattr(self, name)[runs if name.startswith("run_") else rows - self.released:]
+            del getattr(self, name)[runs if name.startswith("run_") else rows:]
 
     def _run_cells(self, lo: int, hi: int, *names: str) -> list:
-        """The run columns ``names`` of held rows lo:hi (lo <= hi), a cell per row, as numpy arrays.
+        """The run columns ``names`` of rows lo:hi (lo <= hi), a cell per row, as numpy arrays.
 
         A run column that is a list expands to an object array.
         """
@@ -115,31 +99,35 @@ class _RunLog:
                 .repeat(lengths) for column in (getattr(self, name) for name in names)]
 
     def before(self, t: float) -> int:
-        """The number of rows logged before time ``t``, later than every released one.
+        """The number of rows logged before time ``t``.
 
         The runs' times must be in order (``bisect``).
         """
-        self._check_after_released(t)
         k = bisect.bisect_left(self.run_t, t)
         return self.run_start[k] if k < len(self.run_start) else len(self)
 
-    def release(self, rows: int) -> None:
-        """Drop the rows before index ``rows`` and their runs; ``rows`` must end a step.
+    def cut_before(self, t: float):
+        """Take the rows logged before time ``t`` out, and return them as a log of this type.
 
-        That is, row ``rows`` starts a run whose time is not equal to that
-        of the run before it, or is the row count.
+        The cut falls at a run's start, as ``before`` finds it (the runs'
+        times must be in order), so it never splits a time: rows of equal
+        time all stay or all go. The returned log holds copies of the rows;
+        this log keeps its buffers, with the later rows moved to the front
+        and numbered from 0. (A head that took the buffers over would leave
+        ``vanetflow run`` about 1 MB higher: the freed buffers of each
+        writer's segment stay in the heap.)
         """
-        k = bisect.bisect_left(self.run_start, rows)
-        if not (self.released <= rows <= len(self)
-                and (rows == len(self) or k < len(self.run_start) and self.run_start[k] == rows)
-                and (k in (0, len(self.run_t)) or self.run_t[k - 1] != self.run_t[k])):
-            raise ValueError(f"{type(self).__name__} rows {self.released}:{rows} are not held "
-                             "or do not end at a step boundary")
-        if k:
-            self.released_t = self.run_t[k - 1]
-            for name in self.__slots__:
-                del getattr(self, name)[:k if name.startswith("run_") else rows - self.released]
-        self.released = rows
+        k = bisect.bisect_left(self.run_t, t)
+        rows = self.run_start[k] if k < len(self.run_start) else len(self)
+        head = type(self)()
+        for name in self.__slots__:
+            column = getattr(self, name)
+            cut = k if name.startswith("run_") else rows
+            setattr(head, name, column[:cut])
+            del column[:cut]
+        self.run_start = array("q", [start - rows for start in self.run_start])
+        self.floor = max(self.floor, t)
+        return head
 
 
 def _int32_ids(ids) -> np.ndarray:
@@ -171,10 +159,7 @@ class SampleLog(_RunLog):
     were logged. ``append`` logs one row and ``log_step`` one step's rows;
     a cell its column cannot hold, an id past int32 included, raises and
     leaves the log unchanged. The times need not be in order, but
-    ``before`` answers only for a log whose times are.
-
-    The columns hold the samples from index ``released`` on: those not
-    dropped by ``release``, with the runs they start.
+    ``before`` and ``cut_before`` answer only for a log whose times are.
     """
 
     __slots__ = ("vehicle_id", "lane", "position", "velocity", "run_start", "run_t")
@@ -191,17 +176,15 @@ class SampleLog(_RunLog):
     def __eq__(self, other):
         if not isinstance(other, SampleLog):
             return NotImplemented
-        return self.released == other.released and all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def t(self) -> np.ndarray:
-        """The time of each held sample, as a new float64 numpy array (read only)."""
-        return self.times(self.released, len(self))
+        """The time of each sample, as a new float64 numpy array (read only)."""
+        return self.times(0, len(self))
 
     def times(self, lo: int, hi: int) -> np.ndarray:
-        """The time of each of the held samples lo:hi (lo <= hi), as a float64 numpy array."""
-        self.check_held(lo)
+        """The time of each of the samples lo:hi (lo <= hi), as a float64 numpy array."""
         return self._run_cells(lo, hi, "run_t")[0]
 
     def _open_run(self, t: float) -> None:
@@ -265,12 +248,8 @@ class Events(_RunLog):
     the ids as int64; iteration yields them as (float, str, int, int,
     float, float, int | str) tuples, EXPAND_ROWS at a time. A slice with
     step 1 is an ``Events`` holding copies of its rows and runs. An
-    ``Events`` compares, column by column, only with another.
-
-    ``release`` drops the rows of a prefix with the runs they start. The
-    columns then hold the rows from index ``released`` on, and
-    ``run_start`` keeps its indices. ``columns`` and ``of_kind`` read held
-    rows; iteration and slicing need every row.
+    ``Events`` compares, column by column, only with another. After
+    ``cut_before(t)`` a record before ``t`` is rejected as an earlier one.
     """
 
     __slots__ = ("vehicle_id", "position", "velocity", "run_start", "run_t", "run_kind",
@@ -288,10 +267,11 @@ class Events(_RunLog):
         self.run_aux = []
 
     def _check_time(self, t) -> None:
-        """Raise ValueError unless ``t`` is at or after the last record's time."""
-        last = self.run_t[-1] if self.run_t else self.released_t
+        """Raise ValueError unless ``t`` is at or after the last record's time and the floor."""
+        last = self.run_t[-1] if self.run_t else self.floor
         if not t >= last:
-            raise ValueError(f"event time {t!r} is NaN or before the last one logged, {last!r}")
+            raise ValueError(f"event time {t!r} is NaN or before the last one logged "
+                             f"or the last cut, {last!r}")
 
     def append(self, record) -> None:
         """Log ``record`` as a run of one row.
@@ -379,32 +359,21 @@ class Events(_RunLog):
         The columns are float64, object (str), int64 (the int32 ids
         widened), int8, float64, float64 and object (int or str), all
         copies: a view of a column's buffer would make the next append raise
-        BufferError. Rows lo:hi must be held, unless there are none.
+        BufferError.
         """
         if lo < 0 or hi < 0:
             raise IndexError(f"event rows {lo}:{hi} start or stop before row 0")
         lo, hi = min(lo, len(self)), min(max(lo, hi), len(self))
-        if lo < hi:
-            self.check_held(lo)
         t, kind, lane, aux = self._run_cells(lo, hi, *RUN_CELLS)
-        lo, hi = lo - self.released, hi - self.released
         ids, xs, vs = (np.frombuffer(column[lo:hi], column.typecode)
                        for column in (self.vehicle_id, self.position, self.velocity))
         return t, kind, ids.astype(np.int64), lane, xs, vs, aux
 
-    def of_kind(self, kind: str, lo: int = 0, hi: int | None = None) -> tuple:
-        """The rows of ``kind`` among rows lo:hi (by default all), as ``columns``.
-
-        Rows lo:hi must be held and start and end runs; no run of another
-        kind is expanded.
-        """
-        self.check_held(lo)
-        hi = len(self) if hi is None else hi
-        k0, k1 = bisect.bisect_left(self.run_start, lo), bisect.bisect_left(self.run_start, hi)
-        picked = np.array([k for k, name in enumerate(islice(self.run_kind, k0, k1), k0)
-                           if name == kind], np.int64)
-        # each held run's first row, then the row count, as indices into the row columns
-        ends = np.append(self.run_start, len(self)) - self.released
+    def of_kind(self, kind: str) -> tuple:
+        """The rows of ``kind``, as ``columns``; no run of another kind is expanded."""
+        picked = np.array([k for k, name in enumerate(self.run_kind) if name == kind], np.int64)
+        # each run's first row, then the row count
+        ends = np.append(self.run_start, len(self))
         lengths = ends[picked + 1] - ends[picked]
         rows = np.arange(lengths.sum()) + (ends[picked + 1] - lengths.cumsum()).repeat(lengths)
         t, kinds, lane, aux = (
@@ -416,7 +385,6 @@ class Events(_RunLog):
 
     def __iter__(self):
         """The rows as tuples, EXPAND_ROWS at a time: one ``zip`` of the rows per chunk."""
-        self.check_held(0)
         n = len(self)
         ids, xs, vs = iter(self.vehicle_id), iter(self.position), iter(self.velocity)
         # a memoryview of a numeric numpy column yields Python floats and
@@ -430,7 +398,6 @@ class Events(_RunLog):
         """The rows of a slice with step 1, as an ``Events`` holding copies of its rows and runs."""
         if not isinstance(index, slice) or index.step not in (None, 1):
             raise TypeError("Events takes only slices with step 1; read rows with columns(lo, hi)")
-        self.check_held(0)
         start, stop, _ = index.indices(len(self))
         part = Events()
         if start < stop:
@@ -447,8 +414,7 @@ class Events(_RunLog):
         if not isinstance(other, Events):
             raise TypeError(f"an Events compares only with an Events, not with a "
                             f"{type(other).__name__}; compare list(events) with a list")
-        return self.released == other.released and all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 @dataclass
@@ -1171,10 +1137,11 @@ def run(cfg: SimConfig, on_step=None) -> EventLog:
     """Run a full scenario; identical config and seed give an identical log.
 
     ``on_step(state)``, when given, is called after every step. It may read
-    the state and its log. It may release rows of the log older than
-    ``state.now`` (``SampleLog.release``, ``Events.release``), which the
-    engine never reads again, and must change nothing else. Without such a
-    hook the log keeps every row.
+    the state and its log. It may cut the rows older than ``state.now`` off
+    the log (``Events.cut_before``, ``SampleLog.cut_before``): the engine
+    never reads them again, and later steps log only at ``now`` or later.
+    It must change nothing else. Without such a hook the log keeps every
+    row; with one, the returned log holds the rows after the last cut.
     """
     state = new_state(cfg)
     for _ in range(round(cfg.duration / cfg.dt)):

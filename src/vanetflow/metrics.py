@@ -13,8 +13,7 @@ import os
 import re
 import signal
 from array import array
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import add
 
@@ -74,7 +73,7 @@ def parse_csv_text(text: str) -> MetricTable:
     meta = {}
     columns = None
     rows = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
         if line.startswith("#"):
@@ -84,7 +83,11 @@ def parse_csv_text(text: str) -> MetricTable:
         if columns is None:
             columns = line.split(",")
             continue
-        rows.append(tuple(_parse_value(cell) for cell in line.split(",")))
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise ValueError(f"line {number} has {len(cells)} cells, the header "
+                             f"{len(columns)}")
+        rows.append(tuple(_parse_value(cell) for cell in cells))
     if columns is None:
         raise ValueError("CSV carries no header row")
     return MetricTable(columns=columns, rows=rows, meta=meta)
@@ -108,57 +111,44 @@ CHUNK_ROWS = 1 << 16
 FLUSH_ROWS = 1 << 13
 
 
-def _stream_steps(log, segment=None):
+def _stream_steps(log, t_lo=-math.inf, t_hi=math.inf):
     """The row order of the events + samples stream, one time step at a time.
 
-    Yields (events, lo, hi, t) per distinct time, in time order: the event
-    rows at that time as the seven ``Events.columns``, as lists, then the
-    samples lo:hi of ``log.samples``, indices that count released samples
-    too, and ``t``, the time of the first of those samples' runs; either
-    part may be empty. Each stream keeps its log order, which is what a
-    stable sort of events + samples by time gives. The events keep their
-    time order; samples out of time order raise ValueError.
-
-    ``segment`` = (s0, s1, e0, e1, t_lo, t_hi) limits the stream to the
-    samples s0:s1, whose times must lie in [t_lo, t_hi), and the events
-    e0:e1, cut at the same times (``before``); by default it is the whole
-    log. Segments that split the time axis give, one after the other, the
-    steps of the whole log. The steps are cut at the runs' times, and the
-    event rows read about FLUSH_ROWS at a time, a larger step in one read.
-    A segment with released rows raises IndexError (``check_held``).
+    Yields (events, lo, hi, runs) per distinct time, in time order: the
+    event rows at that time as the seven ``Events.columns``, as lists, then
+    the samples lo:hi of ``log.samples`` and their runs as (time, rows)
+    pairs; either part may be empty. Each stream keeps its log order, which
+    is what a stable sort of events + samples by time gives. The events
+    keep their time order; samples out of time order, or outside
+    [t_lo, t_hi), raise ValueError. The steps are cut at the runs' times,
+    and the event rows read about FLUSH_ROWS at a time, a larger step in
+    one read.
     """
     events, samples = log.events, log.samples
-    if segment is None:
-        segment = (0, len(samples), 0, len(events), -math.inf, math.inf)
-    s0, s1, e0, e1, t_lo, t_hi = segment
-    samples.check_held(s0)
-    events.check_held(e0)
-    # the sample runs of rows s0:s1, their times and bounds, as for the events
-    # below; copies, since the samples may be released while the stream is read
-    j0, j1 = bisect_left(samples.run_start, s0), bisect_left(samples.run_start, s1)
-    sample_t = np.array(samples.run_t[j0:j1], dtype=np.float64)
-    sample_bounds = np.concatenate(([s0], samples.run_start[j0 + 1:j1], [s1])).astype(np.int64)
+    # copies, not views: a view would hold a column's buffer, and an append
+    # to the log while the stream is read would raise BufferError
+    sample_t = np.array(samples.run_t, dtype=np.float64)
     if (sample_t[1:] < sample_t[:-1]).any() or (
-            j1 > j0 and not t_lo <= sample_t[0] <= sample_t[-1] < t_hi):
+            sample_t.size and not t_lo <= sample_t[0] <= sample_t[-1] < t_hi):
         raise ValueError("samples are not in time order")
-    # the runs of rows e0:e1 (k0 <= k < k1; e0 starts a run), their times and ends
-    k0, k1 = bisect_left(events.run_start, e0), bisect_left(events.run_start, e1)
-    run_t = np.array(events.run_t[k0:k1], dtype=np.float64)
-    run_ends = np.concatenate(([e0], events.run_start[k0 + 1:k1], [e1]))
-    # the end of each distinct time's events and samples, and the time of its
-    # first sample run
+    run_t = np.array(events.run_t, dtype=np.float64)
+    # each run's first row, then the row count
+    sample_bounds = np.append(samples.run_start, len(samples))
+    run_ends = np.append(events.run_start, len(events))
+    # the end of each distinct time's events and sample runs
     times = np.unique(np.concatenate((run_t, sample_t)))
     event_ends = run_ends[run_t.searchsorted(times, side="right")].tolist()
-    sample_ends = sample_bounds[sample_t.searchsorted(times, side="right")].tolist()
-    sample_times = (sample_t.take(sample_t.searchsorted(times), mode="clip") if j1 > j0
-                    else times).tolist()
-    a, lo, c1 = e0, s0, -1  # ``read`` holds the columns of rows c0:c1, none at first
-    for b, hi, t in zip(event_ends, sample_ends, sample_times):
+    sample_run_ends = sample_t.searchsorted(times, side="right").tolist()
+    sample_runs = list(zip(sample_t.tolist(), np.diff(sample_bounds).tolist()))
+    sample_bounds = sample_bounds.tolist()
+    a, j, c1 = 0, 0, -1  # ``read`` holds the columns of rows c0:c1, none at first
+    for b, k in zip(event_ends, sample_run_ends):
         if b > c1:
-            c0, c1 = a, min(max(b, a + FLUSH_ROWS), e1)
+            c0, c1 = a, min(max(b, a + FLUSH_ROWS), len(events))
             read = events.columns(c0, c1)
-        yield [column[a - c0:b - c0].tolist() for column in read], lo, hi, t
-        a, lo = b, hi
+        yield ([column[a - c0:b - c0].tolist() for column in read],
+               sample_bounds[j], sample_bounds[k], sample_runs[j:k])
+        a, j = b, k
 
 
 def events_to_table(log, include_samples: bool = False) -> MetricTable:
@@ -201,18 +191,19 @@ class _Texts(dict):
         return text
 
 
-def _write_segment(fh, log, segment=None) -> None:
-    """Format one segment of the events + samples stream into the binary file ``fh``.
+def _write_segment(fh, log, t_lo=-math.inf, t_hi=math.inf) -> None:
+    """Format the events + samples stream of ``log`` into the binary file ``fh``.
 
-    The rows (by default those of the whole log) are streamed from the event
-    and sample logs one time step at a time, in the order ``_stream_steps``
-    gives, without building a row table, and written after the step that
-    brings the rows held to FLUSH_ROWS. The event columns fix each cell's
-    type: (float, str, int, int, float, float, int | str).
+    The rows are streamed from the event and sample logs one time step at a
+    time, in the order ``_stream_steps`` gives (its samples lie in
+    [t_lo, t_hi)), without building a row table, and written after the step
+    that brings the rows held to FLUSH_ROWS. The event columns fix each
+    cell's type: (float, str, int, int, float, float, int | str).
 
     Each distinct float of a step is formatted once, and its string serves
-    every row of the step that repeats it: the step's time, and a vehicle's
-    position and velocity in its reception rows and in its sample row. Ints
+    every row of the step that repeats it: the time of each of its runs,
+    and a vehicle's position and velocity in its reception rows and in its
+    sample row. Ints
     and the aux strings are formatted once per write. The bytes are
     unchanged, those of ``table_to_text(events_to_table(log, True))``,
     because every float cell is exactly a float, read from a column, and
@@ -232,13 +223,12 @@ def _write_segment(fh, log, segment=None) -> None:
         lines.clear()
         texts.clear()
 
-    for (t_cells, kinds, ids, lanes, xs, vs, auxes), lo, hi, t in _stream_steps(log, segment):
+    for (t_cells, kinds, ids, lanes, xs, vs, auxes), lo, hi, runs in _stream_steps(log, t_lo,
+                                                                                    t_hi):
         floats = t_cells + xs + vs
-        # a write may reap a writer process, which releases the rows before these
-        lo, hi = lo - s.released, hi - s.released
         if hi > lo:
             positions, velocities = s.position[lo:hi].tolist(), s.velocity[lo:hi].tolist()
-            floats.append(t)
+            floats += [t for t, _ in runs]
             floats += positions
             floats += velocities
         # one repr per distinct float, taken from the last step's strings where
@@ -253,8 +243,11 @@ def _write_segment(fh, log, segment=None) -> None:
                                        map(reprs.__getitem__, xs), map(reprs.__getitem__, vs),
                                        map(add, map(texts.__getitem__, auxes), repeat("\n"))))
         if hi > lo:
-            lines += map(",".join, zip(repeat(reprs[t] + ",sample", hi - lo),
-                                       map(texts.__getitem__, s.vehicle_id[lo:hi]),
+            # each run's own time: equal times with other bits (0.0, -0.0) are two runs
+            prefixes = []
+            for t, n in runs:
+                prefixes += [reprs[t] + ",sample"] * n
+            lines += map(",".join, zip(prefixes, map(texts.__getitem__, s.vehicle_id[lo:hi]),
                                        map(texts.__getitem__, s.lane[lo:hi]),
                                        map(reprs.__getitem__, positions),
                                        map(reprs.__getitem__, velocities), repeat("\n")))
@@ -268,22 +261,24 @@ class EventsCsvWriter:
 
     ``after_step(state)`` is the engine's ``on_step`` hook. After a step,
     every row with time < ``state.now`` is final, because later steps only
-    log at ``now`` or later. Once at least CHUNK_ROWS rows are waiting, the
-    parent waits for the writer process, if one is still busy, and the
-    final rows become a segment, which ``fold``, a ``MetricFold``, takes in.
-    The parent flushes the file and notes its end; a forked child opens the
-    file again, formats the segment in place from that offset and always
-    leaves through ``os._exit``, while the parent keeps stepping. Once the
-    writer is reaped, the parent's file moves on past its rows and the log
-    releases them. So the log holds at most two segments of rows, the
-    writer's and the next, however long the run. With one CPU or without
-    ``os.fork`` the parent formats each segment itself and releases it at
-    once. ``finish(log)``
-    formats and folds the last segment, in memory while the writer still
-    runs, and into the file after the writer's rows once it is reaped, and
-    returns the fold of the whole log. Either way the file is the only one
+    log at ``now`` or later. Once at least CHUNK_ROWS rows are final, the
+    parent waits for the writer process, if one is still busy, and cuts
+    them off the log (``cut_before(now)`` of the event and sample logs):
+    they become a segment, a log of its own, which ``fold``, a
+    ``MetricFold``, takes in. The parent flushes the file and notes its
+    end; a forked child opens the file again, formats the segment in place
+    from that offset and always leaves through ``os._exit``, while the
+    parent keeps stepping. The parent keeps the segment in ``writer`` until
+    the writer is reaped, and then its file moves on past the writer's
+    rows. So the rows held are at most the writer's segment and the log's,
+    however long the run. With one CPU or without ``os.fork`` the parent
+    formats each segment itself as it is cut. ``finish(log)`` formats and
+    folds the rows left in the log, in memory while the writer still runs,
+    and into the file after the writer's rows once it is reaped, and
+    returns the fold of the whole run. Either way the file is the only one
     written, and its bytes are those of
-    ``write_csv(events_to_table(log, True), path)`` for the unreleased log.
+    ``write_csv(events_to_table(log, True), path)`` for a log that kept
+    every row.
 
     When a writer fails, the parent truncates the file back to the
     writer's offset and formats its segment again, which raises the error
@@ -297,8 +292,8 @@ class EventsCsvWriter:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         self.forking = cpus > 1 and hasattr(os, "fork")
-        self.next = (0, 0, -math.inf)  # sample index, event index, time where the next segment starts
-        self.writer = None             # (pid, segment, offset) of the live writer process
+        self.t_lo = -math.inf  # the time where the next segment starts
+        self.writer = None     # (pid, offset, segment) of the live writer process
         self.fh = None
         self.fold = None
 
@@ -313,30 +308,28 @@ class EventsCsvWriter:
 
     def after_step(self, state) -> None:
         log = state.log
-        s0, e0, t_lo = self.next
-        if len(log.samples) - s0 + len(log.events) - e0 < CHUNK_ROWS:
+        if len(log.samples) + len(log.events) < CHUNK_ROWS:
             return
-        # a writer still busy holds the run up, so the log keeps at most its
-        # segment's rows and the next segment's
-        self._reap(log, wait=True)
+        # a writer still busy holds the run up, so at most its segment's rows
+        # and the log's are held
+        self._reap(wait=True)
         # the rows the last step logged at now are not final yet
         now = state.now
-        s1, e1 = log.samples.before(now), log.events.before(now)
-        if s1 - s0 + e1 - e0 < CHUNK_ROWS:
+        if log.samples.before(now) + log.events.before(now) < CHUNK_ROWS:
             return
-        segment = (s0, s1, e0, e1, t_lo, now)
+        # the segment: its log, and the time bounds its samples must lie in
+        segment = (replace(log, events=log.events.cut_before(now),
+                           samples=log.samples.cut_before(now)), self.t_lo, now)
+        self.t_lo = now
         out = self._out(log)
-        forked = self.forking and self._fork(log, segment)
-        self.fold.add(log, segment)
+        forked = self.forking and self._fork(segment)
+        self.fold.add(segment[0], now)
         if not forked:
-            _write_segment(out, log, segment)
-            _release(log, segment)
-        self.next = (s1, e1, now)
+            _write_segment(out, *segment)
 
-    def _fork(self, log, segment) -> bool:
-        out = self._out(log)
-        out.flush()
-        offset = out.tell()
+    def _fork(self, segment) -> bool:
+        self.fh.flush()
+        offset = self.fh.tell()
         try:
             pid = os.fork()
         except OSError:  # no process to spare: the parent formats the segments itself
@@ -350,18 +343,18 @@ class EventsCsvWriter:
                 gc.freeze()  # so that a collection does not walk, and copy, the inherited heap
                 with open(self.path, "r+b") as fh:
                     fh.seek(offset)
-                    _write_segment(fh, log, segment)
+                    _write_segment(fh, *segment)
                 code = 0
             finally:
                 os._exit(code)
-        self.writer = (pid, segment, offset)
+        self.writer = (pid, offset, segment)
         return True
 
-    def _reap(self, log, wait: bool) -> None:
-        """Reap the writer if it is done, formatting its segment again if it failed; release it."""
+    def _reap(self, wait: bool) -> None:
+        """Reap the writer if it is done, formatting its segment again if it failed."""
         if self.writer is None:
             return
-        pid, segment, offset = self.writer
+        pid, offset, segment = self.writer
         done, status = os.waitpid(pid, 0 if wait else os.WNOHANG)
         if not done:
             return
@@ -371,8 +364,7 @@ class EventsCsvWriter:
         else:
             self.fh.seek(offset)
             self.fh.truncate()
-            _write_segment(self.fh, log, segment)
-        _release(log, segment)
+            _write_segment(self.fh, *segment)
 
     def _out(self, log):
         """The file, made with its header at the first segment, and the fold, made with it."""
@@ -384,19 +376,19 @@ class EventsCsvWriter:
         return self.fh
 
     def finish(self, log) -> "MetricFold":
-        """Format and fold the rows no writer took, wait for the writer and close.
+        """Format and fold the rows left in the log, wait for the writer and close.
 
         While the writer is still alive, the text of the last segment is
         held in memory; once it is reaped, the held text and the rest go
         straight to the file, after the writer's rows (or after its segment,
-        formatted again, if it failed). Returns the fold of the whole log;
+        formatted again, if it failed). Returns the fold of the whole run;
         the rows of the last segment stay in the log.
         """
-        s0, e0, t_lo = self.next
-        out = _HeldWhileWriting(self, log)
-        _write_segment(out, log, (s0, len(log.samples), e0, len(log.events), t_lo, math.inf))
-        self.fold.add(log, (s0, len(log.samples), e0, len(log.events), t_lo, log.end_time))
-        self._reap(log, wait=True)
+        self._out(log)
+        out = _HeldWhileWriting(self)
+        _write_segment(out, log, self.t_lo)
+        self.fold.add(log, log.end_time)
+        self._reap(wait=True)
         out.write(b"")  # the writer is reaped: any held text goes to the file
         self.fh.close()
         self.fh = None
@@ -416,12 +408,6 @@ class EventsCsvWriter:
                 pass
 
 
-def _release(log, segment) -> None:
-    """Release the segment's rows, and every row before them, from the log."""
-    log.samples.release(segment[1])
-    log.events.release(segment[3])
-
-
 class _HeldWhileWriting:
     """The file that ``finish`` formats the last segment into.
 
@@ -429,15 +415,14 @@ class _HeldWhileWriting:
     text is held; after it, the held text and then each write go to the file.
     """
 
-    def __init__(self, writer: EventsCsvWriter, log):
-        self.writer, self.log = writer, log
+    def __init__(self, writer: EventsCsvWriter):
+        self.writer = writer
         self.held = []
-        writer._out(log)
 
     def write(self, data: bytes) -> None:
         writer = self.writer
         if self.held is not None:
-            writer._reap(self.log, wait=False)
+            writer._reap(wait=False)
             if writer.writer is not None:
                 self.held.append(data)
                 return
@@ -533,7 +518,7 @@ class VelocityGrid:
 def velocity_grid(log, x_bin_size: float = 10.0, t_bin_size: float = 30.0) -> VelocityGrid:
     """Mean velocity per (time bin, position bin) over all per-tick samples."""
     fold = MetricFold(log.cfg, x_bin_size, t_bin_size)
-    fold.add_samples(log.samples, 0, len(log.samples), log.end_time)
+    fold.add_samples(log.samples, log.end_time)
     return fold.velocity_grid(log.end_time)
 
 
@@ -543,10 +528,10 @@ def velocity_grid(log, x_bin_size: float = 10.0, t_bin_size: float = 30.0) -> Ve
 class MetricFold:
     """What exits.csv, lane_changes.csv and velocity_grid.csv need of a log, folded.
 
-    ``add(log, segment)`` takes the rows of a segment of the log, given as
-    ``_stream_steps`` takes it: samples s0:s1 and events e0:e1, and a time
-    t_hi at or before the log's end. Successive segments must follow each
-    other; ``exit_series``, ``lane_change_positions``,
+    ``add(log, t_hi)`` takes the rows of ``log``, a segment of the run's
+    log cut off at time t_hi, which is at or before the run's end.
+    Successive segments must follow each other; ``exit_series``,
+    ``lane_change_positions``,
     ``lane_changes_to_table`` and ``velocity_grid`` are this fold over the
     whole log.
 
@@ -576,25 +561,22 @@ class MetricFold:
         self.sums = np.zeros(0)
         self.held = (np.zeros(0),) * 3  # the held samples' times, positions and velocities
 
-    def add(self, log, segment) -> None:
-        s0, s1, e0, e1, _, t_hi = segment
-        self.add_events(log.events, e0, e1)
-        self.add_samples(log.samples, s0, s1, t_hi)
+    def add(self, log, t_hi: float) -> None:
+        self.add_events(log.events)
+        self.add_samples(log.samples, t_hi)
 
-    def add_events(self, events, e0: int, e1: int) -> None:
-        """Keep the injection and exit times and the lane changes of event rows e0:e1."""
+    def add_events(self, events) -> None:
+        """Keep the injection and exit times and the lane changes of ``events``."""
         for kind, times in (("injection", self.injections), ("exit", self.exits)):
-            times.frombytes(events.of_kind(kind, e0, e1)[0].tobytes())
+            times.frombytes(events.of_kind(kind)[0].tobytes())
         time_s, _, _, lane, position, _, aux = (column.tolist() for column in
-                                                events.of_kind("lane_change", e0, e1))
+                                                events.of_kind("lane_change"))
         self.lane_changes += zip(time_s, lane, position, aux)
 
-    def add_samples(self, samples, s0: int, s1: int, t_hi: float) -> None:
-        """Fold samples s0:s1 of a log that ends at ``t_hi`` or later into the grid."""
-        lo, hi = s0 - samples.released, s1 - samples.released
+    def add_samples(self, samples, t_hi: float) -> None:
+        """Fold ``samples``, of a log that ends at ``t_hi`` or later, into the grid."""
         t, x, v = (np.concatenate((held, column)) for held, column in zip(self.held, (
-            samples.times(s0, s1), np.frombuffer(samples.position[lo:hi]),
-            np.frombuffer(samples.velocity[lo:hi]))))
+            samples.t, np.frombuffer(samples.position), np.frombuffer(samples.velocity))))
         ti, xi = self._bins(t, x)
         # the last time bin of a log that ends at t_hi: this log ends there or
         # later, so the bins before it are final. That bin and the later ones
@@ -676,7 +658,7 @@ class MetricFold:
 def _fold_events(log) -> MetricFold:
     """The fold of every event row of ``log``: its exits and lane changes."""
     fold = MetricFold(log.cfg)
-    fold.add_events(log.events, 0, len(log.events))
+    fold.add_events(log.events)
     return fold
 
 

@@ -21,7 +21,8 @@ def _run_case(case):
     """One (config, label) simulation; never raises, reports errors per row.
 
     A failed case prints its full traceback to stderr; its status cell keeps
-    only the last line.
+    only the exception's type and the first line of its message (a
+    ``SimulationError`` goes on with a dump of every vehicle).
     """
     cfg, seed, arm = case
     try:
@@ -29,11 +30,11 @@ def _run_case(case):
         gridlock = log.first_gridlock_time if log.first_gridlock_time is not None else NOT_REACHED
         origin = log.first_origin_slow_time if log.first_origin_slow_time is not None else NOT_REACHED
         return (seed, arm, cfg.policy.kind, gridlock, origin, log.exited, "ok")
-    except Exception:
-        text = traceback.format_exc()
-        print(f"sweep case seed={seed} communication={arm} failed:\n{text}",
+    except Exception as exc:
+        print(f"sweep case seed={seed} communication={arm} failed:\n{traceback.format_exc()}",
               end="", file=sys.stderr)
-        reason = text.splitlines()[-1].strip()
+        message = str(exc).partition("\n")[0]
+        reason = f"{type(exc).__name__}: {message}" if message else type(exc).__name__
         return (seed, arm, cfg.policy.kind, NOT_REACHED, NOT_REACHED, 0,
                 f"error: {reason}")
 

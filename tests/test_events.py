@@ -2,6 +2,7 @@
 
 import pickle
 from array import array
+from dataclasses import replace
 from operator import eq, ne
 from unittest import mock
 
@@ -356,102 +357,111 @@ def test_receptions_take_20_bytes_a_row_and_one_run_per_batch(minute_log):
     assert changes <= reception_runs <= hit_batches + infections
 
 
-# --- released rows ---------------------------------------------------------------
+# --- cut logs ---------------------------------------------------------------------
 
 
-def released_copy(log, t):
-    """A copy of ``log`` with its rows before step time ``t`` released."""
-    log = pickle.loads(pickle.dumps(log))
-    log.events.release(log.events.before(t))
-    log.samples.release(log.samples.before(t))
-    return log
+def cut_copy(log, t):
+    """A copy of ``log`` cut at time ``t``: (its rows before ``t``, the rest), as two EventLogs."""
+    rest = pickle.loads(pickle.dumps(log))
+    head = replace(rest, events=rest.events.cut_before(t), samples=rest.samples.cut_before(t))
+    return head, rest
 
 
 def step_times(log):
     return np.unique(log.events.columns(0, len(log.events))[0]).tolist()
 
 
-def test_a_released_log_reads_its_held_rows_at_their_own_indices(minute_log):
-    whole, events = minute_log, minute_log.events
-    n = len(events)
+def test_a_cut_log_and_its_head_read_back_the_whole_log_bit_for_bit(minute_log):
+    whole = minute_log
     steps = step_times(whole)
-    log = pickle.loads(pickle.dumps(whole))
-    for t in steps[len(steps) // 4::len(steps) // 4]:
-        e, s = events.before(t), whole.samples.before(t)
-        log.events.release(e)
-        log.samples.release(s)
-        assert (log.events.released, log.samples.released) == (e, s) != (0, 0)
-        assert (len(log.events), len(log.samples)) == (n, len(whole.samples))
-        for lo, hi in ((e, n), (e, e + 1), (n - 3, n), (n, n + 5)):
-            same_rows(rows_of(log.events.columns(lo, hi)), rows_of(events.columns(lo, hi)))
-        for kind in ("injection", "exit", "reception", "lane_change"):
-            same_rows(rows_of(log.events.of_kind(kind, e)), rows_of(events.of_kind(kind, e)))
+    for t in [-1.0, steps[0], 1e9] + steps[len(steps) // 4::len(steps) // 4]:
+        head, rest = cut_copy(whole, t)
+        for part in (head, rest):
+            runs_are_whole(part.events)
+            assert part.samples.run_start[:1].tolist() == ([0] if len(part.samples) else [])
+        e, s = whole.events.before(t), whole.samples.before(t)
+        assert (len(head.events), len(head.samples)) == (e, s)
+        assert (len(rest.events), len(rest.samples)) == (len(whole.events) - e,
+                                                         len(whole.samples) - s)
+        n = len(whole.events)
+        same_rows(rows_of(head.events.columns(0, n)) + rows_of(rest.events.columns(0, n)),
+                  rows_of(whole.events.columns(0, n)))
+        assert bits(np.concatenate((head.samples.t, rest.samples.t))) == bits(whole.samples.t)
+        for name in ("vehicle_id", "lane", "position", "velocity"):
+            assert getattr(head.samples, name) + getattr(rest.samples, name) == getattr(
+                whole.samples, name)
         later = [u for u in steps if u > t][:5] + [1e9]
-        assert [log.events.before(u) for u in later] == [events.before(u) for u in later]
-        assert ([log.samples.before(u) for u in later]
-                == [whole.samples.before(u) for u in later])
-        assert all(getattr(log.samples, name) == getattr(whole.samples, name)[s:]
-                   for name in ("vehicle_id", "lane", "position", "velocity"))
-        assert log.samples.t.tobytes() == whole.samples.t[s:].tobytes()
+        assert [rest.events.before(u) for u in later] == [whole.events.before(u) - e
+                                                          for u in later]
+        assert [rest.samples.before(u) for u in later] == [whole.samples.before(u) - s
+                                                           for u in later]
+
+
+PROBE_TIMES = [-1.0, 0.0, 5.0, 12.5, 30.0, 30.25, 45.0, 59.5, 1e9]
+
+
+def exit_counts(log):
+    series = metrics.exit_series(log)
+    return np.array(series.arrivals + series.exits)
 
 
 @pytest.mark.parametrize("read", [
-    lambda log: log.events.of_kind("exit"),
+    lambda log: rows_of(log.events.of_kind("exit")),
     lambda log: list(log.events),
-    lambda log: log.events[:],
-    lambda log: log.events.columns(0, 10),
-    lambda log: log.events.before(0.5),
-    lambda log: log.samples.before(0.5),
-    metrics.velocity_grid,
-    metrics.exit_series,
+    lambda log: list(log.events[:]),
+    lambda log: rows_of(log.events.columns(0, len(log.events))),
+    lambda log: np.array([log.events.before(u) for u in PROBE_TIMES]),
+    lambda log: np.array([log.samples.before(u) for u in PROBE_TIMES]),
+    lambda log: metrics.velocity_grid(log).counts,
+    exit_counts,
     metrics.lane_change_positions,
-    metrics.lane_changes_to_table,
-    metrics.events_to_table,
+    lambda log: metrics.lane_changes_to_table(log).rows,
+    lambda log: metrics.events_to_table(log, include_samples=True).rows,
 ], ids=["of_kind", "iter", "slice", "columns", "before", "samples_before", "velocity_grid",
         "exit_series", "lane_change_positions", "lane_changes_to_table", "events_to_table"])
-def test_a_whole_log_reader_raises_on_a_released_log(minute_log, read):
+def test_a_reader_reads_head_and_rest_of_a_cut_as_whole_log(minute_log, read):
+    """Each reader's answer for the whole log is that for the head + that for the rest.
+
+    Lists are joined and counts, which numpy arrays hold, are added.
+    """
     steps = step_times(minute_log)
-    log = released_copy(minute_log, steps[len(steps) // 2])
-    with pytest.raises(IndexError, match=r"(Events|SampleLog) rows 0:\d+.* are released"):
-        read(log)
+    head, rest = cut_copy(minute_log, steps[len(steps) // 2])
+    assert len(head.events) and len(rest.events)
+    got, want = read(head) + read(rest), read(minute_log)
+    if isinstance(want, np.ndarray):
+        assert got.tolist() == want.tolist()
+    else:
+        same_rows(got, want)
 
 
-def test_write_events_csv_raises_on_a_released_log_and_leaves_no_file(minute_log, tmp_path):
-    steps = step_times(minute_log)
-    log = released_copy(minute_log, steps[len(steps) // 2])
-    with pytest.raises(IndexError, match=r"rows 0:\d+ are released"):
-        metrics.write_events_csv(log, tmp_path / "events.csv")
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_release_cuts_only_at_a_step_boundary(minute_log):
-    log = pickle.loads(pickle.dumps(minute_log))
-    events, samples = log.events, log.samples
+def test_a_cut_never_splits_a_time(minute_log):
+    log, events = minute_log, minute_log.events
     # a step with several event rows, all at one time
     t = next(u for u in step_times(log)[1:] if events.before(u) - events.before(u - 1e-9) == 0
              and events.before(np.nextafter(u, np.inf)) - events.before(u) > 1)
-    e, s = events.before(t), samples.before(t)
-    for release, rows in ((events.release, e + 1), (samples.release, s + 1),
-                          (events.release, len(events) + 1), (samples.release, -1)):
-        with pytest.raises(ValueError, match="step boundary"):
-            release(rows)
-    events.release(e)
-    samples.release(s)
-    with pytest.raises(ValueError, match="not held"):
-        events.release(e - 1)
-    assert (events.released, samples.released) == (e, s)
+    for u in (t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)):
+        head, rest = cut_copy(log, u)
+        assert head.events.columns(0, len(head.events))[0].max() < u
+        assert rest.events.columns(0, len(rest.events))[0].min() >= u
+        assert head.samples.t.max() < u <= rest.samples.t.min()
+    # the rows at t all stay, and a cut just after t takes them all
+    after = np.nextafter(t, np.inf)
+    assert len(cut_copy(log, after)[0].events) - len(cut_copy(log, t)[0].events) > 1
 
 
-def test_a_log_released_to_its_end_still_rejects_an_earlier_time(minute_log):
+def test_the_rest_of_a_cut_still_rejects_an_earlier_event(minute_log):
     events = pickle.loads(pickle.dumps(minute_log.events))
     last = float(events.columns(len(events) - 1, len(events))[0][0])
-    events.release(len(events))
-    assert len(events.run_t) == 0 and len(events) == len(minute_log.events)
-    with pytest.raises(ValueError, match="before the last one logged"):
-        events.append((last - 0.25, "exit", 5, 0, 1500.0, 30.0, ""))
-    events.append((last, "exit", 5, 0, 1500.0, 30.0, ""))
-    same_rows(rows_of(events.columns(len(events) - 1, len(events))),
-              [(last, "exit", 5, 0, 1500.0, 30.0, "")])
+    head = events.cut_before(last + 1.0)
+    assert len(head) == len(minute_log.events) and len(events) == len(events.run_t) == 0
+    # the rest holds no row, and still takes none before the cut
+    for t in (last - 0.25, last, last + 0.5):
+        with pytest.raises(ValueError, match="before the last one logged or the last cut"):
+            events.append((t, "exit", 5, 0, 1500.0, 30.0, ""))
+    events.append((last + 1.0, "exit", 5, 0, 1500.0, 30.0, ""))
+    same_rows(events, [(last + 1.0, "exit", 5, 0, 1500.0, 30.0, "")])
+    # a cut at an earlier time takes nothing and keeps the floor
+    assert len(events.cut_before(last)) == 0 and events.floor == last + 1.0
 
 
 # --- the sample log: one time per run, ids in four bytes -------------------------------
@@ -540,7 +550,7 @@ def test_a_sample_log_keeps_no_per_row_time_and_four_byte_ids(minute_log):
     assert events.columns(0, 10)[2].dtype == events.of_kind("injection")[2].dtype == np.int64
 
 
-def test_sample_release_cuts_only_at_a_step_boundary_and_before_and_eq_hold():
+def test_a_sample_cut_never_splits_a_time_and_before_and_eq_hold():
     samples, _ = build_samples([("append", 0.0, (1, 0, 1.0, 2.0)),
                                 ("append", -0.0, (2, 0, 3.0, 4.0)),
                                 ("append", -0.0, (3, 1, 5.0, 6.0)),
@@ -555,23 +565,17 @@ def test_sample_release_cuts_only_at_a_step_boundary_and_before_and_eq_hold():
     assert samples != copy and samples != 1.0
     assert [samples.before(t) for t in (0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 2.0)] == [
         0, 0, 3, 3, 5, 5, 7]
-    # between 0.0 and -0.0 (one time), inside a run, and rows not held
-    for rows in (1, 2, 4, 6, 8, -1):
-        with pytest.raises(ValueError, match="step boundary"):
-            samples.release(rows)
-    samples.release(0)
-    samples.release(3)
-    assert (samples.released, len(samples), list(samples.run_start)) == (3, 7, [3, 5])
-    assert bits(samples.t) == bits([0.5, 0.5, 1.0, 1.0])
-    with pytest.raises(ValueError, match="not held"):
-        samples.release(0)
-    with pytest.raises(IndexError, match=r"SampleLog rows 0:3, up to time -0\.0, are released"):
-        samples.before(0.0)
-    assert samples.before(0.5) == 3 and samples.before(0.75) == 5
-    samples.release(5)
-    assert list(samples.vehicle_id) == [6, 7]
-    samples.release(7)
-    assert (len(samples.run_t), len(samples), samples.t.size) == (0, 7, 0)
+    # 0.0 and -0.0 are one time: a cut at either keeps all three rows, one past takes them
+    assert len(samples.cut_before(-0.0)) == len(samples.cut_before(0.0)) == 0
+    head = samples.cut_before(0.25)
+    assert (len(head), list(head.run_start), bits(head.t)) == (3, [0, 1], bits([0.0, -0.0, -0.0]))
+    assert (len(samples), list(samples.run_start), bits(samples.t)) == (
+        4, [0, 2], bits([0.5, 0.5, 1.0, 1.0]))
+    assert samples.before(0.0) == 0 and samples.before(0.75) == 2
+    head = samples.cut_before(0.75)
+    assert list(head.vehicle_id) == [4, 5] and list(samples.vehicle_id) == [6, 7]
+    assert len(samples.cut_before(2.0)) == 2
+    assert (len(samples.run_t), len(samples), samples.t.size) == (0, 0, 0)
 
 
 def unchanged(log):

@@ -6,6 +6,7 @@ import os
 import pickle
 import signal
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -236,6 +237,14 @@ def test_csv_roundtrip_numpy_scalars(tmp_path):
     assert all(type(x) is float and type(n) is int for x, n in back.rows)
 
 
+@pytest.mark.parametrize("text, line", [("a,b,c\n1,2\n3,4,5,6\n", 2),
+                                        ("# seed = 1\na,b\n1,2\n\n3,4,5\n", 5)],
+                         ids=["short_then_long_row", "after_meta_and_blank_line"])
+def test_parse_csv_text_rejects_a_row_whose_cell_count_differs_from_the_header(text, line):
+    with pytest.raises(ValueError, match=f"^line {line} has"):
+        parse_csv_text(text)
+
+
 def test_write_csv_unwritable_path():
     table = MetricTable(columns=["x"], rows=[], meta={})
     with pytest.raises(OSError, match="no/such/dir"):
@@ -330,6 +339,16 @@ def test_events_stream_needs_events_in_time_order(tmp_path):
     assert read_csv(tmp_path / "events.csv") == events_to_table(log, include_samples=True)
 
 
+def test_events_writer_writes_each_sample_at_its_own_time(tmp_path):
+    """Samples at 0.0 and then -0.0 are one step of two runs, each written at its time."""
+    log = synthetic_log(samples=[(0.0, 1, 0, 5.0, 1.0), (-0.0, 2, 1, 6.0, 2.0),
+                                 (-0.0, 3, 0, 7.0, 3.0), (0.5, 1, 0, 5.5, 1.0)])
+    expected = table_to_text(events_to_table(log, include_samples=True))
+    assert "\n0.0,sample,1,0,5.0,1.0,\n-0.0,sample,2,1,6.0,2.0,\n-0.0,sample,3,0," in expected
+    write_events_csv(log, tmp_path / "events.csv")
+    assert (tmp_path / "events.csv").read_bytes() == expected.encode()
+
+
 def test_events_stream_needs_samples_in_time_order(tmp_path):
     log = synthetic_log(samples=ORDERED_SAMPLES[::-1])
     with pytest.raises(ValueError, match="samples are not in time order"):
@@ -376,8 +395,8 @@ def wait_for_writers(monkeypatch):
     """
     real_reap = EventsCsvWriter._reap
 
-    def reap(self, log, wait):
-        real_reap(self, log, wait=True)
+    def reap(self, wait):
+        real_reap(self, wait=True)
 
     monkeypatch.setattr(EventsCsvWriter, "_reap", reap)
 
@@ -423,10 +442,10 @@ def streamed_steps(log, steps, path):
         writer.finish(log)
 
 
-def unreleased(steps, n_steps):
+def every_row(steps, n_steps):
     """The log that ``steps(log, n_steps)`` logs, with every row kept.
 
-    The writer releases the rows it has written, so a test compares its
+    The writer cuts the rows it takes off the log, so a test compares its
     file with one written from this log.
     """
     log = synthetic_log()
@@ -455,7 +474,7 @@ def test_streamed_events_csv_cuts_at_times_with_events(tmp_path, monkeypatch, fo
     log = synthetic_log()
     streamed_steps(log, synthetic_steps(log, 60), tmp_path / "events.csv")
     assert len(forks) >= 3
-    whole = unreleased(synthetic_steps, 60)
+    whole = every_row(synthetic_steps, 60)
     write_events_csv(whole, tmp_path / "serial.csv")
     assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert read_csv(tmp_path / "events.csv") == events_to_table(whole, include_samples=True)
@@ -497,7 +516,7 @@ def test_events_csv_formats_each_cell_as_the_table_does(tmp_path, monkeypatch, f
     streamed_steps(log, pitfall_steps(log, 20), tmp_path / "events.csv")
     # with a writer slot, every step after the first cuts the rows of the one before
     assert len(forks) == (0 if cpus == 1 else 19)
-    whole = unreleased(pitfall_steps, 20)
+    whole = every_row(pitfall_steps, 20)
     expected = table_to_text(events_to_table(whole, include_samples=True))
     for row in ("1.0,gridlock,-1,0,-0.0,0.0,\n", "1.0,transmission,-1,0,500.0,0.0,1\n",
                 "1.0,sample,1,0,0.0,-0.0,\n", "1.0,sample,2,1,-0.0,0.0,\n",
@@ -525,11 +544,11 @@ def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, fork
     gate_r, gate_w = os.pipe()
     real_write = metrics._write_segment
 
-    def gated(fh, log, segment=None):
+    def gated(fh, log, *bounds):
         if os.getpid() != parent:  # a writer: wait until the parent closes the gate
             os.close(gate_w)
             os.read(gate_r, 1)
-        real_write(fh, log, segment)
+        real_write(fh, log, *bounds)
 
     monkeypatch.setattr(metrics, "_write_segment", gated)
     path = tmp_path / "events.csv"
@@ -577,13 +596,13 @@ def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeyp
             os.close(gate_w)
             gate_w = None
 
-    def gated(fh, log, segment=None):
+    def gated(fh, log, *bounds):
         if os.getpid() != parent:  # a writer: wait until the parent closes the gate
             os.close(gate_w)
             os.read(gate_r, 1)
             if writer_fails:
                 raise RuntimeError("writer failed")
-        real_write_segment(fh, log, segment)
+        real_write_segment(fh, log, *bounds)
 
     def write(self, data):
         real_write(self, data)
@@ -592,10 +611,10 @@ def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeyp
             if release == "first_held_write":
                 open_gate()
 
-    def reap(self, log, wait):
+    def reap(self, wait):
         if wait and self.writer is not None:
             open_gate()
-        real_reap(self, log, wait)
+        real_reap(self, wait)
 
     monkeypatch.setattr(metrics, "_write_segment", gated)
     monkeypatch.setattr(metrics._HeldWhileWriting, "write", write)
@@ -653,7 +672,7 @@ def test_streamed_events_csv_forks_after_the_last_writer_is_reaped(tmp_path, mon
     assert set(pids) == reaped
     assert all(listing in ([], ["events.csv"]) for listing in listings)
     assert listings[-1] == ["events.csv"]
-    write_events_csv(unreleased(synthetic_steps, 60), tmp_path / "serial.csv")
+    write_events_csv(every_row(synthetic_steps, 60), tmp_path / "serial.csv")
     assert (out / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert_nothing_left(out)
 
@@ -666,21 +685,21 @@ def test_streamed_events_csv_recovers_the_rows_of_a_killed_writer(tmp_path, monk
     parent = os.getpid()
     real_write = metrics._write_segment
 
-    def killed_halfway(fh, log, segment=None):
+    def killed_halfway(fh, log, *bounds):
         if os.getpid() != parent:  # a writer: write half its text, then die
             text = io.BytesIO()
-            real_write(text, log, segment)
+            real_write(text, log, *bounds)
             fh.write(text.getvalue()[:len(text.getvalue()) // 2])
             fh.flush()
             os.kill(os.getpid(), signal.SIGKILL)
-        real_write(fh, log, segment)
+        real_write(fh, log, *bounds)
 
     monkeypatch.setattr(metrics, "_write_segment", killed_halfway)
     log = synthetic_log()
     streamed_steps(log, synthetic_steps(log, 60), tmp_path / "events.csv")
     assert len(forks) >= 3
     monkeypatch.setattr(metrics, "_write_segment", real_write)
-    write_events_csv(unreleased(synthetic_steps, 60), tmp_path / "serial.csv")
+    write_events_csv(every_row(synthetic_steps, 60), tmp_path / "serial.csv")
     assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert_nothing_left(tmp_path)
 
@@ -752,13 +771,14 @@ def test_streamed_events_csv_cleans_up_when_the_run_stops(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("writer", ["forking", "slow_writer", "in_process"])
 def test_streamed_run_holds_a_bounded_number_of_rows(tmp_path, monkeypatch, forks, writer):
-    """While events.csv is written, the log holds at most two segments' rows.
+    """While events.csv is written, the log and the writer's segment hold under 3 CHUNK_ROWS.
 
     A segment is CHUNK_ROWS and at most a step's rows, and the next waits
     for the writer of the last one; a step logs fewer than 200 rows here,
-    so the log stays under three CHUNK_ROWS. A writer process that formats
-    slowly makes the run wait for it; without writer processes the parent
-    formats each segment itself and releases it at once. The four files are
+    so the live log and the segment the parent keeps for the writer stay
+    under three CHUNK_ROWS together. A writer process that formats slowly
+    makes the run wait for it; without writer processes the parent formats
+    each segment itself as it is cut and keeps none. The four files are
     those of the same run with every row kept.
     """
     set_cpus(monkeypatch, 2)
@@ -767,10 +787,10 @@ def test_streamed_run_holds_a_bounded_number_of_rows(tmp_path, monkeypatch, fork
         parent = os.getpid()
         real_write = metrics._write_segment
 
-        def slow(fh, log, segment=None):
+        def slow(fh, log, *bounds):
             if os.getpid() != parent:
                 time.sleep(0.05)
-            real_write(fh, log, segment)
+            real_write(fh, log, *bounds)
 
         monkeypatch.setattr(metrics, "_write_segment", slow)
     cfg = SimConfig(duration=120.0, seed=31, warm_up=10.0)
@@ -780,15 +800,19 @@ def test_streamed_run_holds_a_bounded_number_of_rows(tmp_path, monkeypatch, fork
 
         def after_step(state):
             events_csv.after_step(state)
-            held.append(len(state.log.samples.vehicle_id) + len(state.log.events.vehicle_id))
+            logs = [state.log]
+            if events_csv.writer is not None:
+                logs.append(events_csv.writer[2][0])  # the writer's segment
+            held.append(sum(len(log.samples) + len(log.events) for log in logs))
 
         log = run(cfg, on_step=after_step)
         fold = events_csv.finish(log)
     assert max(held) < 3 * metrics.CHUNK_ROWS
-    # at least four segments were cut and released
-    assert log.samples.released + log.events.released >= 4 * metrics.CHUNK_ROWS
-    assert len(forks) >= 4 if writer != "in_process" else forks == []
     whole = run(cfg)
+    # at least four segments were cut off the log
+    cut = len(whole.samples) + len(whole.events) - len(log.samples) - len(log.events)
+    assert cut >= 4 * metrics.CHUNK_ROWS
+    assert len(forks) >= 4 if writer != "in_process" else forks == []
     write_events_csv(whole, tmp_path / "serial.csv")
     assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     echo = whole.config_echo
@@ -850,23 +874,43 @@ def test_velocity_grid_equals_one_bincount_for_samples_in_any_order(fold_logs):
                                                 np.nan).tobytes()
 
 
+@pytest.fixture(scope="module")
+def fold_logs_csv(fold_logs, tmp_path_factory):
+    """The events.csv bytes ``write_events_csv`` writes for each of ``fold_logs``."""
+    out = tmp_path_factory.mktemp("fold_logs")
+    written = {}
+    for name, log in fold_logs.items():
+        write_events_csv(log, out / f"{name}.csv")
+        written[name] = (out / f"{name}.csv").read_bytes()
+    return written
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(["exact_end", "stop_at_origin"]),
        st.lists(st.floats(0.0, 1.0), max_size=8))
-def test_folding_segments_gives_the_whole_log_metrics_bitwise(fold_logs, name, cuts):
-    """Folding random step-aligned segments, each released after, equals the whole-log metrics."""
+def test_folding_segments_gives_the_whole_log_metrics_bitwise(fold_logs, fold_logs_csv, name,
+                                                              cuts):
+    """A log cut into pieces at random step times folds and writes as the whole log does.
+
+    Each piece is folded, and formatted after the one before it; the
+    metrics are bitwise those of the whole log, and the text, after the
+    header, is the whole log's events.csv.
+    """
     whole = fold_logs[name]
     log = pickle.loads(pickle.dumps(whole))
     steps = np.unique(np.array(whole.samples.t))
     fold = MetricFold(log.cfg)
-    s0 = e0 = 0
+    text = io.BytesIO()
+    text.write(table_to_text(MetricTable(list(EVENT_COLUMNS), [], log.config_echo)).encode())
+    t_lo = -math.inf
     for t in sorted({steps[int(c * (len(steps) - 1))] for c in cuts}):
-        s1, e1 = log.samples.before(t), log.events.before(t)
-        fold.add(log, (s0, s1, e0, e1, None, t))
-        log.samples.release(s1)
-        log.events.release(e1)
-        s0, e0 = s1, e1
-    fold.add(log, (s0, len(log.samples), e0, len(log.events), None, log.end_time))
+        piece = replace(log, events=log.events.cut_before(t), samples=log.samples.cut_before(t))
+        fold.add(piece, t)
+        metrics._write_segment(text, piece, t_lo, t)
+        t_lo = t
+    fold.add(log, log.end_time)
+    metrics._write_segment(text, log, t_lo)
+    assert text.getvalue() == fold_logs_csv[name]
     grid = fold.velocity_grid(log.end_time)
     counts, sums = bincount_grid(whole)
     assert grid.counts.tobytes() == counts.tobytes()
@@ -962,6 +1006,24 @@ def test_sweep_reports_failures_per_seed(monkeypatch, capfd):
     assert "Traceback (most recent call last):" in err
     assert 'raise RuntimeError("synthetic failure")' in err
     assert err.count("RuntimeError: synthetic failure") == 2  # both arms of seed 1
+
+
+def test_sweep_status_is_the_error_type_and_the_first_line_of_its_message(monkeypatch, capfd):
+    import vanetflow.sweep as sweep_mod
+
+    def overlap(cfg):
+        # what engine._diagnostic raises: the message, then a row per vehicle
+        raise SimulationError("overlap in lane 1 at vehicle 38 at t=105.5\n"
+                              "  lane=0 id=37 x=1460.120 v=27.900\n"
+                              "  lane=1 id=50 x=1499.855 v=28.415")
+
+    monkeypatch.setattr(sweep_mod, "run", overlap)
+    table = sweep_mod.run_sweep(tiny_preset(), [0], jobs=1)
+    assert [row[6] for row in table.rows] == [
+        "error: SimulationError: overlap in lane 1 at vehicle 38 at t=105.5"] * 2
+    assert parse_csv_text(table_to_text(table)) == table
+    # the dump goes to stderr with the traceback
+    assert capfd.readouterr().err.count("lane=1 id=50 x=1499.855 v=28.415") == 2
 
 
 def test_sweep_rejects_empty_seed_list():
