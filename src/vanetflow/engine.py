@@ -64,13 +64,14 @@ class _RunLog:
 
     Run k starts at row ``run_start[k]`` with time ``run_t[k]``; the other
     ``run_`` columns hold one cell per run, the rest one cell per row. A
-    subclass names its columns in ``__slots__``, and ``vehicle_id`` is one
-    of its row columns.
+    subclass names its columns in ``__slots__``; ``vehicle_id``,
+    ``position`` and ``velocity`` are among its row columns.
 
-    ``cut_before(t)`` takes the rows logged before time ``t`` out into a
-    log of their own, and what stays is a log of the later rows, numbered
-    from 0. ``floor`` is the latest cut's time (-inf before any), which
-    ``Events`` takes no record before.
+    A slice with step 1 is a log of the same type holding copies of its
+    rows and of their runs, numbered from 0. ``cut_before(t)`` takes the
+    rows logged before time ``t`` out as such a slice, and what stays is a
+    log of the later rows, numbered from 0. ``floor`` is the latest cut's
+    time (-inf before any), which ``Events`` takes no record before.
     """
 
     __slots__ = ("floor",)
@@ -106,45 +107,63 @@ class _RunLog:
         k = bisect.bisect_left(self.run_t, t)
         return self.run_start[k] if k < len(self.run_start) else len(self)
 
+    def __getitem__(self, index: slice):
+        """The rows of a slice with step 1, as a log of this type holding copies of them."""
+        if not isinstance(index, slice) or index.step not in (None, 1):
+            raise TypeError(f"{type(self).__name__} takes only slices with step 1")
+        start, stop, _ = index.indices(len(self))
+        part = type(self)()
+        if start < stop:
+            k0 = bisect.bisect_right(self.run_start, start) - 1
+            k1 = bisect.bisect_left(self.run_start, stop, k0)
+            for name in self.__slots__:
+                column = getattr(self, name)
+                setattr(part, name,
+                        column[k0:k1] if name.startswith("run_") else column[start:stop])
+            part.run_start = array("q", [max(row - start, 0) for row in part.run_start])
+        return part
+
     def cut_before(self, t: float):
         """Take the rows logged before time ``t`` out, and return them as a log of this type.
 
         The cut falls at a run's start, as ``before`` finds it (the runs'
         times must be in order), so it never splits a time: rows of equal
-        time all stay or all go. The returned log holds copies of the rows;
-        this log keeps its buffers, with the later rows moved to the front
-        and numbered from 0. (A head that took the buffers over would leave
-        ``vanetflow run`` about 1 MB higher: the freed buffers of each
+        time all stay or all go. The returned log is the slice of those
+        rows; this log keeps its buffers, with the later rows copied to the
+        front and numbered from 0. (A head that took the buffers over would
+        leave ``vanetflow run`` about 1 MB higher: the freed buffers of each
         writer's segment stay in the heap.)
         """
-        k = bisect.bisect_left(self.run_t, t)
-        rows = self.run_start[k] if k < len(self.run_start) else len(self)
-        head = type(self)()
+        rows = self.before(t)
+        head, rest = self[:rows], self[rows:]
         for name in self.__slots__:
-            column = getattr(self, name)
-            cut = k if name.startswith("run_") else rows
-            setattr(head, name, column[:cut])
-            del column[:cut]
-        self.run_start = array("q", [start - rows for start in self.run_start])
+            getattr(self, name)[:] = getattr(rest, name)
         self.floor = max(self.floor, t)
         return head
 
+    def _extend_rows(self, n: int, ids, positions, velocities) -> None:
+        """Append the id, position and velocity columns of ``n`` rows, or raise and change nothing.
 
-def _int32_ids(ids) -> np.ndarray:
-    """Vehicle ids as a contiguous int32 numpy array, for the logs' four-byte id columns.
-
-    Ids that are not signed integers raise TypeError, and ids past int32
-    OverflowError: no id is wrapped.
-    """
-    ids = np.ascontiguousarray(ids)
-    if not ids.size:
-        return ids.astype(np.int32)
-    # an empty list reads as float64; an id past int64 as uint64 or object
-    if ids.dtype.kind != "i":
-        raise TypeError(f"vehicle ids must be signed integers, got {ids.dtype}")
-    if ids.itemsize > 4 and not INT32_MIN <= ids.min() <= ids.max() <= INT32_MAX:
-        raise OverflowError(f"vehicle ids must fit int32, got {ids.min()} to {ids.max()}")
-    return ids.astype(np.int32, copy=False)
+        ``ids`` are signed integers and the others floats, as numpy arrays
+        or sequences numpy converts. No id is wrapped: ids that are not
+        signed integers raise TypeError, and ids past int32 OverflowError.
+        """
+        ids = np.ascontiguousarray(ids)
+        # an empty list reads as float64; an id past int64 as uint64 or object
+        if ids.size and ids.dtype.kind != "i":
+            raise TypeError(f"vehicle ids must be signed integers, got {ids.dtype}")
+        if ids.size and ids.itemsize > 4 and not INT32_MIN <= ids.min() <= ids.max() <= INT32_MAX:
+            raise OverflowError(f"vehicle ids must fit int32, got {ids.min()} to {ids.max()}")
+        ids = ids.astype(np.int32, copy=False)
+        positions = np.ascontiguousarray(positions, dtype=np.float64)
+        velocities = np.ascontiguousarray(velocities, dtype=np.float64)
+        if not len(ids) == len(positions) == len(velocities) == n:
+            raise ValueError(f"columns of unequal lengths: {n} rows, {len(ids)} ids, "
+                             f"{len(positions)} positions, {len(velocities)} velocities")
+        # the arrays' own buffers: a bytes copy per batch would fragment the heap
+        self.vehicle_id.frombytes(ids.data.cast("B"))
+        self.position.frombytes(positions.data.cast("B"))
+        self.velocity.frombytes(velocities.data.cast("B"))
 
 
 class SampleLog(_RunLog):
@@ -181,11 +200,7 @@ class SampleLog(_RunLog):
     @property
     def t(self) -> np.ndarray:
         """The time of each sample, as a new float64 numpy array (read only)."""
-        return self.times(0, len(self))
-
-    def times(self, lo: int, hi: int) -> np.ndarray:
-        """The time of each of the samples lo:hi (lo <= hi), as a float64 numpy array."""
-        return self._run_cells(lo, hi, "run_t")[0]
+        return self._run_cells(0, len(self), "run_t")[0]
 
     def _open_run(self, t: float) -> None:
         """Start a run at the next row, unless ``t`` has the bits of the last run's time.
@@ -206,31 +221,18 @@ class SampleLog(_RunLog):
     def log_step(self, t: float, ids, lanes: array, positions, velocities) -> None:
         """Log one sample per vehicle at time ``t``, given as columns.
 
-        ``ids`` are signed integers and ``positions`` and ``velocities``
-        floats, as numpy arrays or sequences numpy converts; ``lanes`` is an
-        ``array("b")``. Ids past int32, columns of unequal lengths and cells
-        their columns cannot hold raise; the log is unchanged.
+        ``lanes`` is an ``array("b")``, the other columns as ``_extend_rows``
+        takes them. Columns that do not fit raise; the log is unchanged.
         """
-        ids = _int32_ids(ids)
-        positions = np.ascontiguousarray(positions, dtype=np.float64)
-        velocities = np.ascontiguousarray(velocities, dtype=np.float64)
-        n = len(ids)
-        if not len(lanes) == len(positions) == len(velocities) == n:
-            raise ValueError(f"sample columns of unequal lengths: {n} ids, {len(lanes)} lanes, "
-                             f"{len(positions)} positions, {len(velocities)} velocities")
-        if not n:
-            return
         rows, runs = len(self), len(self.run_t)
         try:
-            self._open_run(t)
+            if len(lanes):
+                self._open_run(t)
             self.lane += lanes
-        except TypeError:
+            self._extend_rows(len(lanes), ids, positions, velocities)
+        except Exception:
             self._cut(rows, runs)
             raise
-        # the arrays' own buffers: a bytes copy per step would fragment the heap
-        self.vehicle_id.frombytes(ids.data.cast("B"))
-        self.position.frombytes(positions.data.cast("B"))
-        self.velocity.frombytes(velocities.data.cast("B"))
 
 
 class Events(_RunLog):
@@ -246,10 +248,10 @@ class Events(_RunLog):
     ``run_t`` is sorted and ``before`` bisects it, and so is an id past
     int32. ``columns`` and ``of_kind`` read rows as seven numpy columns,
     the ids as int64; iteration yields them as (float, str, int, int,
-    float, float, int | str) tuples, EXPAND_ROWS at a time. A slice with
-    step 1 is an ``Events`` holding copies of its rows and runs. An
-    ``Events`` compares, column by column, only with another. After
-    ``cut_before(t)`` a record before ``t`` is rejected as an earlier one.
+    float, float, int | str) tuples, EXPAND_ROWS at a time. A slice is an
+    ``Events`` (see ``_RunLog``). An ``Events`` compares, column by
+    column, only with another. After ``cut_before(t)`` a record before
+    ``t`` is rejected as an earlier one.
     """
 
     __slots__ = ("vehicle_id", "position", "velocity", "run_start", "run_t", "run_kind",
@@ -313,27 +315,19 @@ class Events(_RunLog):
         """One reception row at time ``t`` per receiver, given as columns.
 
         ``ids``, ``positions`` and ``velocities`` hold the rows' cells, as
-        signed integer and float64 numpy arrays or as sequences numpy
-        converts to them. ``runs`` holds one (row index, lane, message id)
-        per run, in order, the first at row 0: a run's rows go up to the
-        next run's index. A run with no rows is dropped. A NaN or earlier
-        ``t``, ids that are not signed integers, ids past int32, columns of
-        unequal lengths, cells their columns cannot hold, runs out of order
-        and message ids that are not ints raise; the log is unchanged.
+        ``_extend_rows`` takes them. ``runs`` holds one (row index, lane,
+        message id) per run, in order, the first at row 0: a run's rows go
+        up to the next run's index. A run with no rows is dropped. A NaN or
+        earlier ``t``, columns that do not fit, runs out of order and
+        message ids that are not ints raise; the log is unchanged.
         """
         self._check_time(t)
-        ids = _int32_ids(ids)
-        positions = np.ascontiguousarray(positions, dtype=np.float64)
-        velocities = np.ascontiguousarray(velocities, dtype=np.float64)
         n = len(ids)
-        if not len(positions) == len(velocities) == n:
-            raise ValueError(f"reception columns of unequal lengths: {n} ids, "
-                             f"{len(positions)} positions, {len(velocities)} velocities")
         if n and (not runs or runs[0][0] != 0):
             raise ValueError("the first reception row starts no run")
         base = len(self)
         stops = [start for start, _, _ in islice(runs, 1, None)] + [n]
-        # the new runs' cells, held until every run is known to fit
+        # the new runs' cells, held until every run and row is known to fit
         starts, lanes, msg_ids = array("q"), array("b"), []
         for (start, lane, msg_id), stop in zip(runs, stops):
             if start > stop or type(msg_id) is not int:
@@ -343,15 +337,12 @@ class Events(_RunLog):
                 starts.append(base + start)
                 lanes.append(lane)
                 msg_ids.append(msg_id)
+        self._extend_rows(n, ids, positions, velocities)
         self.run_start += starts
         self.run_t += array("d", [t]) * len(starts)
         self.run_kind += ["reception"] * len(starts)
         self.run_lane += lanes
         self.run_aux += msg_ids
-        # the arrays' own buffers: a bytes copy per call would fragment the heap
-        self.vehicle_id.frombytes(ids.data.cast("B"))
-        self.position.frombytes(positions.data.cast("B"))
-        self.velocity.frombytes(velocities.data.cast("B"))
 
     def columns(self, lo: int, hi: int) -> tuple:
         """Rows lo:hi, cut as a slice is, as (t, kind, vehicle_id, lane, position, velocity, aux).
@@ -393,22 +384,6 @@ class Events(_RunLog):
             zip(memoryview(t), kind.tolist(), ids, memoryview(lane), xs, vs, aux.tolist())
             for t, kind, lane, aux in (self._run_cells(lo, min(lo + EXPAND_ROWS, n), *RUN_CELLS)
                                        for lo in range(0, n, EXPAND_ROWS)))
-
-    def __getitem__(self, index: slice) -> "Events":
-        """The rows of a slice with step 1, as an ``Events`` holding copies of its rows and runs."""
-        if not isinstance(index, slice) or index.step not in (None, 1):
-            raise TypeError("Events takes only slices with step 1; read rows with columns(lo, hi)")
-        start, stop, _ = index.indices(len(self))
-        part = Events()
-        if start < stop:
-            for name in ("vehicle_id", "position", "velocity"):
-                setattr(part, name, getattr(self, name)[start:stop])
-            j0 = bisect.bisect_right(self.run_start, start) - 1
-            j1 = bisect.bisect_left(self.run_start, stop, j0)
-            part.run_start = array("q", [max(row - start, 0) for row in self.run_start[j0:j1]])
-            for name in ("run_t", "run_kind", "run_lane", "run_aux"):
-                setattr(part, name, getattr(self, name)[j0:j1])
-        return part
 
     def __eq__(self, other):
         if not isinstance(other, Events):

@@ -28,6 +28,11 @@ class MetricTable:
     meta: dict = field(default_factory=dict)
 
 
+# the characters a cell cannot hold: the separator, the meta marker and every
+# line boundary that ``str.splitlines`` (and so ``parse_csv_text``) splits on
+CSV_BREAKING = re.compile("[,#\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def _format_value(value) -> str:
     if isinstance(value, bool):
         raise TypeError("booleans are not a CSV cell type; use 0/1")
@@ -36,7 +41,7 @@ def _format_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     text = str(value)
-    if "," in text or "\n" in text or "#" in text:
+    if CSV_BREAKING.search(text):
         raise ValueError(f"cell value {text!r} would not survive the CSV round trip")
     return text
 
@@ -151,16 +156,15 @@ def _stream_steps(log, t_lo=-math.inf, t_hi=math.inf):
         a, j = b, k
 
 
-def events_to_table(log, include_samples: bool = False) -> MetricTable:
-    """The raw log as one stream; samples, in time order, become 'sample' rows on request."""
+def events_to_table(log) -> MetricTable:
+    """The events.csv table: events and 'sample' rows in ``_stream_steps`` order."""
     s = log.samples
     rows = []
-    for columns, lo, hi, _ in _stream_steps(log):
+    for columns, lo, hi, runs in _stream_steps(log):
         rows += zip(*columns)
-        if include_samples:
-            rows.extend(zip(s.times(lo, hi).tolist(), ["sample"] * (hi - lo),
-                            s.vehicle_id[lo:hi], s.lane[lo:hi], s.position[lo:hi],
-                            s.velocity[lo:hi], [""] * (hi - lo)))
+        rows += zip([t for t, n in runs for _ in range(n)], repeat("sample"),
+                    s.vehicle_id[lo:hi], s.lane[lo:hi], s.position[lo:hi], s.velocity[lo:hi],
+                    repeat(""))
     return MetricTable(columns=list(EVENT_COLUMNS), rows=rows, meta=dict(log.config_echo))
 
 
@@ -205,7 +209,7 @@ def _write_segment(fh, log, t_lo=-math.inf, t_hi=math.inf) -> None:
     and a vehicle's position and velocity in its reception rows and in its
     sample row. Ints
     and the aux strings are formatted once per write. The bytes are
-    unchanged, those of ``table_to_text(events_to_table(log, True))``,
+    unchanged, those of ``table_to_text(events_to_table(log))``,
     because every float cell is exactly a float, read from a column, and
     zero is never a key (0.0 == -0.0, but their reprs differ), so each zero
     is formatted on its own. A cell that would break the round trip raises
@@ -277,7 +281,7 @@ class EventsCsvWriter:
     and into the file after the writer's rows once it is reaped, and
     returns the fold of the whole run. Either way the file is the only one
     written, and its bytes are those of
-    ``write_csv(events_to_table(log, True), path)`` for a log that kept
+    ``write_csv(events_to_table(log), path)`` for a log that kept
     every row.
 
     When a writer fails, the parent truncates the file back to the
@@ -432,7 +436,7 @@ class _HeldWhileWriting:
 
 
 def write_events_csv(log, path) -> None:
-    """Write events.csv: what ``write_csv(events_to_table(log, True), path)`` writes.
+    """Write events.csv: what ``write_csv(events_to_table(log), path)`` writes.
 
     This is ``EventsCsvWriter`` with no segment cut and no writer process:
     the calling process streams the rows from the event and sample logs one

@@ -9,7 +9,7 @@ import traceback
 
 from .config import ScenarioPreset
 from .engine import run
-from .metrics import MetricTable
+from .metrics import CSV_BREAKING, MetricTable
 
 SWEEP_COLUMNS = ["seed", "communication", "policy", "time_to_gridlock_s",
                  "time_to_origin_slow_s", "total_exits", "status"]
@@ -22,7 +22,8 @@ def _run_case(case):
 
     A failed case prints its full traceback to stderr; its status cell keeps
     only the exception's type and the first line of its message (a
-    ``SimulationError`` goes on with a dump of every vehicle).
+    ``SimulationError`` goes on with a dump of every vehicle), each
+    character that no CSV cell holds replaced with a space.
     """
     cfg, seed, arm = case
     try:
@@ -36,7 +37,7 @@ def _run_case(case):
         message = str(exc).partition("\n")[0]
         reason = f"{type(exc).__name__}: {message}" if message else type(exc).__name__
         return (seed, arm, cfg.policy.kind, NOT_REACHED, NOT_REACHED, 0,
-                f"error: {reason}")
+                "error: " + CSV_BREAKING.sub(" ", reason))
 
 
 def _median(values):

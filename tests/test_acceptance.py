@@ -293,7 +293,7 @@ def test_criterion_8_velocity_grid(ab_details):
 
 def _log_bytes(log):
     buffer = io.StringIO()
-    buffer.write(table_to_text(events_to_table(log, include_samples=True)))
+    buffer.write(table_to_text(events_to_table(log)))
     return buffer.getvalue().encode()
 
 

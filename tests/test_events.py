@@ -101,20 +101,27 @@ def build(ops):
     return events, expected
 
 
-def runs_are_whole(events):
+def runs_are_whole(log):
     """Every run starts at a row of its own, the first at row 0: none is empty.
 
-    Only a run of receptions holds more than one row.
+    Each run column holds a cell per run and each row column a cell per
+    row. In an ``Events`` only a run of receptions holds more than one row.
     """
-    starts = list(events.run_start)
+    starts = list(log.run_start)
     assert starts == sorted(set(starts))
-    assert starts[:1] == ([0] if len(events) else [])
-    assert not starts or starts[-1] < len(events)
-    assert (len(events.run_t) == len(events.run_kind) == len(events.run_lane)
-            == len(events.run_aux) == len(starts))
-    assert len(events.vehicle_id) == len(events.position) == len(events.velocity) == len(events)
-    lengths = [stop - start for start, stop in zip(starts, starts[1:] + [len(events)])]
-    assert all(n == 1 for n, kind in zip(lengths, events.run_kind) if kind != "reception")
+    assert starts[:1] == ([0] if len(log) else [])
+    assert not starts or starts[-1] < len(log)
+    for name in type(log).__slots__:
+        assert len(getattr(log, name)) == (len(starts) if name.startswith("run_") else len(log))
+    if isinstance(log, Events):
+        lengths = [stop - start for start, stop in zip(starts, starts[1:] + [len(log)])]
+        assert all(n == 1 for n, kind in zip(lengths, log.run_kind) if kind != "reception")
+
+
+def cells(log):
+    """Every column of ``log``, each array as its bytes: equal only if bit for bit."""
+    return {name: getattr(log, name).tobytes() if name not in ("run_kind", "run_aux")
+            else getattr(log, name) for name in type(log).__slots__}
 
 
 def rows_of(columns):
@@ -381,6 +388,10 @@ def test_a_cut_log_and_its_head_read_back_the_whole_log_bit_for_bit(minute_log):
             assert part.samples.run_start[:1].tolist() == ([0] if len(part.samples) else [])
         e, s = whole.events.before(t), whole.samples.before(t)
         assert (len(head.events), len(head.samples)) == (e, s)
+        for name, k in (("events", e), ("samples", s)):
+            log = getattr(whole, name)
+            assert cells(getattr(head, name)) == cells(log[:k])
+            assert cells(getattr(rest, name)) == cells(log[k:])
         assert (len(rest.events), len(rest.samples)) == (len(whole.events) - e,
                                                          len(whole.samples) - s)
         n = len(whole.events)
@@ -416,7 +427,7 @@ def exit_counts(log):
     exit_counts,
     metrics.lane_change_positions,
     lambda log: metrics.lane_changes_to_table(log).rows,
-    lambda log: metrics.events_to_table(log, include_samples=True).rows,
+    lambda log: metrics.events_to_table(log).rows,
 ], ids=["of_kind", "iter", "slice", "columns", "before", "samples_before", "velocity_grid",
         "exit_series", "lane_change_positions", "lane_changes_to_table", "events_to_table"])
 def test_a_reader_reads_head_and_rest_of_a_cut_as_whole_log(minute_log, read):
@@ -519,7 +530,7 @@ def test_sample_times_read_back_bit_for_bit_with_a_run_per_change_of_bits(ops):
     times = [row[0] for row in rows]
     assert samples.t.dtype == np.float64 and bits(samples.t) == bits(times)
     n = len(rows)
-    assert [bits(samples.times(lo, min(lo + 2, n))) for lo in range(n + 1)] == [
+    assert [bits(samples[lo:lo + 2].t) for lo in range(n + 1)] == [
         bits(times[lo:lo + 2]) for lo in range(n + 1)]
     for name, k in (("vehicle_id", 1), ("lane", 2)):
         assert list(getattr(samples, name)) == [row[k] for row in rows]
@@ -529,6 +540,47 @@ def test_sample_times_read_back_bit_for_bit_with_a_run_per_change_of_bits(ops):
     starts = run_starts(ops)
     assert list(samples.run_start) == starts
     assert bits(samples.run_t) == bits([times[k] for k in starts])
+
+
+def as_bits(column):
+    """A column's cells as a list, each float as its bit pattern."""
+    column = np.asarray(column)
+    return column.view(np.int64).tolist() if column.dtype == np.float64 else column.tolist()
+
+
+def read_rows(log, lo, hi):
+    """Rows lo:hi of either log, read through its public columns, each float as its bits."""
+    if isinstance(log, Events):
+        columns = log.columns(lo, hi)
+    else:
+        columns = [log.t[lo:hi]] + [getattr(log, name)[lo:hi]
+                                    for name in ("vehicle_id", "lane", "position", "velocity")]
+    return [as_bits(column) for column in columns]
+
+
+@SETTINGS
+@given(st.one_of(ops_in_time_order.map(lambda ops: build(ops)[0]),
+                 st.lists(sample_op, max_size=12).map(lambda ops: build_samples(ops)[0])),
+       st.data())
+def test_a_slice_of_either_log_reads_back_its_rows_bit_for_bit(log, data):
+    n = len(log)
+    bound = st.one_of(st.none(), st.integers(-n - 2, n + 2))
+    cut = slice(data.draw(bound), data.draw(bound))
+    lo, hi, _ = cut.indices(n)
+    part = log[cut]
+    assert type(part) is type(log) and len(part) == max(hi - lo, 0)
+    runs_are_whole(part)
+    assert read_rows(part, 0, len(part)) == read_rows(log, lo, max(lo, hi))
+    assert cells(log[:]) == cells(log)
+    for index in (0, slice(None, None, 2), slice(None, None, -1)):
+        with pytest.raises(TypeError, match=f"^{type(log).__name__} takes only slices"):
+            log[index]
+    if isinstance(log, Events):
+        # the events are in time order, so a cut at any time is the two slices at before(t)
+        times = log.columns(0, n)[0].tolist()
+        t = data.draw(st.one_of(st.sampled_from(times), finite) if times else finite)
+        k, rest = log.before(t), pickle.loads(pickle.dumps(log))
+        assert cells(rest.cut_before(t)) == cells(log[:k]) and cells(rest) == cells(log[k:])
 
 
 def test_a_sample_log_keeps_no_per_row_time_and_four_byte_ids(minute_log):
@@ -566,14 +618,18 @@ def test_a_sample_cut_never_splits_a_time_and_before_and_eq_hold():
     assert [samples.before(t) for t in (0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 2.0)] == [
         0, 0, 3, 3, 5, 5, 7]
     # 0.0 and -0.0 are one time: a cut at either keeps all three rows, one past takes them
+    whole = samples[:]
     assert len(samples.cut_before(-0.0)) == len(samples.cut_before(0.0)) == 0
+    assert cells(samples) == cells(whole)
     head = samples.cut_before(0.25)
+    assert cells(head) == cells(whole[:3]) and cells(samples) == cells(whole[3:])
     assert (len(head), list(head.run_start), bits(head.t)) == (3, [0, 1], bits([0.0, -0.0, -0.0]))
     assert (len(samples), list(samples.run_start), bits(samples.t)) == (
         4, [0, 2], bits([0.5, 0.5, 1.0, 1.0]))
     assert samples.before(0.0) == 0 and samples.before(0.75) == 2
     head = samples.cut_before(0.75)
     assert list(head.vehicle_id) == [4, 5] and list(samples.vehicle_id) == [6, 7]
+    assert cells(head) == cells(whole[3:5]) and cells(samples) == cells(whole[5:])
     assert len(samples.cut_before(2.0)) == 2
     assert (len(samples.run_t), len(samples), samples.t.size) == (0, 0, 0)
 

@@ -245,6 +245,16 @@ def test_parse_csv_text_rejects_a_row_whose_cell_count_differs_from_the_header(t
         parse_csv_text(text)
 
 
+@pytest.mark.parametrize("boundary", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
+                                      "\x1e", "\x85", "\u2028", "\u2029"],
+                         ids=["LF", "CR", "CRLF", "VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"])
+def test_a_cell_holding_a_line_boundary_is_rejected(boundary):
+    """``parse_csv_text`` splits lines as ``str.splitlines`` does: no cell may hold a boundary."""
+    assert len(f"a{boundary}b".splitlines()) == 2
+    with pytest.raises(ValueError, match="would not survive the CSV round trip"):
+        table_to_text(MetricTable(["x", "y"], [(f"a{boundary}b", 1)]))
+
+
 def test_write_csv_unwritable_path():
     table = MetricTable(columns=["x"], rows=[], meta={})
     with pytest.raises(OSError, match="no/such/dir"):
@@ -253,13 +263,13 @@ def test_write_csv_unwritable_path():
 
 def test_events_table_long_form_with_samples():
     log = real_log(duration=30.0)
-    table = events_to_table(log, include_samples=True)
+    table = events_to_table(log)
     n_samples = len(log.samples)
     assert len(table.rows) == len(log.events) + n_samples
     times = [row[0] for row in table.rows]
     assert times == sorted(times)
     assert table.meta["seed"] == "31"
-    assert events_to_table(log).rows == list(log.events)
+    assert [row for row in table.rows if row[1] != "sample"] == list(log.events)
 
 
 # events in time order, some tied with sample times, some before and after
@@ -292,7 +302,7 @@ def test_events_writer_matches_stable_sort_oracle(tmp_path, monkeypatch):
     log = synthetic_log(events=EVENTS, samples=ORDERED_SAMPLES)
     oracle = MetricTable(columns=list(EVENT_COLUMNS), rows=sort_oracle(log),
                          meta=dict(log.config_echo))
-    assert events_to_table(log, include_samples=True) == oracle
+    assert events_to_table(log) == oracle
     for flush_rows in (metrics.FLUSH_ROWS, 3, 1):
         monkeypatch.setattr(metrics, "FLUSH_ROWS", flush_rows)
         path = tmp_path / f"events_{flush_rows}.csv"
@@ -318,7 +328,7 @@ def test_events_writer_reads_back_as_the_table(tmp_path):
     log = real_log(duration=60.0)
     path = tmp_path / "events.csv"
     write_events_csv(log, path)
-    assert read_csv(path) == events_to_table(log, include_samples=True)
+    assert read_csv(path) == events_to_table(log)
 
 
 def test_events_writer_rejects_cells_that_break_the_csv(tmp_path):
@@ -336,14 +346,14 @@ def test_events_stream_needs_events_in_time_order(tmp_path):
         log.events.append(EVENTS[0])
     assert list(log.events) == EVENTS[1:]
     write_events_csv(log, tmp_path / "events.csv")
-    assert read_csv(tmp_path / "events.csv") == events_to_table(log, include_samples=True)
+    assert read_csv(tmp_path / "events.csv") == events_to_table(log)
 
 
 def test_events_writer_writes_each_sample_at_its_own_time(tmp_path):
     """Samples at 0.0 and then -0.0 are one step of two runs, each written at its time."""
     log = synthetic_log(samples=[(0.0, 1, 0, 5.0, 1.0), (-0.0, 2, 1, 6.0, 2.0),
                                  (-0.0, 3, 0, 7.0, 3.0), (0.5, 1, 0, 5.5, 1.0)])
-    expected = table_to_text(events_to_table(log, include_samples=True))
+    expected = table_to_text(events_to_table(log))
     assert "\n0.0,sample,1,0,5.0,1.0,\n-0.0,sample,2,1,6.0,2.0,\n-0.0,sample,3,0," in expected
     write_events_csv(log, tmp_path / "events.csv")
     assert (tmp_path / "events.csv").read_bytes() == expected.encode()
@@ -353,9 +363,8 @@ def test_events_stream_needs_samples_in_time_order(tmp_path):
     log = synthetic_log(samples=ORDERED_SAMPLES[::-1])
     with pytest.raises(ValueError, match="samples are not in time order"):
         write_events_csv(log, tmp_path / "events.csv")
-    for include_samples in (True, False):
-        with pytest.raises(ValueError, match="samples are not in time order"):
-            events_to_table(log, include_samples)
+    with pytest.raises(ValueError, match="samples are not in time order"):
+        events_to_table(log)
 
 
 # --- events.csv written while the run goes on ---------------------------------------
@@ -477,7 +486,7 @@ def test_streamed_events_csv_cuts_at_times_with_events(tmp_path, monkeypatch, fo
     whole = every_row(synthetic_steps, 60)
     write_events_csv(whole, tmp_path / "serial.csv")
     assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    assert read_csv(tmp_path / "events.csv") == events_to_table(whole, include_samples=True)
+    assert read_csv(tmp_path / "events.csv") == events_to_table(whole)
     assert_nothing_left(tmp_path)
 
 
@@ -517,7 +526,7 @@ def test_events_csv_formats_each_cell_as_the_table_does(tmp_path, monkeypatch, f
     # with a writer slot, every step after the first cuts the rows of the one before
     assert len(forks) == (0 if cpus == 1 else 19)
     whole = every_row(pitfall_steps, 20)
-    expected = table_to_text(events_to_table(whole, include_samples=True))
+    expected = table_to_text(events_to_table(whole))
     for row in ("1.0,gridlock,-1,0,-0.0,0.0,\n", "1.0,transmission,-1,0,500.0,0.0,1\n",
                 "1.0,sample,1,0,0.0,-0.0,\n", "1.0,sample,2,1,-0.0,0.0,\n",
                 "1.0,sample,3,0,500.0,nan,\n", "1.0,exit,5,0,nan,0.0,\n",
@@ -1024,6 +1033,29 @@ def test_sweep_status_is_the_error_type_and_the_first_line_of_its_message(monkey
     assert parse_csv_text(table_to_text(table)) == table
     # the dump goes to stderr with the traceback
     assert capfd.readouterr().err.count("lane=1 id=50 x=1499.855 v=28.415") == 2
+
+
+def test_a_failed_case_whose_message_breaks_a_cell_still_writes_the_summary(monkeypatch,
+                                                                             tmp_path, capfd):
+    import vanetflow.sweep as sweep_mod
+
+    real_run = sweep_mod.run
+
+    def flaky(cfg):
+        if cfg.seed == 1 and cfg.communication_enabled:
+            raise ValueError("lane 1, vehicle 3 #2\rat t=5")
+        return real_run(cfg)
+
+    monkeypatch.setattr(sweep_mod, "run", flaky)
+    table = sweep_mod.run_sweep(tiny_preset(), [0, 1], jobs=1)
+    path = tmp_path / "sweep_summary.csv"
+    write_csv(table, path)
+    assert read_csv(path) == table
+    assert [row[6] for row in table.rows] == ["ok", "ok", "ok",
+                                              "error: ValueError: lane 1  vehicle 3  2 at t=5",
+                                              "median", "median"]
+    # stderr keeps the message as it was raised
+    assert "ValueError: lane 1, vehicle 3 #2\rat t=5" in capfd.readouterr().err
 
 
 def test_sweep_rejects_empty_seed_list():
