@@ -53,10 +53,31 @@ NO_FRAME = -1               # MAC columns' "none": no attempt tick, no pending m
 INITIAL_ROWS = 256          # vehicle rows VehicleColumns holds before it first grows
 INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1  # the logs keep vehicle ids in four bytes
 RUN_CELLS = ("run_t", "run_kind", "run_lane", "run_aux")  # an event's cells kept once per run
+# the kinds of event the engine logs, and the auxes that are not a message
+# id: the empty one and a lane change's "target_lane|infected"
+EVENT_KINDS = ("injection", "exit", "lane_change", "transmission", "reception", "infection",
+               "gridlock", "origin_congested")
+AUX_WORDS = ("", "0|0", "0|1", "1|0", "1|1")
 
 
 class SimulationError(RuntimeError):
     """An engine invariant broke; carries a diagnostic dump, never repaired."""
+
+
+def _codes(kind, aux) -> tuple:
+    """The event log's cells for ``kind`` and ``aux``, or ValueError.
+
+    A kind is kept as its index in EVENT_KINDS. A message id, an int from 0
+    to 2**63 - 1, is kept as itself, and a word of AUX_WORDS as -1 - its index.
+    """
+    if kind not in EVENT_KINDS:
+        raise ValueError(f"event kind {kind!r} is not one of EVENT_KINDS {EVENT_KINDS}")
+    if type(aux) is int and 0 <= aux < 1 << 63:
+        return EVENT_KINDS.index(kind), aux
+    if type(aux) is str and aux in AUX_WORDS:
+        return EVENT_KINDS.index(kind), -1 - AUX_WORDS.index(aux)
+    raise ValueError(f"aux {aux!r} is neither a message id (an int from 0 to 2**63 - 1) "
+                     f"nor one of AUX_WORDS {AUX_WORDS}")
 
 
 class _RunLog:
@@ -87,17 +108,12 @@ class _RunLog:
         for name in self.__slots__:
             del getattr(self, name)[runs if name.startswith("run_") else rows:]
 
-    def _run_cells(self, lo: int, hi: int, *names: str) -> list:
-        """The run columns ``names`` of rows lo:hi (lo <= hi), a cell per row, as numpy arrays.
-
-        A run column that is a list expands to an object array.
-        """
+    def _runs(self, lo: int, hi: int) -> tuple:
+        """The runs that rows lo:hi (lo <= hi) fall in, as a slice, and their rows in lo:hi."""
         starts = np.frombuffer(self.run_start, dtype=np.int64)
         k0 = int(starts.searchsorted(lo, "right")) - 1
         k1 = int(starts.searchsorted(hi))
-        lengths = np.diff(starts[k0:k1].clip(lo), append=hi)
-        return [np.array(column[k0:k1], dtype=object if type(column) is list else None)
-                .repeat(lengths) for column in (getattr(self, name) for name in names)]
+        return slice(k0, k1), np.diff(starts[k0:k1].clip(lo), append=hi)
 
     def before(self, t: float) -> int:
         """The number of rows logged before time ``t``.
@@ -200,7 +216,8 @@ class SampleLog(_RunLog):
     @property
     def t(self) -> np.ndarray:
         """The time of each sample, as a new float64 numpy array (read only)."""
-        return self._run_cells(0, len(self), "run_t")[0]
+        runs, lengths = self._runs(0, len(self))
+        return np.array(self.run_t[runs]).repeat(lengths)
 
     def _open_run(self, t: float) -> None:
         """Start a run at the next row, unless ``t`` has the bits of the last run's time.
@@ -242,13 +259,14 @@ class Events(_RunLog):
     record is one row of the columns ``vehicle_id`` (int32), ``position``
     and ``velocity`` (float64), 20 B a row; its time, kind, lane and aux
     are those of its run of rows (see ``_RunLog``): run k has ``run_t[k]``,
-    ``run_kind[k]``, ``run_lane[k]`` and ``run_aux[k]``. A batch given to
-    ``log_receptions`` is one run, a record given to ``append`` or
-    ``extend`` a run of one row. A NaN or earlier time is rejected, so
-    ``run_t`` is sorted and ``before`` bisects it, and so is an id past
-    int32. ``columns`` and ``of_kind`` read rows as seven numpy columns,
-    the ids as int64; iteration yields them as (float, str, int, int,
-    float, float, int | str) tuples, EXPAND_ROWS at a time. A slice is an
+    ``run_kind[k]`` (int8), ``run_lane[k]`` and ``run_aux[k]`` (int64), the
+    kind and aux coded by ``_codes``. A batch given to ``log_receptions``
+    is one run, a record given to ``append`` or ``extend`` a run of one row.
+    A kind or aux that ``_codes`` rejects, a NaN or earlier time and an id
+    past int32 are rejected, so ``run_t`` is sorted and ``before`` bisects
+    it. ``columns`` and ``of_kind`` read rows as seven numpy columns, the
+    ids as int64; iteration yields them as (float, str, int, int, float,
+    float, int | str) tuples, EXPAND_ROWS at a time. A slice is an
     ``Events`` (see ``_RunLog``). An ``Events`` compares, column by
     column, only with another. After ``cut_before(t)`` a record before
     ``t`` is rejected as an earlier one.
@@ -264,9 +282,9 @@ class Events(_RunLog):
         self.velocity = array("d")
         self.run_start = array("q")
         self.run_t = array("d")
-        self.run_kind = []
+        self.run_kind = array("b")
         self.run_lane = array("b")
-        self.run_aux = []
+        self.run_aux = array("q")
 
     def _check_time(self, t) -> None:
         """Raise ValueError unless ``t`` is at or after the last record's time and the floor."""
@@ -278,13 +296,12 @@ class Events(_RunLog):
     def append(self, record) -> None:
         """Log ``record`` as a run of one row.
 
-        A record that does not fit (not seven cells, a kind that is not a
-        str, an aux that is neither an int nor a str, a number its typed
-        column cannot hold, a NaN or earlier time) raises; the log is unchanged.
+        A record that does not fit (not seven cells, a kind or aux outside
+        the log's vocabulary, a number its typed column cannot hold, a NaN
+        or earlier time) raises; the log is unchanged.
         """
         t, kind, vehicle_id, lane, position, velocity, aux = record
-        if type(kind) is not str or type(aux) not in (int, str):
-            raise TypeError(f"record {record!r} does not fit the event columns")
+        kind, aux = _codes(kind, aux)
         self._check_time(t)
         n, k = len(self), len(self.run_start)
         try:
@@ -319,7 +336,7 @@ class Events(_RunLog):
         message id) per run, in order, the first at row 0: a run's rows go
         up to the next run's index. A run with no rows is dropped. A NaN or
         earlier ``t``, columns that do not fit, runs out of order and
-        message ids that are not ints raise; the log is unchanged.
+        message ids that ``_codes`` rejects raise; the log is unchanged.
         """
         self._check_time(t)
         n = len(ids)
@@ -328,21 +345,34 @@ class Events(_RunLog):
         base = len(self)
         stops = [start for start, _, _ in islice(runs, 1, None)] + [n]
         # the new runs' cells, held until every run and row is known to fit
-        starts, lanes, msg_ids = array("q"), array("b"), []
+        starts, lanes, msg_ids = array("q"), array("b"), array("q")
         for (start, lane, msg_id), stop in zip(runs, stops):
-            if start > stop or type(msg_id) is not int:
-                raise ValueError(f"reception run {(start, lane, msg_id)!r} is out of order "
-                                 "or its message id is not an int")
+            _, aux = _codes("reception", msg_id)
+            if start > stop:
+                raise ValueError(f"reception run {(start, lane, msg_id)!r} is out of order")
             if start < stop:
                 starts.append(base + start)
                 lanes.append(lane)
-                msg_ids.append(msg_id)
+                msg_ids.append(aux)
         self._extend_rows(n, ids, positions, velocities)
         self.run_start += starts
         self.run_t += array("d", [t]) * len(starts)
-        self.run_kind += ["reception"] * len(starts)
+        self.run_kind += array("b", [EVENT_KINDS.index("reception")]) * len(starts)
         self.run_lane += lanes
         self.run_aux += msg_ids
+
+    def _run_rows(self, runs, lengths) -> tuple:
+        """The time, kind, lane and aux of ``runs`` (a slice or run indices), a cell per row.
+
+        Run k's cells repeat ``lengths[k]`` times, its kind and aux decoded once.
+        """
+        t, kind, lane, aux = (np.frombuffer(column, column.typecode)[runs]
+                              for column in (getattr(self, name) for name in RUN_CELLS))
+        cells = aux.astype(object)
+        words = aux < 0
+        cells[words] = np.array(AUX_WORDS, object)[~aux[words]]
+        return tuple(column.repeat(lengths)
+                     for column in (t, np.array(EVENT_KINDS, object)[kind], lane, cells))
 
     def columns(self, lo: int, hi: int) -> tuple:
         """Rows lo:hi, cut as a slice is, as (t, kind, vehicle_id, lane, position, velocity, aux).
@@ -355,21 +385,19 @@ class Events(_RunLog):
         if lo < 0 or hi < 0:
             raise IndexError(f"event rows {lo}:{hi} start or stop before row 0")
         lo, hi = min(lo, len(self)), min(max(lo, hi), len(self))
-        t, kind, lane, aux = self._run_cells(lo, hi, *RUN_CELLS)
+        t, kind, lane, aux = self._run_rows(*self._runs(lo, hi))
         ids, xs, vs = (np.frombuffer(column[lo:hi], column.typecode)
                        for column in (self.vehicle_id, self.position, self.velocity))
         return t, kind, ids.astype(np.int64), lane, xs, vs, aux
 
     def of_kind(self, kind: str) -> tuple:
-        """The rows of ``kind``, as ``columns``; no run of another kind is expanded."""
-        picked = np.array([k for k, name in enumerate(self.run_kind) if name == kind], np.int64)
+        """The rows of ``kind``, as ``columns``; a kind outside EVENT_KINDS raises ValueError."""
+        picked = (np.frombuffer(self.run_kind, np.int8) == _codes(kind, "")[0]).nonzero()[0]
         # each run's first row, then the row count
         ends = np.append(self.run_start, len(self))
         lengths = ends[picked + 1] - ends[picked]
         rows = np.arange(lengths.sum()) + (ends[picked + 1] - lengths.cumsum()).repeat(lengths)
-        t, kinds, lane, aux = (
-            np.array([column[k] for k in picked.tolist()], getattr(column, "typecode", object))
-            .repeat(lengths) for column in (self.run_t, self.run_kind, self.run_lane, self.run_aux))
+        t, kinds, lane, aux = self._run_rows(picked, lengths)
         ids, xs, vs = (np.frombuffer(column, column.typecode)[rows]
                        for column in (self.vehicle_id, self.position, self.velocity))
         return t, kinds, ids.astype(np.int64), lane, xs, vs, aux
@@ -382,7 +410,7 @@ class Events(_RunLog):
         # ints; t runs out first, so the shared column iterators lose no row
         return chain.from_iterable(
             zip(memoryview(t), kind.tolist(), ids, memoryview(lane), xs, vs, aux.tolist())
-            for t, kind, lane, aux in (self._run_cells(lo, min(lo + EXPAND_ROWS, n), *RUN_CELLS)
+            for t, kind, lane, aux in (self._run_rows(*self._runs(lo, min(lo + EXPAND_ROWS, n)))
                                        for lo in range(0, n, EXPAND_ROWS)))
 
     def __eq__(self, other):
@@ -397,9 +425,9 @@ class EventLog:
     """Everything a run produced: discrete events, dense samples and totals.
 
     Event records are (time_s, event_kind, vehicle_id, lane, position_m,
-    velocity_mps, aux); aux carries the message id for communication events
-    and "target_lane|infected" for lane changes. ``events`` keeps them in
-    time order as runs of typed columns, read by ``Events.columns``.
+    velocity_mps, aux) of EVENT_KINDS; aux carries the message id for
+    communication events and one of AUX_WORDS for the rest. ``events``
+    keeps them in time order as runs of typed columns, read by ``columns``.
     ``samples`` keeps each step's vehicle samples as one run of rows, its
     time once per run. Both logs keep vehicle ids in four bytes (int32).
     """
@@ -761,9 +789,7 @@ def _communicate(state: SimState) -> None:
             # generation that is no longer held expired in time
             if msg is not None and ttl_alive(msg, t, x):
                 transmissions.append((x, msg))
-                # msg.msg_id, not the column's copy: the log keeps each run's
-                # aux object, and a fresh int per transmission costs 28 B
-                events.append((t, "transmission", veh_id, lane, x, v, msg.msg_id))
+                events.append((t, "transmission", veh_id, lane, x, v, msg_id))
         # a send resets contention and empties the queue slot: no frame, no attempt
         cols.backoff_stage[sent] = stages
         cols.attempt_tick[sent] = cols.pending_message[sent] = NO_FRAME

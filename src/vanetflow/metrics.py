@@ -168,16 +168,6 @@ def events_to_table(log) -> MetricTable:
     return MetricTable(columns=list(EVENT_COLUMNS), rows=rows, meta=dict(log.config_echo))
 
 
-def _check_cells(lines: list, text: str) -> None:
-    """Raise if a cell in these rows would not survive the CSV round trip."""
-    if (text.count(",") == (len(EVENT_COLUMNS) - 1) * len(lines)
-            and text.count("\n") == len(lines) and "#" not in text):
-        return
-    for line in lines:
-        if line.count(",") != len(EVENT_COLUMNS) - 1 or line.count("\n") != 1 or "#" in line:
-            raise ValueError(f"row {line!r} would not survive the CSV round trip")
-
-
 class _Reprs(dict):
     """The repr of each distinct non-zero float of one time step.
 
@@ -202,7 +192,8 @@ def _write_segment(fh, log, t_lo=-math.inf, t_hi=math.inf) -> None:
     time, in the order ``_stream_steps`` gives (its samples lie in
     [t_lo, t_hi)), without building a row table, and written after the step
     that brings the rows held to FLUSH_ROWS. The event columns fix each
-    cell's type: (float, str, int, int, float, float, int | str).
+    cell's type: (float, str, int, int, float, float, int | str); an
+    ``Events`` takes no cell that could break a row, so none is checked.
 
     Each distinct float of a step is formatted once, and its string serves
     every row of the step that repeats it: the time of each of its runs,
@@ -212,8 +203,7 @@ def _write_segment(fh, log, t_lo=-math.inf, t_hi=math.inf) -> None:
     unchanged, those of ``table_to_text(events_to_table(log))``,
     because every float cell is exactly a float, read from a column, and
     zero is never a key (0.0 == -0.0, but their reprs differ), so each zero
-    is formatted on its own. A cell that would break the round trip raises
-    ValueError.
+    is formatted on its own.
     """
     s = log.samples
     lines = []
@@ -221,9 +211,7 @@ def _write_segment(fh, log, t_lo=-math.inf, t_hi=math.inf) -> None:
     texts = _Texts()
 
     def flush():
-        text = "".join(lines)
-        _check_cells(lines, text)
-        fh.write(text.encode())
+        fh.write("".join(lines).encode())
         lines.clear()
         texts.clear()
 
@@ -281,8 +269,7 @@ class EventsCsvWriter:
     and into the file after the writer's rows once it is reaped, and
     returns the fold of the whole run. Either way the file is the only one
     written, and its bytes are those of
-    ``write_csv(events_to_table(log), path)`` for a log that kept
-    every row.
+    ``write_csv(events_to_table(log), path)`` for a log that kept every row.
 
     When a writer fails, the parent truncates the file back to the
     writer's offset and formats its segment again, which raises the error
@@ -442,9 +429,8 @@ def write_events_csv(log, path) -> None:
     the calling process streams the rows from the event and sample logs one
     time step at a time, without building a row table, and writes them in
     chunks of about FLUSH_ROWS. Each distinct float of a step is formatted
-    once (see ``_write_segment``); the bytes are unchanged by it. A cell
-    that would break the round trip raises ValueError, and no partial file
-    is left behind.
+    once (see ``_write_segment``); the bytes are unchanged by it. A write
+    that fails leaves no partial file behind.
     """
     with EventsCsvWriter(path) as writer:
         writer.finish(log)

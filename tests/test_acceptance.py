@@ -51,9 +51,14 @@ def _ab_worker(args):
     late = [cfg.obstacle_position - x for (t, x, _) in changes
             if t >= CONGESTED_PHASE_START]
     median_distance = statistics.median(late) if late else 0.0
-    area = slow_cell_area(velocity_grid(log), threshold=SLOW_SPEED,
-                          x_limit=cfg.obstacle_position)
-    return seed, comm, log.exited, median_distance, area
+    grid = velocity_grid(log)
+    area = slow_cell_area(grid, threshold=SLOW_SPEED, x_limit=cfg.obstacle_position)
+    # the slow cells upstream of the obstacle in the first and the last third of the run
+    upstream = int(cfg.obstacle_position / grid.x_bin_size)
+    slow = (grid.counts[:, :upstream] > 0) & (grid.means[:, :upstream] < SLOW_SPEED)
+    nt = slow.shape[0]
+    early, late_area = int(slow[: nt // 3].sum()), int(slow[-nt // 3:].sum())
+    return seed, comm, log.exited, median_distance, area, early, late_area
 
 
 def _protocol_worker(args):
@@ -274,13 +279,7 @@ def test_criterion_7_lane_change_drift(ab_details):
 def test_criterion_8_velocity_grid(ab_details):
     on, off = ab_details
     # the jam region must actually grow over time without communication
-    cfg = PRESETS["velocity_motorway"].config(seed=SEEDS[0], communication=False)
-    log = run(cfg)
-    grid = velocity_grid(log)
-    upstream = int(cfg.obstacle_position / grid.x_bin_size)
-    slow = (grid.counts[:, :upstream] > 0) & (grid.means[:, :upstream] < SLOW_SPEED)
-    nt = slow.shape[0]
-    early, late = slow[: nt // 3].sum(), slow[-nt // 3:].sum()
+    early, late = off[SEEDS[0]][5:7]
     deltas = [off[s][4] - on[s][4] for s in SEEDS]
     med = statistics.median(deltas)
     ok = late > early and early >= 0 and med > 0.0

@@ -13,17 +13,16 @@ from hypothesis import strategies as st
 
 from vanetflow import engine, metrics
 from vanetflow.config import PRESETS
-from vanetflow.engine import Events, SampleLog, run
+from vanetflow.engine import AUX_WORDS, EVENT_KINDS, Events, SampleLog, run
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
 finite = st.floats(allow_nan=False)
-int64 = st.integers(-2**63, 2**63 - 1)
 # the logs keep vehicle ids in four bytes
 int32 = st.integers(-2**31, 2**31 - 1)
 # times and message ids often repeat, so runs of equal (t, lane, msg_id) meet
 step_time = st.one_of(st.sampled_from([0.0, -0.0, 2.5]), finite)
-msg_id = st.one_of(st.integers(0, 2), int64)
+msg_id = st.one_of(st.integers(0, 2), st.integers(0, 2**63 - 1))
 # a (lane, transmission) batch: its lane, message id, the (vehicle id,
 # position, velocity) of each receiver and the row after which an infection
 # splits it (none when past its end)
@@ -31,9 +30,9 @@ batch = st.tuples(st.integers(0, 1), msg_id, st.lists(st.tuples(int32, finite, f
                                                       max_size=6), st.integers(0, 7))
 # what the engine appends: (float, str, int, int, float, float, int | str),
 # with NaN positions and velocities, which a column reads back as new floats
-record = st.tuples(finite, st.sampled_from(["injection", "exit", "infection", "reception"]),
-                   st.one_of(st.integers(-1, 50), int32), st.integers(0, 1), st.floats(),
-                   st.floats(), st.one_of(st.just(""), st.integers(0, 9), int64, st.just("1|0")))
+record = st.tuples(finite, st.sampled_from(EVENT_KINDS), st.one_of(st.integers(-1, 50), int32),
+                   st.integers(0, 1), st.floats(), st.floats(),
+                   st.one_of(st.sampled_from(AUX_WORDS), msg_id))
 op = st.one_of(st.tuples(st.just("rx"), step_time, st.lists(batch, max_size=4)),
                st.tuples(st.just("append"), record),
                st.tuples(st.just("extend"), st.lists(record, max_size=3)))
@@ -115,13 +114,13 @@ def runs_are_whole(log):
         assert len(getattr(log, name)) == (len(starts) if name.startswith("run_") else len(log))
     if isinstance(log, Events):
         lengths = [stop - start for start, stop in zip(starts, starts[1:] + [len(log)])]
-        assert all(n == 1 for n, kind in zip(lengths, log.run_kind) if kind != "reception")
+        assert all(n == 1 for n, kind in zip(lengths, log.run_kind)
+                   if EVENT_KINDS[kind] != "reception")
 
 
 def cells(log):
-    """Every column of ``log``, each array as its bytes: equal only if bit for bit."""
-    return {name: getattr(log, name).tobytes() if name not in ("run_kind", "run_aux")
-            else getattr(log, name) for name in type(log).__slots__}
+    """Every column of ``log`` as its bytes: equal only if bit for bit."""
+    return {name: getattr(log, name).tobytes() for name in type(log).__slots__}
 
 
 def rows_of(columns):
@@ -177,7 +176,7 @@ def check_reads(ops, data):
     same_rows(pickle.loads(pickle.dumps(events)), expected)
     for t in [row[0] for row in expected] + [data.draw(st.floats(allow_nan=False))]:
         assert events.before(t) == sum(row[0] < t for row in expected)
-    for kind in ("injection", "exit", "infection", "reception", "lane_change"):
+    for kind in EVENT_KINDS:
         same_rows(rows_of(events.of_kind(kind)), [row for row in expected if row[1] == kind])
     for index in (0, -1, n, slice(None, None, 2), slice(None, None, -1), slice(1, None, 3)):
         with pytest.raises(TypeError):
@@ -257,6 +256,51 @@ def test_log_receptions_takes_lists_and_strided_arrays():
                        (1.0, "reception", 4, 0, 1.0, 2.5, 8)])
 
 
+# every character that would break an events.csv row: the separator, the
+# meta marker and each line boundary that str.splitlines splits on
+ROW_BREAKING = [",", "#", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029"]
+
+
+def test_every_intake_rejects_a_kind_or_aux_outside_the_vocabulary():
+    """``append``, ``extend`` and ``log_receptions`` take no cell that could break events.csv.
+
+    A kind outside EVENT_KINDS, an aux holding a character that would break
+    a row, a negative message id and one past int64 are each rejected, and
+    the log is unchanged.
+    """
+    assert all(metrics.CSV_BREAKING.search(c) for c in ROW_BREAKING)
+    bad = [("lane_change", f"1{c}0") for c in ROW_BREAKING] + [
+        ("transmission", -1), ("transmission", 2**63), ("lanechange", "1|0")]
+    for call in ("append", "extend", "log_receptions"):
+        for kind, aux in bad:
+            if call == "log_receptions" and kind not in EVENT_KINDS:
+                continue  # a run of receptions names no kind
+            events, expected = build([("rx", 0.5, [(1, 7, [(3, 5.0, 1.5), (4, 6.0, 2.5)], 0)])])
+            before = unchanged(events)
+            record = (1.0, kind, 5, 0, 40.0, 9.5, aux)
+            with pytest.raises(ValueError, match="is not one of EVENT_KINDS" if kind == "lanechange"
+                               else "is neither a message id"):
+                if call == "append":
+                    events.append(record)
+                elif call == "extend":
+                    # the first record fits and is taken back with the rest
+                    events.extend([(1.0, "exit", 6, 0, 1500.0, 30.0, ""), record])
+                else:
+                    events.log_receptions(1.0, [5], [40.0], [9.5], [(0, 0, aux)])
+            assert unchanged(events) == before, (call, kind, aux)
+            same_rows(events, expected)
+
+
+def test_of_kind_rejects_a_kind_outside_event_kinds():
+    events, _ = build([("rx", 0.5, [(1, 7, [(3, 5.0, 1.5)], 5)])])
+    assert [len(events.of_kind(kind)[0]) for kind in EVENT_KINDS] == [
+        kind == "reception" for kind in EVENT_KINDS]
+    for kind in ("lane-change", "lanechange", "sample", ""):
+        with pytest.raises(ValueError, match=f"event kind {kind!r} is not one of EVENT_KINDS"):
+            events.of_kind(kind)
+
+
 def test_a_nan_time_is_rejected_as_the_first_too():
     events = Events()
     with pytest.raises(ValueError, match="NaN"):
@@ -291,7 +335,7 @@ def reception_rows(events):
     """The number of rows in the runs of receptions, counted through ``run_kind``."""
     starts = list(events.run_start) + [len(events)]
     return sum(stop - start for start, stop, kind in zip(starts, starts[1:], events.run_kind)
-               if kind == "reception")
+               if EVENT_KINDS[kind] == "reception")
 
 
 def test_every_row_of_an_engine_log_reads_back_typed_in_time_order(minute_log):
@@ -342,7 +386,7 @@ def test_receptions_take_20_bytes_a_row_and_one_run_per_batch(minute_log):
     assert sum(column.itemsize for column in columns) == 20
     runs = (events.run_start, events.run_t, events.run_kind, events.run_lane, events.run_aux)
     assert len({len(column) for column in runs}) == 1
-    reception_runs = events.run_kind.count("reception")
+    reception_runs = events.run_kind.count(EVENT_KINDS.index("reception"))
     # every other record is a run of one row
     assert len(events.run_start) - reception_runs == n - reception_rows(events)
     # a (lane, transmission) batch has a hit when a reception row at its time,
