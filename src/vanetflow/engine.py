@@ -53,10 +53,11 @@ NO_FRAME = -1               # MAC columns' "none": no attempt tick, no pending m
 INITIAL_ROWS = 256          # vehicle rows VehicleColumns holds before it first grows
 INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1  # the logs keep vehicle ids in four bytes
 RUN_CELLS = ("run_t", "run_kind", "run_lane", "run_aux")  # an event's cells kept once per run
-# the kinds of event the engine logs, and the auxes that are not a message
-# id: the empty one and a lane change's "target_lane|infected"
+# the kinds of event the engine logs, those whose aux is a message id, and
+# the other auxes: the empty one and a lane change's "target_lane|infected"
 EVENT_KINDS = ("injection", "exit", "lane_change", "transmission", "reception", "infection",
                "gridlock", "origin_congested")
+MESSAGE_KINDS = ("transmission", "reception", "infection")
 AUX_WORDS = ("", "0|0", "0|1", "1|0", "1|1")
 
 
@@ -64,20 +65,30 @@ class SimulationError(RuntimeError):
     """An engine invariant broke; carries a diagnostic dump, never repaired."""
 
 
+def _kind_code(kind) -> int:
+    """``kind``'s index in EVENT_KINDS, or ValueError."""
+    if kind not in EVENT_KINDS:
+        raise ValueError(f"event kind {kind!r} is not one of EVENT_KINDS {EVENT_KINDS}")
+    return EVENT_KINDS.index(kind)
+
+
 def _codes(kind, aux) -> tuple:
     """The event log's cells for ``kind`` and ``aux``, or ValueError.
 
-    A kind is kept as its index in EVENT_KINDS. A message id, an int from 0
-    to 2**63 - 1, is kept as itself, and a word of AUX_WORDS as -1 - its index.
+    A kind is kept as its index in EVENT_KINDS. The aux of a kind in
+    MESSAGE_KINDS is a message id, an int from 0 to 2**63 - 1, kept as
+    itself; a lane change's is a "target_lane|infected" word of AUX_WORDS
+    and every other kind's "", kept as -1 - its index in AUX_WORDS.
     """
-    if kind not in EVENT_KINDS:
-        raise ValueError(f"event kind {kind!r} is not one of EVENT_KINDS {EVENT_KINDS}")
-    if type(aux) is int and 0 <= aux < 1 << 63:
-        return EVENT_KINDS.index(kind), aux
-    if type(aux) is str and aux in AUX_WORDS:
-        return EVENT_KINDS.index(kind), -1 - AUX_WORDS.index(aux)
-    raise ValueError(f"aux {aux!r} is neither a message id (an int from 0 to 2**63 - 1) "
-                     f"nor one of AUX_WORDS {AUX_WORDS}")
+    code = _kind_code(kind)
+    if kind in MESSAGE_KINDS:
+        if type(aux) is int and 0 <= aux < 1 << 63:
+            return code, aux
+    elif type(aux) is str and aux in (AUX_WORDS[1:] if kind == "lane_change" else ("",)):
+        return code, -1 - AUX_WORDS.index(aux)
+    raise ValueError(f"aux {aux!r} does not fit event kind {kind!r}: a message id (an int from 0 "
+                     f"to 2**63 - 1) for {MESSAGE_KINDS}, one of {AUX_WORDS[1:]} for a "
+                     f"lane_change and '' for any other kind")
 
 
 class _RunLog:
@@ -392,7 +403,7 @@ class Events(_RunLog):
 
     def of_kind(self, kind: str) -> tuple:
         """The rows of ``kind``, as ``columns``; a kind outside EVENT_KINDS raises ValueError."""
-        picked = (np.frombuffer(self.run_kind, np.int8) == _codes(kind, "")[0]).nonzero()[0]
+        picked = (np.frombuffer(self.run_kind, np.int8) == _kind_code(kind)).nonzero()[0]
         # each run's first row, then the row count
         ends = np.append(self.run_start, len(self))
         lengths = ends[picked + 1] - ends[picked]
@@ -425,8 +436,9 @@ class EventLog:
     """Everything a run produced: discrete events, dense samples and totals.
 
     Event records are (time_s, event_kind, vehicle_id, lane, position_m,
-    velocity_mps, aux) of EVENT_KINDS; aux carries the message id for
-    communication events and one of AUX_WORDS for the rest. ``events``
+    velocity_mps, aux) of EVENT_KINDS; aux carries the message id for the
+    MESSAGE_KINDS, a lane change's "target_lane|infected" word and "" for
+    the rest (see ``_codes``). ``events``
     keeps them in time order as runs of typed columns, read by ``columns``.
     ``samples`` keeps each step's vehicle samples as one run of rows, its
     time once per run. Both logs keep vehicle ids in four bytes (int32).
@@ -546,7 +558,6 @@ class SimState:
     driver_vsl_p: object   # the same, slowed for warned vehicles under VSL
     now: float = 0.0
     tick: int = 0
-    next_id: int = 0
     next_msg_id: int = 0   # also the beacons emitted: only the obstacle starts a message
     next_entry_lane: int = 0
     entry_queue: int = 0
@@ -574,13 +585,14 @@ def new_state(cfg: SimConfig) -> SimState:
 def _enter(state: SimState, lane: int, index: int, position: float, velocity: float) -> int:
     """Put a new vehicle at ``index`` of its lane, count it and log its injection.
 
-    The vehicle's row of ``state.cols`` is its id; the columns double when
-    full. It enters unwarned, with no frame queued and an empty ledger.
+    Its id is ``state.log.entered``, the count of vehicles entered before
+    it, and its row of ``state.cols``; the columns double when full. It
+    enters unwarned, with no frame queued and an empty ledger.
     Returns its id. Its injection is logged first, so an id the log cannot
     hold (past int32) raises OverflowError before the vehicle enters.
     """
     cols = state.cols
-    veh_id = state.next_id
+    veh_id = state.log.entered
     state.log.events.append((state.now, "injection", veh_id, lane, position, velocity, ""))
     if veh_id == len(cols.x):
         cols.grow()
@@ -591,7 +603,6 @@ def _enter(state: SimState, lane: int, index: int, position: float, velocity: fl
     cols.attempt_tick[veh_id] = cols.pending_message[veh_id] = NO_FRAME
     cols.backoff_stage[veh_id] = 0
     state.ledgers[veh_id] = MessageLedger()
-    state.next_id += 1
     ids = state.lane_ids[lane]
     state.lane_ids[lane] = np.concatenate((ids[:index], (veh_id,), ids[index:]))
     state.log.entered += 1
@@ -1043,7 +1054,7 @@ def _apply_changes(state: SimState, proposals: list) -> None:
         if held is None or x.item(prop[0]) > x.item(held[0]):
             chosen[prop[2:]] = prop
     moved = [prop for prop in proposals if chosen[prop[2:]] is prop]
-    leaving = np.zeros(state.next_id, bool)
+    leaving = np.zeros(state.log.entered, bool)
     leaving[[prop[0] for prop in moved]] = True
     for li, ids in enumerate(lane_ids):
         lane_ids[li] = ids[~leaving[ids]]

@@ -8,6 +8,7 @@ serialized with full round-trip precision.
 from __future__ import annotations
 
 import gc
+import io
 import math
 import os
 import re
@@ -264,12 +265,11 @@ class EventsCsvWriter:
     the writer is reaped, and then its file moves on past the writer's
     rows. So the rows held are at most the writer's segment and the log's,
     however long the run. With one CPU or without ``os.fork`` the parent
-    formats each segment itself as it is cut. ``finish(log)`` formats and
-    folds the rows left in the log, in memory while the writer still runs,
-    and into the file after the writer's rows once it is reaped, and
-    returns the fold of the whole run. Either way the file is the only one
-    written, and its bytes are those of
-    ``write_csv(events_to_table(log), path)`` for a log that kept every row.
+    formats each segment itself as it is cut. ``finish(log)`` folds and
+    formats the rows left in the log and returns the fold of the whole
+    run. Either way the file is the only one written, and its bytes are
+    those of ``write_csv(events_to_table(log), path)`` for a log that kept
+    every row.
 
     When a writer fails, the parent truncates the file back to the
     writer's offset and formats its segment again, which raises the error
@@ -303,7 +303,7 @@ class EventsCsvWriter:
             return
         # a writer still busy holds the run up, so at most its segment's rows
         # and the log's are held
-        self._reap(wait=True)
+        self._reap()
         # the rows the last step logged at now are not final yet
         now = state.now
         if log.samples.before(now) + log.events.before(now) < CHUNK_ROWS:
@@ -314,6 +314,7 @@ class EventsCsvWriter:
         self.t_lo = now
         out = self._out(log)
         forked = self.forking and self._fork(segment)
+        self.fold = self.fold or MetricFold(log.cfg)
         self.fold.add(segment[0], now)
         if not forked:
             _write_segment(out, *segment)
@@ -341,14 +342,12 @@ class EventsCsvWriter:
         self.writer = (pid, offset, segment)
         return True
 
-    def _reap(self, wait: bool) -> None:
-        """Reap the writer if it is done, formatting its segment again if it failed."""
+    def _reap(self) -> None:
+        """Wait for the writer, if there is one, formatting its segment again if it failed."""
         if self.writer is None:
             return
         pid, offset, segment = self.writer
-        done, status = os.waitpid(pid, 0 if wait else os.WNOHANG)
-        if not done:
-            return
+        _, status = os.waitpid(pid, 0)
         self.writer = None
         if status == 0:
             self.fh.seek(0, os.SEEK_END)
@@ -358,32 +357,40 @@ class EventsCsvWriter:
             _write_segment(self.fh, *segment)
 
     def _out(self, log):
-        """The file, made with its header at the first segment, and the fold, made with it."""
+        """The file, made with its header at the first call."""
         if self.fh is None:
             self.fh = open(self.path, "wb")
             self.fh.write(table_to_text(MetricTable(columns=list(EVENT_COLUMNS), rows=[],
                                                     meta=log.config_echo)).encode())
-            self.fold = MetricFold(log.cfg)
         return self.fh
 
     def finish(self, log) -> "MetricFold":
-        """Format and fold the rows left in the log, wait for the writer and close.
+        """Fold and format the rows left in the log, wait for the writer and close.
 
-        While the writer is still alive, the text of the last segment is
-        held in memory; once it is reaped, the held text and the rest go
-        straight to the file, after the writer's rows (or after its segment,
-        formatted again, if it failed). Returns the fold of the whole run;
-        the rows of the last segment stay in the log.
+        The rows are folded and formatted while the writer, if any, still
+        runs (see ``_write_rest``). Returns the fold of the whole run; the
+        rows of the last segment stay in the log.
         """
-        self._out(log)
-        out = _HeldWhileWriting(self)
-        _write_segment(out, log, self.t_lo)
+        self.fold = self.fold or MetricFold(log.cfg)
         self.fold.add(log, log.end_time)
-        self._reap(wait=True)
-        out.write(b"")  # the writer is reaped: any held text goes to the file
+        self._write_rest(log)
+        return self.fold
+
+    def _write_rest(self, log) -> None:
+        """Format the rows left in the log after the writer's, and close the file.
+
+        While a writer process is unreaped, the rows are formatted into one
+        buffer, which follows the writer's rows (or its segment, formatted
+        again if it failed) once it is reaped; otherwise they go straight
+        to the file.
+        """
+        out = self._out(log) if self.writer is None else io.BytesIO()
+        _write_segment(out, log, self.t_lo)
+        self._reap()
+        if out is not self.fh:
+            self.fh.write(out.getbuffer())
         self.fh.close()
         self.fh = None
-        return self.fold
 
     def _abort(self) -> None:
         if self.writer is not None:
@@ -399,41 +406,18 @@ class EventsCsvWriter:
                 pass
 
 
-class _HeldWhileWriting:
-    """The file that ``finish`` formats the last segment into.
-
-    Each write first reaps the writer if it is done. While it runs, the
-    text is held; after it, the held text and then each write go to the file.
-    """
-
-    def __init__(self, writer: EventsCsvWriter):
-        self.writer = writer
-        self.held = []
-
-    def write(self, data: bytes) -> None:
-        writer = self.writer
-        if self.held is not None:
-            writer._reap(wait=False)
-            if writer.writer is not None:
-                self.held.append(data)
-                return
-            writer.fh.write(b"".join(self.held))
-            self.held = None
-        writer.fh.write(data)
-
-
 def write_events_csv(log, path) -> None:
     """Write events.csv: what ``write_csv(events_to_table(log), path)`` writes.
 
-    This is ``EventsCsvWriter`` with no segment cut and no writer process:
-    the calling process streams the rows from the event and sample logs one
-    time step at a time, without building a row table, and writes them in
-    chunks of about FLUSH_ROWS. Each distinct float of a step is formatted
-    once (see ``_write_segment``); the bytes are unchanged by it. A write
-    that fails leaves no partial file behind.
+    This is ``EventsCsvWriter`` with no segment cut, no writer process and
+    no fold: the calling process streams the rows from the event and sample
+    logs one time step at a time, without building a row table, and writes
+    them in chunks of about FLUSH_ROWS. Each distinct float of a step is
+    formatted once (see ``_write_segment``); the bytes are unchanged by it.
+    A write that fails leaves no partial file behind.
     """
     with EventsCsvWriter(path) as writer:
-        writer.finish(log)
+        writer._write_rest(log)
 
 
 # --- exit aggregates ----------------------------------------------------------
@@ -527,15 +511,11 @@ class MetricFold:
 
     The fold keeps the time of every injection and exit and one (time,
     lane, position, aux) row per lane change. For the velocity grid it
-    keeps each cell's count and sum. The last time bin also takes the
-    samples at and after its end, and which bin is last depends on the
-    log's end, so the samples of every bin that may still be the last are
-    held. Once a later segment shows that the log goes on past the bin
-    after theirs, or ``velocity_grid(end_time)`` fixes the last bin, a
-    bin's samples are placed by ``np.add.at``, which is unbuffered and
-    applies them in log order: each cell's sum adds its samples in the
-    order one ``bincount`` over the whole log does, so the two agree
-    bitwise, whatever the segments and the order of the samples.
+    keeps each cell's count and sum, and places each segment's samples as
+    they arrive by ``np.add.at``, which is unbuffered and applies them in
+    log order: each cell's sum adds its samples in the order one
+    ``bincount`` over the whole log does, so the two agree bitwise,
+    whatever the segments and the order of the samples.
     """
 
     def __init__(self, cfg, x_bin_size: float = 10.0, t_bin_size: float = 30.0):
@@ -549,7 +529,6 @@ class MetricFold:
         # the placed samples' cells, time bin major, as far as the latest bin placed
         self.counts = np.zeros(0, np.int64)
         self.sums = np.zeros(0)
-        self.held = (np.zeros(0),) * 3  # the held samples' times, positions and velocities
 
     def add(self, log, t_hi: float) -> None:
         self.add_events(log.events)
@@ -564,42 +543,32 @@ class MetricFold:
         self.lane_changes += zip(time_s, lane, position, aux)
 
     def add_samples(self, samples, t_hi: float) -> None:
-        """Fold ``samples``, of a log that ends at ``t_hi`` or later, into the grid."""
-        t, x, v = (np.concatenate((held, column)) for held, column in zip(self.held, (
-            samples.t, np.frombuffer(samples.position), np.frombuffer(samples.velocity))))
-        ti, xi = self._bins(t, x)
-        # the last time bin of a log that ends at t_hi: this log ends there or
-        # later, so the bins before it are final. That bin and the later ones
-        # are held, since the log's last bin adds the samples after its end
-        # in log order with its own
-        last = max(1, math.ceil(t_hi / self.t_bin_size - 1e-9)) - 1
-        placed = ti < last
-        if placed.any():
-            self.counts, self.sums = self._place(self.counts, self.sums, ti[placed],
-                                                 xi[placed], v[placed])
-            keep = ~placed
-            self.held = (t[keep], x[keep], v[keep])
-        else:
-            self.held = (t, x, v)
+        """Place ``samples``, of a segment cut at ``t_hi`` or a log that ends there, in the grid.
 
-    def _bins(self, t, x) -> tuple:
-        ti = (t / self.t_bin_size).astype(np.int64)
-        xi = np.minimum((x / self.x_bin_size).astype(np.int64), self.nx - 1)
-        if ti.size and min(ti.min(), xi.min()) < 0:
+        Each sample's time bin is clamped to the last bin of a log that ends
+        at t_hi, which also takes the samples at and after its end. A
+        segment cut at t_hi has no sample at or after t_hi, so, with steps
+        more than 1e-9 of a bin apart, only the run's last rows are clamped,
+        and they follow that bin's own samples in log order.
+        """
+        if not len(samples):
+            return
+        nx = self.nx
+        last = max(1, math.ceil(t_hi / self.t_bin_size - 1e-9)) - 1
+        ti = np.minimum((samples.t / self.t_bin_size).astype(np.int64), last)
+        xi = np.minimum((np.frombuffer(samples.position) / self.x_bin_size).astype(np.int64),
+                        nx - 1)
+        if min(ti.min(), xi.min()) < 0:
             raise ValueError(f"a sample lies before time -{self.t_bin_size} or position "
                              f"-{self.x_bin_size}, outside the velocity grid")
-        return ti, xi
-
-    def _place(self, counts, sums, ti, xi, v) -> tuple:
-        """``counts`` and ``sums`` with the samples added, grown to the latest bin they reach."""
-        flat = ti * self.nx + xi
-        size = (int(ti.max()) + 1) * self.nx
-        if size > len(counts):
-            counts = np.concatenate((counts, np.zeros(size - len(counts), np.int64)))
-            sums = np.concatenate((sums, np.zeros(size - len(sums))))
-        np.add.at(counts, flat, 1)
-        np.add.at(sums, flat, v)
-        return counts, sums
+        size = (int(ti.max()) + 1) * nx
+        if size > len(self.counts):
+            self.counts = np.concatenate((self.counts,
+                                          np.zeros(size - len(self.counts), np.int64)))
+            self.sums = np.concatenate((self.sums, np.zeros(size - len(self.sums))))
+        flat = ti * nx + xi
+        np.add.at(self.counts, flat, 1)
+        np.add.at(self.sums, flat, np.frombuffer(samples.velocity))
 
     def velocity_grid(self, end_time: float) -> VelocityGrid:
         """The grid of the samples folded so far, of a log that ends at ``end_time``."""
@@ -610,10 +579,6 @@ class MetricFold:
         counts = np.zeros(nt * nx, np.int64)
         sums = np.zeros(nt * nx)
         counts[:len(self.counts)], sums[:len(self.sums)] = self.counts, self.sums
-        t, x, v = self.held
-        if t.size:
-            ti, xi = self._bins(t, x)
-            counts, sums = self._place(counts, sums, np.minimum(ti, nt - 1), xi, v)
         counts, sums = counts.reshape(nt, nx), sums.reshape(nt, nx)
         with np.errstate(invalid="ignore"):
             means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)

@@ -1,6 +1,7 @@
 """The event log as columns: ``engine.Events`` gives out the columns of its records."""
 
 import pickle
+import re
 from array import array
 from dataclasses import replace
 from operator import eq, ne
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from vanetflow import engine, metrics
 from vanetflow.config import PRESETS
-from vanetflow.engine import AUX_WORDS, EVENT_KINDS, Events, SampleLog, run
+from vanetflow.engine import AUX_WORDS, EVENT_KINDS, MESSAGE_KINDS, Events, SampleLog, run
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -28,11 +29,20 @@ msg_id = st.one_of(st.integers(0, 2), st.integers(0, 2**63 - 1))
 # splits it (none when past its end)
 batch = st.tuples(st.integers(0, 1), msg_id, st.lists(st.tuples(int32, finite, finite),
                                                       max_size=6), st.integers(0, 7))
+
+
+def aux_of(kind):
+    """The auxes a record of ``kind`` takes: a message id, a lane change's word or ""."""
+    if kind in MESSAGE_KINDS:
+        return msg_id
+    return st.sampled_from(AUX_WORDS[1:] if kind == "lane_change" else AUX_WORDS[:1])
+
+
 # what the engine appends: (float, str, int, int, float, float, int | str),
 # with NaN positions and velocities, which a column reads back as new floats
-record = st.tuples(finite, st.sampled_from(EVENT_KINDS), st.one_of(st.integers(-1, 50), int32),
-                   st.integers(0, 1), st.floats(), st.floats(),
-                   st.one_of(st.sampled_from(AUX_WORDS), msg_id))
+record = st.sampled_from(EVENT_KINDS).flatmap(lambda kind: st.tuples(
+    finite, st.just(kind), st.one_of(st.integers(-1, 50), int32), st.integers(0, 1),
+    st.floats(), st.floats(), aux_of(kind)))
 op = st.one_of(st.tuples(st.just("rx"), step_time, st.lists(batch, max_size=4)),
                st.tuples(st.just("append"), record),
                st.tuples(st.just("extend"), st.lists(record, max_size=3)))
@@ -266,21 +276,26 @@ def test_every_intake_rejects_a_kind_or_aux_outside_the_vocabulary():
     """``append``, ``extend`` and ``log_receptions`` take no cell that could break events.csv.
 
     A kind outside EVENT_KINDS, an aux holding a character that would break
-    a row, a negative message id and one past int64 are each rejected, and
-    the log is unchanged.
+    a row, a negative message id, one past int64 and an aux of another
+    kind (a message id for a lane change, a word for a transmission, "" for
+    either and "1|0" for an exit) are each rejected, and the log is unchanged.
     """
     assert all(metrics.CSV_BREAKING.search(c) for c in ROW_BREAKING)
     bad = [("lane_change", f"1{c}0") for c in ROW_BREAKING] + [
-        ("transmission", -1), ("transmission", 2**63), ("lanechange", "1|0")]
+        ("transmission", -1), ("transmission", 2**63), ("lanechange", "1|0"),
+        ("lane_change", 5), ("lane_change", ""), ("transmission", "1|0"), ("infection", ""),
+        ("exit", "1|0"), ("exit", 5)]
     for call in ("append", "extend", "log_receptions"):
         for kind, aux in bad:
-            if call == "log_receptions" and kind not in EVENT_KINDS:
-                continue  # a run of receptions names no kind
+            if call == "log_receptions":
+                if type(aux) is int and aux in range(2**63):
+                    continue  # a run of receptions names no kind, and takes a message id
+                kind = "reception"
             events, expected = build([("rx", 0.5, [(1, 7, [(3, 5.0, 1.5), (4, 6.0, 2.5)], 0)])])
             before = unchanged(events)
             record = (1.0, kind, 5, 0, 40.0, 9.5, aux)
             with pytest.raises(ValueError, match="is not one of EVENT_KINDS" if kind == "lanechange"
-                               else "is neither a message id"):
+                               else re.escape(f"aux {aux!r} does not fit event kind {kind!r}")):
                 if call == "append":
                     events.append(record)
                 elif call == "extend":
@@ -712,8 +727,8 @@ def test_an_id_past_int32_is_rejected_and_leaves_the_log_unchanged(call):
 def test_a_vehicle_whose_id_the_logs_cannot_hold_never_enters():
     state = engine.new_state(PRESETS["velocity_motorway"].config(seed=1))
     engine.add_vehicle(state, 0, 100.0, 20.0)
-    state.next_id = 2**31
+    state.log.entered = 2**31
     with pytest.raises(OverflowError):
         engine.add_vehicle(state, 1, 200.0, 20.0)
     assert [ids.tolist() for ids in state.lane_ids] == [[0], []]
-    assert (state.log.entered, len(state.log.events), sorted(state.ledgers)) == (1, 1, [0])
+    assert (state.log.entered, len(state.log.events), sorted(state.ledgers)) == (2**31, 1, [0])

@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import signal
+import threading
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -331,6 +332,16 @@ def test_events_writer_reads_back_as_the_table(tmp_path):
     assert read_csv(path) == events_to_table(log)
 
 
+def test_write_events_csv_folds_no_metric(tmp_path, monkeypatch):
+    def add(self, log, t_hi):
+        raise AssertionError("write_events_csv folds no metric")
+
+    log = real_log(duration=60.0)
+    monkeypatch.setattr(MetricFold, "add", add)
+    write_events_csv(log, tmp_path / "events.csv")
+    assert (tmp_path / "events.csv").read_text() == table_to_text(events_to_table(log))
+
+
 def test_events_stream_needs_events_in_time_order(tmp_path):
     """The log refuses an event out of time order, so the stream never meets one."""
     log = synthetic_log(events=EVENTS[1:], samples=ORDERED_SAMPLES)
@@ -385,21 +396,6 @@ def set_chunk_rows(monkeypatch, rows):
     """Cut segments of ``rows`` rows and flush within them as often."""
     monkeypatch.setattr(metrics, "CHUNK_ROWS", rows)
     monkeypatch.setattr(metrics, "FLUSH_ROWS", rows)
-
-
-def wait_for_writers(monkeypatch):
-    """Make every reap wait for the live writer process, ``finish``'s too.
-
-    ``after_step`` already waits for a busy writer before it cuts; this
-    makes ``finish`` wait as well, so that no text waits in memory for a
-    writer however fast the host formats a segment.
-    """
-    real_reap = EventsCsvWriter._reap
-
-    def reap(self, wait):
-        real_reap(self, wait=True)
-
-    monkeypatch.setattr(EventsCsvWriter, "_reap", reap)
 
 
 def assert_nothing_left(directory):
@@ -457,7 +453,6 @@ def every_row(steps, n_steps):
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_streamed_events_csv_matches_write_events_csv(tmp_path, monkeypatch, forks, cpus):
     set_cpus(monkeypatch, cpus)
-    wait_for_writers(monkeypatch)
     set_chunk_rows(monkeypatch, 1500)
     cfg = SimConfig(duration=120.0, seed=31, warm_up=10.0)
     streamed_run(cfg, tmp_path / "events.csv")
@@ -469,7 +464,6 @@ def test_streamed_events_csv_matches_write_events_csv(tmp_path, monkeypatch, for
 
 def test_streamed_events_csv_cuts_at_times_with_events(tmp_path, monkeypatch, forks):
     set_cpus(monkeypatch, 4)
-    wait_for_writers(monkeypatch)
     set_chunk_rows(monkeypatch, 7)
     log = synthetic_log()
     streamed_steps(log, synthetic_steps(log, 60), tmp_path / "events.csv")
@@ -510,7 +504,6 @@ def pitfall_steps(log, n_steps, dt=0.5):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_events_csv_formats_each_cell_as_the_table_does(tmp_path, monkeypatch, forks, cpus):
     set_cpus(monkeypatch, cpus)
-    wait_for_writers(monkeypatch)
     set_chunk_rows(monkeypatch, 7)
     log = synthetic_log()
     streamed_steps(log, pitfall_steps(log, 20), tmp_path / "events.csv")
@@ -570,68 +563,70 @@ def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, fork
 
 
 @pytest.mark.parametrize("writer_fails", [False, True])
-@pytest.mark.parametrize("release", ["first_held_write", "final_wait"])
 def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeypatch, forks,
-                                                               writer_fails, release):
-    """The last segment is held in memory while the writer is busy, then follows its rows.
+                                                               writer_fails):
+    """The rows left are formatted while the writer is busy, then follow its rows.
 
-    The writer is let go once the main process holds some text, or only when
-    ``finish`` waits for it, after the whole last segment is held. Segments
-    of 20,000 rows leave fewer than a segment's rows after the first cut,
-    so the run never waits for the gated writer.
+    The writer waits at a gate that a timer opens a second after ``finish``
+    is called; the main process formats the rest of the log before then.
+    Segments of 20,000 rows leave fewer than a segment's rows after the
+    first cut, so the run never waits for the gated writer. A failing
+    writer fails again when the main process formats its segment, so its
+    error surfaces from ``finish`` and no file is left.
     """
     set_cpus(monkeypatch, 4)
     set_chunk_rows(monkeypatch, 20000)
-    monkeypatch.setattr(metrics, "FLUSH_ROWS", 1500)
     parent = os.getpid()
     gate_r, gate_w = os.pipe()
+    opened = threading.Event()
+    shut_at_format = []  # whether the gate was still shut when the rest was formatted
     real_write_segment = metrics._write_segment
-    real_write = metrics._HeldWhileWriting.write
-    real_reap = EventsCsvWriter._reap
-    held = []
 
-    def open_gate():
-        nonlocal gate_w
-        if gate_w is not None:
-            os.close(gate_w)
-            gate_w = None
-
-    def gated(fh, log, *bounds):
-        if os.getpid() != parent:  # a writer: wait until the parent closes the gate
+    def gated(fh, log, t_lo=-math.inf, t_hi=math.inf):
+        if os.getpid() != parent:  # a writer: wait until the gate opens
             os.close(gate_w)
             os.read(gate_r, 1)
-            if writer_fails:
-                raise RuntimeError("writer failed")
-        real_write_segment(fh, log, *bounds)
+        if writer_fails and t_lo == -math.inf:  # the first segment, in either process
+            raise RuntimeError("writer failed")
+        real_write_segment(fh, log, t_lo, t_hi)
+        if t_hi == math.inf:
+            shut_at_format.append(not opened.is_set())
 
-    def write(self, data):
-        real_write(self, data)
-        if self.held:
-            held.append(len(data))
-            if release == "first_held_write":
-                open_gate()
+    def open_gate():
+        opened.set()
+        os.close(gate_w)
 
-    def reap(self, wait):
-        if wait and self.writer is not None:
-            open_gate()
-        real_reap(self, wait)
-
-    monkeypatch.setattr(metrics, "_write_segment", gated)
-    monkeypatch.setattr(metrics._HeldWhileWriting, "write", write)
-    monkeypatch.setattr(EventsCsvWriter, "_reap", reap)
-    path = tmp_path / "events.csv"
-    cfg = SimConfig(duration=120.0, seed=31, warm_up=10.0)
-    try:
+    def streamed():
         with EventsCsvWriter(path) as writer:
             log = run(cfg, on_step=writer.after_step)
             assert len(forks) == 1
+            timer.start()
             writer.finish(log)
+
+    monkeypatch.setattr(metrics, "_write_segment", gated)
+    path = tmp_path / "events.csv"
+    cfg = SimConfig(duration=120.0, seed=31, warm_up=10.0)
+    timer = threading.Timer(1.0, open_gate)
+    try:
+        if writer_fails:
+            with pytest.raises(RuntimeError, match="writer failed"):
+                streamed()
+        else:
+            streamed()
     finally:
+        timer.cancel()
+        if timer.ident is not None:
+            timer.join(10)
+        if not opened.is_set():
+            os.close(gate_w)
         os.close(gate_r)
-        open_gate()
-    assert len(held) >= (2 if release == "final_wait" else 1)
-    write_events_csv(run(cfg), tmp_path / "serial.csv")
-    assert path.read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert not timer.is_alive()
+    assert shut_at_format == [True]
+    if writer_fails:
+        assert not path.exists()
+    else:
+        write_events_csv(run(cfg), tmp_path / "serial.csv")
+        assert path.read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert_nothing_left(tmp_path)
 
 
@@ -680,7 +675,6 @@ def test_streamed_events_csv_forks_after_the_last_writer_is_reaped(tmp_path, mon
 def test_streamed_events_csv_recovers_the_rows_of_a_killed_writer(tmp_path, monkeypatch, forks):
     """A writer killed halfway through its segment leaves no mark on events.csv."""
     set_cpus(monkeypatch, 2)
-    wait_for_writers(monkeypatch)
     set_chunk_rows(monkeypatch, 7)
     parent = os.getpid()
     real_write = metrics._write_segment
@@ -758,7 +752,6 @@ def test_streamed_events_csv_cleans_up_when_the_run_stops(tmp_path, monkeypatch,
 
     set_cpus(monkeypatch, 2)
     set_chunk_rows(monkeypatch, 1500)
-    wait_for_writers(monkeypatch)
     real_step = engine.step
 
     def failing_step(state):
