@@ -5,7 +5,6 @@ import math
 import os
 import pickle
 import signal
-import threading
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -563,12 +562,14 @@ def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, fork
 
 
 @pytest.mark.parametrize("writer_fails", [False, True])
+@pytest.mark.parametrize("release", ["first_held_write", "final_wait"])
 def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeypatch, forks,
-                                                               writer_fails):
+                                                               writer_fails, release):
     """The rows left are formatted while the writer is busy, then follow its rows.
 
-    The writer waits at a gate that a timer opens a second after ``finish``
-    is called; the main process formats the rest of the log before then.
+    The writer waits at a gate. It is let go once the main process has
+    written some of the rest into its buffer, so that both format at once,
+    or only when ``finish`` waits for it, after the whole rest is held.
     Segments of 20,000 rows leave fewer than a segment's rows after the
     first cut, so the run never waits for the gated writer. A failing
     writer fails again when the main process formats its segment, so its
@@ -576,11 +577,29 @@ def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeyp
     """
     set_cpus(monkeypatch, 4)
     set_chunk_rows(monkeypatch, 20000)
+    monkeypatch.setattr(metrics, "FLUSH_ROWS", 1500)
     parent = os.getpid()
     gate_r, gate_w = os.pipe()
-    opened = threading.Event()
+    opened_by = []  # where the gate was opened: "first_held_write" or "final_wait"
     shut_at_format = []  # whether the gate was still shut when the rest was formatted
     real_write_segment = metrics._write_segment
+    real_reap = EventsCsvWriter._reap
+
+    def open_gate(at):
+        if not opened_by:
+            opened_by.append(at)
+            os.close(gate_w)
+
+    class Held:
+        """The main process's buffer for the rest; its first write opens the gate."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            if release == "first_held_write":
+                open_gate("first_held_write")
+            return self.fh.write(data)
 
     def gated(fh, log, t_lo=-math.inf, t_hi=math.inf):
         if os.getpid() != parent:  # a writer: wait until the gate opens
@@ -588,25 +607,27 @@ def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeyp
             os.read(gate_r, 1)
         if writer_fails and t_lo == -math.inf:  # the first segment, in either process
             raise RuntimeError("writer failed")
-        real_write_segment(fh, log, t_lo, t_hi)
-        if t_hi == math.inf:
-            shut_at_format.append(not opened.is_set())
+        if not isinstance(fh, io.BytesIO):  # not the rest held while the writer runs
+            real_write_segment(fh, log, t_lo, t_hi)
+            return
+        real_write_segment(Held(fh), log, t_lo, t_hi)
+        shut_at_format.append(not opened_by)
 
-    def open_gate():
-        opened.set()
-        os.close(gate_w)
+    def reap(self):
+        if self.writer is not None:
+            open_gate("final_wait")
+        real_reap(self)
 
     def streamed():
         with EventsCsvWriter(path) as writer:
             log = run(cfg, on_step=writer.after_step)
             assert len(forks) == 1
-            timer.start()
             writer.finish(log)
 
     monkeypatch.setattr(metrics, "_write_segment", gated)
+    monkeypatch.setattr(EventsCsvWriter, "_reap", reap)
     path = tmp_path / "events.csv"
     cfg = SimConfig(duration=120.0, seed=31, warm_up=10.0)
-    timer = threading.Timer(1.0, open_gate)
     try:
         if writer_fails:
             with pytest.raises(RuntimeError, match="writer failed"):
@@ -614,14 +635,11 @@ def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeyp
         else:
             streamed()
     finally:
-        timer.cancel()
-        if timer.ident is not None:
-            timer.join(10)
-        if not opened.is_set():
+        if not opened_by:
             os.close(gate_w)
         os.close(gate_r)
-    assert not timer.is_alive()
-    assert shut_at_format == [True]
+    assert opened_by == [release]
+    assert shut_at_format == [release == "final_wait"]
     if writer_fails:
         assert not path.exists()
     else:
