@@ -11,6 +11,7 @@ import gc
 import io
 import math
 import os
+import pickle
 import re
 import signal
 from array import array
@@ -249,33 +250,84 @@ def _write_segment(fh, log, t_lo=-math.inf, t_hi=math.inf) -> None:
     flush()
 
 
+class _PipeOut:
+    """The write end of a pipe as ``pickle.dump`` writes to it: each write sent whole.
+
+    Unbuffered, so a writer that is killed leaves nothing to flush.
+    """
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, data) -> None:
+        view = memoryview(data).cast("B")
+        while view:
+            view = view[os.write(self.fd, view):]
+
+
+def _send_segment(out, segment) -> None:
+    """Pickle ``segment``, (log, t_lo, t_hi), into ``out``: its bounds, then one column at a time.
+
+    Only the columns of ``log.events`` and ``log.samples`` go, each in a
+    dump of its own, so at most one column's bytes are copied at a time (a
+    single dump would keep a copy of every column until it ends).
+    """
+    log, t_lo, t_hi = segment
+    pickle.dump((t_lo, t_hi), out, pickle.HIGHEST_PROTOCOL)
+    for part in (log.events, log.samples):
+        for name in part.__slots__:
+            pickle.dump(getattr(part, name), out, pickle.HIGHEST_PROTOCOL)
+
+
+def _receive_segment(inp, template):
+    """The next segment ``_send_segment`` wrote to ``inp``, as a copy of the log ``template``.
+
+    Raises EOFError when the sender closed the pipe before the segment.
+    """
+    t_lo, t_hi = pickle.load(inp)
+    parts = []
+    for part in (template.events, template.samples):
+        part = type(part)()
+        for name in part.__slots__:
+            setattr(part, name, pickle.load(inp))
+        parts.append(part)
+    return replace(template, events=parts[0], samples=parts[1]), t_lo, t_hi
+
+
 class EventsCsvWriter:
     """Writes events.csv for a run while the run goes on, and folds its metrics.
 
     ``after_step(state)`` is the engine's ``on_step`` hook. After a step,
     every row with time < ``state.now`` is final, because later steps only
     log at ``now`` or later. Once at least CHUNK_ROWS rows are final, the
-    parent waits for the writer process, if one is still busy, and cuts
-    them off the log (``cut_before(now)`` of the event and sample logs):
-    they become a segment, a log of its own, which ``fold``, a
-    ``MetricFold``, takes in. The parent flushes the file and notes its
-    end; a forked child opens the file again, formats the segment in place
-    from that offset and always leaves through ``os._exit``, while the
-    parent keeps stepping. The parent keeps the segment in ``writer`` until
-    the writer is reaped, and then its file moves on past the writer's
-    rows. So the rows held are at most the writer's segment and the log's,
+    parent waits until the writer process, if it is still busy, has
+    acknowledged its segment, and cuts them off the log (``cut_before(now)``
+    of the event and sample logs): they become a segment, a log of its
+    own, which ``fold``, a ``MetricFold``, takes in.
+
+    At the first cut the parent flushes the file and forks the run's one
+    writer process, while the log is still small; it formats that segment
+    from the memory it inherited. Each later segment goes to it through a
+    pipe (``_send_segment``), and a full pipe holds the parent up until the
+    writer has read it. The writer formats the segments in arrival order,
+    appends them to the file and sends back each one's end offset through
+    a second pipe, then reads the next, while the parent keeps stepping.
+    The parent keeps the segments the writer has not acknowledged in
+    ``pending``, so the rows held are at most one segment's and the log's,
     however long the run. With one CPU or without ``os.fork`` the parent
     formats each segment itself as it is cut. ``finish(log)`` folds and
-    formats the rows left in the log and returns the fold of the whole
-    run. Either way the file is the only one written, and its bytes are
-    those of ``write_csv(events_to_table(log), path)`` for a log that kept
-    every row.
+    formats the rows left in the log while the writer catches up, appends
+    them, and returns the fold of the whole run. Either way the file is
+    the only one written, and its bytes are those of
+    ``write_csv(events_to_table(log), path)`` for a log that kept every row.
 
-    When a writer fails, the parent truncates the file back to the
-    writer's offset and formats its segment again, which raises the error
-    the writer met (or recovers the rows of a writer that was killed). Used
-    as a context manager, a failure or interruption before ``finish``
-    returns kills and reaps the writer and removes the partly written file.
+    When the writer fails or dies (its pipe breaks, or its acks end), the
+    parent reaps it, truncates the file to the last acknowledged offset
+    and formats the pending segments itself, which raises the error the
+    writer met (or recovers the rows of a writer that was killed); it then
+    formats every later segment itself. Used as a context manager, a
+    failure or interruption before ``finish`` returns kills and reaps the
+    writer and removes the partly written file.
     """
 
     def __init__(self, path):
@@ -284,7 +336,9 @@ class EventsCsvWriter:
                 else os.cpu_count() or 1)
         self.forking = cpus > 1 and hasattr(os, "fork")
         self.t_lo = -math.inf  # the time where the next segment starts
-        self.writer = None     # (pid, offset, segment) of the live writer process
+        self.writer = None     # the writer's pid and the parent's ends of its two pipes
+        self.pending = []      # the segments sent to the writer and not acknowledged
+        self.acked = 0         # the file's end after the last acknowledged segment
         self.fh = None
         self.fold = None
 
@@ -303,7 +357,8 @@ class EventsCsvWriter:
             return
         # a writer still busy holds the run up, so at most its segment's rows
         # and the log's are held
-        self._reap()
+        if self.writer is not None and not self._acknowledged():
+            self._catch_up()
         # the rows the last step logged at now are not final yet
         now = state.now
         if log.samples.before(now) + log.events.before(now) < CHUNK_ROWS:
@@ -313,48 +368,113 @@ class EventsCsvWriter:
                            samples=log.samples.cut_before(now)), self.t_lo, now)
         self.t_lo = now
         out = self._out(log)
-        forked = self.forking and self._fork(segment)
+        # the writer takes the segment first, so that it formats while the parent folds
+        if self.writer is not None:
+            self._send(segment)
+        elif not (self.forking and self._fork(segment)):
+            _write_segment(out, *segment)
         self.fold = self.fold or MetricFold(log.cfg)
         self.fold.add(segment[0], now)
-        if not forked:
-            _write_segment(out, *segment)
 
     def _fork(self, segment) -> bool:
+        """Start the run's one writer process on ``segment``; False if no process could start."""
+        self.forking = False
         self.fh.flush()
-        offset = self.fh.tell()
+        self.acked = self.fh.tell()
+        fds = []
         try:
+            fds += os.pipe()
+            fds += os.pipe()
             pid = os.fork()
-        except OSError:  # no process to spare: the parent formats the segments itself
-            self.forking = False
+        except OSError:  # no pipe or process to spare: the parent formats the segments itself
+            for fd in fds:
+                os.close(fd)
             return False
+        segments_in, segments_out, acks_in, acks_out = fds
         if pid == 0:
-            # the child has only this thread, so it formats and runs no
-            # BLAS-backed numpy, whose threads stayed in the parent
-            code = 1
-            try:
-                gc.freeze()  # so that a collection does not walk, and copy, the inherited heap
-                with open(self.path, "r+b") as fh:
-                    fh.seek(offset)
-                    _write_segment(fh, *segment)
-                code = 0
-            finally:
-                os._exit(code)
-        self.writer = (pid, offset, segment)
+            self._serve(segment, segments_in, acks_out)
+        os.close(segments_in)
+        os.close(acks_out)
+        self.writer = (pid, segments_out, acks_in)
+        self.pending = [segment]
         return True
 
-    def _reap(self) -> None:
-        """Wait for the writer, if there is one, formatting its segment again if it failed."""
+    def _serve(self, segment, segments_in, acks_out) -> None:
+        """The writer process: format ``segment``, then each one the pipe brings, and exit.
+
+        It closes every descriptor but its two pipe ends before it opens
+        the file: one it kept could hold a pipe of another writer of this
+        process, or the output of the command that started the run, open
+        for as long as it runs. It exits at the end of its segment pipe;
+        the parent stops it with SIGKILL once it has acknowledged every
+        segment sent. The child has only this thread, so it formats and
+        runs no BLAS-backed numpy, whose threads stayed in the parent.
+        """
+        code = 1
+        try:
+            gc.freeze()  # so that a collection does not walk, and copy, the inherited heap
+            lo, hi = sorted((segments_in, acks_out))
+            os.closerange(0, lo)
+            os.closerange(lo + 1, hi)
+            os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
+            with open(self.path, "r+b") as fh, open(segments_in, "rb") as inp:
+                fh.seek(self.acked)
+                while True:
+                    _write_segment(fh, *segment)
+                    fh.flush()
+                    os.write(acks_out, fh.tell().to_bytes(8, "little"))
+                    try:
+                        segment = _receive_segment(inp, segment[0])
+                    except EOFError:
+                        break
+            code = 0
+        finally:
+            os._exit(code)
+
+    def _send(self, segment) -> None:
+        """Send ``segment`` to the writer; a full pipe holds the parent up until the writer reads."""
+        self.pending.append(segment)
+        try:
+            _send_segment(_PipeOut(self.writer[1]), segment)
+        except BrokenPipeError:  # the writer is gone
+            self._catch_up()
+
+    def _acknowledged(self) -> bool:
+        """Wait until the writer acknowledges every pending segment; False if its acks end first."""
+        while self.pending:
+            ack = os.read(self.writer[2], 8)  # each ack is one write of 8 bytes
+            if len(ack) < 8:
+                return False
+            self.acked = int.from_bytes(ack, "little")
+            del self.pending[0]
+        return True
+
+    def _catch_up(self) -> None:
+        """Stop the writer once it has acknowledged what it will, and format what it did not.
+
+        The file is cut back to the last acknowledged end, and the
+        segments still pending, if the writer failed or died, are formatted
+        here, which raises the error the writer met. Later segments are
+        formatted here too.
+        """
+        self._acknowledged()
+        self._stop()
+        self.fh.seek(self.acked)
+        self.fh.truncate()
+        pending, self.pending = self.pending, []
+        for segment in pending:
+            _write_segment(self.fh, *segment)
+
+    def _stop(self) -> None:
+        """Kill and reap the writer process, if any, and close the parent's ends of its pipes."""
         if self.writer is None:
             return
-        pid, offset, segment = self.writer
-        _, status = os.waitpid(pid, 0)
+        pid, segments_out, acks_in = self.writer
         self.writer = None
-        if status == 0:
-            self.fh.seek(0, os.SEEK_END)
-        else:
-            self.fh.seek(offset)
-            self.fh.truncate()
-            _write_segment(self.fh, *segment)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(segments_out)
+        os.close(acks_in)
 
     def _out(self, log):
         """The file, made with its header at the first call."""
@@ -379,24 +499,21 @@ class EventsCsvWriter:
     def _write_rest(self, log) -> None:
         """Format the rows left in the log after the writer's, and close the file.
 
-        While a writer process is unreaped, the rows are formatted into one
-        buffer, which follows the writer's rows (or its segment, formatted
-        again if it failed) once it is reaped; otherwise they go straight
-        to the file.
+        While a writer process runs, the rows are formatted into one
+        buffer, which follows the writer's rows (or its pending segments,
+        formatted here if it failed) once it has caught up; otherwise they
+        go straight to the file.
         """
         out = self._out(log) if self.writer is None else io.BytesIO()
         _write_segment(out, log, self.t_lo)
-        self._reap()
-        if out is not self.fh:
+        if self.writer is not None:
+            self._catch_up()
             self.fh.write(out.getbuffer())
         self.fh.close()
         self.fh = None
 
     def _abort(self) -> None:
-        if self.writer is not None:
-            os.kill(self.writer[0], signal.SIGKILL)
-            os.waitpid(self.writer[0], 0)
-            self.writer = None
+        self._stop()
         if self.fh is not None:
             self.fh.close()
             self.fh = None

@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import signal
+import threading
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -397,6 +398,29 @@ def set_chunk_rows(monkeypatch, rows):
     monkeypatch.setattr(metrics, "FLUSH_ROWS", rows)
 
 
+class Gate:
+    """A gate a writer process waits at until the test opens it.
+
+    It is a file outside the output directory, since a writer closes
+    every descriptor but its own and so cannot wait on a pipe of the test.
+    """
+
+    def __init__(self, directory):
+        self.path = directory / "open"
+
+    def wait(self):
+        while not self.path.exists():
+            time.sleep(0.001)
+
+    def open(self):
+        self.path.touch()
+
+
+@pytest.fixture
+def gate(tmp_path_factory):
+    return Gate(tmp_path_factory.mktemp("gate"))
+
+
 def assert_nothing_left(directory):
     """No writer process is alive or unreaped, and no file but the tests' CSVs remains."""
     with pytest.raises(ChildProcessError):
@@ -455,7 +479,7 @@ def test_streamed_events_csv_matches_write_events_csv(tmp_path, monkeypatch, for
     set_chunk_rows(monkeypatch, 1500)
     cfg = SimConfig(duration=120.0, seed=31, warm_up=10.0)
     streamed_run(cfg, tmp_path / "events.csv")
-    assert len(forks) >= 3
+    assert len(forks) == 1
     write_events_csv(run(cfg), tmp_path / "serial.csv")
     assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert_nothing_left(tmp_path)
@@ -466,7 +490,7 @@ def test_streamed_events_csv_cuts_at_times_with_events(tmp_path, monkeypatch, fo
     set_chunk_rows(monkeypatch, 7)
     log = synthetic_log()
     streamed_steps(log, synthetic_steps(log, 60), tmp_path / "events.csv")
-    assert len(forks) >= 3
+    assert len(forks) == 1
     whole = every_row(synthetic_steps, 60)
     write_events_csv(whole, tmp_path / "serial.csv")
     assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
@@ -506,8 +530,8 @@ def test_events_csv_formats_each_cell_as_the_table_does(tmp_path, monkeypatch, f
     set_chunk_rows(monkeypatch, 7)
     log = synthetic_log()
     streamed_steps(log, pitfall_steps(log, 20), tmp_path / "events.csv")
-    # with a writer slot, every step after the first cuts the rows of the one before
-    assert len(forks) == (0 if cpus == 1 else 19)
+    # every step after the first cuts the rows of the one before; one writer takes them all
+    assert len(forks) == (0 if cpus == 1 else 1)
     whole = every_row(pitfall_steps, 20)
     expected = table_to_text(events_to_table(whole))
     for row in ("1.0,gridlock,-1,0,-0.0,0.0,\n", "1.0,transmission,-1,0,500.0,0.0,1\n",
@@ -523,7 +547,7 @@ def test_events_csv_formats_each_cell_as_the_table_does(tmp_path, monkeypatch, f
     assert_nothing_left(tmp_path)
 
 
-def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, forks):
+def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, forks, gate):
     """No second writer starts while the first is busy, though more CPUs are free.
 
     The run logs about 33,700 rows. Segments of 20,000 rows leave fewer
@@ -533,29 +557,21 @@ def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, fork
     set_cpus(monkeypatch, 4)
     set_chunk_rows(monkeypatch, 20000)
     parent = os.getpid()
-    gate_r, gate_w = os.pipe()
     real_write = metrics._write_segment
 
     def gated(fh, log, *bounds):
-        if os.getpid() != parent:  # a writer: wait until the parent closes the gate
-            os.close(gate_w)
-            os.read(gate_r, 1)
+        if os.getpid() != parent:  # a writer: wait until the test opens the gate
+            gate.wait()
         real_write(fh, log, *bounds)
 
     monkeypatch.setattr(metrics, "_write_segment", gated)
     path = tmp_path / "events.csv"
     cfg = SimConfig(duration=120.0, seed=31, warm_up=10.0)
-    try:
-        with EventsCsvWriter(path) as writer:
-            log = run(cfg, on_step=writer.after_step)
-            assert len(forks) == 1
-            os.close(gate_w)
-            gate_w = None
-            writer.finish(log)
-    finally:
-        os.close(gate_r)
-        if gate_w is not None:
-            os.close(gate_w)
+    with EventsCsvWriter(path) as writer:
+        log = run(cfg, on_step=writer.after_step)
+        assert len(forks) == 1
+        gate.open()
+        writer.finish(log)
     write_events_csv(run(cfg), tmp_path / "serial.csv")
     assert path.read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert_nothing_left(tmp_path)
@@ -564,7 +580,7 @@ def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, fork
 @pytest.mark.parametrize("writer_fails", [False, True])
 @pytest.mark.parametrize("release", ["first_held_write", "final_wait"])
 def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeypatch, forks,
-                                                               writer_fails, release):
+                                                               gate, writer_fails, release):
     """The rows left are formatted while the writer is busy, then follow its rows.
 
     The writer waits at a gate. It is let go once the main process has
@@ -579,16 +595,15 @@ def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeyp
     set_chunk_rows(monkeypatch, 20000)
     monkeypatch.setattr(metrics, "FLUSH_ROWS", 1500)
     parent = os.getpid()
-    gate_r, gate_w = os.pipe()
     opened_by = []  # where the gate was opened: "first_held_write" or "final_wait"
     shut_at_format = []  # whether the gate was still shut when the rest was formatted
     real_write_segment = metrics._write_segment
-    real_reap = EventsCsvWriter._reap
+    real_catch_up = EventsCsvWriter._catch_up
 
     def open_gate(at):
         if not opened_by:
             opened_by.append(at)
-            os.close(gate_w)
+            gate.open()
 
     class Held:
         """The main process's buffer for the rest; its first write opens the gate."""
@@ -603,8 +618,7 @@ def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeyp
 
     def gated(fh, log, t_lo=-math.inf, t_hi=math.inf):
         if os.getpid() != parent:  # a writer: wait until the gate opens
-            os.close(gate_w)
-            os.read(gate_r, 1)
+            gate.wait()
         if writer_fails and t_lo == -math.inf:  # the first segment, in either process
             raise RuntimeError("writer failed")
         if not isinstance(fh, io.BytesIO):  # not the rest held while the writer runs
@@ -613,10 +627,9 @@ def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeyp
         real_write_segment(Held(fh), log, t_lo, t_hi)
         shut_at_format.append(not opened_by)
 
-    def reap(self):
-        if self.writer is not None:
-            open_gate("final_wait")
-        real_reap(self)
+    def catch_up(self):
+        open_gate("final_wait")
+        real_catch_up(self)
 
     def streamed():
         with EventsCsvWriter(path) as writer:
@@ -625,19 +638,14 @@ def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeyp
             writer.finish(log)
 
     monkeypatch.setattr(metrics, "_write_segment", gated)
-    monkeypatch.setattr(EventsCsvWriter, "_reap", reap)
+    monkeypatch.setattr(EventsCsvWriter, "_catch_up", catch_up)
     path = tmp_path / "events.csv"
     cfg = SimConfig(duration=120.0, seed=31, warm_up=10.0)
-    try:
-        if writer_fails:
-            with pytest.raises(RuntimeError, match="writer failed"):
-                streamed()
-        else:
+    if writer_fails:
+        with pytest.raises(RuntimeError, match="writer failed"):
             streamed()
-    finally:
-        if not opened_by:
-            os.close(gate_w)
-        os.close(gate_r)
+    else:
+        streamed()
     assert opened_by == [release]
     assert shut_at_format == [release == "final_wait"]
     if writer_fails:
@@ -648,17 +656,16 @@ def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeyp
     assert_nothing_left(tmp_path)
 
 
-def test_streamed_events_csv_forks_after_the_last_writer_is_reaped(tmp_path, monkeypatch):
-    """One writer process at a time, and no file in the output directory but events.csv."""
+def test_streamed_events_csv_forks_one_writer_per_run_reaped_by_finish(tmp_path, monkeypatch):
+    """One writer process per run, alive until ``finish`` reaps it, and no file but events.csv."""
     set_cpus(monkeypatch, 4)
     set_chunk_rows(monkeypatch, 7)
     out = tmp_path / "out"
     out.mkdir()
-    pids, reaped, alive_at_fork, listings = [], set(), [], []
+    pids, reaped, listings = [], set(), []
     real_fork, real_waitpid = os.fork, os.waitpid
 
     def fork():
-        alive_at_fork.append(len(set(pids) - reaped))
         pid = real_fork()
         if pid:
             pids.append(pid)
@@ -678,16 +685,49 @@ def test_streamed_events_csv_forks_after_the_last_writer_is_reaped(tmp_path, mon
         for state in synthetic_steps(log, 60):
             yield state
             listings.append(os.listdir(out))
+        # every step has passed, and the writer took many segments
+        assert len(pids) == 1 and not reaped
 
     streamed_steps(log, steps(), out / "events.csv")
     listings.append(os.listdir(out))
-    assert pids and alive_at_fork == [0] * len(pids)
-    assert set(pids) == reaped
+    assert len(pids) == 1 and reaped == set(pids)
     assert all(listing in ([], ["events.csv"]) for listing in listings)
     assert listings[-1] == ["events.csv"]
     write_events_csv(every_row(synthetic_steps, 60), tmp_path / "serial.csv")
     assert (out / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert_nothing_left(out)
+
+
+def test_two_writers_alive_at_once_both_finish(tmp_path, monkeypatch, forks):
+    """Each writer process keeps only its own pipes and file, so neither holds the other up.
+
+    The two writers take their steps in turn and finish in the order they
+    started; each file is the one ``write_events_csv`` makes of its log.
+    """
+    set_cpus(monkeypatch, 2)
+    set_chunk_rows(monkeypatch, 7)
+    previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("a writer hung"))
+    signal.alarm(60)
+    try:
+        logs = (synthetic_log(), synthetic_log())
+        with (EventsCsvWriter(tmp_path / "events.csv") as first,
+              EventsCsvWriter(tmp_path / "serial.csv") as second):
+            for pair in zip(synthetic_steps(logs[0], 20), pitfall_steps(logs[1], 20)):
+                for writer, state in zip((first, second), pair):
+                    writer.after_step(state)
+            assert len(forks) == 2
+            if os.path.isdir("/proc/self/fd"):  # each keeps its two pipe ends and its file
+                for pid in forks:
+                    assert len(os.listdir(f"/proc/{pid}/fd")) == 3
+            first.finish(logs[0])
+            second.finish(logs[1])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for name, steps in (("events.csv", synthetic_steps), ("serial.csv", pitfall_steps)):
+        expected = table_to_text(events_to_table(every_row(steps, 20))).encode()
+        assert (tmp_path / name).read_bytes() == expected
+    assert_nothing_left(tmp_path)
 
 
 def test_streamed_events_csv_recovers_the_rows_of_a_killed_writer(tmp_path, monkeypatch, forks):
@@ -709,10 +749,132 @@ def test_streamed_events_csv_recovers_the_rows_of_a_killed_writer(tmp_path, monk
     monkeypatch.setattr(metrics, "_write_segment", killed_halfway)
     log = synthetic_log()
     streamed_steps(log, synthetic_steps(log, 60), tmp_path / "events.csv")
-    assert len(forks) >= 3
+    assert len(forks) == 1
     monkeypatch.setattr(metrics, "_write_segment", real_write)
     write_events_csv(every_row(synthetic_steps, 60), tmp_path / "serial.csv")
     assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert_nothing_left(tmp_path)
+
+
+@pytest.mark.parametrize("dies, chunk_rows", [("while_sent_to", 8000), ("while_acked", 12000)])
+def test_streamed_events_csv_goes_on_in_process_after_the_writer_dies(tmp_path, monkeypatch,
+                                                                      forks, dies, chunk_rows):
+    """A writer that dies between segments costs no row, and the run goes on without it.
+
+    The writer takes its first segment from the memory it inherited and
+    acknowledges it. Then it dies before it reads the second segment,
+    which is larger than a pipe holds, so the parent's send breaks off, and
+    two more segments follow; or, with larger segments, the second is the
+    last, and it dies after it has read it, so the parent meets the end of
+    the acks while ``finish`` waits for that segment's. The parent formats
+    the second segment and every later one itself, and the first not again.
+    """
+    set_cpus(monkeypatch, 2)
+    set_chunk_rows(monkeypatch, chunk_rows)
+    parent = os.getpid()
+    formatted_here, broken_sends, acks_ended = [], [], []
+    real_write, real_receive = metrics._write_segment, metrics._receive_segment
+    real_send, real_acknowledged = metrics._send_segment, EventsCsvWriter._acknowledged
+
+    def write(fh, log, t_lo=-math.inf, t_hi=math.inf):
+        if os.getpid() == parent:
+            formatted_here.append(t_lo)
+        elif dies == "while_acked" and t_lo > -math.inf:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_write(fh, log, t_lo, t_hi)
+
+    def receive(inp, template):
+        if dies == "while_sent_to":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_receive(inp, template)
+
+    def send(out, segment):
+        try:
+            real_send(out, segment)
+        except BrokenPipeError:
+            broken_sends.append(segment[1])
+            raise
+
+    def acknowledged(self):
+        done = real_acknowledged(self)
+        if not done:
+            acks_ended.append(len(self.pending))
+        return done
+
+    monkeypatch.setattr(metrics, "_write_segment", write)
+    monkeypatch.setattr(metrics, "_receive_segment", receive)
+    monkeypatch.setattr(metrics, "_send_segment", send)
+    monkeypatch.setattr(EventsCsvWriter, "_acknowledged", acknowledged)
+    cfg = SimConfig(duration=120.0, seed=31, warm_up=10.0)
+    with EventsCsvWriter(tmp_path / "events.csv") as writer:
+        log = run(cfg, on_step=writer.after_step)
+        assert (writer.writer is None) == (dies == "while_sent_to")
+        writer.finish(log)
+    assert len(forks) == 1
+    # the second segment, any later ones and the rest
+    assert -math.inf not in formatted_here
+    if dies == "while_sent_to":
+        assert len(formatted_here) == 4 and broken_sends == formatted_here[:1]
+    else:
+        assert len(formatted_here) == 2 and broken_sends == [] and acks_ended == [1]
+    write_events_csv(run(cfg), tmp_path / "serial.csv")
+    assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert_nothing_left(tmp_path)
+
+
+@pytest.mark.parametrize("blocked_in", ["send", "ack"])
+def test_an_interrupt_while_the_writer_holds_the_run_up_stops_it(tmp_path, monkeypatch, forks,
+                                                                 gate, blocked_in):
+    """KeyboardInterrupt while the parent waits for the writer: no writer or file is left.
+
+    The writer waits at a gate, which never opens: before it reads the
+    second segment (12,000 rows, more than a pipe holds), so the parent's
+    send blocks on the full pipe, or before it formats the first, so the
+    parent blocks at the second cut waiting for that segment's ack. A
+    SIGINT then interrupts the parent. The interrupt itself comes out, not
+    a BrokenPipeError from flushing what was left unsent.
+    """
+    set_cpus(monkeypatch, 2)
+    set_chunk_rows(monkeypatch, 12000)
+    parent = os.getpid()
+    real_write, real_receive = metrics._write_segment, metrics._receive_segment
+    real_acknowledged = EventsCsvWriter._acknowledged
+    interrupted = []
+
+    def gated_write(fh, log, *bounds):
+        if os.getpid() != parent and blocked_in == "ack":
+            gate.wait()
+        real_write(fh, log, *bounds)
+
+    def gated_receive(inp, template):
+        if blocked_in == "send":
+            gate.wait()
+        return real_receive(inp, template)
+
+    def interrupt(blocking, name):
+        def wrapper(*args):
+            timer = threading.Timer(0.2, os.kill, (parent, signal.SIGINT))
+            timer.start()
+            try:
+                return blocking(*args)
+            except KeyboardInterrupt:
+                interrupted.append(name)
+                raise
+            finally:
+                timer.join()
+        return wrapper
+
+    monkeypatch.setattr(metrics, "_write_segment", gated_write)
+    monkeypatch.setattr(metrics, "_receive_segment", gated_receive)
+    if blocked_in == "send":
+        monkeypatch.setattr(metrics, "_send_segment", interrupt(metrics._send_segment, "send"))
+    else:
+        monkeypatch.setattr(EventsCsvWriter, "_acknowledged", interrupt(real_acknowledged, "ack"))
+    cfg = SimConfig(duration=120.0, seed=31, warm_up=10.0)
+    with pytest.raises(KeyboardInterrupt):
+        streamed_run(cfg, tmp_path / "events.csv")
+    assert len(forks) == 1 and interrupted == [blocked_in]
+    assert not (tmp_path / "events.csv").exists()
     assert_nothing_left(tmp_path)
 
 
@@ -741,7 +903,7 @@ def test_streamed_events_csv_writer_failure_raises_in_the_parent(tmp_path, monke
     log = synthetic_log()
     with pytest.raises(ValueError, match="the writer failed"):
         streamed_steps(log, synthetic_steps(log, 60), tmp_path / "events.csv")
-    assert len(forks) >= 1
+    assert len(forks) == 1
     assert not (tmp_path / "events.csv").exists()
     assert_nothing_left(tmp_path)
 
@@ -758,7 +920,7 @@ def test_streamed_events_csv_rejects_events_before_a_cut(tmp_path, monkeypatch, 
 
     with pytest.raises(ValueError, match="before the last one logged"):
         streamed_steps(log, late_event(), tmp_path / "events.csv")
-    assert len(forks) >= 1
+    assert len(forks) == 1
     assert not (tmp_path / "events.csv").exists()
     assert_nothing_left(tmp_path)
 
@@ -783,22 +945,23 @@ def test_streamed_events_csv_cleans_up_when_the_run_stops(tmp_path, monkeypatch,
     with pytest.raises(failure, match="stopped mid-run"):
         cli.main(["run", "--config", str(tmp_path / "run.cfg"), "--seed", "31",
                   "--out-dir", str(out)])
-    assert len(forks) >= 3
+    assert len(forks) == 1
     assert list(out.iterdir()) == []
     assert_nothing_left(out)
 
 
 @pytest.mark.parametrize("writer", ["forking", "slow_writer", "in_process"])
 def test_streamed_run_holds_a_bounded_number_of_rows(tmp_path, monkeypatch, forks, writer):
-    """While events.csv is written, the log and the writer's segment hold under 3 CHUNK_ROWS.
+    """While events.csv is written, the log and the pending segments hold under 3 CHUNK_ROWS.
 
-    A segment is CHUNK_ROWS and at most a step's rows, and the next waits
-    for the writer of the last one; a step logs fewer than 200 rows here,
-    so the live log and the segment the parent keeps for the writer stay
-    under three CHUNK_ROWS together. A writer process that formats slowly
-    makes the run wait for it; without writer processes the parent formats
-    each segment itself as it is cut and keeps none. The four files are
-    those of the same run with every row kept.
+    A segment is CHUNK_ROWS and at most a step's rows, and after each send
+    the parent waits until the writer has acknowledged all but the last
+    segment; a step logs fewer than 200 rows here, so the live log and the
+    segments the parent keeps for the writer stay under three CHUNK_ROWS
+    together. A writer process that formats slowly makes the run wait for
+    it; without a writer process the parent formats each segment itself
+    as it is cut and keeps none. The four files are those of the same run
+    with every row kept.
     """
     set_cpus(monkeypatch, 2)
     set_chunk_rows(monkeypatch, 1500)
@@ -819,9 +982,7 @@ def test_streamed_run_holds_a_bounded_number_of_rows(tmp_path, monkeypatch, fork
 
         def after_step(state):
             events_csv.after_step(state)
-            logs = [state.log]
-            if events_csv.writer is not None:
-                logs.append(events_csv.writer[2][0])  # the writer's segment
+            logs = [state.log] + [segment[0] for segment in events_csv.pending]
             held.append(sum(len(log.samples) + len(log.events) for log in logs))
 
         log = run(cfg, on_step=after_step)
@@ -831,7 +992,7 @@ def test_streamed_run_holds_a_bounded_number_of_rows(tmp_path, monkeypatch, fork
     # at least four segments were cut off the log
     cut = len(whole.samples) + len(whole.events) - len(log.samples) - len(log.events)
     assert cut >= 4 * metrics.CHUNK_ROWS
-    assert len(forks) >= 4 if writer != "in_process" else forks == []
+    assert len(forks) == (0 if writer == "in_process" else 1)
     write_events_csv(whole, tmp_path / "serial.csv")
     assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     echo = whole.config_echo
