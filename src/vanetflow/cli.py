@@ -70,7 +70,12 @@ def _build_config(args) -> SimConfig:
     else:
         cfg = SimConfig()
     if args.config:
-        cfg = parse_config(args.config.read_text(encoding="utf-8"), base=cfg)
+        try:
+            text = args.config.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not UTF-8 text ({exc.reason} at byte "
+                              f"{exc.start})") from None
+        cfg = parse_config(text, base=cfg)
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if args.policy:
@@ -118,9 +123,10 @@ def _cmd_sweep(args) -> int:
         overrides = {f.name: getattr(probe, f.name) for f in fields(SimConfig)
                      if f.name not in ("seed", "communication_enabled")}
         preset = ScenarioPreset(preset.name, preset.description, overrides)
-    table = run_sweep(preset, seeds, jobs=args.jobs)
     out = args.out_dir
+    # before the cases run, so that an unusable directory fails at once
     out.mkdir(parents=True, exist_ok=True)
+    table = run_sweep(preset, seeds, jobs=args.jobs)
     write_csv(table, out / "sweep_summary.csv")
     for row in table.rows:
         if row[6] == "median":

@@ -103,7 +103,9 @@ class _RunLog:
     rows and of their runs, numbered from 0. ``cut_before(t)`` takes the
     rows logged before time ``t`` out as such a slice, and what stays is a
     log of the later rows, numbered from 0. ``floor`` is the latest cut's
-    time (-inf before any), which ``Events`` takes no record before.
+    time (-inf before any). Neither log takes a row at a NaN time or
+    before its last run's time or the floor (``_check_time``), so the
+    runs' times are sorted and ``before`` bisects them.
     """
 
     __slots__ = ("floor",)
@@ -127,10 +129,7 @@ class _RunLog:
         return slice(k0, k1), np.diff(starts[k0:k1].clip(lo), append=hi)
 
     def before(self, t: float) -> int:
-        """The number of rows logged before time ``t``.
-
-        The runs' times must be in order (``bisect``).
-        """
+        """The number of rows logged before time ``t``: a bisection of the runs' times."""
         k = bisect.bisect_left(self.run_t, t)
         return self.run_start[k] if k < len(self.run_start) else len(self)
 
@@ -153,11 +152,10 @@ class _RunLog:
     def cut_before(self, t: float):
         """Take the rows logged before time ``t`` out, and return them as a log of this type.
 
-        The cut falls at a run's start, as ``before`` finds it (the runs'
-        times must be in order), so it never splits a time: rows of equal
-        time all stay or all go. The returned log is the slice of those
-        rows; this log keeps its buffers, with the later rows copied to the
-        front and numbered from 0. (A head that took the buffers over would
+        The cut falls at a run's start, as ``before`` finds it, so it never
+        splits a time: rows of equal time all stay or all go. The returned
+        log is the slice of those rows; this log keeps its buffers, with the
+        later rows copied to the front and numbered from 0. (A head that took the buffers over would
         leave ``vanetflow run`` about 1 MB higher: the freed buffers of each
         writer's segment stay in the heap.)
         """
@@ -167,6 +165,13 @@ class _RunLog:
             getattr(self, name)[:] = getattr(rest, name)
         self.floor = max(self.floor, t)
         return head
+
+    def _check_time(self, t) -> None:
+        """Raise ValueError unless ``t`` is at or after the last run's time and the floor."""
+        last = self.run_t[-1] if self.run_t else self.floor
+        if not t >= last:
+            raise ValueError(f"{type(self).__name__} time {t!r} is NaN or before the last one "
+                             f"logged or the last cut, {last!r}")
 
     def _extend_rows(self, n: int, ids, positions, velocities) -> None:
         """Append the id, position and velocity columns of ``n`` rows, or raise and change nothing.
@@ -198,14 +203,15 @@ class SampleLog(_RunLog):
 
     A sample is one row of the columns ``vehicle_id`` (int32), ``lane``
     (int8), ``position`` and ``velocity`` (float64), 21 B a row. Its time
-    is that of its run (see ``_RunLog``). A row whose time has other bits
-    than the last run's starts a run (``-0.0`` after ``0.0`` does, and so
-    does every NaN), so each step of the engine is one run. ``t`` reads the
-    held rows' times back as a float64 numpy array, bit for bit as they
-    were logged. ``append`` logs one row and ``log_step`` one step's rows;
-    a cell its column cannot hold, an id past int32 included, raises and
-    leaves the log unchanged. The times need not be in order, but
-    ``before`` and ``cut_before`` answer only for a log whose times are.
+    is that of its run (see ``_RunLog``). ``append`` logs one row and
+    ``log_step`` one step's rows. A time later than the last run's starts
+    a run, and one equal to it, with the same bits, joins that run; a NaN
+    or earlier time, one equal with other bits (``-0.0`` after ``0.0``)
+    and one before the last cut raise ValueError. So ``run_t`` strictly
+    increases and each step of the engine is one run. A cell its column
+    cannot hold, an id past int32 included, raises too; the log is
+    unchanged. ``t`` reads the held rows' times back as a float64 numpy
+    array, bit for bit as they were logged.
     """
 
     __slots__ = ("vehicle_id", "lane", "position", "velocity", "run_start", "run_t")
@@ -230,16 +236,18 @@ class SampleLog(_RunLog):
         runs, lengths = self._runs(0, len(self))
         return np.array(self.run_t[runs]).repeat(lengths)
 
-    def _open_run(self, t: float) -> None:
-        """Start a run at the next row, unless ``t`` has the bits of the last run's time.
+    def _joins(self, t: float) -> bool:
+        """Whether rows at time ``t`` join the last run; ValueError if ``t`` may not be logged.
 
-        Equal times of one sign have the same bits: 0.0 and -0.0 do not, and
-        a NaN equals nothing, so it starts a run.
+        Equal times of one sign have the same bits: 0.0 and -0.0 do not.
         """
-        last = self.run_t[-1] if self.run_t else math.nan
-        if not (t == last and math.copysign(1.0, t) == math.copysign(1.0, last)):
-            self.run_t.append(t)
-            self.run_start.append(len(self))
+        self._check_time(t)
+        if not self.run_t or t != self.run_t[-1]:
+            return False
+        if math.copysign(1.0, t) != math.copysign(1.0, self.run_t[-1]):
+            raise ValueError(f"sample time {t!r} equals the last one logged, "
+                             f"{self.run_t[-1]!r}, with other bits")
+        return True
 
     def append(self, t: float, vehicle_id: int, lane: int, position: float,
                velocity: float) -> None:
@@ -250,12 +258,15 @@ class SampleLog(_RunLog):
         """Log one sample per vehicle at time ``t``, given as columns.
 
         ``lanes`` is an ``array("b")``, the other columns as ``_extend_rows``
-        takes them. Columns that do not fit raise; the log is unchanged.
+        takes them. A time the log does not take (see ``SampleLog``) and
+        columns that do not fit raise; the log is unchanged.
         """
+        joins = self._joins(t)
         rows, runs = len(self), len(self.run_t)
         try:
-            if len(lanes):
-                self._open_run(t)
+            if len(lanes) and not joins:
+                self.run_t.append(t)
+                self.run_start.append(rows)
             self.lane += lanes
             self._extend_rows(len(lanes), ids, positions, velocities)
         except Exception:
@@ -273,14 +284,12 @@ class Events(_RunLog):
     ``run_kind[k]`` (int8), ``run_lane[k]`` and ``run_aux[k]`` (int64), the
     kind and aux coded by ``_codes``. A batch given to ``log_receptions``
     is one run, a record given to ``append`` or ``extend`` a run of one row.
-    A kind or aux that ``_codes`` rejects, a NaN or earlier time and an id
-    past int32 are rejected, so ``run_t`` is sorted and ``before`` bisects
-    it. ``columns`` and ``of_kind`` read rows as seven numpy columns, the
-    ids as int64; iteration yields them as (float, str, int, int, float,
-    float, int | str) tuples, EXPAND_ROWS at a time. A slice is an
-    ``Events`` (see ``_RunLog``). An ``Events`` compares, column by
-    column, only with another. After ``cut_before(t)`` a record before
-    ``t`` is rejected as an earlier one.
+    A kind or aux that ``_codes`` rejects, a time ``_check_time`` rejects
+    and an id past int32 are rejected. ``columns`` and ``of_kind`` read
+    rows as seven numpy columns, the ids as int64; iteration yields them as
+    (float, str, int, int, float, float, int | str) tuples, EXPAND_ROWS at
+    a time. A slice is an ``Events`` (see ``_RunLog``). An ``Events``
+    compares, column by column, only with another.
     """
 
     __slots__ = ("vehicle_id", "position", "velocity", "run_start", "run_t", "run_kind",
@@ -296,13 +305,6 @@ class Events(_RunLog):
         self.run_kind = array("b")
         self.run_lane = array("b")
         self.run_aux = array("q")
-
-    def _check_time(self, t) -> None:
-        """Raise ValueError unless ``t`` is at or after the last record's time and the floor."""
-        last = self.run_t[-1] if self.run_t else self.floor
-        if not t >= last:
-            raise ValueError(f"event time {t!r} is NaN or before the last one logged "
-                             f"or the last cut, {last!r}")
 
     def append(self, record) -> None:
         """Log ``record`` as a run of one row.

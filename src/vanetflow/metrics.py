@@ -118,26 +118,22 @@ CHUNK_ROWS = 1 << 16
 FLUSH_ROWS = 1 << 13
 
 
-def _stream_steps(log, t_lo=-math.inf, t_hi=math.inf):
+def _stream_steps(log):
     """The row order of the events + samples stream, one time step at a time.
 
-    Yields (events, lo, hi, runs) per distinct time, in time order: the
-    event rows at that time as the seven ``Events.columns``, as lists, then
-    the samples lo:hi of ``log.samples`` and their runs as (time, rows)
-    pairs; either part may be empty. Each stream keeps its log order, which
-    is what a stable sort of events + samples by time gives. The events
-    keep their time order; samples out of time order, or outside
-    [t_lo, t_hi), raise ValueError. The steps are cut at the runs' times,
-    and the event rows read about FLUSH_ROWS at a time, a larger step in
-    one read.
+    Yields (events, lo, hi, t) per distinct time, in time order: the event
+    rows at that time as the seven ``Events.columns``, as lists, then the
+    samples lo:hi of ``log.samples``, the rows of its run at time ``t``
+    (None if it has none); either part may be empty. Each stream keeps its
+    log order, which is what a stable sort of events + samples by time
+    gives. Both logs keep their runs' times in order, and the sample log
+    has one run per time. The steps are cut at the runs' times, and the
+    event rows read about FLUSH_ROWS at a time, a larger step in one read.
     """
     events, samples = log.events, log.samples
     # copies, not views: a view would hold a column's buffer, and an append
     # to the log while the stream is read would raise BufferError
     sample_t = np.array(samples.run_t, dtype=np.float64)
-    if (sample_t[1:] < sample_t[:-1]).any() or (
-            sample_t.size and not t_lo <= sample_t[0] <= sample_t[-1] < t_hi):
-        raise ValueError("samples are not in time order")
     run_t = np.array(events.run_t, dtype=np.float64)
     # each run's first row, then the row count
     sample_bounds = np.append(samples.run_start, len(samples))
@@ -146,7 +142,8 @@ def _stream_steps(log, t_lo=-math.inf, t_hi=math.inf):
     times = np.unique(np.concatenate((run_t, sample_t)))
     event_ends = run_ends[run_t.searchsorted(times, side="right")].tolist()
     sample_run_ends = sample_t.searchsorted(times, side="right").tolist()
-    sample_runs = list(zip(sample_t.tolist(), np.diff(sample_bounds).tolist()))
+    # each run's own time, which may have other bits than the events' (0.0, -0.0)
+    sample_t = sample_t.tolist()
     sample_bounds = sample_bounds.tolist()
     a, j, c1 = 0, 0, -1  # ``read`` holds the columns of rows c0:c1, none at first
     for b, k in zip(event_ends, sample_run_ends):
@@ -154,7 +151,7 @@ def _stream_steps(log, t_lo=-math.inf, t_hi=math.inf):
             c0, c1 = a, min(max(b, a + FLUSH_ROWS), len(events))
             read = events.columns(c0, c1)
         yield ([column[a - c0:b - c0].tolist() for column in read],
-               sample_bounds[j], sample_bounds[k], sample_runs[j:k])
+               sample_bounds[j], sample_bounds[k], sample_t[j] if k > j else None)
         a, j = b, k
 
 
@@ -162,11 +159,10 @@ def events_to_table(log) -> MetricTable:
     """The events.csv table: events and 'sample' rows in ``_stream_steps`` order."""
     s = log.samples
     rows = []
-    for columns, lo, hi, runs in _stream_steps(log):
+    for columns, lo, hi, t in _stream_steps(log):
         rows += zip(*columns)
-        rows += zip([t for t, n in runs for _ in range(n)], repeat("sample"),
-                    s.vehicle_id[lo:hi], s.lane[lo:hi], s.position[lo:hi], s.velocity[lo:hi],
-                    repeat(""))
+        rows += zip(repeat(t), repeat("sample"), s.vehicle_id[lo:hi], s.lane[lo:hi],
+                    s.position[lo:hi], s.velocity[lo:hi], repeat(""))
     return MetricTable(columns=list(EVENT_COLUMNS), rows=rows, meta=dict(log.config_echo))
 
 
@@ -187,22 +183,21 @@ class _Texts(dict):
         return text
 
 
-def _write_segment(fh, log, t_lo=-math.inf, t_hi=math.inf) -> None:
+def _write_segment(fh, log) -> None:
     """Format the events + samples stream of ``log`` into the binary file ``fh``.
 
     The rows are streamed from the event and sample logs one time step at a
-    time, in the order ``_stream_steps`` gives (its samples lie in
-    [t_lo, t_hi)), without building a row table, and written after the step
-    that brings the rows held to FLUSH_ROWS. The event columns fix each
-    cell's type: (float, str, int, int, float, float, int | str); an
-    ``Events`` takes no cell that could break a row, so none is checked.
+    time, in the order ``_stream_steps`` gives, without building a row
+    table, and written after the step that brings the rows held to
+    FLUSH_ROWS. The event columns fix each cell's type: (float, str, int,
+    int, float, float, int | str); an ``Events`` takes no cell that could
+    break a row, so none is checked.
 
     Each distinct float of a step is formatted once, and its string serves
     every row of the step that repeats it: the time of each of its runs,
     and a vehicle's position and velocity in its reception rows and in its
-    sample row. Ints
-    and the aux strings are formatted once per write. The bytes are
-    unchanged, those of ``table_to_text(events_to_table(log))``,
+    sample row. Ints and the aux strings are formatted once per write. The
+    bytes are unchanged, those of ``table_to_text(events_to_table(log))``,
     because every float cell is exactly a float, read from a column, and
     zero is never a key (0.0 == -0.0, but their reprs differ), so each zero
     is formatted on its own.
@@ -217,12 +212,11 @@ def _write_segment(fh, log, t_lo=-math.inf, t_hi=math.inf) -> None:
         lines.clear()
         texts.clear()
 
-    for (t_cells, kinds, ids, lanes, xs, vs, auxes), lo, hi, runs in _stream_steps(log, t_lo,
-                                                                                    t_hi):
+    for (t_cells, kinds, ids, lanes, xs, vs, auxes), lo, hi, t in _stream_steps(log):
         floats = t_cells + xs + vs
         if hi > lo:
             positions, velocities = s.position[lo:hi].tolist(), s.velocity[lo:hi].tolist()
-            floats += [t for t, _ in runs]
+            floats.append(t)
             floats += positions
             floats += velocities
         # one repr per distinct float, taken from the last step's strings where
@@ -237,11 +231,8 @@ def _write_segment(fh, log, t_lo=-math.inf, t_hi=math.inf) -> None:
                                        map(reprs.__getitem__, xs), map(reprs.__getitem__, vs),
                                        map(add, map(texts.__getitem__, auxes), repeat("\n"))))
         if hi > lo:
-            # each run's own time: equal times with other bits (0.0, -0.0) are two runs
-            prefixes = []
-            for t, n in runs:
-                prefixes += [reprs[t] + ",sample"] * n
-            lines += map(",".join, zip(prefixes, map(texts.__getitem__, s.vehicle_id[lo:hi]),
+            lines += map(",".join, zip(repeat(reprs[t] + ",sample"),
+                                       map(texts.__getitem__, s.vehicle_id[lo:hi]),
                                        map(texts.__getitem__, s.lane[lo:hi]),
                                        map(reprs.__getitem__, positions),
                                        map(reprs.__getitem__, velocities), repeat("\n")))
@@ -265,15 +256,13 @@ class _PipeOut:
             view = view[os.write(self.fd, view):]
 
 
-def _send_segment(out, segment) -> None:
-    """Pickle ``segment``, (log, t_lo, t_hi), into ``out``: its bounds, then one column at a time.
+def _send_segment(out, log) -> None:
+    """Pickle the segment ``log`` into ``out``, one column at a time.
 
     Only the columns of ``log.events`` and ``log.samples`` go, each in a
     dump of its own, so at most one column's bytes are copied at a time (a
     single dump would keep a copy of every column until it ends).
     """
-    log, t_lo, t_hi = segment
-    pickle.dump((t_lo, t_hi), out, pickle.HIGHEST_PROTOCOL)
     for part in (log.events, log.samples):
         for name in part.__slots__:
             pickle.dump(getattr(part, name), out, pickle.HIGHEST_PROTOCOL)
@@ -284,14 +273,13 @@ def _receive_segment(inp, template):
 
     Raises EOFError when the sender closed the pipe before the segment.
     """
-    t_lo, t_hi = pickle.load(inp)
     parts = []
     for part in (template.events, template.samples):
         part = type(part)()
         for name in part.__slots__:
             setattr(part, name, pickle.load(inp))
         parts.append(part)
-    return replace(template, events=parts[0], samples=parts[1]), t_lo, t_hi
+    return replace(template, events=parts[0], samples=parts[1])
 
 
 class EventsCsvWriter:
@@ -306,12 +294,12 @@ class EventsCsvWriter:
     own, which ``fold``, a ``MetricFold``, takes in.
 
     At the first cut the parent flushes the file and forks the run's one
-    writer process, while the log is still small; it formats that segment
-    from the memory it inherited. Each later segment goes to it through a
-    pipe (``_send_segment``), and a full pipe holds the parent up until the
-    writer has read it. The writer formats the segments in arrival order,
-    appends them to the file and sends back each one's end offset through
-    a second pipe, then reads the next, while the parent keeps stepping.
+    writer process, while the log is still small. Every segment, the first
+    included, goes to it through a pipe (``_send_segment``), and a full
+    pipe holds the parent up until the writer has read it. The writer
+    formats the segments in arrival order, appends them to the file and
+    sends back each one's end offset through a second pipe, then reads the
+    next, while the parent keeps stepping.
     The parent keeps the segments the writer has not acknowledged in
     ``pending``, so the rows held are at most one segment's and the log's,
     however long the run. With one CPU or without ``os.fork`` the parent
@@ -335,7 +323,6 @@ class EventsCsvWriter:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         self.forking = cpus > 1 and hasattr(os, "fork")
-        self.t_lo = -math.inf  # the time where the next segment starts
         self.writer = None     # the writer's pid and the parent's ends of its two pipes
         self.pending = []      # the segments sent to the writer and not acknowledged
         self.acked = 0         # the file's end after the last acknowledged segment
@@ -363,21 +350,24 @@ class EventsCsvWriter:
         now = state.now
         if log.samples.before(now) + log.events.before(now) < CHUNK_ROWS:
             return
-        # the segment: its log, and the time bounds its samples must lie in
-        segment = (replace(log, events=log.events.cut_before(now),
-                           samples=log.samples.cut_before(now)), self.t_lo, now)
-        self.t_lo = now
+        segment = replace(log, events=log.events.cut_before(now),
+                          samples=log.samples.cut_before(now))
         out = self._out(log)
+        if self.forking:
+            self._fork(log)
         # the writer takes the segment first, so that it formats while the parent folds
         if self.writer is not None:
             self._send(segment)
-        elif not (self.forking and self._fork(segment)):
-            _write_segment(out, *segment)
+        else:
+            _write_segment(out, segment)
         self.fold = self.fold or MetricFold(log.cfg)
-        self.fold.add(segment[0], now)
+        self.fold.add(segment, now)
 
-    def _fork(self, segment) -> bool:
-        """Start the run's one writer process on ``segment``; False if no process could start."""
+    def _fork(self, log) -> None:
+        """Start the run's one writer process, unless no process or pipe can start.
+
+        The writer reads each segment as a copy of ``log``.
+        """
         self.forking = False
         self.fh.flush()
         self.acked = self.fh.tell()
@@ -389,23 +379,22 @@ class EventsCsvWriter:
         except OSError:  # no pipe or process to spare: the parent formats the segments itself
             for fd in fds:
                 os.close(fd)
-            return False
+            return
         segments_in, segments_out, acks_in, acks_out = fds
         if pid == 0:
-            self._serve(segment, segments_in, acks_out)
+            self._serve(log, segments_in, acks_out)
         os.close(segments_in)
         os.close(acks_out)
         self.writer = (pid, segments_out, acks_in)
-        self.pending = [segment]
-        return True
 
-    def _serve(self, segment, segments_in, acks_out) -> None:
-        """The writer process: format ``segment``, then each one the pipe brings, and exit.
+    def _serve(self, log, segments_in, acks_out) -> None:
+        """The writer process: format each segment the pipe brings, and exit.
 
-        It closes every descriptor but its two pipe ends before it opens
-        the file: one it kept could hold a pipe of another writer of this
-        process, or the output of the command that started the run, open
-        for as long as it runs. It exits at the end of its segment pipe;
+        A segment arrives as a copy of ``log`` holding its rows. It closes
+        every descriptor but its two pipe ends before it opens the file: one
+        it kept could hold a pipe of another writer of this process, or the
+        output of the command that started the run, open for as long as it
+        runs. It exits at the end of its segment pipe;
         the parent stops it with SIGKILL once it has acknowledged every
         segment sent. The child has only this thread, so it formats and
         runs no BLAS-backed numpy, whose threads stayed in the parent.
@@ -420,13 +409,13 @@ class EventsCsvWriter:
             with open(self.path, "r+b") as fh, open(segments_in, "rb") as inp:
                 fh.seek(self.acked)
                 while True:
-                    _write_segment(fh, *segment)
-                    fh.flush()
-                    os.write(acks_out, fh.tell().to_bytes(8, "little"))
                     try:
-                        segment = _receive_segment(inp, segment[0])
+                        segment = _receive_segment(inp, log)
                     except EOFError:
                         break
+                    _write_segment(fh, segment)
+                    fh.flush()
+                    os.write(acks_out, fh.tell().to_bytes(8, "little"))
             code = 0
         finally:
             os._exit(code)
@@ -463,7 +452,7 @@ class EventsCsvWriter:
         self.fh.truncate()
         pending, self.pending = self.pending, []
         for segment in pending:
-            _write_segment(self.fh, *segment)
+            _write_segment(self.fh, segment)
 
     def _stop(self) -> None:
         """Kill and reap the writer process, if any, and close the parent's ends of its pipes."""
@@ -505,7 +494,7 @@ class EventsCsvWriter:
         go straight to the file.
         """
         out = self._out(log) if self.writer is None else io.BytesIO()
-        _write_segment(out, log, self.t_lo)
+        _write_segment(out, log)
         if self.writer is not None:
             self._catch_up()
             self.fh.write(out.getbuffer())
@@ -632,7 +621,7 @@ class MetricFold:
     they arrive by ``np.add.at``, which is unbuffered and applies them in
     log order: each cell's sum adds its samples in the order one
     ``bincount`` over the whole log does, so the two agree bitwise,
-    whatever the segments and the order of the samples.
+    whatever the segments and the order of a step's samples.
     """
 
     def __init__(self, cfg, x_bin_size: float = 10.0, t_bin_size: float = 30.0):

@@ -91,6 +91,16 @@ def test_unreadable_config_path(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    cfg_file = tmp_path / "latin.cfg"
+    cfg_file.write_bytes(b"duration = 60 s\n# caf\xe9\n")
+    code = main(["run", "--config", str(cfg_file), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(cfg_file) in err and "not UTF-8" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_command(tmp_path, capsys):
     cfg_file = tmp_path / "tiny.cfg"
     cfg_file.write_text(TINY)
@@ -118,3 +128,17 @@ def test_sweep_rejects_no_comms(tmp_path, capsys):
 
 def test_sweep_requires_preset(tmp_path, capsys):
     assert main(["sweep", "--seeds", "0..1", "--out-dir", str(tmp_path)]) == 2
+
+
+def test_sweep_to_an_unusable_out_dir_exits_2_before_any_case(tmp_path, capsys, monkeypatch):
+    from vanetflow import cli
+
+    def run_sweep(*args, **kwargs):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    (tmp_path / "notadir").write_text("")
+    code = main(["sweep", "--preset", "velocity_motorway", "--seeds", "0..1",
+                 "--out-dir", str(tmp_path / "notadir" / "out")])
+    assert code == 2
+    assert "notadir" in capsys.readouterr().err

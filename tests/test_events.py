@@ -536,11 +536,25 @@ def test_the_rest_of_a_cut_still_rejects_an_earlier_event(minute_log):
 
 # --- the sample log: one time per run, ids in four bytes -------------------------------
 
-# times that repeat, 0.0 and -0.0 (equal, with other bits) and NaN (equal to nothing)
-sample_time = st.one_of(st.sampled_from([0.0, -0.0, 2.5, float("nan")]), st.floats())
+# times that repeat, and 0.0 and -0.0 (equal, with other bits)
+sample_time = st.one_of(st.sampled_from([0.0, -0.0, 2.5]), finite)
 sample_row = st.tuples(int32, st.integers(0, 1), st.floats(), st.floats())
 sample_op = st.one_of(st.tuples(st.just("append"), sample_time, sample_row),
                       st.tuples(st.just("step"), sample_time, st.lists(sample_row, max_size=4)))
+
+
+def in_sample_order(ops):
+    """The operations with their drawn times sorted, as the sample log takes them.
+
+    Equal times take the bits of the first of them, so 0.0 and -0.0 never
+    follow each other.
+    """
+    first = {}  # 0.0 and -0.0 are one key
+    drawn = iter([first.setdefault(t, t) for t in sorted(t for _, t, _ in ops)])
+    return [(kind, next(drawn), arg) for kind, _, arg in ops]
+
+
+sample_ops = st.lists(sample_op, max_size=12).map(in_sample_order)
 
 
 def bits(values):
@@ -569,12 +583,12 @@ def run_starts(ops):
     """The rows where the runs of ``build_samples(ops)`` start.
 
     A call's first row starts a run unless its time has the bits of the
-    last run's; a NaN equals nothing, so it always starts one.
+    last run's.
     """
     starts, rows, last = [], 0, None
     for kind, t, arg in ops:
         n = 1 if kind == "append" else len(arg)
-        if n and not (last is not None and bits([last]) == bits([t]) and t == t):
+        if n and not (last is not None and bits([last]) == bits([t])):
             starts.append(rows)
             last = t
         rows += n
@@ -582,7 +596,7 @@ def run_starts(ops):
 
 
 @SETTINGS
-@given(st.lists(sample_op, max_size=12))
+@given(sample_ops)
 def test_sample_times_read_back_bit_for_bit_with_a_run_per_change_of_bits(ops):
     samples, rows = build_samples(ops)
     assert len(samples) == len(rows)
@@ -595,10 +609,11 @@ def test_sample_times_read_back_bit_for_bit_with_a_run_per_change_of_bits(ops):
         assert list(getattr(samples, name)) == [row[k] for row in rows]
     for name, k in (("position", 3), ("velocity", 4)):
         assert bits(getattr(samples, name)) == bits([row[k] for row in rows])
-    # -0.0 after 0.0 starts a run, and so does every NaN
+    # one run per time, in time order
     starts = run_starts(ops)
     assert list(samples.run_start) == starts
     assert bits(samples.run_t) == bits([times[k] for k in starts])
+    assert samples.run_t.tolist() == sorted(set(times))
 
 
 def as_bits(column):
@@ -619,7 +634,7 @@ def read_rows(log, lo, hi):
 
 @SETTINGS
 @given(st.one_of(ops_in_time_order.map(lambda ops: build(ops)[0]),
-                 st.lists(sample_op, max_size=12).map(lambda ops: build_samples(ops)[0])),
+                 sample_ops.map(lambda ops: build_samples(ops)[0])),
        st.data())
 def test_a_slice_of_either_log_reads_back_its_rows_bit_for_bit(log, data):
     n = len(log)
@@ -634,12 +649,11 @@ def test_a_slice_of_either_log_reads_back_its_rows_bit_for_bit(log, data):
     for index in (0, slice(None, None, 2), slice(None, None, -1)):
         with pytest.raises(TypeError, match=f"^{type(log).__name__} takes only slices"):
             log[index]
-    if isinstance(log, Events):
-        # the events are in time order, so a cut at any time is the two slices at before(t)
-        times = log.columns(0, n)[0].tolist()
-        t = data.draw(st.one_of(st.sampled_from(times), finite) if times else finite)
-        k, rest = log.before(t), pickle.loads(pickle.dumps(log))
-        assert cells(rest.cut_before(t)) == cells(log[:k]) and cells(rest) == cells(log[k:])
+    # either log is in time order, so a cut at any time is the two slices at before(t)
+    times = log.run_t.tolist()
+    t = data.draw(st.one_of(st.sampled_from(times), finite) if times else finite)
+    k, rest = log.before(t), pickle.loads(pickle.dumps(log))
+    assert cells(rest.cut_before(t)) == cells(log[:k]) and cells(rest) == cells(log[k:])
 
 
 def test_a_sample_log_keeps_no_per_row_time_and_four_byte_ids(minute_log):
@@ -662,17 +676,17 @@ def test_a_sample_log_keeps_no_per_row_time_and_four_byte_ids(minute_log):
 
 
 def test_a_sample_cut_never_splits_a_time_and_before_and_eq_hold():
-    samples, _ = build_samples([("append", 0.0, (1, 0, 1.0, 2.0)),
+    samples, _ = build_samples([("append", -0.0, (1, 0, 1.0, 2.0)),
                                 ("append", -0.0, (2, 0, 3.0, 4.0)),
                                 ("append", -0.0, (3, 1, 5.0, 6.0)),
                                 ("step", 0.5, [(4, 0, 7.0, 8.0), (5, 1, 9.0, 1.0)]),
                                 ("step", 1.0, [(6, 0, 2.0, 3.0), (7, 1, 4.0, 5.0)])])
-    assert list(samples.run_start) == [0, 1, 3, 5]
+    assert list(samples.run_start) == [0, 3, 5]
     copy = pickle.loads(pickle.dumps(samples))
     assert samples == copy and not samples != copy
-    copy.run_t[1] = 0.0  # -0.0 and 0.0 are equal
+    copy.run_t[0] = 0.0  # -0.0 and 0.0 are equal
     assert samples == copy
-    copy.run_t[3] = 1.5
+    copy.run_t[2] = 1.5
     assert samples != copy and samples != 1.0
     assert [samples.before(t) for t in (0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 2.0)] == [
         0, 0, 3, 3, 5, 5, 7]
@@ -682,7 +696,7 @@ def test_a_sample_cut_never_splits_a_time_and_before_and_eq_hold():
     assert cells(samples) == cells(whole)
     head = samples.cut_before(0.25)
     assert cells(head) == cells(whole[:3]) and cells(samples) == cells(whole[3:])
-    assert (len(head), list(head.run_start), bits(head.t)) == (3, [0, 1], bits([0.0, -0.0, -0.0]))
+    assert (len(head), list(head.run_start), bits(head.t)) == (3, [0], bits([-0.0] * 3))
     assert (len(samples), list(samples.run_start), bits(samples.t)) == (
         4, [0, 2], bits([0.5, 0.5, 1.0, 1.0]))
     assert samples.before(0.0) == 0 and samples.before(0.75) == 2
@@ -696,6 +710,40 @@ def test_a_sample_cut_never_splits_a_time_and_before_and_eq_hold():
 def unchanged(log):
     """A copy of every column of ``log``, to compare with after a call that raises."""
     return {name: getattr(log, name)[:] for name in type(log).__slots__}
+
+
+SAMPLE_CALLS = {
+    "append": lambda samples, t: samples.append(t, 3, 0, 7.0, 8.0),
+    "log_step": lambda samples, t: samples.log_step(t, [3, 4], array("b", [0, 1]), [7.0, 9.0],
+                                                    [8.0, 1.0]),
+    "empty_step": lambda samples, t: samples.log_step(t, [], array("b"), [], []),
+}
+
+
+@pytest.mark.parametrize("t, cut", [(float("nan"), None), (-0.5, None), (-0.0, None),
+                                    (1.5, 2.0)],
+                         ids=["nan", "earlier", "negative_zero_after_zero", "before_the_cut"])
+@pytest.mark.parametrize("call", sorted(SAMPLE_CALLS))
+def test_a_sample_time_out_of_order_is_rejected_and_leaves_the_log_unchanged(call, t, cut):
+    """A time the sample log does not take raises ValueError and changes nothing.
+
+    The log holds a step at 0.0, or, cut at 2.0, nothing and the floor
+    2.0. A time at the last run's, with its bits, joins that run, and a
+    later one starts a run.
+    """
+    samples, _ = build_samples([("step", 0.0, [(1, 0, 1.0, 2.0), (2, 1, 3.0, 4.0)])])
+    if cut is not None:
+        samples.cut_before(cut)
+    before = unchanged(samples), samples.floor
+    with pytest.raises(ValueError, match="NaN or before|other bits"):
+        SAMPLE_CALLS[call](samples, t)
+    assert (unchanged(samples), samples.floor) == before
+    last = samples.run_t[-1] if samples.run_t else samples.floor
+    for u in (last, last + 1.0):
+        SAMPLE_CALLS[call](samples, u)
+    rows = 0 if call == "empty_step" else 1 if call == "append" else 2
+    assert len(samples) == len(before[0]["vehicle_id"]) + 2 * rows
+    assert samples.run_t.tolist() == sorted(set(samples.t.tolist()))
 
 
 @pytest.mark.parametrize("call", [

@@ -353,21 +353,26 @@ def test_events_stream_needs_events_in_time_order(tmp_path):
 
 
 def test_events_writer_writes_each_sample_at_its_own_time(tmp_path):
-    """Samples at 0.0 and then -0.0 are one step of two runs, each written at its time."""
-    log = synthetic_log(samples=[(0.0, 1, 0, 5.0, 1.0), (-0.0, 2, 1, 6.0, 2.0),
-                                 (-0.0, 3, 0, 7.0, 3.0), (0.5, 1, 0, 5.5, 1.0)])
+    """Events at 0.0 and samples at -0.0 are one step, each row written at its own time."""
+    log = synthetic_log(events=[(0.0, "transmission", -1, 0, 500.0, 0.0, 0)],
+                        samples=[(-0.0, 2, 1, 6.0, 2.0), (-0.0, 3, 0, 7.0, 3.0),
+                                 (0.5, 1, 0, 5.5, 1.0)])
     expected = table_to_text(events_to_table(log))
-    assert "\n0.0,sample,1,0,5.0,1.0,\n-0.0,sample,2,1,6.0,2.0,\n-0.0,sample,3,0," in expected
+    assert ("\n0.0,transmission,-1,0,500.0,0.0,0\n-0.0,sample,2,1,6.0,2.0,\n"
+            "-0.0,sample,3,0,7.0,3.0,\n0.5,sample,1,0,5.5,1.0,\n") in expected
     write_events_csv(log, tmp_path / "events.csv")
     assert (tmp_path / "events.csv").read_bytes() == expected.encode()
 
 
 def test_events_stream_needs_samples_in_time_order(tmp_path):
-    log = synthetic_log(samples=ORDERED_SAMPLES[::-1])
-    with pytest.raises(ValueError, match="samples are not in time order"):
-        write_events_csv(log, tmp_path / "events.csv")
-    with pytest.raises(ValueError, match="samples are not in time order"):
-        events_to_table(log)
+    """The log refuses a sample out of time order, so the stream never meets one."""
+    log = synthetic_log(events=EVENTS, samples=ORDERED_SAMPLES)
+    for t in (1.0, float("nan"), -0.0):
+        with pytest.raises(ValueError, match="before the last one logged"):
+            log.samples.append(t, 1, 0, 115.0, 11.1)
+    assert events_to_table(log).rows == sort_oracle(log)
+    write_events_csv(log, tmp_path / "events.csv")
+    assert read_csv(tmp_path / "events.csv") == events_to_table(log)
 
 
 # --- events.csv written while the run goes on ---------------------------------------
@@ -559,10 +564,10 @@ def test_streamed_events_csv_waits_for_a_free_writer(tmp_path, monkeypatch, fork
     parent = os.getpid()
     real_write = metrics._write_segment
 
-    def gated(fh, log, *bounds):
+    def gated(fh, log):
         if os.getpid() != parent:  # a writer: wait until the test opens the gate
             gate.wait()
-        real_write(fh, log, *bounds)
+        real_write(fh, log)
 
     monkeypatch.setattr(metrics, "_write_segment", gated)
     path = tmp_path / "events.csv"
@@ -597,6 +602,10 @@ def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeyp
     parent = os.getpid()
     opened_by = []  # where the gate was opened: "first_held_write" or "final_wait"
     shut_at_format = []  # whether the gate was still shut when the rest was formatted
+    # the segments formatted into the file, by the process that formats them:
+    # the first of a process is the run's first segment (a writer's forked
+    # copy of the list starts empty, since the parent formats none before it)
+    segments = []
     real_write_segment = metrics._write_segment
     real_catch_up = EventsCsvWriter._catch_up
 
@@ -616,16 +625,17 @@ def test_finish_formats_the_last_segment_while_the_writer_runs(tmp_path, monkeyp
                 open_gate("first_held_write")
             return self.fh.write(data)
 
-    def gated(fh, log, t_lo=-math.inf, t_hi=math.inf):
+    def gated(fh, log):
         if os.getpid() != parent:  # a writer: wait until the gate opens
             gate.wait()
-        if writer_fails and t_lo == -math.inf:  # the first segment, in either process
-            raise RuntimeError("writer failed")
-        if not isinstance(fh, io.BytesIO):  # not the rest held while the writer runs
-            real_write_segment(fh, log, t_lo, t_hi)
+        if isinstance(fh, io.BytesIO):  # the rest, held while the writer runs
+            real_write_segment(Held(fh), log)
+            shut_at_format.append(not opened_by)
             return
-        real_write_segment(Held(fh), log, t_lo, t_hi)
-        shut_at_format.append(not opened_by)
+        segments.append(log)
+        if writer_fails and len(segments) == 1:  # the first segment, in either process
+            raise RuntimeError("writer failed")
+        real_write_segment(fh, log)
 
     def catch_up(self):
         open_gate("final_wait")
@@ -737,14 +747,14 @@ def test_streamed_events_csv_recovers_the_rows_of_a_killed_writer(tmp_path, monk
     parent = os.getpid()
     real_write = metrics._write_segment
 
-    def killed_halfway(fh, log, *bounds):
+    def killed_halfway(fh, log):
         if os.getpid() != parent:  # a writer: write half its text, then die
             text = io.BytesIO()
-            real_write(text, log, *bounds)
+            real_write(text, log)
             fh.write(text.getvalue()[:len(text.getvalue()) // 2])
             fh.flush()
             os.kill(os.getpid(), signal.SIGKILL)
-        real_write(fh, log, *bounds)
+        real_write(fh, log)
 
     monkeypatch.setattr(metrics, "_write_segment", killed_halfway)
     log = synthetic_log()
@@ -761,10 +771,10 @@ def test_streamed_events_csv_goes_on_in_process_after_the_writer_dies(tmp_path, 
                                                                       forks, dies, chunk_rows):
     """A writer that dies between segments costs no row, and the run goes on without it.
 
-    The writer takes its first segment from the memory it inherited and
-    acknowledges it. Then it dies before it reads the second segment,
-    which is larger than a pipe holds, so the parent's send breaks off, and
-    two more segments follow; or, with larger segments, the second is the
+    The writer reads its first segment from the pipe and acknowledges it.
+    Then it dies before it reads the second segment, which is larger than
+    a pipe holds, so the parent's send breaks off, and two more segments
+    follow; or, with larger segments, the second is the
     last, and it dies after it has read it, so the parent meets the end of
     the acks while ``finish`` waits for that segment's. The parent formats
     the second segment and every later one itself, and the first not again.
@@ -772,27 +782,32 @@ def test_streamed_events_csv_goes_on_in_process_after_the_writer_dies(tmp_path, 
     set_cpus(monkeypatch, 2)
     set_chunk_rows(monkeypatch, chunk_rows)
     parent = os.getpid()
-    formatted_here, broken_sends, acks_ended = [], [], []
+    # the ids of the segments sent, of those formatted in the parent and of
+    # the one whose send broke off
+    sent, formatted_here, broken_sends, acks_ended = [], [], [], []
+    received = []  # in the writer: the segments it has read
     real_write, real_receive = metrics._write_segment, metrics._receive_segment
     real_send, real_acknowledged = metrics._send_segment, EventsCsvWriter._acknowledged
 
-    def write(fh, log, t_lo=-math.inf, t_hi=math.inf):
+    def write(fh, log):
         if os.getpid() == parent:
-            formatted_here.append(t_lo)
-        elif dies == "while_acked" and t_lo > -math.inf:
+            formatted_here.append(id(log))
+        elif dies == "while_acked" and len(received) > 1:
             os.kill(os.getpid(), signal.SIGKILL)
-        real_write(fh, log, t_lo, t_hi)
+        real_write(fh, log)
 
     def receive(inp, template):
-        if dies == "while_sent_to":
+        if dies == "while_sent_to" and received:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real_receive(inp, template)
+        received.append(real_receive(inp, template))
+        return received[-1]
 
     def send(out, segment):
+        sent.append(id(segment))
         try:
             real_send(out, segment)
         except BrokenPipeError:
-            broken_sends.append(segment[1])
+            broken_sends.append(id(segment))
             raise
 
     def acknowledged(self):
@@ -812,7 +827,7 @@ def test_streamed_events_csv_goes_on_in_process_after_the_writer_dies(tmp_path, 
         writer.finish(log)
     assert len(forks) == 1
     # the second segment, any later ones and the rest
-    assert -math.inf not in formatted_here
+    assert sent[0] not in formatted_here
     if dies == "while_sent_to":
         assert len(formatted_here) == 4 and broken_sends == formatted_here[:1]
     else:
@@ -828,9 +843,9 @@ def test_an_interrupt_while_the_writer_holds_the_run_up_stops_it(tmp_path, monke
     """KeyboardInterrupt while the parent waits for the writer: no writer or file is left.
 
     The writer waits at a gate, which never opens: before it reads the
-    second segment (12,000 rows, more than a pipe holds), so the parent's
-    send blocks on the full pipe, or before it formats the first, so the
-    parent blocks at the second cut waiting for that segment's ack. A
+    first segment (12,000 rows, more than a pipe holds), so the parent's
+    send blocks on the full pipe, or before it formats it, so the parent
+    blocks at the second cut waiting for that segment's ack. A
     SIGINT then interrupts the parent. The interrupt itself comes out, not
     a BrokenPipeError from flushing what was left unsent.
     """
@@ -841,10 +856,10 @@ def test_an_interrupt_while_the_writer_holds_the_run_up_stops_it(tmp_path, monke
     real_acknowledged = EventsCsvWriter._acknowledged
     interrupted = []
 
-    def gated_write(fh, log, *bounds):
+    def gated_write(fh, log):
         if os.getpid() != parent and blocked_in == "ack":
             gate.wait()
-        real_write(fh, log, *bounds)
+        real_write(fh, log)
 
     def gated_receive(inp, template):
         if blocked_in == "send":
@@ -892,12 +907,16 @@ def test_streamed_events_csv_writer_failure_raises_in_the_parent(tmp_path, monke
     set_cpus(monkeypatch, 2)
     set_chunk_rows(monkeypatch, 7)
     real_write = metrics._write_segment
+    # the segments formatted by the process that formats them; a writer's
+    # forked copy starts empty, since the parent formats none before it
+    segments = []
 
-    def failing_first(fh, log, t_lo=-math.inf, t_hi=math.inf):
+    def failing_first(fh, log):
         # the first segment, which a writer process takes, and the parent formats again
-        if t_lo == -math.inf:
+        segments.append(log)
+        if len(segments) == 1:
             raise ValueError("the writer failed")
-        real_write(fh, log, t_lo, t_hi)
+        real_write(fh, log)
 
     monkeypatch.setattr(metrics, "_write_segment", failing_first)
     log = synthetic_log()
@@ -969,10 +988,10 @@ def test_streamed_run_holds_a_bounded_number_of_rows(tmp_path, monkeypatch, fork
         parent = os.getpid()
         real_write = metrics._write_segment
 
-        def slow(fh, log, *bounds):
+        def slow(fh, log):
             if os.getpid() != parent:
                 time.sleep(0.05)
-            real_write(fh, log, *bounds)
+            real_write(fh, log)
 
         monkeypatch.setattr(metrics, "_write_segment", slow)
     cfg = SimConfig(duration=120.0, seed=31, warm_up=10.0)
@@ -982,7 +1001,7 @@ def test_streamed_run_holds_a_bounded_number_of_rows(tmp_path, monkeypatch, fork
 
         def after_step(state):
             events_csv.after_step(state)
-            logs = [state.log] + [segment[0] for segment in events_csv.pending]
+            logs = [state.log] + events_csv.pending
             held.append(sum(len(log.samples) + len(log.events) for log in logs))
 
         log = run(cfg, on_step=after_step)
@@ -1033,14 +1052,17 @@ def fold_logs():
 
 
 def test_velocity_grid_equals_one_bincount_for_samples_in_any_order(fold_logs):
-    """The whole-log grid takes its samples in log order, in time order or not.
+    """The whole-log grid takes its samples in log order, whatever the order of a step's rows.
 
     Each cell's sum adds its samples in the order the log holds them, as one
     bincount does, so the last time bin's own samples and the ones clamped
     into it, at and after its end, are added together.
     """
     whole = fold_logs["exact_end"]
-    order = np.random.default_rng(0).permutation(len(whole.samples))
+    # the vehicles of each step in a random order, the steps in time order
+    t = np.array(whole.samples.t)
+    order = np.lexsort((np.random.default_rng(0).permutation(len(t)), t))
+    assert (order != np.arange(len(t))).any()
     log = synthetic_log(end_time=whole.end_time, cfg=whole.cfg)
     shuffled = (np.array(getattr(whole.samples, name))[order].tolist()
                 for name in ("t", "vehicle_id", "lane", "position", "velocity"))
@@ -1082,14 +1104,12 @@ def test_folding_segments_gives_the_whole_log_metrics_bitwise(fold_logs, fold_lo
     fold = MetricFold(log.cfg)
     text = io.BytesIO()
     text.write(table_to_text(MetricTable(list(EVENT_COLUMNS), [], log.config_echo)).encode())
-    t_lo = -math.inf
     for t in sorted({steps[int(c * (len(steps) - 1))] for c in cuts}):
         piece = replace(log, events=log.events.cut_before(t), samples=log.samples.cut_before(t))
         fold.add(piece, t)
-        metrics._write_segment(text, piece, t_lo, t)
-        t_lo = t
+        metrics._write_segment(text, piece)
     fold.add(log, log.end_time)
-    metrics._write_segment(text, log, t_lo)
+    metrics._write_segment(text, log)
     assert text.getvalue() == fold_logs_csv[name]
     grid = fold.velocity_grid(log.end_time)
     counts, sums = bincount_grid(whole)
